@@ -17,7 +17,7 @@ exposed in its own right.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from .errors import GraphError, PreconditionError
 from .flows import feasible_circulation
@@ -267,22 +267,33 @@ def _peel_class(g: BipartiteMultigraph, c: int) -> Dict[Tuple[Label, Label], int
     return out
 
 
-def bee_coloring(bg: BipartiteMultigraph, k: int) -> BipartiteColoring:
+def bee_coloring(
+    bg: BipartiteMultigraph, k: int, *, upto: Optional[int] = None
+) -> BipartiteColoring:
     """Balanced, equitable and equalized k-edge-coloring of a bipartite multigraph.
 
     Exists for every finite bipartite multigraph and every k >= 1; classes
     are labeled 1..k in peel order and the output is deterministic.
+
+    With `upto` = m < k only classes 1..m are peeled and returned; the edges
+    left for classes m+1..k stay uncolored.  Class j depends only on the
+    edges classes 1..j-1 left, so classes 1..m are exactly those of the
+    full coloring.
     """
     if k < 1:
         raise PreconditionError(f"need at least one color, got {k}")
+    if upto is None:
+        upto = k
+    if not 1 <= upto <= k:
+        raise PreconditionError(f"upto must lie in 1..{k}, got {upto}")
     remaining = bg.copy()
     out = BipartiteColoring(k, bg.left, bg.right)
-    for j in range(1, k + 1):
+    for j in range(1, upto + 1):
         cls = _peel_class(remaining, k - j + 1)
         for (l, r), n in sorted(cls.items()):
             out.add(l, r, j, n)
             remaining.remove_edges(l, r, n)
-    if remaining.edge_count() != 0:
+    if upto == k and remaining.edge_count() != 0:
         raise AssertionError("peeling left edges uncolored")
     return out
 

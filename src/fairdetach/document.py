@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Tuple
 
-from .errors import DocumentError
+from .errors import DocumentError, GraphError
 from .hamilton import HamDecomposition
 from .multigraph import (
     AmalgamationSpec,
@@ -52,13 +52,21 @@ def _require(cond: bool, message: str) -> None:
         raise DocumentError(message)
 
 
+def _is_int(x: Any, low: int = 0) -> bool:
+    """x is an integer >= low; JSON true and false do not count as integers."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= low
+
+
+def _records(obj: Dict[str, Any], key: str) -> List[Any]:
+    recs = obj.get(key, [])
+    _require(isinstance(recs, list), f"{key} must be a list of records")
+    return recs
+
+
 def _vertex_list(doc: Dict[str, Any]) -> List[int]:
     verts = doc.get("vertices")
     _require(isinstance(verts, list), "missing vertex list")
-    _require(
-        all(isinstance(v, int) and v >= 0 for v in verts),
-        "vertices must be nonnegative integers",
-    )
+    _require(all(_is_int(v) for v in verts), "vertices must be nonnegative integers")
     _require(len(set(verts)) == len(verts), "duplicate vertex ids")
     return list(verts)
 
@@ -96,29 +104,29 @@ def doc_to_graph(
 ) -> Tuple[ColoredMultigraph, Optional[AmalgamationSpec], Optional[DetachmentMap]]:
     _require(doc.get("kind") == "graph", "expected a graph document")
     k = doc.get("k")
-    _require(isinstance(k, int) and k >= 1, "k must be a positive integer")
+    _require(_is_int(k, 1), "k must be a positive integer")
     verts = _vertex_list(doc)
     vset = set(verts)
     cg = ColoredMultigraph(k, verts)
-    for rec in doc.get("edges", []):
+    for rec in _records(doc, "edges"):
         _require(
-            isinstance(rec, list) and len(rec) == 4,
-            f"edge record {rec!r} must be [u, v, color, mult]",
+            isinstance(rec, list) and len(rec) == 4 and all(_is_int(x) for x in rec),
+            f"edge record {rec!r} must be [u, v, color, mult] of nonnegative integers",
         )
         u, v, j, n = rec
         _require(u in vset and v in vset and u != v, f"bad edge endpoints {rec!r}")
         _require(1 <= j <= k, f"edge color {j} out of range")
-        _require(isinstance(n, int) and n >= 1, f"bad multiplicity in {rec!r}")
+        _require(n >= 1, f"bad multiplicity in {rec!r}")
         cg.layer(j).add_edges(u, v, n)
-    for rec in doc.get("loops", []):
+    for rec in _records(doc, "loops"):
         _require(
-            isinstance(rec, list) and len(rec) == 3,
-            f"loop record {rec!r} must be [v, color, mult]",
+            isinstance(rec, list) and len(rec) == 3 and all(_is_int(x) for x in rec),
+            f"loop record {rec!r} must be [v, color, mult] of nonnegative integers",
         )
         v, j, n = rec
         _require(v in vset, f"bad loop vertex {rec!r}")
         _require(1 <= j <= k, f"loop color {j} out of range")
-        _require(isinstance(n, int) and n >= 1, f"bad multiplicity in {rec!r}")
+        _require(n >= 1, f"bad multiplicity in {rec!r}")
         cg.layer(j).add_loops(v, n)
 
     eta = None
@@ -132,8 +140,8 @@ def doc_to_graph(
                 f"eta record {rec!r} must be [vertex, count]",
             )
             v, n = rec
-            _require(v in vset, f"eta names unknown vertex {v}")
-            _require(isinstance(n, int) and n >= 1, f"eta({v}) must be positive")
+            _require(_is_int(v) and v in vset, f"eta names unknown vertex {v!r}")
+            _require(_is_int(n, 1), f"eta({v}) must be a positive integer")
             _require(v not in mapping, f"duplicate eta record for vertex {v}")
             mapping[v] = n
         _require(set(mapping) == vset, "eta must cover every vertex")
@@ -150,13 +158,17 @@ def doc_to_graph(
                 f"psi record {rec!r} must be [host, [members...]]",
             )
             w, members = rec
+            _require(_is_int(w), f"psi host vertex {w!r} must be a nonnegative integer")
             _require(w not in fibers, f"duplicate fiber for host vertex {w}")
             _require(
-                all(m in vset for m in members),
+                all(_is_int(m) and m in vset for m in members),
                 f"fiber of {w} names unknown vertices",
             )
             fibers[w] = members
-        psi = DetachmentMap.from_fibers(fibers)
+        try:
+            psi = DetachmentMap.from_fibers(fibers)
+        except GraphError as exc:
+            raise DocumentError(f"bad psi: {exc}") from exc
     return cg, eta, psi
 
 
@@ -173,23 +185,23 @@ def _obj_to_host(obj: Any) -> Multigraph:
     verts = _vertex_list(obj)
     g = Multigraph(verts)
     vset = set(verts)
-    for rec in obj.get("edges", []):
+    for rec in _records(obj, "edges"):
         _require(
-            isinstance(rec, list) and len(rec) == 3,
-            f"host edge record {rec!r} must be [u, v, mult]",
+            isinstance(rec, list) and len(rec) == 3 and all(_is_int(x) for x in rec),
+            f"host edge record {rec!r} must be [u, v, mult] of nonnegative integers",
         )
         u, v, n = rec
         _require(u in vset and v in vset and u != v, f"bad host edge {rec!r}")
-        _require(isinstance(n, int) and n >= 1, f"bad multiplicity in {rec!r}")
+        _require(n >= 1, f"bad multiplicity in {rec!r}")
         g.add_edges(u, v, n)
-    for rec in obj.get("loops", []):
+    for rec in _records(obj, "loops"):
         _require(
-            isinstance(rec, list) and len(rec) == 2,
-            f"host loop record {rec!r} must be [v, mult]",
+            isinstance(rec, list) and len(rec) == 2 and all(_is_int(x) for x in rec),
+            f"host loop record {rec!r} must be [v, mult] of nonnegative integers",
         )
         v, n = rec
         _require(v in vset, f"bad host loop {rec!r}")
-        _require(isinstance(n, int) and n >= 1, f"bad multiplicity in {rec!r}")
+        _require(n >= 1, f"bad multiplicity in {rec!r}")
         g.add_loops(v, n)
     return g
 
@@ -211,7 +223,7 @@ def doc_to_decomposition(doc: Dict[str, Any]) -> HamDecomposition:
     vset = set(host.vertices)
     for cyc in cycles:
         _require(
-            isinstance(cyc, list) and all(isinstance(v, int) for v in cyc),
+            isinstance(cyc, list) and all(_is_int(v) for v in cyc),
             f"cycle {cyc!r} must be a list of vertex ids",
         )
         _require(all(v in vset for v in cyc), f"cycle {cyc!r} names unknown vertices")

@@ -5,9 +5,11 @@ is still at least 2.  The edges (and loops) to hand over are selected
 through two auxiliary bipartite colorings:
 
   * a fan graph with one left vertex per color and right side N(y) plus a
-    loop proxy (each loop contributes two proxy edges) receives a balanced,
-    equitable, equalized coloring with eta(y) classes; classes 1 and 2 form
-    the working subgraph,
+    loop proxy (each loop contributes two proxy edges) is colored balanced,
+    equitable and equalized with eta(y) classes, of which only classes 1
+    and 2 are peeled: they form the working subgraph, and since classes are
+    peeled in order and class j depends only on the edges classes 1..j-1
+    left, they are exactly the first two classes of the full coloring,
   * colors whose per-vertex degree ratios are even integers everywhere get
     their left vertex split into degree-2 units, pairing parallel edges to
     one neighbor first and edges into one component of the color class
@@ -150,14 +152,14 @@ def condition3_colors(cg: ColoredMultigraph, eta: AmalgamationSpec) -> Set[int]:
 
 def build_split_bipartite(cg: ColoredMultigraph, y: VertexId) -> SplitBipartite:
     """Fan graph: m(c_j, u) = per-color multiplicity to u, m(c_j, proxy) = 2*loops."""
-    if y not in set(cg.vertices):
+    if not cg.layer(1).has_vertex(y):
         raise GraphError(f"unknown vertex {y}")
-    under = cg.underlying()
-    w_side = under.neighbors(y) + [LOOP_PROXY]
+    layers = [cg.layer(j) for j in range(1, cg.k + 1)]
+    rows = [layer.neighbors(y) for layer in layers]
+    w_side = sorted(set().union(*rows)) + [LOOP_PROXY]
     bg = BipartiteMultigraph([(j, -1) for j in range(1, cg.k + 1)], w_side)
-    for j in range(1, cg.k + 1):
-        layer = cg.layer(j)
-        for u in layer.neighbors(y):
+    for j, (layer, row) in enumerate(zip(layers, rows), start=1):
+        for u in row:
             bg.add_edges((j, -1), u, layer.multiplicity(y, u))
         nl = layer.loops(y)
         if nl:
@@ -262,7 +264,7 @@ def _step(
         raise PreconditionError(f"vertex {y} has eta={eta_y}, nothing to detach")
 
     fan = build_split_bipartite(cg, y)
-    fan_coloring = bee_coloring(fan.graph, eta_y)
+    fan_coloring = bee_coloring(fan.graph, eta_y, upto=2)
     working = SplitBipartite(y=y, k=cg.k, graph=fan_coloring.restrict((1, 2)))
 
     cond3 = condition3_colors(cg, eta)
@@ -270,9 +272,12 @@ def _step(
     refined = refine(working, cond3, comp_map)
 
     # the qualifying colors must split into exactly degree/eta units
+    working_deg: Dict[int, int] = {}
+    for (j, _), _, n in working.graph.pairs():
+        working_deg[j] = working_deg.get(j, 0) + n
     for j in sorted(cond3):
         alpha = cg.layer(j).degree(y) // eta_y
-        wdeg = working.graph.degree((j, -1))
+        wdeg = working_deg.get(j, 0)
         if wdeg != 2 * alpha:
             raise AssertionError(
                 f"color {j}: working degree {wdeg} != 2*{alpha}"

@@ -4,7 +4,10 @@ Internal plumbing for the coloring constructions: a color class with
 floor/ceiling quotas on pairs, vertices and totals is exactly a feasible
 integral circulation, and max-flow integrality turns the fractional
 1/k solution into an integral one.  Everything here is deterministic:
-arcs are augmented in insertion order with shortest-path (BFS) search.
+arcs are augmented in insertion order with shortest-path (BFS) search
+(Edmonds-Karp).  Each search stops the moment the sink gets its BFS
+parent: that parent can no longer change, so stopping there yields the
+same augmenting paths, and the same flows, as a search run to exhaustion.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ class _Residual:
         return idx
 
     def max_flow(self, s: int, t: int) -> int:
+        adj, to, cap = self.adj, self.to, self.cap
         total = 0
         while True:
             parent = [-1] * self.n
@@ -41,26 +45,30 @@ class _Residual:
             while qi < len(queue) and parent[t] == -1:
                 v = queue[qi]
                 qi += 1
-                for idx in self.adj[v]:
-                    w = self.to[idx]
-                    if self.cap[idx] > 0 and parent[w] == -1:
-                        parent[w] = idx
-                        queue.append(w)
+                for idx in adj[v]:
+                    if cap[idx] > 0:
+                        w = to[idx]
+                        if parent[w] == -1:
+                            parent[w] = idx
+                            if w == t:
+                                break
+                            queue.append(w)
             if parent[t] == -1:
                 return total
             # bottleneck along the BFS path
-            push = None
+            push = cap[parent[t]]
             v = t
             while v != s:
                 idx = parent[v]
-                push = self.cap[idx] if push is None else min(push, self.cap[idx])
-                v = self.to[idx ^ 1]
+                if cap[idx] < push:
+                    push = cap[idx]
+                v = to[idx ^ 1]
             v = t
             while v != s:
                 idx = parent[v]
-                self.cap[idx] -= push
-                self.cap[idx ^ 1] += push
-                v = self.to[idx ^ 1]
+                cap[idx] -= push
+                cap[idx ^ 1] += push
+                v = to[idx ^ 1]
             total += push
 
 

@@ -166,6 +166,25 @@ def test_bee_fuzz_contract() -> None:
         assert c.parent() == bg
 
 
+def test_bee_upto_matches_leading_classes() -> None:
+    rng = random.Random(23)
+    for _ in range(120):
+        bg = random_bipartite(rng, max_side=6, max_mult=5)
+        for k in range(1, 6):
+            full = bee_coloring(bg, k).items()
+            for m in sorted({1, min(2, k), k}):
+                part = bee_coloring(bg, k, upto=m)
+                assert part.items() == [it for it in full if it[2] <= m]
+
+
+def test_bee_upto_out_of_range_rejected() -> None:
+    bg = BipartiteMultigraph([0], [1])
+    bg.add_edges(0, 1, 4)
+    for upto in (0, -1, 4):
+        with pytest.raises(PreconditionError):
+            bee_coloring(bg, 3, upto=upto)
+
+
 def test_bee_deterministic() -> None:
     rng = random.Random(29)
     bg = random_bipartite(rng)

@@ -76,6 +76,46 @@ def test_detach_missing_eta_is_malformed(tmp_path) -> None:
     assert res.returncode == 4
 
 
+def _detach_malformed(tmp_path, **fields):
+    doc = {
+        "version": "v1",
+        "kind": "graph",
+        "k": 1,
+        "vertices": [0, 1],
+        "edges": [],
+        "loops": [[0, 1, 2]],
+        "eta": [[0, 2], [1, 1]],
+    }
+    doc.update(fields)
+    src = tmp_path / "h.json"
+    src.write_text(json.dumps(doc))
+    return run_cli("detach", str(src))
+
+
+def test_detach_list_endpoint_is_malformed(tmp_path) -> None:
+    res = _detach_malformed(tmp_path, edges=[[0, [1], 1, 1]])
+    assert res.returncode == 4
+    assert "Traceback" not in res.stderr
+
+
+def test_detach_vertex_in_two_fibers_is_malformed(tmp_path) -> None:
+    res = _detach_malformed(tmp_path, psi=[[0, [0, 1]], [1, [1]]])
+    assert res.returncode == 4
+    assert "Traceback" not in res.stderr
+
+
+def test_detach_boolean_eta_is_malformed(tmp_path) -> None:
+    res = _detach_malformed(tmp_path, eta=[[0, True], [1, 1]])
+    assert res.returncode == 4
+    assert "Traceback" not in res.stderr
+
+
+def test_detach_non_list_edges_is_malformed(tmp_path) -> None:
+    res = _detach_malformed(tmp_path, edges=5)
+    assert res.returncode == 4
+    assert "Traceback" not in res.stderr
+
+
 def test_detach_output_passes_verify(tmp_path) -> None:
     src = tmp_path / "h.json"
     write_three_loop_doc(src)
@@ -151,6 +191,17 @@ def test_verify_rejects_malformed(tmp_path) -> None:
     assert run_cli("verify", str(bad)).returncode == 4
     bad.write_text(json.dumps({"version": "v0", "kind": "graph"}))
     assert run_cli("verify", str(bad)).returncode == 4
+
+
+def test_verify_non_list_host_edges_is_malformed(tmp_path) -> None:
+    bad = tmp_path / "dec.json"
+    host = {"vertices": [0, 1], "edges": 5}
+    bad.write_text(
+        json.dumps({"version": "v1", "kind": "decomposition", "host": host, "cycles": []})
+    )
+    res = run_cli("verify", str(bad))
+    assert res.returncode == 4
+    assert "Traceback" not in res.stderr
 
 
 def test_fuzz_command() -> None:

@@ -275,6 +275,24 @@ def test_detach_all_lambda_k5_from_loops() -> None:
     assert verify_detachment(cg, eta, psi, g).ok
 
 
+@pytest.mark.parametrize(
+    "n, lam",
+    [(n, lam) for lam in (1, 2) for n in range(3, 16) if lam * (n - 1) % 2 == 0],
+)
+def test_detach_all_lambda_kn_checked(n: int, lam: int) -> None:
+    # the lambda*K_n host of ham_decompose_lambda_kn: every color n loops
+    k = lam * (n - 1) // 2
+    cg = ColoredMultigraph(k, [0])
+    for j in range(1, k + 1):
+        cg.layer(j).add_loops(0, n)
+    eta = AmalgamationSpec({0: n})
+    g, psi, _ = detach_all(cg, eta, check=True)
+    for j in range(1, k + 1):
+        assert g.layer(j).component_count() == 1
+        assert all(g.layer(j).degree(v) == 2 for v in g.vertices)
+    assert verify_detachment(cg, eta, psi, g).ok
+
+
 def test_detach_all_deterministic() -> None:
     rng = random.Random(59)
     cg, eta = random_detach_instance(rng)
