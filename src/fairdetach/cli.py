@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from . import document
 from .engine import detach_all
@@ -234,11 +234,31 @@ def _fuzz_one_star(job) -> Optional[str]:
 def cmd_export(args: argparse.Namespace) -> int:
     try:
         doc = document.loads(_read(args.input))
-    except (DocumentError, OSError) as exc:
+        # render the parsed document, so export accepts what verify accepts
+        if doc["kind"] == "graph":
+            doc = document.graph_to_doc(*document.doc_to_graph(doc))
+        else:
+            doc = document.decomposition_to_doc(document.doc_to_decomposition(doc))
+    except (DocumentError, GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     _write(args.output, document.to_dot(doc))
     return EXIT_OK
+
+
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """argparse type: an integer >= low, else a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,9 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("fuzz", help="run random instances through generator+verifier")
-    p.add_argument("--count", type=int, default=50)
+    p.add_argument("--count", type=_int_at_least(0), default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument(
         "--kind",
         choices=["detach", "bee", "evencolor", "all"],

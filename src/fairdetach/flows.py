@@ -5,9 +5,25 @@ floor/ceiling quotas on pairs, vertices and totals is exactly a feasible
 integral circulation, and max-flow integrality turns the fractional
 1/k solution into an integral one.  Everything here is deterministic:
 arcs are augmented in insertion order with shortest-path (BFS) search
-(Edmonds-Karp).  Each search stops the moment the sink gets its BFS
-parent: that parent can no longer change, so stopping there yields the
-same augmenting paths, and the same flows, as a search run to exhaustion.
+(Edmonds-Karp).
+
+Each augmenting path is the one a plain BFS from the source would find,
+but the search does only the work that decides it:
+
+- Sink test at discovery.  Every node has at most one arc into the sink,
+  and BFS expands nodes in the order it discovers them, so the first node
+  expanded with a live arc into the sink is also the first node discovered
+  with one.  The search ends as soon as that node is reached; its BFS
+  parent, and so the whole path, is the one the full search would take.
+- Lazy level 1.  The source's arcs are walked in adjacency order and each
+  live head is expanded as soon as it is reached, rather than queueing the
+  whole first level.  A first-level node not yet expanded is treated as
+  visited exactly when its one arc from the source is live, so every later
+  node gets the same parent, in the same discovery order, as in the full
+  search.  No first-level node has an arc into the sink, so the first-level
+  nodes never end the search themselves.
+
+Same paths in the same order give the same flows, arc for arc.
 """
 
 from __future__ import annotations
@@ -35,35 +51,67 @@ class _Residual:
         return idx
 
     def max_flow(self, s: int, t: int) -> int:
-        adj, to, cap = self.adj, self.to, self.cap
+        """Push a maximum flow from s to t; return its value.
+
+        The network must satisfy four invariants, which every network built
+        by `feasible_circulation` does: every node has at most one arc from
+        s and at most one arc into t, no node has both, and s has no arc
+        straight into t.
+        """
+        adj, to, cap, n = self.adj, self.to, self.cap, self.n
+        source_arcs = adj[s]
+        n_source = len(source_arcs)
+        from_s = [-1] * n  # from_s[v]: index of the arc s -> v
+        for idx in source_arcs:
+            from_s[to[idx]] = idx
+        into_t = [-1] * n  # into_t[v]: index of the arc v -> t
+        for idx in adj[t]:
+            into_t[to[idx]] = idx ^ 1
         total = 0
         while True:
-            parent = [-1] * self.n
+            parent = [-1] * n
             parent[s] = -2
-            queue = [s]
-            qi = 0
-            while qi < len(queue) and parent[t] == -1:
-                v = queue[qi]
-                qi += 1
+            queue: List[int] = []
+            qi = si = 0
+            last = -1  # node whose live arc into t ends the path
+            while last < 0:
+                if si < n_source:  # level 1, one live source arc at a time
+                    idx = source_arcs[si]
+                    si += 1
+                    if cap[idx] <= 0:
+                        continue
+                    v = to[idx]
+                    parent[v] = idx
+                elif qi < len(queue):
+                    v = queue[qi]
+                    qi += 1
+                else:
+                    return total
                 for idx in adj[v]:
                     if cap[idx] > 0:
                         w = to[idx]
                         if parent[w] == -1:
+                            e = from_s[w]
+                            if e >= 0 and cap[e] > 0:
+                                continue  # level-1 node, expanded in turn
                             parent[w] = idx
-                            if w == t:
+                            e = into_t[w]
+                            if e >= 0 and cap[e] > 0:
+                                last = w
                                 break
                             queue.append(w)
-            if parent[t] == -1:
-                return total
             # bottleneck along the BFS path
-            push = cap[parent[t]]
-            v = t
+            e = into_t[last]
+            push = cap[e]
+            v = last
             while v != s:
                 idx = parent[v]
                 if cap[idx] < push:
                     push = cap[idx]
                 v = to[idx ^ 1]
-            v = t
+            cap[e] -= push
+            cap[e ^ 1] += push
+            v = last
             while v != s:
                 idx = parent[v]
                 cap[idx] -= push

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from fairdetach import document
 from fairdetach.engine import detach_all
 from fairdetach.multigraph import AmalgamationSpec, ColoredMultigraph
@@ -210,6 +212,28 @@ def test_fuzz_command() -> None:
     assert "15 instances, 0 failures" in res.stdout
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("--count", "-1"), "must be at least 0"),
+        (("--jobs", "0"), "must be at least 1"),
+        (("--count", "x"), "invalid integer"),
+    ],
+)
+def test_fuzz_rejects_bad_counts(args, message) -> None:
+    res = run_cli("fuzz", *args)
+    assert res.returncode == 2
+    assert message in res.stderr
+    assert "Traceback" not in res.stderr
+    assert "instances" not in res.stdout
+
+
+def test_fuzz_zero_count_runs_nothing() -> None:
+    res = run_cli("fuzz", "--count", "0")
+    assert res.returncode == 0, res.stderr
+    assert "ran 0 instances, 0 failures" in res.stdout
+
+
 def test_export_dot(tmp_path) -> None:
     src = tmp_path / "h.json"
     write_three_loop_doc(src)
@@ -217,6 +241,39 @@ def test_export_dot(tmp_path) -> None:
     assert res.returncode == 0
     assert res.stdout.startswith("graph G {")
     assert "0 -- 0" in res.stdout
+
+
+def test_export_non_list_cycles_is_malformed(tmp_path) -> None:
+    bad = tmp_path / "dec.json"
+    host = {"vertices": [0, 1], "edges": []}
+    bad.write_text(
+        json.dumps({"version": "v1", "kind": "decomposition", "host": host, "cycles": 5})
+    )
+    res = run_cli("export", str(bad))
+    assert res.returncode == 4
+    assert res.stderr.startswith("error:")
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
+def test_export_list_endpoint_is_malformed(tmp_path) -> None:
+    bad = tmp_path / "h.json"
+    doc = {"version": "v1", "kind": "graph", "k": 1, "vertices": [0, 1],
+           "edges": [[0, [1], 1, 1]], "loops": []}
+    bad.write_text(json.dumps(doc))
+    res = run_cli("export", str(bad))
+    assert res.returncode == 4
+    assert res.stderr.startswith("error:")
+    assert res.stdout == ""
+
+
+def test_export_decomposition_draws_each_cycle(tmp_path) -> None:
+    dec = tmp_path / "dec.json"
+    assert run_cli("ham", "--n", "5", "--lambda", "1", "-o", str(dec)).returncode == 0
+    res = run_cli("export", str(dec))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.count(" -- ") == 10  # K_5 has 10 edges
+    assert 'label="c2"' in res.stdout
 
 
 def test_cli_outputs_are_byte_identical_across_runs(tmp_path) -> None:
