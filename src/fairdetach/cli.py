@@ -1,8 +1,10 @@
 """Command-line frontend: detach, ham, verify, fuzz, export.
 
 Exit codes: 0 success, 1 verification failure, 2 precondition violation,
-3 infeasible parameters, 4 malformed input.  All outputs are deterministic
-for identical inputs; --seed only drives the fuzz instance generator.
+3 infeasible parameters, 4 malformed input.  Commands raise
+InfeasibleError, PreconditionError, DocumentError or OSError and `main`
+alone turns them into exit codes.  All outputs are deterministic for
+identical inputs; --seed only drives the fuzz instance generator.
 """
 
 from __future__ import annotations
@@ -48,20 +50,10 @@ def _write(path: Optional[str], text: str) -> None:
 
 
 def cmd_detach(args: argparse.Namespace) -> int:
-    try:
-        doc = document.loads(_read(args.input))
-        cg, eta, _ = document.doc_to_graph(doc)
-    except (DocumentError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+    cg, eta, _ = document.doc_to_graph(document.loads(_read(args.input)))
     if eta is None:
-        print("error: document carries no eta map", file=sys.stderr)
-        return EXIT_MALFORMED
-    try:
-        g, psi, trace = detach_all(cg, eta)
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        raise DocumentError("document carries no eta map")
+    g, psi, trace = detach_all(cg, eta)
     out = document.graph_to_doc(g, psi=psi)
     _write(args.output, document.dumps(out))
     if args.trace:
@@ -95,77 +87,62 @@ def cmd_ham(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_MALFORMED
-    try:
-        if use_kn:
-            if args.n is None or args.lam is None:
-                print("error: --n and --lambda are both required", file=sys.stderr)
-                return EXIT_MALFORMED
-            dec = ham_decompose_lambda_kn(args.n, args.lam)
+    if use_kn:
+        if args.n is None or args.lam is None:
+            print("error: --n and --lambda are both required", file=sys.stderr)
+            return EXIT_MALFORMED
+        dec = ham_decompose_lambda_kn(args.n, args.lam)
+    else:
+        if args.parts is None or args.l1 is None or args.l2 is None:
+            print(
+                "error: --parts, --l1 and --l2 are all required",
+                file=sys.stderr,
+            )
+            return EXIT_MALFORMED
+        if (args.size is None) == (args.sizes is None):
+            print("error: give exactly one of --size or --sizes", file=sys.stderr)
+            return EXIT_MALFORMED
+        if args.size is not None:
+            sizes = [args.size] * args.parts
         else:
-            if args.parts is None or args.l1 is None or args.l2 is None:
+            try:
+                sizes = [int(s) for s in args.sizes.split(",")]
+            except ValueError:
+                print(f"error: bad --sizes {args.sizes!r}", file=sys.stderr)
+                return EXIT_MALFORMED
+            if len(sizes) != args.parts:
                 print(
-                    "error: --parts, --l1 and --l2 are all required",
+                    f"error: --sizes lists {len(sizes)} parts, --parts says {args.parts}",
                     file=sys.stderr,
                 )
                 return EXIT_MALFORMED
-            if (args.size is None) == (args.sizes is None):
-                print("error: give exactly one of --size or --sizes", file=sys.stderr)
-                return EXIT_MALFORMED
-            if args.size is not None:
-                sizes = [args.size] * args.parts
-            else:
-                try:
-                    sizes = [int(s) for s in args.sizes.split(",")]
-                except ValueError:
-                    print(f"error: bad --sizes {args.sizes!r}", file=sys.stderr)
-                    return EXIT_MALFORMED
-                if len(sizes) != args.parts:
-                    print(
-                        f"error: --sizes lists {len(sizes)} parts, --parts says {args.parts}",
-                        file=sys.stderr,
-                    )
-                    return EXIT_MALFORMED
-            dec = ham_decompose_gdd(GddParams(tuple(sizes), args.l1, args.l2))
-    except InfeasibleError as exc:
-        print(f"infeasible: condition {exc.condition}: {exc.message}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (PreconditionError, GraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        dec = ham_decompose_gdd(GddParams(tuple(sizes), args.l1, args.l2))
     _write(args.output, document.dumps(document.decomposition_to_doc(dec)))
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    first = document.loads(_read(args.documents[0]))
+    if len(args.documents) == 1:
+        if first.get("kind") != "decomposition":
+            raise DocumentError("single-document verify expects a decomposition")
+        dec = document.doc_to_decomposition(first)
+        ok, witness = verify_ham_decomposition(dec.host, list(dec.cycles))
+        print(f"cycles: {'ok' if ok else 'FAIL'}" + (f"  [{witness}]" if witness else ""))
+        return EXIT_OK if ok else EXIT_VERIFY
+    if len(args.documents) != 2:
+        raise DocumentError("verify takes one or two documents")
+    second = document.loads(_read(args.documents[1]))
+    h, eta, _ = document.doc_to_graph(first)
+    g, _, psi = document.doc_to_graph(second)
+    if eta is None:
+        raise DocumentError("first document carries no eta map")
+    if psi is None:
+        raise DocumentError("second document carries no psi map")
     try:
-        first = document.loads(_read(args.documents[0]))
-        if len(args.documents) == 1:
-            if first.get("kind") != "decomposition":
-                print(
-                    "error: single-document verify expects a decomposition",
-                    file=sys.stderr,
-                )
-                return EXIT_MALFORMED
-            dec = document.doc_to_decomposition(first)
-            ok, witness = verify_ham_decomposition(dec.host, list(dec.cycles))
-            print(f"cycles: {'ok' if ok else 'FAIL'}" + (f"  [{witness}]" if witness else ""))
-            return EXIT_OK if ok else EXIT_VERIFY
-        if len(args.documents) != 2:
-            print("error: verify takes one or two documents", file=sys.stderr)
-            return EXIT_MALFORMED
-        second = document.loads(_read(args.documents[1]))
-        h, eta, _ = document.doc_to_graph(first)
-        g, _, psi = document.doc_to_graph(second)
-        if eta is None:
-            print("error: first document carries no eta map", file=sys.stderr)
-            return EXIT_MALFORMED
-        if psi is None:
-            print("error: second document carries no psi map", file=sys.stderr)
-            return EXIT_MALFORMED
         report = verify_detachment(h, eta, psi, g)
-    except (DocumentError, GraphError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+    except GraphError as exc:  # the two documents describe no one detachment
+        raise DocumentError(str(exc)) from exc
     for line in report.lines():
         print(line)
     return EXIT_OK if report.ok else EXIT_VERIFY
@@ -232,16 +209,12 @@ def _fuzz_one_star(job) -> Optional[str]:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    try:
-        doc = document.loads(_read(args.input))
-        # render the parsed document, so export accepts what verify accepts
-        if doc["kind"] == "graph":
-            doc = document.graph_to_doc(*document.doc_to_graph(doc))
-        else:
-            doc = document.decomposition_to_doc(document.doc_to_decomposition(doc))
-    except (DocumentError, GraphError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+    doc = document.loads(_read(args.input))
+    # render the parsed document, so export accepts what verify accepts
+    if doc["kind"] == "graph":
+        doc = document.graph_to_doc(*document.doc_to_graph(doc))
+    else:
+        doc = document.decomposition_to_doc(document.doc_to_decomposition(doc))
     _write(args.output, document.to_dot(doc))
     return EXIT_OK
 
@@ -314,8 +287,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command; the documented exceptions become exit codes here only."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InfeasibleError as exc:
+        print(f"infeasible: condition {exc.condition}: {exc.message}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except PreconditionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except (DocumentError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MALFORMED
 
 
 if __name__ == "__main__":

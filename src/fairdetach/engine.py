@@ -24,12 +24,27 @@ whose degrees, per-color degrees, intra- and cross-fiber multiplicities all
 sit in the floor/ceiling window of their fair shares, with component counts
 preserved for the qualifying colors.  Everything is deterministic: lowest
 vertex id first, lowest color first.
+
+`detach_all` (and `detach_step`, on a copy of its inputs) drives one mutable
+state: a working copy of the graph that each step's moves are applied to in
+place, the split counts, the next vertex id, per color the set of vertices
+failing the condition-3 ratio test, and per qualifying color a union-find
+over the color class minus y.  A step changes degrees and split counts only
+at y and the new vertex, so only those two are re-tested.  While y stays the
+same, the class minus y only grows: a moved edge y-w becomes v_new-w, which
+joins v_new to w's component, and a moved loop becomes an edge y-v_new,
+which the class minus y does not contain.  So the union-find (roots are
+smallest members, the labels `refine` needs) is built once per y and color
+and then takes one union per moved edge (Tarjan, "Efficiency of a good but
+not linear set union algorithm", JACM 1975).  `condition3_colors` and
+`_component_map` recompute the same facts from scratch; they are the oracles
+that `detach_all(check=True)` compares the state with on every step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .bee import BipartiteMultigraph, bee_coloring
 from .errors import GraphError, PreconditionError
@@ -118,9 +133,15 @@ class DetachmentTrace:
 def apply_moves(cg: ColoredMultigraph, rec: StepRecord) -> ColoredMultigraph:
     """Apply one recorded step to a copy of cg and return the new graph."""
     out = cg.copy()
-    out.add_vertex(rec.v_new)
-    for j in range(1, out.k + 1):
-        layer = out.layer(j)
+    _move(out, rec)
+    return out
+
+
+def _move(cg: ColoredMultigraph, rec: StepRecord) -> None:
+    """Apply one recorded step to cg in place."""
+    cg.add_vertex(rec.v_new)
+    for j in range(1, cg.k + 1):
+        layer = cg.layer(j)
         for w, n in sorted(rec.moves.edge_moves.get(j, {}).items()):
             layer.remove_edges(rec.y, w, n)
             layer.add_edges(rec.v_new, w, n)
@@ -128,7 +149,6 @@ def apply_moves(cg: ColoredMultigraph, rec: StepRecord) -> ColoredMultigraph:
         if nl:
             layer.remove_loops(rec.y, nl)
             layer.add_edges(rec.y, rec.v_new, nl)
-    return out
 
 
 def condition3_colors(cg: ColoredMultigraph, eta: AmalgamationSpec) -> Set[int]:
@@ -182,9 +202,11 @@ def refine(
     """
     bg = BipartiteMultigraph([], t.graph.right)
     groups: Dict[int, List[Tuple[int, int]]] = {}
+    rows: Dict[int, Dict[VertexId, int]] = {}
+    for (j, _), w, n in t.graph.pairs():
+        rows.setdefault(j, {})[w] = n
     for j in range(1, t.k + 1):
-        row = {w: t.graph.multiplicity((j, -1), w) for w in t.graph.right}
-        row = {w: n for w, n in row.items() if n}
+        row = rows.get(j, {})
         deg = sum(row.values())
         if j not in cond3:
             label = (j, -1)
@@ -256,10 +278,92 @@ def _component_map(
     return out
 
 
-def _step(
-    cg: ColoredMultigraph, eta: AmalgamationSpec, y: VertexId
-) -> Tuple[ColoredMultigraph, AmalgamationSpec, VertexId, StepRecord]:
-    eta_y = eta.value(y)
+class _DetachState:
+    """The working graph of a detachment, mutated in place step by step, with
+    the split counts, the condition-3 failing sets and the union-finds of the
+    current y (see the module docstring)."""
+
+    def __init__(self, cg: ColoredMultigraph, eta: Dict[VertexId, int]) -> None:
+        self.cg = cg
+        self.eta = eta
+        vertices = cg.vertices
+        for v in vertices:
+            if v not in eta:
+                raise GraphError(f"eta is undefined at vertex {v}")
+        self.next_id: VertexId = max(vertices, default=-1) + 1
+        self.failing: List[Set[VertexId]] = [
+            {v for v in vertices if not self._even_ratio(j, v)} for j in range(1, cg.k + 1)
+        ]
+        self.uf_y: Optional[VertexId] = None
+        self.uf: Dict[int, Dict[VertexId, VertexId]] = {}
+
+    def _even_ratio(self, j: int, v: VertexId) -> bool:
+        d = self.cg.layer(j).degree(v)
+        return d > 0 and d % (2 * self.eta[v]) == 0
+
+    def qualifying(self) -> Set[int]:
+        """condition3_colors of the working graph, read off the failing sets."""
+        return {j for j, bad in enumerate(self.failing, start=1) if not bad}
+
+    def labels(self, y: VertexId, colors: Set[int]) -> Dict[int, Dict[VertexId, int]]:
+        """_component_map(cg, y, colors) restricted to each color's neighbors of y."""
+        if y != self.uf_y:
+            self.uf_y, self.uf = y, {}
+        out: Dict[int, Dict[VertexId, int]] = {}
+        for j in sorted(colors):
+            layer = self.cg.layer(j)
+            parent = self.uf.get(j)
+            if parent is None:
+                parent = self.uf[j] = {v: v for v in self.cg.vertices if v != y}
+                for u, v, _ in layer.pairs():
+                    if y != u and y != v:
+                        _union(parent, u, v)
+            out[j] = {w: _find(parent, w) for w in layer.neighbors(y)}
+        return out
+
+    def apply(self, rec: StepRecord) -> None:
+        """Apply one step to the working graph and bring the state up to date."""
+        y, v_new = rec.y, rec.v_new
+        _move(self.cg, rec)
+        self.eta[y] -= 1
+        self.eta[v_new] = 1
+        self.next_id = v_new + 1
+        for j, bad in enumerate(self.failing, start=1):
+            for v in (y, v_new):
+                if self._even_ratio(j, v):
+                    bad.discard(v)
+                else:
+                    bad.add(v)
+        # class minus y gains v_new and its moved edges v_new-w; moved loops
+        # become edges y-v_new, which class minus y does not contain
+        for j, parent in self.uf.items():
+            parent[v_new] = v_new
+            for w in rec.moves.edge_moves.get(j, {}):
+                _union(parent, w, v_new)
+
+
+def _find(parent: Dict[VertexId, VertexId], v: VertexId) -> VertexId:
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
+
+
+def _union(parent: Dict[VertexId, VertexId], u: VertexId, v: VertexId) -> None:
+    """Merge two components; the smaller root stays root, so roots are minima."""
+    ru, rv = _find(parent, u), _find(parent, v)
+    if ru < rv:
+        parent[rv] = ru
+    elif rv < ru:
+        parent[ru] = rv
+
+
+def _step(state: _DetachState, y: VertexId) -> StepRecord:
+    """Detach one fresh vertex from y in the state's working graph."""
+    cg = state.cg
+    if y not in state.eta:
+        raise GraphError(f"eta is undefined at vertex {y}")
+    eta_y = state.eta[y]
     if eta_y < 2:
         raise PreconditionError(f"vertex {y} has eta={eta_y}, nothing to detach")
 
@@ -267,8 +371,8 @@ def _step(
     fan_coloring = bee_coloring(fan.graph, eta_y, upto=2)
     working = SplitBipartite(y=y, k=cg.k, graph=fan_coloring.restrict((1, 2)))
 
-    cond3 = condition3_colors(cg, eta)
-    comp_map = _component_map(cg, y, cond3)
+    cond3 = state.qualifying()
+    comp_map = state.labels(y, cond3)
     refined = refine(working, cond3, comp_map)
 
     # the qualifying colors must split into exactly degree/eta units
@@ -287,7 +391,7 @@ def _step(
 
     pick = bee_coloring(refined.graph, 2)
 
-    v_new = max(cg.vertices) + 1
+    v_new = state.next_id
     edge_moves: Dict[int, Dict[VertexId, int]] = {}
     loop_moves: Dict[int, int] = {}
     for (label, w), n in pick.class_pair_row(1).items():
@@ -309,13 +413,10 @@ def _step(
         eta_y_before=eta_y,
         moves=MoveSet(edge_moves=edge_moves, loop_moves=loop_moves),
     )
-    out = apply_moves(cg, rec)
-    new_eta = dict(eta.eta)
-    new_eta[y] = eta_y - 1
-    new_eta[v_new] = 1
-    if new_eta[y] == 1 and out.loops(y) != 0:
-        raise AssertionError(f"vertex {y} reached eta=1 with {out.loops(y)} loops")
-    return out, AmalgamationSpec(new_eta), v_new, rec
+    state.apply(rec)
+    if state.eta[y] == 1 and cg.loops(y) != 0:
+        raise AssertionError(f"vertex {y} reached eta=1 with {cg.loops(y)} loops")
+    return rec
 
 
 def detach_step(
@@ -327,8 +428,27 @@ def detach_step(
     totals are conserved, and the step relations hold between input and
     output (see verify.assert_step_relations).
     """
-    out, new_eta, v_new, _ = _step(cg, eta, y)
-    return out, new_eta, v_new
+    state = _DetachState(cg.copy(), dict(eta.eta))
+    rec = _step(state, y)
+    return state.cg, AmalgamationSpec(state.eta), rec.v_new
+
+
+def _check_state(state: _DetachState, y: VertexId) -> Set[int]:
+    """Assert the state agrees with the from-scratch oracles; return cond3."""
+    cur, cur_eta = state.cg, AmalgamationSpec(state.eta)
+    qualifying = condition3_colors(cur, cur_eta)
+    if state.qualifying() != qualifying:
+        raise AssertionError(
+            f"qualifying colors {sorted(state.qualifying())} != {sorted(qualifying)}"
+        )
+    oracle = _component_map(cur, y, qualifying)
+    for j, labels in state.labels(y, qualifying).items():
+        for w, label in labels.items():
+            if oracle[j][w] != label:
+                raise AssertionError(
+                    f"color {j}: component label of {w} is {label}, not {oracle[j][w]}"
+                )
+    return qualifying
 
 
 def detach_all(
@@ -339,42 +459,43 @@ def detach_all(
     """Fully detach: split every vertex w into eta(w) vertices.
 
     Returns the loopless detached graph, the vertex map onto the input
-    graph, and the step trace.  With check=True every step additionally
-    asserts the step relations and, for qualifying colors, preservation of
-    evenness ratios and component counts (slower; meant for tests).
+    graph, and the step trace.  Inputs are not mutated.  With check=True
+    every step additionally asserts that the incremental state agrees with
+    condition3_colors and _component_map, the step relations and, for
+    qualifying colors, preservation of evenness ratios and component counts
+    (slower; meant for tests).
     """
-    eta.validate_against(cg.underlying())
+    eta.validate_against(cg)
     if check:
         from .verify import assert_step_relations
 
+    state = _DetachState(cg.copy(), dict(eta.eta))
+    cur = state.cg
     fibers = {w: [w] for w in cg.vertices}
     trace = DetachmentTrace()
-    cur = cg.copy()
-    cur_eta = AmalgamationSpec(dict(eta.eta))
     expected_steps = eta.total_splits()
 
-    while True:
-        pending = [v for v in cur.vertices if cur_eta.value(v) >= 2]
-        if not pending:
-            break
-        y = min(pending)
-        if check:
-            qualifying = condition3_colors(cur, cur_eta)
-            omega_before = {j: cur.layer(j).component_count() for j in qualifying}
-        nxt, nxt_eta, v_new, rec = _step(cur, cur_eta, y)
-        if check:
-            ok, witness = assert_step_relations(cur, nxt, y, v_new, cur_eta)
-            if not ok:
-                raise AssertionError(f"step relation violated: {witness}")
-            still = condition3_colors(nxt, nxt_eta)
-            for j in sorted(qualifying):
-                if j not in still:
-                    raise AssertionError(f"color {j} lost its evenness ratios")
-                if nxt.layer(j).component_count() != omega_before[j]:
-                    raise AssertionError(f"color {j} changed component count")
-        fibers[y].append(v_new)
-        trace.steps.append(rec)
-        cur, cur_eta = nxt, nxt_eta
+    # new vertices get eta 1, so the lowest pending vertex finishes before
+    # the next host vertex starts
+    for y in [v for v in cg.vertices if eta.value(v) >= 2]:
+        while state.eta[y] >= 2:
+            if check:
+                before, before_eta = cur.copy(), AmalgamationSpec(dict(state.eta))
+                qualifying = _check_state(state, y)
+                omega_before = {j: cur.layer(j).component_count() for j in qualifying}
+            rec = _step(state, y)
+            if check:
+                ok, witness = assert_step_relations(before, cur, y, rec.v_new, before_eta)
+                if not ok:
+                    raise AssertionError(f"step relation violated: {witness}")
+                still = condition3_colors(cur, AmalgamationSpec(state.eta))
+                for j in sorted(qualifying):
+                    if j not in still:
+                        raise AssertionError(f"color {j} lost its evenness ratios")
+                    if cur.layer(j).component_count() != omega_before[j]:
+                        raise AssertionError(f"color {j} changed component count")
+            fibers[y].append(rec.v_new)
+            trace.steps.append(rec)
 
     if len(trace.steps) != expected_steps:
         raise AssertionError(

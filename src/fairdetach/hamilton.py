@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .engine import detach_all
-from .errors import GraphError, InfeasibleError, PreconditionError
+from .errors import InfeasibleError, PreconditionError
 from .evencolor import evenly_equitable_coloring
 from .multigraph import AmalgamationSpec, ColoredMultigraph, Multigraph, VertexId
 
@@ -36,11 +36,11 @@ class GddParams:
 
     def __post_init__(self) -> None:
         if not self.sizes:
-            raise GraphError("need at least one part")
+            raise PreconditionError("need at least one part")
         if any(a < 1 for a in self.sizes):
-            raise GraphError("part sizes must be positive")
+            raise PreconditionError("part sizes must be positive")
         if self.lambda1 < 0 or self.lambda2 < 0:
-            raise GraphError("multiplicities must be nonnegative")
+            raise PreconditionError("multiplicities must be nonnegative")
         object.__setattr__(self, "sizes", tuple(sorted(self.sizes)))
 
     @property

@@ -339,7 +339,8 @@ class AmalgamationSpec:
         """Number of single-vertex detachment steps needed to realize this spec."""
         return sum(n - 1 for n in self.eta.values())
 
-    def validate_against(self, g: Multigraph) -> None:
+    def validate_against(self, g: Union[Multigraph, ColoredMultigraph]) -> None:
+        """Check eta against g's vertex set and loop counts (all colors summed)."""
         if set(self.eta) != set(g.vertices):
             raise PreconditionError("eta must be defined on exactly the graph's vertices")
         for v in g.vertices:

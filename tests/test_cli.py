@@ -321,3 +321,32 @@ def test_psi_round_trip() -> None:
     assert psi2 is not None
     assert psi2.fibers == psi.fibers
     assert psi2.psi == psi.psi
+
+
+def test_exit_codes_are_mapped_in_main(tmp_path, capsys) -> None:
+    from fairdetach.cli import main
+
+    host = tmp_path / "h.json"
+    write_three_loop_doc(host)
+    g, psi, _ = detach_all(*document.doc_to_graph(json.loads(host.read_text()))[:2])
+    mismatched = tmp_path / "g.json"  # fiber of 0 is one vertex short of eta = 3
+    psi_doc = document.graph_to_doc(g, psi=psi)
+    psi_doc["psi"] = [[0, [0, 1]]]
+    mismatched.write_text(json.dumps(psi_doc))
+    missing = str(tmp_path / "missing.json")
+    cases = [
+        (["ham", "--parts", "2", "--sizes", "0,2", "--l1", "1", "--l2", "1"], 2,
+         "error: part sizes must be positive"),
+        (["ham", "--n", "1", "--lambda", "1"], 2, "error: need n >= 2"),
+        (["verify", str(host), str(mismatched)], 4, "error: fiber of 0 has size 2"),
+        (["verify", str(host), str(host), str(host)], 4,
+         "error: verify takes one or two documents"),
+        (["verify", str(host)], 4, "error: single-document verify expects"),
+        (["detach", missing], 4, "error: "),
+        (["verify", missing], 4, "error: "),
+        (["export", missing], 4, "error: "),
+    ]
+    for argv, code, message in cases:
+        assert main(argv) == code, argv
+        err = capsys.readouterr().err
+        assert err.startswith(message), (argv, err)

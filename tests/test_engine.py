@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from fairdetach import engine, hamilton
 from fairdetach.bee import BipartiteMultigraph
 from fairdetach.engine import (
     LOOP_PROXY,
@@ -16,6 +17,7 @@ from fairdetach.engine import (
 )
 from fairdetach.errors import PreconditionError
 from fairdetach.fuzzgen import random_detach_instance
+from fairdetach.hamilton import GddParams, ham_decompose_gdd
 from fairdetach.multigraph import AmalgamationSpec, ColoredMultigraph, Multigraph
 from fairdetach.verify import assert_step_relations, verify_detachment
 from helpers import all_pairings
@@ -275,19 +277,23 @@ def test_detach_all_lambda_k5_from_loops() -> None:
     assert verify_detachment(cg, eta, psi, g).ok
 
 
+def lambda_kn_host(n: int, lam: int):
+    """The lambda*K_n host of ham_decompose_lambda_kn: every color n loops."""
+    k = lam * (n - 1) // 2
+    cg = ColoredMultigraph(k, [0])
+    for j in range(1, k + 1):
+        cg.layer(j).add_loops(0, n)
+    return cg, AmalgamationSpec({0: n})
+
+
 @pytest.mark.parametrize(
     "n, lam",
     [(n, lam) for lam in (1, 2) for n in range(3, 16) if lam * (n - 1) % 2 == 0],
 )
 def test_detach_all_lambda_kn_checked(n: int, lam: int) -> None:
-    # the lambda*K_n host of ham_decompose_lambda_kn: every color n loops
-    k = lam * (n - 1) // 2
-    cg = ColoredMultigraph(k, [0])
-    for j in range(1, k + 1):
-        cg.layer(j).add_loops(0, n)
-    eta = AmalgamationSpec({0: n})
+    cg, eta = lambda_kn_host(n, lam)
     g, psi, _ = detach_all(cg, eta, check=True)
-    for j in range(1, k + 1):
+    for j in range(1, cg.k + 1):
         assert g.layer(j).component_count() == 1
         assert all(g.layer(j).degree(v) == 2 for v in g.vertices)
     assert verify_detachment(cg, eta, psi, g).ok
@@ -299,3 +305,93 @@ def test_detach_all_deterministic() -> None:
     g1, _, _ = detach_all(cg, eta)
     g2, _, _ = detach_all(cg.copy(), AmalgamationSpec(dict(eta.eta)))
     assert g1 == g2
+
+
+def gdd_engine_inputs(params: GddParams):
+    """Every (graph, eta) that ham_decompose_gdd hands to detach_all."""
+    seen = []
+
+    def recording(cg, eta, check=False):
+        seen.append((cg.copy(), AmalgamationSpec(dict(eta.eta))))
+        return detach_all(cg, eta, check)
+
+    original = hamilton.detach_all
+    hamilton.detach_all = recording
+    try:
+        ham_decompose_gdd(params)
+    finally:
+        hamilton.detach_all = original
+    return seen
+
+
+GDD_PARAMS = [
+    ((2, 2), 0, 1),
+    ((3, 3, 3), 1, 2),
+    ((2, 2, 2), 2, 1),
+    ((3, 3), 1, 2),
+    ((4, 4, 4), 2, 3),
+]
+
+
+def step_instances(family: str):
+    if family == "lambda_kn":
+        return [
+            lambda_kn_host(n, lam)
+            for lam in (1, 2)
+            for n in range(3, 16)
+            if lam * (n - 1) % 2 == 0
+        ]
+    if family == "gdd":
+        return [
+            inputs
+            for sizes, l1, l2 in GDD_PARAMS
+            for inputs in gdd_engine_inputs(GddParams(sizes, l1, l2))
+        ]
+    return [random_detach_instance(random.Random(seed)) for seed in range(120)]
+
+
+@pytest.mark.parametrize("family", ["lambda_kn", "gdd", "fuzz"])
+def test_incremental_state_matches_oracles_on_every_step(family: str) -> None:
+    steps = 0
+    for cg, eta in step_instances(family):
+        state = engine._DetachState(cg.copy(), dict(eta.eta))
+        for y in [v for v in cg.vertices if eta.value(v) >= 2]:
+            while state.eta[y] >= 2:
+                cond3 = condition3_colors(state.cg, AmalgamationSpec(dict(state.eta)))
+                assert state.qualifying() == cond3
+                for j, failing in enumerate(state.failing, start=1):
+                    degree = state.cg.layer(j).degree
+                    assert failing == {
+                        v
+                        for v in state.cg.vertices
+                        if degree(v) == 0 or degree(v) % (2 * state.eta[v])
+                    }
+                oracle = engine._component_map(state.cg, y, cond3)
+                labels = state.labels(y, cond3)
+                assert sorted(labels) == sorted(cond3)
+                for j in cond3:
+                    layer = state.cg.layer(j)
+                    assert labels[j] == {w: oracle[j][w] for w in layer.neighbors(y)}
+                    # the union-find is exact away from y's neighbors too
+                    parent = state.uf[j]
+                    assert {v: engine._find(parent, v) for v in oracle[j]} == oracle[j]
+                engine._step(state, y)
+                steps += 1
+        assert all(n == 1 for n in state.eta.values())
+    assert steps > 0
+
+
+def test_detach_all_and_detach_step_leave_inputs_unmodified() -> None:
+    instances = [random_detach_instance(random.Random(seed)) for seed in range(40)]
+    instances.append(lambda_kn_host(9, 2))
+    for cg, eta in instances:
+        cg0, eta0 = cg.copy(), AmalgamationSpec(dict(eta.eta))
+        detach_all(cg, eta)
+        assert cg == cg0 and eta == eta0
+        detach_all(cg, eta, check=True)
+        assert cg == cg0 and eta == eta0
+        for y in cg.vertices:
+            if eta.value(y) >= 2:
+                out, new_eta, v_new = detach_step(cg, eta, y)
+                assert cg == cg0 and eta == eta0
+                assert out != cg and new_eta.value(y) == eta.value(y) - 1
