@@ -10,6 +10,15 @@ circulation whose arc windows are the floor/ceiling quotas of the pair
 multiplicities, vertex degrees and edge total, so every quota is met by
 construction and the guarantees compose across the recursion.
 
+Each call sorts its vertices and pairs once and keeps one integer skeleton
+of them: a node index (source, sink, left vertices, right vertices), the
+two nodes of every pair, and the uncolored pair multiplicities, vertex
+degrees and edge total.  Every class is peeled from the skeleton and then
+subtracted from it in place, so later classes neither copy the graph nor
+sort and index it again.  A pair that earlier classes emptied keeps its
+place with the window [0, 0]; the circulation solver leaves such arcs out
+of its network, so the flows are those of a network built without them.
+
 `konig_proper_coloring` is the classical alternating-path proper coloring;
 it is not used by `bee_coloring` but serves the 2-factorization and is
 exposed in its own right.
@@ -224,47 +233,47 @@ def is_proper(c: BipartiteColoring) -> bool:
 # constructions
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
+class _Skeleton:
+    """Integer data of one bee coloring: node 0 is the source, 1 the sink,
+    2.. the left then the right vertices in sorted order; `ends` holds each
+    pair's two nodes and `mult`, `deg`, `total` what is still uncolored."""
+
+    __slots__ = ("n_left", "ends", "mult", "deg", "total")
+
+    def __init__(
+        self, lefts: List[Label], rights: List[Label], pairs: List[Tuple[Label, Label, int]]
+    ) -> None:
+        index = {v: i for i, v in enumerate(lefts, start=2)}
+        index.update({v: i for i, v in enumerate(rights, start=2 + len(lefts))})
+        self.n_left = len(lefts)
+        self.ends = [(index[l], index[r]) for l, r, _ in pairs]
+        self.mult = [n for _, _, n in pairs]
+        self.deg = [0] * (2 + len(lefts) + len(rights))
+        for (a, b), n in zip(self.ends, self.mult):
+            self.deg[a] += n
+            self.deg[b] += n
+        self.total = sum(self.mult)
 
 
-def _peel_class(g: BipartiteMultigraph, c: int) -> Dict[Tuple[Label, Label], int]:
-    """One color class with floor/ceil quotas of 1/c on pairs, vertices, total."""
+def _peel_class(sk: _Skeleton, c: int) -> List[int]:
+    """One color class with floor/ceil quotas of 1/c on pairs, vertices, total.
+
+    Returns the class's multiplicity on every pair of the skeleton; pairs
+    that earlier classes emptied get the window [0, 0].
+    """
     if c == 1:
-        return {(l, r): n for l, r, n in g.pairs()}
-    lefts = g.left
-    rights = g.right
-    index = {v: i + 2 for i, v in enumerate(lefts)}
-    index.update({v: len(lefts) + 2 + i for i, v in enumerate(rights)})
-    s, t = 0, 1
-    n_nodes = 2 + len(lefts) + len(rights)
+        return list(sk.mult)
+    deg = sk.deg
+    split = 2 + sk.n_left
+    arcs = [(0, v, d // c, -(-d // c)) for v, d in enumerate(deg[2:split], start=2)]
+    arcs += [(a, b, n // c, -(-n // c)) for (a, b), n in zip(sk.ends, sk.mult)]
+    arcs += [(v, 1, d // c, -(-d // c)) for v, d in enumerate(deg[split:], start=split)]
+    arcs.append((1, 0, sk.total // c, -(-sk.total // c)))
 
-    deg: Dict[Label, int] = {v: 0 for v in lefts + rights}
-    pairs = g.pairs()
-    for l, r, n in pairs:
-        deg[l] += n
-        deg[r] += n
-
-    arcs = []
-    for v in lefts:
-        arcs.append((s, index[v], deg[v] // c, _ceil_div(deg[v], c)))
-    pair_arc_start = len(arcs)
-    for l, r, n in pairs:
-        arcs.append((index[l], index[r], n // c, _ceil_div(n, c)))
-    for v in rights:
-        arcs.append((index[v], t, deg[v] // c, _ceil_div(deg[v], c)))
-    total = g.edge_count()
-    arcs.append((t, s, total // c, _ceil_div(total, c)))
-
-    flows = feasible_circulation(n_nodes, arcs)
+    flows = feasible_circulation(len(deg), arcs)
     if flows is None:  # impossible: the fractional 1/c point meets every window
         raise AssertionError("class peeling was infeasible")
-    out: Dict[Tuple[Label, Label], int] = {}
-    for i, (l, r, _) in enumerate(pairs):
-        f = flows[pair_arc_start + i]
-        if f:
-            out[(l, r)] = f
-    return out
+    return flows[sk.n_left : sk.n_left + len(sk.mult)]
 
 
 def bee_coloring(
@@ -286,14 +295,22 @@ def bee_coloring(
         upto = k
     if not 1 <= upto <= k:
         raise PreconditionError(f"upto must lie in 1..{k}, got {upto}")
-    remaining = bg.copy()
-    out = BipartiteColoring(k, bg.left, bg.right)
+    lefts, rights, pairs = bg.left, bg.right, bg.pairs()
+    sk = _Skeleton(lefts, rights, pairs)
+    out = BipartiteColoring(k, lefts, rights)
+    mult, deg, ends = sk.mult, sk.deg, sk.ends
     for j in range(1, upto + 1):
-        cls = _peel_class(remaining, k - j + 1)
-        for (l, r), n in sorted(cls.items()):
-            out.add(l, r, j, n)
-            remaining.remove_edges(l, r, n)
-    if upto == k and remaining.edge_count() != 0:
+        flows = _peel_class(sk, k - j + 1)
+        for p, f in enumerate(flows):
+            if f:
+                l, r, _ = pairs[p]
+                out.add(l, r, j, f)
+                mult[p] -= f
+                a, b = ends[p]
+                deg[a] -= f
+                deg[b] -= f
+        sk.total -= sum(flows)
+    if upto == k and sk.total != 0:
         raise AssertionError("peeling left edges uncolored")
     return out
 

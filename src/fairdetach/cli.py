@@ -93,11 +93,18 @@ def cmd_ham(args: argparse.Namespace) -> int:
             return EXIT_MALFORMED
         dec = ham_decompose_lambda_kn(args.n, args.lam)
     else:
-        if args.parts is None or args.l1 is None or args.l2 is None:
-            print(
-                "error: --parts, --l1 and --l2 are all required",
-                file=sys.stderr,
-            )
+        # --sizes gives the part count itself, so --parts is needed only
+        # with --size
+        required = [("--l1", args.l1), ("--l2", args.l2)]
+        if args.sizes is None:
+            required.insert(0, ("--parts", args.parts))
+        missing = [flag for flag, value in required if value is None]
+        if len(missing) == 1:
+            print(f"error: {missing[0]} is required", file=sys.stderr)
+            return EXIT_MALFORMED
+        if missing:
+            names = ", ".join(missing[:-1]) + " and " + missing[-1]
+            print(f"error: {names} are required", file=sys.stderr)
             return EXIT_MALFORMED
         if (args.size is None) == (args.sizes is None):
             print("error: give exactly one of --size or --sizes", file=sys.stderr)
@@ -110,7 +117,7 @@ def cmd_ham(args: argparse.Namespace) -> int:
             except ValueError:
                 print(f"error: bad --sizes {args.sizes!r}", file=sys.stderr)
                 return EXIT_MALFORMED
-            if len(sizes) != args.parts:
+            if args.parts is not None and len(sizes) != args.parts:
                 print(
                     f"error: --sizes lists {len(sizes)} parts, --parts says {args.parts}",
                     file=sys.stderr,
@@ -252,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ham", help="generate a Hamiltonian decomposition")
     p.add_argument("--n", type=int, help="complete graph order")
     p.add_argument("--lambda", dest="lam", type=int, help="edge multiplicity")
-    p.add_argument("--parts", type=int, help="number of parts")
+    p.add_argument("--parts", type=int, help="number of parts (implied by --sizes)")
     p.add_argument("--size", type=int, help="uniform part size")
     p.add_argument("--sizes", help="comma-separated part sizes")
     p.add_argument("--l1", type=int, help="intra-part multiplicity")

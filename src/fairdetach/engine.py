@@ -30,13 +30,16 @@ state: a working copy of the graph that each step's moves are applied to in
 place, the split counts, the next vertex id, per color the set of vertices
 failing the condition-3 ratio test, and per qualifying color a union-find
 over the color class minus y.  A step changes degrees and split counts only
-at y and the new vertex, so only those two are re-tested.  While y stays the
-same, the class minus y only grows: a moved edge y-w becomes v_new-w, which
-joins v_new to w's component, and a moved loop becomes an edge y-v_new,
-which the class minus y does not contain.  So the union-find (roots are
-smallest members, the labels `refine` needs) is built once per y and color
-and then takes one union per moved edge (Tarjan, "Efficiency of a good but
-not linear set union algorithm", JACM 1975).  `condition3_colors` and
+at y and the new vertex, so only those two are re-tested, and their degrees
+come from the step's moves: a moved edge y-w or loop at y costs y one degree
+and gives the new vertex one, so y's per-color degrees are read once per y
+and then only decremented.  While y stays the same, the class minus y only
+grows: a moved edge y-w becomes v_new-w, which joins v_new to w's
+component, and a moved loop becomes an edge y-v_new, which the class minus
+y does not contain.  So the union-find (roots are smallest members, the
+labels `refine` needs) is built once per y and color and then takes one
+union per moved edge (Tarjan, "Efficiency of a good but not linear set
+union algorithm", JACM 1975).  `condition3_colors` and
 `_component_map` recompute the same facts from scratch; they are the oracles
 that `detach_all(check=True)` compares the state with on every step.
 """
@@ -175,12 +178,12 @@ def build_split_bipartite(cg: ColoredMultigraph, y: VertexId) -> SplitBipartite:
     if not cg.layer(1).has_vertex(y):
         raise GraphError(f"unknown vertex {y}")
     layers = [cg.layer(j) for j in range(1, cg.k + 1)]
-    rows = [layer.neighbors(y) for layer in layers]
-    w_side = sorted(set().union(*rows)) + [LOOP_PROXY]
+    rows = [layer.row(y) for layer in layers]
+    w_side = sorted({u for row in rows for u, _ in row}) + [LOOP_PROXY]
     bg = BipartiteMultigraph([(j, -1) for j in range(1, cg.k + 1)], w_side)
     for j, (layer, row) in enumerate(zip(layers, rows), start=1):
-        for u in row:
-            bg.add_edges((j, -1), u, layer.multiplicity(y, u))
+        for u, n in row:
+            bg.add_edges((j, -1), u, n)
         nl = layer.loops(y)
         if nl:
             bg.add_edges((j, -1), LOOP_PROXY, 2 * nl)
@@ -292,14 +295,18 @@ class _DetachState:
                 raise GraphError(f"eta is undefined at vertex {v}")
         self.next_id: VertexId = max(vertices, default=-1) + 1
         self.failing: List[Set[VertexId]] = [
-            {v for v in vertices if not self._even_ratio(j, v)} for j in range(1, cg.k + 1)
+            {v for v in vertices if not _even_ratio(cg.layer(j).degree(v), eta[v])}
+            for j in range(1, cg.k + 1)
         ]
-        self.uf_y: Optional[VertexId] = None
+        self.y: Optional[VertexId] = None  # the vertex uf and deg_y belong to
         self.uf: Dict[int, Dict[VertexId, VertexId]] = {}
+        self.deg_y: List[int] = []
 
-    def _even_ratio(self, j: int, v: VertexId) -> bool:
-        d = self.cg.layer(j).degree(v)
-        return d > 0 and d % (2 * self.eta[v]) == 0
+    def _focus(self, y: VertexId) -> None:
+        """Start the per-y caches afresh when the detachment moves to a new y."""
+        if y != self.y:
+            self.y, self.uf = y, {}
+            self.deg_y = [self.cg.layer(j).degree(y) for j in range(1, self.cg.k + 1)]
 
     def qualifying(self) -> Set[int]:
         """condition3_colors of the working graph, read off the failing sets."""
@@ -307,8 +314,7 @@ class _DetachState:
 
     def labels(self, y: VertexId, colors: Set[int]) -> Dict[int, Dict[VertexId, int]]:
         """_component_map(cg, y, colors) restricted to each color's neighbors of y."""
-        if y != self.uf_y:
-            self.uf_y, self.uf = y, {}
+        self._focus(y)
         out: Dict[int, Dict[VertexId, int]] = {}
         for j in sorted(colors):
             layer = self.cg.layer(j)
@@ -324,13 +330,19 @@ class _DetachState:
     def apply(self, rec: StepRecord) -> None:
         """Apply one step to the working graph and bring the state up to date."""
         y, v_new = rec.y, rec.v_new
+        self._focus(y)
         _move(self.cg, rec)
         self.eta[y] -= 1
         self.eta[v_new] = 1
         self.next_id = v_new + 1
+        # a moved edge y-w becomes v_new-w and a moved loop at y becomes an
+        # edge y-v_new: either way y loses one degree and v_new gains one
+        edge_moves, loop_moves = rec.moves.edge_moves, rec.moves.loop_moves
         for j, bad in enumerate(self.failing, start=1):
-            for v in (y, v_new):
-                if self._even_ratio(j, v):
+            moved = sum(edge_moves.get(j, {}).values()) + loop_moves.get(j, 0)
+            self.deg_y[j - 1] -= moved
+            for v, d, e in ((y, self.deg_y[j - 1], self.eta[y]), (v_new, moved, 1)):
+                if _even_ratio(d, e):
                     bad.discard(v)
                 else:
                     bad.add(v)
@@ -340,6 +352,11 @@ class _DetachState:
             parent[v_new] = v_new
             for w in rec.moves.edge_moves.get(j, {}):
                 _union(parent, w, v_new)
+
+
+def _even_ratio(d: int, eta: int) -> bool:
+    """The condition-3 test of one vertex of degree d and split count eta."""
+    return d > 0 and d % (2 * eta) == 0
 
 
 def _find(parent: Dict[VertexId, VertexId], v: VertexId) -> VertexId:

@@ -152,6 +152,11 @@ class Multigraph:
         self._require(v)
         return sorted(self._adj[v])
 
+    def row(self, v: VertexId) -> List[Tuple[VertexId, int]]:
+        """(neighbor, multiplicity) for every neighbor of v (loops excluded), ascending."""
+        self._require(v)
+        return sorted(self._adj[v].items())
+
     def pairs(self) -> List[Tuple[VertexId, VertexId, int]]:
         """All (u, v, multiplicity) with u < v, in ascending order."""
         out = []

@@ -7,9 +7,10 @@ own algorithms, so tests compare two routes to the same answer.
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
-from fairdetach.bee import BipartiteColoring
+from fairdetach.bee import BipartiteColoring, BipartiteMultigraph
+from fairdetach.errors import PreconditionError
 from fairdetach.multigraph import Multigraph
 
 
@@ -181,3 +182,72 @@ def reference_circulation(
         return None
     # flow on an arc = lower bound + units pushed onto its residual reverse
     return [arcs[i][2] + net.cap[base[i] + 1] for i in range(len(arcs))]
+
+
+def _ceil_div(a: int, b: int) -> int:
+    return -((-a) // b)
+
+
+def _reference_peel_class(
+    g: BipartiteMultigraph, c: int
+) -> Dict[Tuple[Hashable, Hashable], int]:
+    """One color class with floor/ceil quotas of 1/c on pairs, vertices, total."""
+    if c == 1:
+        return {(l, r): n for l, r, n in g.pairs()}
+    lefts = g.left
+    rights = g.right
+    index = {v: i + 2 for i, v in enumerate(lefts)}
+    index.update({v: len(lefts) + 2 + i for i, v in enumerate(rights)})
+    s, t = 0, 1
+    n_nodes = 2 + len(lefts) + len(rights)
+
+    deg: Dict[Hashable, int] = {v: 0 for v in lefts + rights}
+    pairs = g.pairs()
+    for l, r, n in pairs:
+        deg[l] += n
+        deg[r] += n
+
+    arcs = []
+    for v in lefts:
+        arcs.append((s, index[v], deg[v] // c, _ceil_div(deg[v], c)))
+    pair_arc_start = len(arcs)
+    for l, r, n in pairs:
+        arcs.append((index[l], index[r], n // c, _ceil_div(n, c)))
+    for v in rights:
+        arcs.append((index[v], t, deg[v] // c, _ceil_div(deg[v], c)))
+    total = g.edge_count()
+    arcs.append((t, s, total // c, _ceil_div(total, c)))
+
+    flows = reference_circulation(n_nodes, arcs)
+    if flows is None:  # impossible: the fractional 1/c point meets every window
+        raise AssertionError("class peeling was infeasible")
+    out: Dict[Tuple[Hashable, Hashable], int] = {}
+    for i, (l, r, _) in enumerate(pairs):
+        f = flows[pair_arc_start + i]
+        if f:
+            out[(l, r)] = f
+    return out
+
+
+def reference_bee_coloring(
+    bg: BipartiteMultigraph, k: int, *, upto: Optional[int] = None
+) -> BipartiteColoring:
+    """The bee coloring as it was before it kept one integer skeleton per
+    call: every class re-sorts and re-indexes a copy of the remaining graph
+    and builds its network through the pop-time reference solver."""
+    if k < 1:
+        raise PreconditionError(f"need at least one color, got {k}")
+    if upto is None:
+        upto = k
+    if not 1 <= upto <= k:
+        raise PreconditionError(f"upto must lie in 1..{k}, got {upto}")
+    remaining = bg.copy()
+    out = BipartiteColoring(k, bg.left, bg.right)
+    for j in range(1, upto + 1):
+        cls = _reference_peel_class(remaining, k - j + 1)
+        for (l, r), n in sorted(cls.items()):
+            out.add(l, r, j, n)
+            remaining.remove_edges(l, r, n)
+    if upto == k and remaining.edge_count() != 0:
+        raise AssertionError("peeling left edges uncolored")
+    return out

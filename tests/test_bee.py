@@ -17,7 +17,11 @@ from fairdetach.bee import (
 )
 from fairdetach.errors import PreconditionError
 from fairdetach.fuzzgen import random_bipartite
-from helpers import coloring_from_assignment, enumerate_unit_edges
+from helpers import (
+    coloring_from_assignment,
+    enumerate_unit_edges,
+    reference_bee_coloring,
+)
 
 
 def test_konig_perfect_matching_one_color() -> None:
@@ -175,6 +179,16 @@ def test_bee_upto_matches_leading_classes() -> None:
             for m in sorted({1, min(2, k), k}):
                 part = bee_coloring(bg, k, upto=m)
                 assert part.items() == [it for it in full if it[2] <= m]
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_bee_matches_reference_peel(block: int) -> None:
+    for seed in range(block * 30, block * 30 + 30):
+        bg = random_bipartite(random.Random(seed), max_side=6, max_mult=5)
+        for k in range(1, 6):
+            for u in sorted({1, min(2, k), k}):
+                got = bee_coloring(bg, k, upto=u).items()
+                assert got == reference_bee_coloring(bg, k, upto=u).items(), (seed, k, u)
 
 
 def test_bee_upto_out_of_range_rejected() -> None:

@@ -165,6 +165,29 @@ def test_ham_infeasible_names_condition() -> None:
     assert "condition (i)" in res.stderr
 
 
+def test_ham_sizes_imply_part_count(capsys) -> None:
+    from fairdetach.cli import main
+
+    expected = run_cli("ham", "--parts", "3", "--sizes", "3,3,3", "--l1", "1", "--l2", "2")
+    assert expected.returncode == 0
+    res = run_cli("ham", "--sizes", "3,3,3", "--l1", "1", "--l2", "2")
+    assert res.returncode == 0
+    assert res.stdout == expected.stdout
+    cases = [
+        (["--parts", "2", "--sizes", "3,3,3", "--l1", "1", "--l2", "2"],
+         "error: --sizes lists 3 parts, --parts says 2"),
+        (["--sizes", "3,3,3", "--l2", "2"], "error: --l1 is required"),
+        (["--sizes", "3,3,3"], "error: --l1 and --l2 are required"),
+        (["--size", "3", "--l1", "1", "--l2", "2"], "error: --parts is required"),
+        (["--size", "3"], "error: --parts, --l1 and --l2 are required"),
+        (["--parts", "3", "--l1", "1", "--l2", "2"],
+         "error: give exactly one of --size or --sizes"),
+    ]
+    for argv, message in cases:
+        assert main(["ham", *argv]) == 4, argv
+        assert capsys.readouterr().err.startswith(message), argv
+
+
 def test_ham_parity_infeasible() -> None:
     res = run_cli("ham", "--n", "4", "--lambda", "1")
     assert res.returncode == 3

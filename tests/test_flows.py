@@ -59,3 +59,24 @@ def test_circulation_matches_pop_time_reference(block: int) -> None:
 def test_bad_window_raises() -> None:
     with pytest.raises(ValueError):
         feasible_circulation(2, [(0, 1, 3, 2)])
+    with pytest.raises(ValueError):
+        feasible_circulation(2, [(0, 1, -1, -1)])
+
+
+def test_all_zero_width_arcs() -> None:
+    # a balanced triangle of fixed flows, then the same with one arc short
+    arcs = [(0, 1, 2, 2), (1, 2, 2, 2), (2, 0, 2, 2), (0, 2, 0, 0)]
+    assert feasible_circulation(3, arcs) == [2, 2, 2, 0]
+    assert reference_circulation(3, arcs) == [2, 2, 2, 0]
+    short = arcs[:2] + [(2, 0, 1, 1)] + arcs[3:]
+    assert feasible_circulation(3, short) is None
+    assert reference_circulation(3, short) is None
+
+
+def test_zero_width_loop_arcs() -> None:
+    arcs = [(0, 0, 3, 3), (0, 1, 0, 2), (1, 1, 0, 0), (1, 0, 1, 4), (1, 1, 5, 5)]
+    flows = feasible_circulation(2, arcs)
+    assert flows == reference_circulation(2, arcs)
+    assert flows is not None
+    assert (flows[0], flows[2], flows[4]) == (3, 0, 5)
+    assert flows[1] == flows[3] >= 1
