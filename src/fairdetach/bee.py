@@ -10,8 +10,10 @@ circulation whose arc windows are the floor/ceiling quotas of the pair
 multiplicities, vertex degrees and edge total, so every quota is met by
 construction and the guarantees compose across the recursion.
 
-Each call sorts its vertices and pairs once and keeps one integer skeleton
-of them: a node index (source, sink, left vertices, right vertices), the
+Each call sorts its vertices and pairs once, or takes them already sorted
+(a `SortedBipartite`, which is how the detachment engine hands over its
+graphs and gets its classes back as multiplicity vectors), and keeps one
+integer skeleton of them: a node index (source, sink, left vertices, right vertices), the
 two nodes of every pair, and the uncolored pair multiplicities, vertex
 degrees and edge total.  Every class is peeled from the skeleton and then
 subtracted from it in place, so later classes neither copy the graph nor
@@ -26,12 +28,15 @@ exposed in its own right.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import GraphError, PreconditionError
 from .flows import feasible_circulation
 
 Label = Hashable
+Pairs = List[Tuple[Label, Label, int]]
+# (lefts, rights, pairs): a bipartite multigraph already in peel order; see bee_coloring
+SortedBipartite = Tuple[Sequence[Label], Sequence[Label], Pairs]
 
 
 class BipartiteMultigraph:
@@ -178,20 +183,6 @@ class BipartiteColoring:
             g.add_edges(l, r, n)
         return g
 
-    def restrict(self, colors: Iterable[int]) -> BipartiteMultigraph:
-        """Subgraph induced by the given color classes."""
-        wanted = set(colors)
-        g = BipartiteMultigraph(self._left, self._right)
-        for (l, r, c), n in self._mult.items():
-            if c in wanted:
-                g.add_edges(l, r, n)
-        return g
-
-    def class_pair_row(self, color: int) -> Dict[Tuple[Label, Label], int]:
-        return {
-            (l, r): n for (l, r, c), n in sorted(self._mult.items()) if c == color
-        }
-
 
 # ---------------------------------------------------------------------------
 # predicates
@@ -240,13 +231,11 @@ class _Skeleton:
 
     __slots__ = ("n_left", "ends", "mult", "deg", "total")
 
-    def __init__(
-        self, lefts: List[Label], rights: List[Label], pairs: List[Tuple[Label, Label, int]]
-    ) -> None:
-        index = {v: i for i, v in enumerate(lefts, start=2)}
-        index.update({v: i for i, v in enumerate(rights, start=2 + len(lefts))})
+    def __init__(self, lefts: Sequence[Label], rights: Sequence[Label], pairs: Pairs) -> None:
+        left_node = {v: i for i, v in enumerate(lefts, start=2)}
+        right_node = {v: i for i, v in enumerate(rights, start=2 + len(lefts))}
         self.n_left = len(lefts)
-        self.ends = [(index[l], index[r]) for l, r, _ in pairs]
+        self.ends = [(left_node[l], right_node[r]) for l, r, _ in pairs]
         self.mult = [n for _, _, n in pairs]
         self.deg = [0] * (2 + len(lefts) + len(rights))
         for (a, b), n in zip(self.ends, self.mult):
@@ -277,8 +266,8 @@ def _peel_class(sk: _Skeleton, c: int) -> List[int]:
 
 
 def bee_coloring(
-    bg: BipartiteMultigraph, k: int, *, upto: Optional[int] = None
-) -> BipartiteColoring:
+    bg: Union[BipartiteMultigraph, SortedBipartite], k: int, *, upto: Optional[int] = None
+) -> Union[BipartiteColoring, List[List[int]]]:
     """Balanced, equitable and equalized k-edge-coloring of a bipartite multigraph.
 
     Exists for every finite bipartite multigraph and every k >= 1; classes
@@ -288,6 +277,14 @@ def bee_coloring(
     left for classes m+1..k stay uncolored.  Class j depends only on the
     edges classes 1..j-1 left, so classes 1..m are exactly those of the
     full coloring.
+
+    A `BipartiteMultigraph` gives a `BipartiteColoring`.  A `SortedBipartite`
+    (lefts, rights, pairs) is taken as it comes, already in the order the
+    peel needs: the left labels sorted, the right labels sorted, and the
+    (left, right, multiplicity) pairs sorted by (left, right), with positive
+    multiplicities.  It gives the classes themselves: class j is the list
+    of its multiplicities on `pairs`, in that order.  The two sides of a
+    `SortedBipartite` may share labels.
     """
     if k < 1:
         raise PreconditionError(f"need at least one color, got {k}")
@@ -295,16 +292,16 @@ def bee_coloring(
         upto = k
     if not 1 <= upto <= k:
         raise PreconditionError(f"upto must lie in 1..{k}, got {upto}")
-    lefts, rights, pairs = bg.left, bg.right, bg.pairs()
+    graph = isinstance(bg, BipartiteMultigraph)
+    lefts, rights, pairs = (bg.left, bg.right, bg.pairs()) if graph else bg
     sk = _Skeleton(lefts, rights, pairs)
-    out = BipartiteColoring(k, lefts, rights)
     mult, deg, ends = sk.mult, sk.deg, sk.ends
+    classes = []
     for j in range(1, upto + 1):
         flows = _peel_class(sk, k - j + 1)
+        classes.append(flows)
         for p, f in enumerate(flows):
             if f:
-                l, r, _ = pairs[p]
-                out.add(l, r, j, f)
                 mult[p] -= f
                 a, b = ends[p]
                 deg[a] -= f
@@ -312,6 +309,13 @@ def bee_coloring(
         sk.total -= sum(flows)
     if upto == k and sk.total != 0:
         raise AssertionError("peeling left edges uncolored")
+    if not graph:
+        return classes
+    out = BipartiteColoring(k, lefts, rights)
+    for j, flows in enumerate(classes, start=1):
+        for (l, r, _), f in zip(pairs, flows):
+            if f:
+                out.add(l, r, j, f)
     return out
 
 

@@ -19,6 +19,16 @@ through two auxiliary bipartite colorings:
     class 1; each of its edges moves one edge end (or one loop) to the new
     vertex.
 
+A step hands its data from stage to stage as integer rows in peel order
+(see `bee.bee_coloring`), so no stage builds a graph or sorts again.  The
+fan is read off y's sorted rows; the fan coloring returns classes 1 and 2
+as multiplicity vectors over the fan's pairs, and their sum is the working
+subgraph on the same pairs; `refine` emits its units with integer labels
+and pairs already sorted; the pick peels only class 1, which is the moves.
+Two orders meet here: in every graph the peel reads, the loop proxy (-1) is
+the first right vertex, while `refine` pairs leftover edges with the proxy
+last.
+
 Repeating until every split count reaches 1 yields a loopless detachment
 whose degrees, per-color degrees, intra- and cross-fiber multiplicities all
 sit in the floor/ceiling window of their fair shares, with component counts
@@ -49,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from .bee import BipartiteMultigraph, bee_coloring
+from .bee import SortedBipartite, bee_coloring
 from .errors import GraphError, PreconditionError
 from .multigraph import (
     AmalgamationSpec,
@@ -68,32 +78,14 @@ def _w_order(w: VertexId) -> Tuple[int, VertexId]:
     return (1, 0) if w == LOOP_PROXY else (0, w)
 
 
-@dataclass(frozen=True)
-class SplitBipartite:
-    """Fan graph of y: one left vertex per color, right = neighbors of y plus proxy.
+# The fan: left labels are the colors 1..k, every one present even at degree
+# 0; the right side is the loop proxy (present even without loops) and then
+# y's neighbors ascending; pairs are (color, w, multiplicity), sorted.
+SplitBipartite = SortedBipartite
 
-    Left labels are (color, -1) so they can never collide with vertex ids and
-    so the refinement can reuse them for colors it leaves unsplit.
-    """
-
-    y: VertexId
-    k: int
-    graph: BipartiteMultigraph
-
-
-@dataclass(frozen=True)
-class RefinedBipartite:
-    """Fan graph after unit splitting.
-
-    Left labels are (color, -1) for an unsplit color vertex and (color, t)
-    with t >= 0 for its degree-2 units; `groups` maps each color to its left
-    labels.
-    """
-
-    y: VertexId
-    k: int
-    graph: BipartiteMultigraph
-    groups: Dict[int, List[Tuple[int, int]]]
+# refine's output (owner, graph): left label i of graph is a unit (or a whole
+# unsplit color vertex) of color owner[i]; the right side is the fan's.
+RefinedBipartite = Tuple[List[int], SortedBipartite]
 
 
 @dataclass(frozen=True)
@@ -174,24 +166,28 @@ def condition3_colors(cg: ColoredMultigraph, eta: AmalgamationSpec) -> Set[int]:
 
 
 def build_split_bipartite(cg: ColoredMultigraph, y: VertexId) -> SplitBipartite:
-    """Fan graph: m(c_j, u) = per-color multiplicity to u, m(c_j, proxy) = 2*loops."""
+    """Fan graph: m(c_j, u) = per-color multiplicity to u, m(c_j, proxy) = 2*loops.
+
+    Read straight off y's rows, which are sorted, so the pairs come out in
+    peel order with the proxy (-1) first in each color.
+    """
     if not cg.layer(1).has_vertex(y):
         raise GraphError(f"unknown vertex {y}")
-    layers = [cg.layer(j) for j in range(1, cg.k + 1)]
-    rows = [layer.row(y) for layer in layers]
-    w_side = sorted({u for row in rows for u, _ in row}) + [LOOP_PROXY]
-    bg = BipartiteMultigraph([(j, -1) for j in range(1, cg.k + 1)], w_side)
-    for j, (layer, row) in enumerate(zip(layers, rows), start=1):
-        for u, n in row:
-            bg.add_edges((j, -1), u, n)
+    neighbors: Set[VertexId] = set()
+    pairs: List[Tuple[int, VertexId, int]] = []
+    for j in range(1, cg.k + 1):
+        layer = cg.layer(j)
         nl = layer.loops(y)
         if nl:
-            bg.add_edges((j, -1), LOOP_PROXY, 2 * nl)
-    return SplitBipartite(y=y, k=cg.k, graph=bg)
+            pairs.append((j, LOOP_PROXY, 2 * nl))
+        row = layer.row(y)
+        neighbors.update(u for u, _ in row)
+        pairs.extend((j, u, n) for u, n in row)
+    return range(1, cg.k + 1), [LOOP_PROXY, *sorted(neighbors)], pairs
 
 
 def refine(
-    t: SplitBipartite,
+    working: SplitBipartite,
     cond3: Set[int],
     component_map: Dict[int, Dict[VertexId, int]],
 ) -> RefinedBipartite:
@@ -200,33 +196,37 @@ def refine(
     Pairing is greedily maximal: first as many units as possible take two
     parallel edges to one right vertex, then as many leftovers as possible
     pair within one component of their color class minus y, then whatever
-    remains pairs in sorted order.  `t` must already be restricted to the
-    two working classes.
+    remains pairs in ascending vertex order, loop proxy last.  `working` is
+    the fan restricted to the two working classes, with the fan's left and
+    right sides.  Left labels of the result count up from 0 in color order,
+    each color's units in the order they are formed, and the pairs come out
+    sorted, so the result is in peel order.
     """
-    bg = BipartiteMultigraph([], t.graph.right)
-    groups: Dict[int, List[Tuple[int, int]]] = {}
-    rows: Dict[int, Dict[VertexId, int]] = {}
-    for (j, _), w, n in t.graph.pairs():
-        rows.setdefault(j, {})[w] = n
-    for j in range(1, t.k + 1):
-        row = rows.get(j, {})
-        deg = sum(row.values())
+    colors, rights, pairs = working
+    rows: Dict[int, List[Tuple[VertexId, int]]] = {j: [] for j in colors}
+    for j, w, n in pairs:
+        rows[j].append((w, n))
+    owner: List[int] = []
+    out: List[Tuple[int, VertexId, int]] = []
+    for j in colors:
+        row = rows[j]
         if j not in cond3:
-            label = (j, -1)
-            bg.add_left(label)
-            groups[j] = [label]
-            for w, n in sorted(row.items(), key=lambda kv: _w_order(kv[0])):
-                bg.add_edges(label, w, n)
+            label = len(owner)
+            owner.append(j)
+            out.extend((label, w, n) for w, n in row)
             continue
+        deg = sum(n for _, n in row)
         if deg % 2:
             raise AssertionError(
                 f"color {j} has odd working degree {deg}; the fan coloring is broken"
             )
+        if row and row[0][0] == LOOP_PROXY:  # pair the proxy's edges last
+            row = row[1:] + row[:1]
         units: List[Tuple[VertexId, VertexId]] = []
         singles: List[VertexId] = []
-        for w in sorted(row, key=_w_order):
-            units.extend([(w, w)] * (row[w] // 2))
-            if row[w] % 2:
+        for w, n in row:
+            units.extend([(w, w)] * (n // 2))
+            if n % 2:
                 singles.append(w)
         # pair leftovers sharing a component of the color class minus y;
         # the loop proxy belongs to no component
@@ -237,26 +237,23 @@ def refine(
             by_comp.setdefault(key, []).append(w)
         residue: List[VertexId] = []
         for key in sorted(by_comp):
-            bucket = sorted(by_comp[key], key=_w_order)
-            while len(bucket) >= 2:
-                units.append((bucket[0], bucket[1]))
-                bucket = bucket[2:]
-            residue.extend(bucket)
+            bucket = by_comp[key]
+            units.extend(zip(bucket[::2], bucket[1::2]))
+            if len(bucket) % 2:
+                residue.append(bucket[-1])
         residue.sort(key=_w_order)
-        for a, b in zip(residue[::2], residue[1::2]):
-            units.append((a, b))
-        labels = []
-        for idx, (a, b) in enumerate(units):
-            label = (j, idx)
-            bg.add_left(label)
+        units.extend(zip(residue[::2], residue[1::2]))
+        for a, b in units:
+            label = len(owner)
+            owner.append(j)
             if a == b:
-                bg.add_edges(label, a, 2)
-            else:
-                bg.add_edges(label, a, 1)
-                bg.add_edges(label, b, 1)
-            labels.append(label)
-        groups[j] = labels
-    return RefinedBipartite(y=t.y, k=t.k, graph=bg, groups=groups)
+                out.append((label, a, 2))
+            else:  # the proxy, last in the pairing order, sorts first here
+                if a > b:
+                    a, b = b, a
+                out.append((label, a, 1))
+                out.append((label, b, 1))
+    return owner, (range(len(owner)), rights, out)
 
 
 def _component_map(
@@ -385,34 +382,38 @@ def _step(state: _DetachState, y: VertexId) -> StepRecord:
         raise PreconditionError(f"vertex {y} has eta={eta_y}, nothing to detach")
 
     fan = build_split_bipartite(cg, y)
-    fan_coloring = bee_coloring(fan.graph, eta_y, upto=2)
-    working = SplitBipartite(y=y, k=cg.k, graph=fan_coloring.restrict((1, 2)))
+    colors, rights, pairs = fan
+    first, second = bee_coloring(fan, eta_y, upto=2)
+    working = [(j, w, a + b) for (j, w, _), a, b in zip(pairs, first, second) if a + b]
 
     cond3 = state.qualifying()
     comp_map = state.labels(y, cond3)
-    refined = refine(working, cond3, comp_map)
+    owner, refined = refine((colors, rights, working), cond3, comp_map)
 
     # the qualifying colors must split into exactly degree/eta units
-    working_deg: Dict[int, int] = {}
-    for (j, _), _, n in working.graph.pairs():
-        working_deg[j] = working_deg.get(j, 0) + n
+    working_deg = [0] * (cg.k + 1)
+    for j, _, n in working:
+        working_deg[j] += n
     for j in sorted(cond3):
         alpha = cg.layer(j).degree(y) // eta_y
-        wdeg = working_deg.get(j, 0)
-        if wdeg != 2 * alpha:
+        if working_deg[j] != 2 * alpha:
             raise AssertionError(
-                f"color {j}: working degree {wdeg} != 2*{alpha}"
+                f"color {j}: working degree {working_deg[j]} != 2*{alpha}"
             )
-        if len(refined.groups[j]) != alpha:
-            raise AssertionError(f"color {j}: split into {len(refined.groups[j])} units")
+        if owner.count(j) != alpha:
+            raise AssertionError(f"color {j}: split into {owner.count(j)} units")
 
-    pick = bee_coloring(refined.graph, 2)
+    # the pick keeps class 1; class 2 would be the rest (c = 1, no flow)
+    (picked,) = bee_coloring(refined, 2, upto=1)
 
     v_new = state.next_id
     edge_moves: Dict[int, Dict[VertexId, int]] = {}
     loop_moves: Dict[int, int] = {}
-    for (label, w), n in pick.class_pair_row(1).items():
-        j = label[0]
+    _, _, unit_pairs = refined
+    for (label, w, _), n in zip(unit_pairs, picked):
+        if not n:
+            continue
+        j = owner[label]
         if w == LOOP_PROXY:
             loop_moves[j] = loop_moves.get(j, 0) + n
         else:

@@ -16,6 +16,7 @@ their own right; the 2-factorization also serves as a small-case oracle.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -214,12 +215,15 @@ def evenly_equitable_coloring(g: Multigraph, k: int) -> ColoredMultigraph:
     if remaining:
         raise AssertionError("peeling left arcs uncolored")
 
-    # loops: atomic 2-units, water-filled onto the lightest class at the vertex
+    # loops: atomic 2-units, water-filled onto the lightest class at the
+    # vertex, lowest color first among equals: a heap of (degree, color)
     for v, n in g.loop_items():
+        heap = [(cg.layer(j).degree(v), j) for j in range(1, k + 1)]
+        heapq.heapify(heap)
         for _ in range(n):
-            degs = [(cg.layer(j).degree(v), j) for j in range(1, k + 1)]
-            _, j = min(degs)
+            d, j = heap[0]
             cg.layer(j).add_loops(v, 1)
+            heapq.heapreplace(heap, (d + 2, j))
 
     if not is_evenly_equitable(cg):
         raise AssertionError("construction violated its contract")

@@ -350,8 +350,8 @@ def assert_step_relations(
             return fail("B4(ii)", f"color {j} degree of {v_new}")
 
     # multiplicities toward every old neighbor, and between y and the new vertex
-    under_before = h_before.underlying()
-    for v in under_before.neighbors(y):
+    neighbors = {u for j in range(1, k + 1) for u, _ in h_before.layer(j).row(y)}
+    for v in sorted(neighbors):
         if not approx(
             Fraction(h_after.multiplicity(y, v), n1),
             Fraction(h_before.multiplicity(y, v), n0),

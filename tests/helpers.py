@@ -6,12 +6,15 @@ own algorithms, so tests compare two routes to the same answer.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import permutations
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
-from fairdetach.bee import BipartiteColoring, BipartiteMultigraph
-from fairdetach.errors import PreconditionError
-from fairdetach.multigraph import Multigraph
+from fairdetach.bee import BipartiteColoring, BipartiteMultigraph, bee_coloring
+from fairdetach.engine import MoveSet
+from fairdetach.errors import GraphError, PreconditionError
+from fairdetach.evencolor import _orient, _peel_even_class, is_evenly_equitable
+from fairdetach.multigraph import ColoredMultigraph, Multigraph
 
 
 def all_pairings(items: Sequence) -> Iterator[List[Tuple]]:
@@ -251,3 +254,212 @@ def reference_bee_coloring(
     if upto == k and remaining.edge_count() != 0:
         raise AssertionError("peeling left edges uncolored")
     return out
+
+
+# ---------------------------------------------------------------------------
+# the engine step as it was before it ran on integer rows: the fan, the
+# working subgraph and the refined graph are BipartiteMultigraphs built edge
+# by edge, and the moves are read off the pick's class-1 pair row
+
+
+LOOP_PROXY = -1
+
+
+def _w_order(w):
+    return (1, 0) if w == LOOP_PROXY else (0, w)
+
+
+@dataclass(frozen=True)
+class SplitBipartite:
+    y: int
+    k: int
+    graph: BipartiteMultigraph
+
+
+@dataclass(frozen=True)
+class RefinedBipartite:
+    y: int
+    k: int
+    graph: BipartiteMultigraph
+    groups: Dict[int, List[Tuple[int, int]]]
+
+
+def reference_build_split_bipartite(cg: ColoredMultigraph, y: int) -> SplitBipartite:
+    """Fan graph: m(c_j, u) = per-color multiplicity to u, m(c_j, proxy) = 2*loops."""
+    if not cg.layer(1).has_vertex(y):
+        raise GraphError(f"unknown vertex {y}")
+    layers = [cg.layer(j) for j in range(1, cg.k + 1)]
+    rows = [layer.row(y) for layer in layers]
+    w_side = sorted({u for row in rows for u, _ in row}) + [LOOP_PROXY]
+    bg = BipartiteMultigraph([(j, -1) for j in range(1, cg.k + 1)], w_side)
+    for j, (layer, row) in enumerate(zip(layers, rows), start=1):
+        for u, n in row:
+            bg.add_edges((j, -1), u, n)
+        nl = layer.loops(y)
+        if nl:
+            bg.add_edges((j, -1), LOOP_PROXY, 2 * nl)
+    return SplitBipartite(y=y, k=cg.k, graph=bg)
+
+
+def reference_restrict(coloring: BipartiteColoring, colors) -> BipartiteMultigraph:
+    """Subgraph induced by the given color classes."""
+    wanted = set(colors)
+    g = BipartiteMultigraph(coloring._left, coloring._right)
+    for (l, r, c), n in coloring._mult.items():
+        if c in wanted:
+            g.add_edges(l, r, n)
+    return g
+
+
+def reference_class_pair_row(coloring: BipartiteColoring, color: int):
+    return {
+        (l, r): n for (l, r, c), n in sorted(coloring._mult.items()) if c == color
+    }
+
+
+def reference_refine(t: SplitBipartite, cond3, component_map) -> RefinedBipartite:
+    """Split qualifying color vertices of the working subgraph into degree-2 units."""
+    bg = BipartiteMultigraph([], t.graph.right)
+    groups: Dict[int, List[Tuple[int, int]]] = {}
+    rows: Dict[int, Dict[int, int]] = {}
+    for (j, _), w, n in t.graph.pairs():
+        rows.setdefault(j, {})[w] = n
+    for j in range(1, t.k + 1):
+        row = rows.get(j, {})
+        deg = sum(row.values())
+        if j not in cond3:
+            label = (j, -1)
+            bg.add_left(label)
+            groups[j] = [label]
+            for w, n in sorted(row.items(), key=lambda kv: _w_order(kv[0])):
+                bg.add_edges(label, w, n)
+            continue
+        if deg % 2:
+            raise AssertionError(
+                f"color {j} has odd working degree {deg}; the fan coloring is broken"
+            )
+        units: List[Tuple[int, int]] = []
+        singles: List[int] = []
+        for w in sorted(row, key=_w_order):
+            units.extend([(w, w)] * (row[w] // 2))
+            if row[w] % 2:
+                singles.append(w)
+        comp_of = component_map.get(j, {})
+        by_comp: Dict[Tuple[int, int], List[int]] = {}
+        for w in singles:
+            key = (1, 0) if w == LOOP_PROXY else (0, comp_of[w])
+            by_comp.setdefault(key, []).append(w)
+        residue: List[int] = []
+        for key in sorted(by_comp):
+            bucket = sorted(by_comp[key], key=_w_order)
+            while len(bucket) >= 2:
+                units.append((bucket[0], bucket[1]))
+                bucket = bucket[2:]
+            residue.extend(bucket)
+        residue.sort(key=_w_order)
+        for a, b in zip(residue[::2], residue[1::2]):
+            units.append((a, b))
+        labels = []
+        for idx, (a, b) in enumerate(units):
+            label = (j, idx)
+            bg.add_left(label)
+            if a == b:
+                bg.add_edges(label, a, 2)
+            else:
+                bg.add_edges(label, a, 1)
+                bg.add_edges(label, b, 1)
+            labels.append(label)
+        groups[j] = labels
+    return RefinedBipartite(y=t.y, k=t.k, graph=bg, groups=groups)
+
+
+def _as_rows(bg: BipartiteMultigraph, relabel):
+    """A graph as sorted (lefts, rights, pairs) with its left labels relabeled."""
+    return (
+        [relabel[l] for l in bg.left],
+        bg.right,
+        [(relabel[l], r, n) for l, r, n in bg.pairs()],
+    )
+
+
+def reference_step(cg: ColoredMultigraph, y: int, eta_y: int, cond3, component_map):
+    """One engine step from y by the graph-building pipeline: fan, fan coloring
+    restricted to classes 1 and 2, refine, pick coloring, moves.
+
+    Returns every stage as integer rows in the shapes the engine hands them
+    on: the fan and the working subgraph with colors as left labels, the fan
+    classes 1 and 2 and the pick's class 1 as vectors over their graph's
+    pairs, and the refined graph with its left labels numbered in sorted
+    order, beside the color of each.
+    """
+    fan = reference_build_split_bipartite(cg, y)
+    fan_coloring = bee_coloring(fan.graph, eta_y, upto=2)
+    working = SplitBipartite(y=y, k=cg.k, graph=reference_restrict(fan_coloring, (1, 2)))
+    refined = reference_refine(working, cond3, component_map)
+    pick = bee_coloring(refined.graph, 2)
+    edge_moves: Dict[int, Dict[int, int]] = {}
+    loop_moves: Dict[int, int] = {}
+    for (label, w), n in reference_class_pair_row(pick, 1).items():
+        j = label[0]
+        if w == LOOP_PROXY:
+            loop_moves[j] = loop_moves.get(j, 0) + n
+        else:
+            per_w = edge_moves.setdefault(j, {})
+            per_w[w] = per_w.get(w, 0) + n
+
+    colors = {label: label[0] for label in fan.graph.left}
+    fan_rows = _as_rows(fan.graph, colors)
+    unit_labels = refined.graph.left
+    number = {label: i for i, label in enumerate(unit_labels)}
+    refined_rows = _as_rows(refined.graph, number)
+    return {
+        "fan": fan_rows,
+        "classes": [
+            [fan_coloring.count(l, r, c) for l, r, _ in fan.graph.pairs()] for c in (1, 2)
+        ],
+        "working": _as_rows(working.graph, colors),
+        "refined": ([label[0] for label in unit_labels], refined_rows),
+        "picked": [pick.count(l, r, 1) for l, r, _ in refined.graph.pairs()],
+        "moves": MoveSet(edge_moves=edge_moves, loop_moves=loop_moves),
+    }
+
+
+def reference_evenly_equitable_coloring(g: Multigraph, k: int) -> ColoredMultigraph:
+    """evenly_equitable_coloring as it was before its loop placement kept a
+    heap: every loop unit recomputes all k class degrees at its vertex."""
+    if k < 1:
+        raise PreconditionError(f"need at least one color, got {k}")
+    verts = g.vertices
+    for v in verts:
+        if g.degree(v) % 2:
+            raise PreconditionError(f"vertex {v} has odd degree {g.degree(v)}")
+
+    loopless = g.copy()
+    for v, n in g.loop_items():
+        loopless.remove_loops(v, n)
+    arcs = _orient(loopless)
+
+    cg = ColoredMultigraph(k, verts)
+    remaining = dict(arcs)
+    for j in range(1, k + 1):
+        cls = _peel_even_class(remaining, verts, k - j + 1)
+        for (u, v), n in sorted(cls.items()):
+            cg.layer(j).add_edges(u, v, n)
+            left = remaining[(u, v)] - n
+            if left:
+                remaining[(u, v)] = left
+            else:
+                del remaining[(u, v)]
+    if remaining:
+        raise AssertionError("peeling left arcs uncolored")
+
+    # loops: atomic 2-units, water-filled onto the lightest class at the vertex
+    for v, n in g.loop_items():
+        for _ in range(n):
+            degs = [(cg.layer(j).degree(v), j) for j in range(1, k + 1)]
+            _, j = min(degs)
+            cg.layer(j).add_loops(v, 1)
+
+    if not is_evenly_equitable(cg):
+        raise AssertionError("construction violated its contract")
+    return cg

@@ -187,8 +187,16 @@ def test_bee_matches_reference_peel(block: int) -> None:
         bg = random_bipartite(random.Random(seed), max_side=6, max_mult=5)
         for k in range(1, 6):
             for u in sorted({1, min(2, k), k}):
+                ref = reference_bee_coloring(bg, k, upto=u)
                 got = bee_coloring(bg, k, upto=u).items()
-                assert got == reference_bee_coloring(bg, k, upto=u).items(), (seed, k, u)
+                assert got == ref.items(), (seed, k, u)
+                # the same graph handed over in peel order gives its classes
+                # as multiplicity vectors over the pairs
+                pairs = bg.pairs()
+                classes = bee_coloring((bg.left, bg.right, pairs), k, upto=u)
+                assert classes == [
+                    [ref.count(l, r, j) for l, r, _ in pairs] for j in range(1, u + 1)
+                ], (seed, k, u)
 
 
 def test_bee_upto_out_of_range_rejected() -> None:

@@ -373,3 +373,51 @@ def test_exit_codes_are_mapped_in_main(tmp_path, capsys) -> None:
         assert main(argv) == code, argv
         err = capsys.readouterr().err
         assert err.startswith(message), (argv, err)
+
+
+ROUND_TRIP_HOST = {
+    "version": "v1",
+    "kind": "graph",
+    "k": 2,
+    "vertices": [0, 1],
+    "edges": [[0, 1, 1, 3], [0, 1, 2, 2]],
+    "loops": [[0, 1, 3], [1, 2, 2]],
+    "eta": [[0, 3], [1, 2]],
+}
+
+
+def test_one_process_runs_commands_like_separate_processes(tmp_path, capsys) -> None:
+    from fairdetach.cli import main
+
+    host = tmp_path / "h.json"
+    host.write_text(json.dumps(ROUND_TRIP_HOST))
+    commands = [
+        ["detach", str(host), "-o", "{out}/g.json", "--trace", "{out}/t.jsonl"],
+        ["verify", str(host), "{out}/g.json"],
+        ["ham", "--n", "7", "--lambda", "1", "-o", "{out}/dec.json"],
+        ["export", "{out}/dec.json"],
+        ["detach", "--no-such-flag", str(host)],
+        ["detach", str(host)],
+    ]
+    runs = {}
+    for side in ("one_process", "separate"):
+        out = tmp_path / side
+        out.mkdir()
+        results = []
+        for command in commands:
+            argv = [arg.format(out=out) for arg in command]
+            if side == "separate":
+                res = run_cli(*argv)
+                results.append((res.returncode, res.stdout, res.stderr))
+                continue
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors exit directly
+                code = exc.code
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        runs[side] = (results, files)
+    assert [code for code, _, _ in runs["separate"][0]] == [0, 0, 0, 0, 2, 0]
+    assert runs["one_process"] == runs["separate"]
+    assert sorted(runs["separate"][1]) == ["dec.json", "g.json", "t.jsonl"]

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from fairdetach import engine, hamilton
-from fairdetach.bee import BipartiteMultigraph
 from fairdetach.engine import (
     LOOP_PROXY,
     SplitBipartite,
@@ -20,7 +19,7 @@ from fairdetach.fuzzgen import random_detach_instance
 from fairdetach.hamilton import GddParams, ham_decompose_gdd
 from fairdetach.multigraph import AmalgamationSpec, ColoredMultigraph, Multigraph
 from fairdetach.verify import assert_step_relations, verify_detachment
-from helpers import all_pairings
+from helpers import all_pairings, reference_step
 
 
 def loops_only_instance(k: int, loops_per_color: int, eta: int):
@@ -56,19 +55,45 @@ def test_condition3_zero_degree_makes_no_promise() -> None:
     assert condition3_colors(cg, eta) == set()
 
 
+def multiplicity(bipartite, l, r) -> int:
+    """m(l, r) of a (lefts, rights, pairs) graph."""
+    return sum(n for a, b, n in bipartite[2] if (a, b) == (l, r))
+
+
+def left_degree(bipartite, l) -> int:
+    return sum(n for a, _, n in bipartite[2] if a == l)
+
+
+def right_degree(bipartite, r) -> int:
+    return sum(n for _, b, n in bipartite[2] if b == r)
+
+
+def assert_peel_order(bipartite) -> None:
+    """Sorted sides, sorted pairs with positive multiplicities on those sides."""
+    lefts, rights, pairs = bipartite
+    assert list(lefts) == sorted(lefts) and list(rights) == sorted(rights)
+    assert pairs == sorted(pairs)
+    assert len({(l, r) for l, r, _ in pairs}) == len(pairs)
+    assert all(l in lefts and r in rights and n > 0 for l, r, n in pairs)
+
+
 def test_build_split_bipartite_loop_rule() -> None:
     cg = ColoredMultigraph(1, [0])
     cg.layer(1).add_loops(0, 2)
     fan = build_split_bipartite(cg, 0)
-    assert fan.graph.multiplicity((1, -1), LOOP_PROXY) == 4
+    assert multiplicity(fan, 1, LOOP_PROXY) == 4
 
 
 def test_build_split_bipartite_color_rows() -> None:
     cg = ColoredMultigraph(2, [0, 1])
     cg.layer(2).add_edges(0, 1, 3)
     fan = build_split_bipartite(cg, 0)
-    assert fan.graph.multiplicity((2, -1), 1) == 3
-    assert fan.graph.degree((1, -1)) == 0
+    assert multiplicity(fan, 2, 1) == 3
+    assert left_degree(fan, 1) == 0
+    # every color is a left vertex even at degree 0, and the proxy is the
+    # first right vertex even without loops
+    assert list(fan[0]) == [1, 2]
+    assert fan[1] == [LOOP_PROXY, 1]
 
 
 def test_build_split_bipartite_degree_identities() -> None:
@@ -77,43 +102,50 @@ def test_build_split_bipartite_degree_identities() -> None:
         cg, _ = random_detach_instance(rng)
         y = cg.vertices[rng.randrange(len(cg.vertices))]
         fan = build_split_bipartite(cg, y)
+        assert_peel_order(fan)
         under = cg.underlying()
         for j in range(1, cg.k + 1):
-            assert fan.graph.degree((j, -1)) == cg.layer(j).degree(y)
-        assert fan.graph.degree(LOOP_PROXY) == 2 * under.loops(y)
+            assert left_degree(fan, j) == cg.layer(j).degree(y)
+        assert right_degree(fan, LOOP_PROXY) == 2 * under.loops(y)
+        assert fan[1] == [LOOP_PROXY, *under.neighbors(y)]
         for u in under.neighbors(y):
-            assert fan.graph.degree(u) == under.multiplicity(y, u)
+            assert right_degree(fan, u) == under.multiplicity(y, u)
 
 
 def working_graph(rows: dict) -> SplitBipartite:
     """Build a working (two-class) fan restriction from explicit rows."""
     k = max(rows)
-    right = sorted({w for row in rows.values() for w in row}, key=lambda w: (w == LOOP_PROXY, w))
-    bg = BipartiteMultigraph([(j, -1) for j in range(1, k + 1)], right)
-    for j, row in rows.items():
-        for w, n in row.items():
-            bg.add_edges((j, -1), w, n)
-    return SplitBipartite(y=99, k=k, graph=bg)
+    right = sorted({w for row in rows.values() for w in row})
+    pairs = sorted((j, w, n) for j, row in rows.items() for w, n in row.items())
+    return range(1, k + 1), right, pairs
+
+
+def units_of(refined, j):
+    """The left labels refine gave color j."""
+    owner, _ = refined
+    return [label for label, c in enumerate(owner) if c == j]
 
 
 def test_refine_parallel_pairs_saturate() -> None:
     t = working_graph({1: {7: 4}})
     refined = refine(t, {1}, {1: {7: 7}})
-    assert len(refined.groups[1]) == 2
-    for label in refined.groups[1]:
-        assert refined.graph.multiplicity(label, 7) == 2
+    assert len(units_of(refined, 1)) == 2
+    for label in units_of(refined, 1):
+        assert multiplicity(refined[1], label, 7) == 2
 
 
 def test_refine_forced_order() -> None:
     # edges u,u,w,x: one unit takes (u,u) by parallel pairing, the other (w,x)
     t = working_graph({1: {5: 2, 6: 1, 7: 1}})
     refined = refine(t, {1}, {1: {5: 5, 6: 6, 7: 6}})
+    graph = refined[1]
+    assert_peel_order(graph)
     unit_rows = []
-    for label in refined.groups[1]:
+    for label in units_of(refined, 1):
         row = {
-            w: refined.graph.multiplicity(label, w)
-            for w in refined.graph.right
-            if refined.graph.multiplicity(label, w)
+            w: multiplicity(graph, label, w)
+            for w in graph[1]
+            if multiplicity(graph, label, w)
         }
         unit_rows.append(row)
     assert {5: 2} in unit_rows
@@ -123,16 +155,33 @@ def test_refine_forced_order() -> None:
 def test_refine_unsplit_colors_keep_their_rows() -> None:
     t = working_graph({1: {5: 3}})
     refined = refine(t, set(), {})
-    assert refined.groups[1] == [(1, -1)]
-    assert refined.graph.multiplicity((1, -1), 5) == 3
+    assert units_of(refined, 1) == [0]
+    assert multiplicity(refined[1], 0, 5) == 3
+
+
+def test_refine_proxy_pairs_last_and_sorts_first() -> None:
+    # color 1 pairs its two edges to 4 first; the leftovers 3 and the proxy
+    # share no component, so the residue joins them into one unit, whose
+    # pairs list the proxy first; unsplit color 2 keeps its proxy row
+    t = working_graph({1: {LOOP_PROXY: 1, 3: 1, 4: 2}, 2: {LOOP_PROXY: 2}})
+    owner, graph = refine(t, {1}, {1: {3: 3, 4: 4}})
+    assert owner == [1, 1, 2]
+    assert_peel_order(graph)
+    assert graph[2] == [
+        (0, 4, 2),
+        (1, LOOP_PROXY, 1),
+        (1, 3, 1),
+        (2, LOOP_PROXY, 2),
+    ]
 
 
 def unit_endpoints(refined, j):
+    _, graph = refined
     out = []
-    for label in refined.groups[j]:
+    for label in units_of(refined, j):
         row = []
-        for w in refined.graph.right:
-            row.extend([w] * refined.graph.multiplicity(label, w))
+        for w in graph[1]:
+            row.extend([w] * multiplicity(graph, label, w))
         out.append(tuple(sorted(row, key=lambda w: (w == LOOP_PROXY, w))))
     return out
 
@@ -378,6 +427,55 @@ def test_incremental_state_matches_oracles_on_every_step(family: str) -> None:
                 engine._step(state, y)
                 steps += 1
         assert all(n == 1 for n in state.eta.values())
+    assert steps > 0
+
+
+def recording(monkeypatch, name: str, calls: list) -> None:
+    """Record every (args, result) of engine.<name> into calls."""
+    fn = getattr(engine, name)
+
+    def record(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(engine, name, record)
+
+
+@pytest.mark.parametrize("family", ["lambda_kn", "gdd", "fuzz"])
+def test_step_matches_graph_building_reference(family: str, monkeypatch) -> None:
+    """Every stage of every step, from the fan to the moves, equals the
+    step that built each stage as a BipartiteMultigraph."""
+    fans, colorings, refines = [], [], []
+    recording(monkeypatch, "build_split_bipartite", fans)
+    recording(monkeypatch, "bee_coloring", colorings)
+    recording(monkeypatch, "refine", refines)
+    steps = 0
+    for cg, eta in step_instances(family):
+        state = engine._DetachState(cg.copy(), dict(eta.eta))
+        for y in [v for v in cg.vertices if eta.value(v) >= 2]:
+            while state.eta[y] >= 2:
+                cond3 = condition3_colors(state.cg, AmalgamationSpec(dict(state.eta)))
+                comp_map = engine._component_map(state.cg, y, cond3)
+                want = reference_step(state.cg, y, state.eta[y], cond3, comp_map)
+                del fans[:], colorings[:], refines[:]
+                moves = engine._step(state, y).moves
+                [(_, fan)], [(fan_call, classes), (_, picked)] = fans, colorings
+                [((working, _, _), (owner, refined))] = refines
+                assert fan_call[0] is fan
+                lefts, rights, pairs = fan
+                w_lefts, w_rights, w_pairs = working
+                u_lefts, u_rights, u_pairs = refined
+                got = {
+                    "fan": (list(lefts), rights, pairs),
+                    "classes": classes,
+                    "working": (list(w_lefts), w_rights, w_pairs),
+                    "refined": (owner, (list(u_lefts), u_rights, u_pairs)),
+                    "picked": picked[0],
+                    "moves": moves,
+                }
+                assert got == want
+                steps += 1
     assert steps > 0
 
 

@@ -14,6 +14,7 @@ from fairdetach.evencolor import (
 )
 from fairdetach.fuzzgen import random_even_multigraph
 from fairdetach.multigraph import ColoredMultigraph, Multigraph
+from helpers import reference_evenly_equitable_coloring
 
 
 def complete_graph(n: int) -> Multigraph:
@@ -198,3 +199,15 @@ def test_evenly_equitable_fuzz() -> None:
         cg = evenly_equitable_coloring(g, k)
         assert is_evenly_equitable(cg)
         assert cg.underlying() == g
+
+
+def test_evenly_equitable_matches_reference_loop_placement() -> None:
+    placed_loops = 0
+    for seed in range(200):
+        g = random_even_multigraph(random.Random(seed))
+        placed_loops += sum(n for _, n in g.loop_items())
+        for k in range(1, 7):
+            assert evenly_equitable_coloring(g, k) == reference_evenly_equitable_coloring(
+                g, k
+            ), (seed, k)
+    assert placed_loops > 0
