@@ -10,6 +10,7 @@ identical inputs; --seed only drives the fuzz instance generator.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from typing import Callable, List, Optional
@@ -193,10 +194,12 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         for i in range(args.count):
             jobs.append((kind, args.seed + i))
     failures: List[str] = []
-    if args.jobs > 1:
+    # a pool starts every worker up front, so start no more than can be busy
+    workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for res in pool.map(_fuzz_one_star, jobs):
                 if res:
                     failures.append(res)

@@ -135,15 +135,15 @@ def apply_moves(cg: ColoredMultigraph, rec: StepRecord) -> ColoredMultigraph:
 def _move(cg: ColoredMultigraph, rec: StepRecord) -> None:
     """Apply one recorded step to cg in place."""
     cg.add_vertex(rec.v_new)
-    for j in range(1, cg.k + 1):
+    for j, row in rec.moves.edge_moves.items():
         layer = cg.layer(j)
-        for w, n in sorted(rec.moves.edge_moves.get(j, {}).items()):
+        for w, n in row.items():
             layer.remove_edges(rec.y, w, n)
             layer.add_edges(rec.v_new, w, n)
-        nl = rec.moves.loop_moves.get(j, 0)
-        if nl:
-            layer.remove_loops(rec.y, nl)
-            layer.add_edges(rec.y, rec.v_new, nl)
+    for j, nl in rec.moves.loop_moves.items():
+        layer = cg.layer(j)
+        layer.remove_loops(rec.y, nl)
+        layer.add_edges(rec.y, rec.v_new, nl)
 
 
 def condition3_colors(cg: ColoredMultigraph, eta: AmalgamationSpec) -> Set[int]:

@@ -2,14 +2,20 @@
 
 The detachment checker re-derives nothing from the engine: it evaluates
 each fairness window directly on the input/output pair in exact integer
-arithmetic.  Every failed check reports the smallest counterexample in
-vertex/color order.
+arithmetic.  One pass over each graph counts degree by vertex, multiplicity
+by pair (min, max) and loops by vertex, per color and over all colors (0);
+a cell with no edges reads 0.  A1-A6 are rows (count, numerator,
+denominator, witness fields) over those cells: fiber vertices against their
+host's degree (A1, A2), fiber pairs against their host's loops (A3, A4) and
+pairs across two fibers against the hosts' multiplicity (A5, A6).  Rows run
+by host, color, then fiber position, so each failed check reports its first
+row: the smallest counterexample in vertex/color order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from itertools import combinations, product
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .errors import GraphError
@@ -22,7 +28,6 @@ from .multigraph import (
     DetachmentMap,
     Multigraph,
     VertexId,
-    approx,
     approx_ratio,
 )
 
@@ -47,8 +52,7 @@ class DetachmentReport:
     verdicts: Dict[str, Tuple[bool, Optional[str]]] = field(default_factory=dict)
 
     def record(self, name: str, ok: bool, witness: Optional[str] = None) -> None:
-        if name not in self.verdicts or (self.verdicts[name][0] and not ok):
-            self.verdicts[name] = (ok, witness)
+        self.verdicts[name] = (ok, witness)
 
     @property
     def ok(self) -> bool:
@@ -72,6 +76,38 @@ class DetachmentReport:
         return out
 
 
+def _counts(cg: ColoredMultigraph) -> Tuple[List[Dict], List[Dict], List[Dict]]:
+    """Degree, multiplicity and loop tables indexed [0 = all colors, 1..k]."""
+    deg, mult, loops = ([{} for _ in range(cg.k + 1)] for _ in range(3))
+    for j in range(1, cg.k + 1):
+        layer, dj, mj, lj = cg.layer(j), deg[j], mult[j], loops[j]
+        for u, v, m in layer.pairs():
+            mj[u, v] = m
+            dj[u] = dj.get(u, 0) + m
+            dj[v] = dj.get(v, 0) + m
+        for v, n in layer.loop_items():
+            lj[v] = n
+            dj[v] = dj.get(v, 0) + 2 * n
+        for table in (deg, mult, loops):
+            total = table[0]
+            for key, n in table[j].items():
+                total[key] = total.get(key, 0) + n
+    return deg, mult, loops
+
+
+def _first_failure(rows, template: str) -> Optional[str]:
+    """The witness of the first row (count, num, den, *fields) whose count
+    leaves the window of num/den, formatted for that row only."""
+    for row in rows:
+        if not approx_ratio(row[0], row[1], row[2]):
+            return template.format(*row[3:], c=row[0], n=row[1], d=row[2])
+    return None
+
+
+def _key(u: VertexId, v: VertexId) -> Tuple[VertexId, VertexId]:
+    return (u, v) if u < v else (v, u)
+
+
 def verify_detachment(
     h: ColoredMultigraph,
     eta: AmalgamationSpec,
@@ -92,151 +128,94 @@ def verify_detachment(
         raise GraphError("fibers do not partition the detached vertex set")
     if sorted(psi.fibers) != h.vertices:
         raise GraphError("psi is not onto the host vertex set")
+    hdeg, hmult, hloops = _counts(h)
+    gdeg, gmult, gloops = _counts(g)
+    every, each = (0,), range(1, h.k + 1)
 
     report = DetachmentReport()
     report.record("structure", True)
-
-    bad_loop = next((v for v in g.vertices if g.loops(v)), None)
+    bad_loop = min(gloops[0], default=None)
     report.record(
         "loopless",
         bad_loop is None,
         None if bad_loop is None else f"loops remain at vertex {bad_loop}",
     )
-
-    cons_ok, cons_wit = True, None
-    for j in range(1, h.k + 1):
-        if h.layer(j).edge_count() != g.layer(j).edge_count():
-            cons_ok = False
-            cons_wit = (
-                f"color {j}: {h.layer(j).edge_count()} edges became "
-                f"{g.layer(j).edge_count()}"
-            )
-            break
-    report.record("conservation", cons_ok, cons_wit)
+    lost = [
+        f"color {j}: {nh} edges became {ng}"
+        for j in each
+        if (nh := h.layer(j).edge_count()) != (ng := g.layer(j).edge_count())
+    ]
+    report.record("conservation", not lost, lost[0] if lost else None)
 
     hosts = h.vertices
-    for name in ("A1", "A2", "A3", "A4", "A5", "A6", "A7"):
-        report.record(name, True)
+    size = {w: eta.value(w) for w in hosts}
+    fibers = {w: psi.fiber(w) for w in hosts}
+    # pair cells in list order, each block with the host cell it shares: the
+    # fiber pairs a < b by position over the loops at w, and the pairs across
+    # the fibers of hosts w < z over m(w, z)
+    inner = [
+        (w, size[w] * (size[w] - 1) // 2, list(combinations(fibers[w], 2)))
+        for w in hosts
+        if size[w] >= 2
+    ]
+    cross = [
+        ((w, z), size[w] * size[z], list(product(fibers[w], fibers[z])))
+        for w, z in combinations(hosts, 2)
+    ]
 
-    for w in hosts:
-        nw = eta.value(w)
-        fiber = psi.fiber(w)
-        for u in fiber:
-            if not report.verdicts["A1"][0]:
-                break
-            if not approx_ratio(g.degree(u), h.degree(w), nw):
-                report.record(
-                    "A1",
-                    False,
-                    f"d({u})={g.degree(u)} not within d({w})/eta = {h.degree(w)}/{nw}",
-                )
-        for j in range(1, h.k + 1):
-            if not report.verdicts["A2"][0]:
-                break
-            dw = h.layer(j).degree(w)
-            for u in fiber:
-                if not approx_ratio(g.layer(j).degree(u), dw, nw):
-                    report.record(
-                        "A2",
-                        False,
-                        f"color {j}: d({u})={g.layer(j).degree(u)} "
-                        f"not within {dw}/{nw}",
-                    )
-                    break
-        if nw >= 2:
-            pairs2 = nw * (nw - 1) // 2
-            lw = h.loops(w)
-            for a in range(len(fiber)):
-                if not report.verdicts["A3"][0]:
-                    break
-                for b in range(a + 1, len(fiber)):
-                    m = g.multiplicity(fiber[a], fiber[b])
-                    if not approx_ratio(m, lw, pairs2):
-                        report.record(
-                            "A3",
-                            False,
-                            f"m({fiber[a]},{fiber[b]})={m} not within {lw}/{pairs2}",
-                        )
-                        break
-            for j in range(1, h.k + 1):
-                if not report.verdicts["A4"][0]:
-                    break
-                lwj = h.layer(j).loops(w)
-                done = False
-                for a in range(len(fiber)):
-                    if done:
-                        break
-                    for b in range(a + 1, len(fiber)):
-                        m = g.layer(j).multiplicity(fiber[a], fiber[b])
-                        if not approx_ratio(m, lwj, pairs2):
-                            report.record(
-                                "A4",
-                                False,
-                                f"color {j}: m({fiber[a]},{fiber[b]})={m} "
-                                f"not within {lwj}/{pairs2}",
-                            )
-                            done = True
-                            break
+    def degree_rows(colors):
+        return (
+            (gdeg[j].get(u, 0), hdeg[j].get(w, 0), size[w], j, u, w)
+            for w in hosts
+            for j in colors
+            for u in fibers[w]
+        )
 
-    for ia in range(len(hosts)):
-        for ib in range(ia + 1, len(hosts)):
-            w, z = hosts[ia], hosts[ib]
-            den = eta.value(w) * eta.value(z)
-            mwz = h.multiplicity(w, z)
-            if report.verdicts["A5"][0]:
-                done = False
-                for u in psi.fiber(w):
-                    if done:
-                        break
-                    for v in psi.fiber(z):
-                        if not approx_ratio(g.multiplicity(u, v), mwz, den):
-                            report.record(
-                                "A5",
-                                False,
-                                f"m({u},{v})={g.multiplicity(u, v)} "
-                                f"not within m({w},{z})/eta*eta = {mwz}/{den}",
-                            )
-                            done = True
-                            break
-            if report.verdicts["A6"][0]:
-                done = False
-                for j in range(1, h.k + 1):
-                    if done:
-                        break
-                    mj = h.layer(j).multiplicity(w, z)
-                    for u in psi.fiber(w):
-                        if done:
-                            break
-                        for v in psi.fiber(z):
-                            if not approx_ratio(
-                                g.layer(j).multiplicity(u, v), mj, den
-                            ):
-                                report.record(
-                                    "A6",
-                                    False,
-                                    f"color {j}: m({u},{v})="
-                                    f"{g.layer(j).multiplicity(u, v)} "
-                                    f"not within {mj}/{den}",
-                                )
-                                done = True
-                                break
+    def pair_rows(blocks, host, colors):
+        return (
+            (gmult[j].get(_key(u, v), 0), host[j].get(at, 0), den, j, u, v, at)
+            for at, den, cells in blocks
+            for j in colors
+            for u, v in cells
+        )
+
+    for name, rows, template in (
+        ("A1", degree_rows(every), "d({1})={c} not within d({2})/eta = {n}/{d}"),
+        ("A2", degree_rows(each), "color {0}: d({1})={c} not within {n}/{d}"),
+        ("A3", pair_rows(inner, hloops, every), "m({1},{2})={c} not within {n}/{d}"),
+        (
+            "A4",
+            pair_rows(inner, hloops, each),
+            "color {0}: m({1},{2})={c} not within {n}/{d}",
+        ),
+        (
+            "A5",
+            pair_rows(cross, hmult, every),
+            "m({1},{2})={c} not within m({3[0]},{3[1]})/eta*eta = {n}/{d}",
+        ),
+        (
+            "A6",
+            pair_rows(cross, hmult, each),
+            "color {0}: m({1},{2})={c} not within {n}/{d}",
+        ),
+    ):
+        witness = _first_failure(rows, template)
+        report.record(name, witness is None, witness)
 
     # component preservation is promised for colors whose degree/eta ratio is
     # a positive even integer everywhere; an isolated vertex would split into
     # several isolated vertices, so zero ratios carry no promise
-    for j in range(1, h.k + 1):
-        layer = h.layer(j)
-        if all(
-            (d := layer.degree(w)) > 0 and d % (2 * eta.value(w)) == 0
-            for w in hosts
-        ):
-            wh = layer.component_count()
-            wg = g.layer(j).component_count()
-            if wh != wg:
-                report.record(
-                    "A7", False, f"color {j}: components {wh} became {wg}"
-                )
-                break
+    promised = [
+        j
+        for j in each
+        if all((d := hdeg[j].get(w, 0)) > 0 and d % (2 * size[w]) == 0 for w in hosts)
+    ]
+    split = [
+        f"color {j}: components {wh} became {wg}"
+        for j in promised
+        if (wh := h.layer(j).component_count()) != (wg := g.layer(j).component_count())
+    ]
+    report.record("A7", not split, split[0] if split else None)
     return report
 
 
@@ -299,6 +278,12 @@ def is_gdd(
     return True
 
 
+def _ratio_ok(a: int, n1: int, b: int, n0: int) -> bool:
+    """approx(a/n1, b/n0) in integers: n1*floor(b/n0) <= a <= n1*ceil(b/n0);
+    n1 and n0 must be positive."""
+    return n1 * (b // n0) <= a <= n1 * -(-b // n0)
+
+
 def assert_step_relations(
     h_before: ColoredMultigraph,
     h_after: ColoredMultigraph,
@@ -332,16 +317,13 @@ def assert_step_relations(
             return fail("B2", f"color {j} loops at {y}")
 
     # degrees: y keeps n1 fair shares, the new vertex receives one
-    if not approx(
-        Fraction(h_after.degree(y), n1), Fraction(h_before.degree(y), n0)
-    ):
+    if not _ratio_ok(h_after.degree(y), n1, h_before.degree(y), n0):
         return fail("B3(i)", f"degree of {y}")
     if not approx_ratio(h_after.degree(v_new), h_before.degree(y), n0):
         return fail("B3(ii)", f"degree of {v_new}")
     for j in range(1, k + 1):
-        if not approx(
-            Fraction(h_after.layer(j).degree(y), n1),
-            Fraction(h_before.layer(j).degree(y), n0),
+        if not _ratio_ok(
+            h_after.layer(j).degree(y), n1, h_before.layer(j).degree(y), n0
         ):
             return fail("B4(i)", f"color {j} degree of {y}")
         if not approx_ratio(
@@ -352,9 +334,8 @@ def assert_step_relations(
     # multiplicities toward every old neighbor, and between y and the new vertex
     neighbors = {u for j in range(1, k + 1) for u, _ in h_before.layer(j).row(y)}
     for v in sorted(neighbors):
-        if not approx(
-            Fraction(h_after.multiplicity(y, v), n1),
-            Fraction(h_before.multiplicity(y, v), n0),
+        if not _ratio_ok(
+            h_after.multiplicity(y, v), n1, h_before.multiplicity(y, v), n0
         ):
             return fail("B5(i)", f"m({y},{v})")
         if not approx_ratio(
@@ -363,24 +344,20 @@ def assert_step_relations(
             return fail("B5(ii)", f"m({v_new},{v})")
         for j in range(1, k + 1):
             mj = h_before.layer(j).multiplicity(y, v)
-            if not approx(
-                Fraction(h_after.layer(j).multiplicity(y, v), n1),
-                Fraction(mj, n0),
-            ):
+            if not _ratio_ok(h_after.layer(j).multiplicity(y, v), n1, mj, n0):
                 return fail("B6(i)", f"color {j} m({y},{v})")
             if not approx_ratio(
                 h_after.layer(j).multiplicity(v_new, v), mj, n0
             ):
                 return fail("B6(ii)", f"color {j} m({v_new},{v})")
-    if not approx(
-        Fraction(h_after.multiplicity(y, v_new), n1),
-        Fraction(h_before.loops(y), pairs2),
-    ):
+    if not _ratio_ok(h_after.multiplicity(y, v_new), n1, h_before.loops(y), pairs2):
         return fail("B5(iii)", f"m({y},{v_new})")
     for j in range(1, k + 1):
-        if not approx(
-            Fraction(h_after.layer(j).multiplicity(y, v_new), n1),
-            Fraction(h_before.layer(j).loops(y), pairs2),
+        if not _ratio_ok(
+            h_after.layer(j).multiplicity(y, v_new),
+            n1,
+            h_before.layer(j).loops(y),
+            pairs2,
         ):
             return fail("B6(iii)", f"color {j} m({y},{v_new})")
     return True, None
@@ -413,28 +390,22 @@ def verify_trace(
             offshoots[w].append(v)
 
         for w in hosts:
-            if not approx(
-                Fraction(cur.degree(w), eta[w]),
-                Fraction(h0.degree(w), eta0.value(w)),
-            ):
+            if not _ratio_ok(cur.degree(w), eta[w], h0.degree(w), eta0.value(w)):
                 return False, f"step {step_no}: degree ratio at {w}"
             n0 = eta0.value(w)
             if n0 >= 2:
                 pairs2 = n0 * (n0 - 1) // 2
                 for vr in offshoots[w]:
-                    if not approx(
-                        Fraction(cur.multiplicity(w, vr), eta[w]),
-                        Fraction(h0.loops(w), pairs2),
+                    if not _ratio_ok(
+                        cur.multiplicity(w, vr), eta[w], h0.loops(w), pairs2
                     ):
                         return False, f"step {step_no}: m({w},{vr}) vs loops"
-        for ia in range(len(hosts)):
-            for ib in range(ia + 1, len(hosts)):
-                w, z = hosts[ia], hosts[ib]
-                if not approx(
-                    Fraction(cur.multiplicity(w, z), eta[w] * eta[z]),
-                    Fraction(
-                        h0.multiplicity(w, z), eta0.value(w) * eta0.value(z)
-                    ),
-                ):
-                    return False, f"step {step_no}: m({w},{z}) ratio"
+        for w, z in combinations(hosts, 2):
+            if not _ratio_ok(
+                cur.multiplicity(w, z),
+                eta[w] * eta[z],
+                h0.multiplicity(w, z),
+                eta0.value(w) * eta0.value(z),
+            ):
+                return False, f"step {step_no}: m({w},{z}) ratio"
     return True, None

@@ -6,7 +6,7 @@ own algorithms, so tests compare two routes to the same answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
@@ -14,7 +14,13 @@ from fairdetach.bee import BipartiteColoring, BipartiteMultigraph, bee_coloring
 from fairdetach.engine import MoveSet
 from fairdetach.errors import GraphError, PreconditionError
 from fairdetach.evencolor import _orient, _peel_even_class, is_evenly_equitable
-from fairdetach.multigraph import ColoredMultigraph, Multigraph
+from fairdetach.multigraph import (
+    AmalgamationSpec,
+    ColoredMultigraph,
+    DetachmentMap,
+    Multigraph,
+    approx_ratio,
+)
 
 
 def all_pairings(items: Sequence) -> Iterator[List[Tuple]]:
@@ -463,3 +469,186 @@ def reference_evenly_equitable_coloring(g: Multigraph, k: int) -> ColoredMultigr
     if not is_evenly_equitable(cg):
         raise AssertionError("construction violated its contract")
     return cg
+
+
+# ---------------------------------------------------------------------------
+# the detachment checker as it was before it became a table: one loop nest
+# per condition, each keeping its first counterexample through the report's
+# keep-the-first-failure `record`
+
+
+@dataclass
+class ReferenceDetachmentReport:
+    verdicts: Dict[str, Tuple[bool, Optional[str]]] = field(default_factory=dict)
+
+    def record(self, name: str, ok: bool, witness: Optional[str] = None) -> None:
+        if name not in self.verdicts or (self.verdicts[name][0] and not ok):
+            self.verdicts[name] = (ok, witness)
+
+
+def reference_verify_detachment(
+    h: ColoredMultigraph,
+    eta: AmalgamationSpec,
+    psi: DetachmentMap,
+    g: ColoredMultigraph,
+) -> "ReferenceDetachmentReport":
+    """Check all seven fairness conditions of a detachment in exact arithmetic.
+
+    Also checks structural consistency (fibers vs eta, partition of the
+    detached vertex set), looplessness of g, and per-color edge counts.
+    Structural problems raise GraphError; condition failures are reported.
+    """
+    if h.k != g.k:
+        raise GraphError(f"color counts differ: {h.k} vs {g.k}")
+    psi.validate(eta)
+    fiber_union = sorted(u for f in psi.fibers.values() for u in f)
+    if fiber_union != g.vertices:
+        raise GraphError("fibers do not partition the detached vertex set")
+    if sorted(psi.fibers) != h.vertices:
+        raise GraphError("psi is not onto the host vertex set")
+
+    report = ReferenceDetachmentReport()
+    report.record("structure", True)
+
+    bad_loop = next((v for v in g.vertices if g.loops(v)), None)
+    report.record(
+        "loopless",
+        bad_loop is None,
+        None if bad_loop is None else f"loops remain at vertex {bad_loop}",
+    )
+
+    cons_ok, cons_wit = True, None
+    for j in range(1, h.k + 1):
+        if h.layer(j).edge_count() != g.layer(j).edge_count():
+            cons_ok = False
+            cons_wit = (
+                f"color {j}: {h.layer(j).edge_count()} edges became "
+                f"{g.layer(j).edge_count()}"
+            )
+            break
+    report.record("conservation", cons_ok, cons_wit)
+
+    hosts = h.vertices
+    for name in ("A1", "A2", "A3", "A4", "A5", "A6", "A7"):
+        report.record(name, True)
+
+    for w in hosts:
+        nw = eta.value(w)
+        fiber = psi.fiber(w)
+        for u in fiber:
+            if not report.verdicts["A1"][0]:
+                break
+            if not approx_ratio(g.degree(u), h.degree(w), nw):
+                report.record(
+                    "A1",
+                    False,
+                    f"d({u})={g.degree(u)} not within d({w})/eta = {h.degree(w)}/{nw}",
+                )
+        for j in range(1, h.k + 1):
+            if not report.verdicts["A2"][0]:
+                break
+            dw = h.layer(j).degree(w)
+            for u in fiber:
+                if not approx_ratio(g.layer(j).degree(u), dw, nw):
+                    report.record(
+                        "A2",
+                        False,
+                        f"color {j}: d({u})={g.layer(j).degree(u)} "
+                        f"not within {dw}/{nw}",
+                    )
+                    break
+        if nw >= 2:
+            pairs2 = nw * (nw - 1) // 2
+            lw = h.loops(w)
+            for a in range(len(fiber)):
+                if not report.verdicts["A3"][0]:
+                    break
+                for b in range(a + 1, len(fiber)):
+                    m = g.multiplicity(fiber[a], fiber[b])
+                    if not approx_ratio(m, lw, pairs2):
+                        report.record(
+                            "A3",
+                            False,
+                            f"m({fiber[a]},{fiber[b]})={m} not within {lw}/{pairs2}",
+                        )
+                        break
+            for j in range(1, h.k + 1):
+                if not report.verdicts["A4"][0]:
+                    break
+                lwj = h.layer(j).loops(w)
+                done = False
+                for a in range(len(fiber)):
+                    if done:
+                        break
+                    for b in range(a + 1, len(fiber)):
+                        m = g.layer(j).multiplicity(fiber[a], fiber[b])
+                        if not approx_ratio(m, lwj, pairs2):
+                            report.record(
+                                "A4",
+                                False,
+                                f"color {j}: m({fiber[a]},{fiber[b]})={m} "
+                                f"not within {lwj}/{pairs2}",
+                            )
+                            done = True
+                            break
+
+    for ia in range(len(hosts)):
+        for ib in range(ia + 1, len(hosts)):
+            w, z = hosts[ia], hosts[ib]
+            den = eta.value(w) * eta.value(z)
+            mwz = h.multiplicity(w, z)
+            if report.verdicts["A5"][0]:
+                done = False
+                for u in psi.fiber(w):
+                    if done:
+                        break
+                    for v in psi.fiber(z):
+                        if not approx_ratio(g.multiplicity(u, v), mwz, den):
+                            report.record(
+                                "A5",
+                                False,
+                                f"m({u},{v})={g.multiplicity(u, v)} "
+                                f"not within m({w},{z})/eta*eta = {mwz}/{den}",
+                            )
+                            done = True
+                            break
+            if report.verdicts["A6"][0]:
+                done = False
+                for j in range(1, h.k + 1):
+                    if done:
+                        break
+                    mj = h.layer(j).multiplicity(w, z)
+                    for u in psi.fiber(w):
+                        if done:
+                            break
+                        for v in psi.fiber(z):
+                            if not approx_ratio(
+                                g.layer(j).multiplicity(u, v), mj, den
+                            ):
+                                report.record(
+                                    "A6",
+                                    False,
+                                    f"color {j}: m({u},{v})="
+                                    f"{g.layer(j).multiplicity(u, v)} "
+                                    f"not within {mj}/{den}",
+                                )
+                                done = True
+                                break
+
+    # component preservation is promised for colors whose degree/eta ratio is
+    # a positive even integer everywhere; an isolated vertex would split into
+    # several isolated vertices, so zero ratios carry no promise
+    for j in range(1, h.k + 1):
+        layer = h.layer(j)
+        if all(
+            (d := layer.degree(w)) > 0 and d % (2 * eta.value(w)) == 0
+            for w in hosts
+        ):
+            wh = layer.component_count()
+            wg = g.layer(j).component_count()
+            if wh != wg:
+                report.record(
+                    "A7", False, f"color {j}: components {wh} became {wg}"
+                )
+                break
+    return report

@@ -235,6 +235,15 @@ def test_fuzz_command() -> None:
     assert "15 instances, 0 failures" in res.stdout
 
 
+def test_fuzz_worker_pool_prints_what_the_serial_run_prints() -> None:
+    args = ("fuzz", "--count", "4", "--kind", "all")
+    serial = run_cli(*args, "--jobs", "1")
+    pooled = run_cli(*args, "--jobs", "2")
+    assert serial.returncode == pooled.returncode == 0, pooled.stderr
+    assert pooled.stdout == serial.stdout
+    assert "ran 12 instances" in pooled.stdout
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
