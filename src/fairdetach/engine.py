@@ -200,7 +200,8 @@ def refine(
     the fan restricted to the two working classes, with the fan's left and
     right sides.  Left labels of the result count up from 0 in color order,
     each color's units in the order they are formed, and the pairs come out
-    sorted, so the result is in peel order.
+    sorted, so the result is in peel order.  Per qualifying color,
+    `component_map` is a union-find whose roots (`_find`) are the labels.
     """
     colors, rights, pairs = working
     rows: Dict[int, List[Tuple[VertexId, int]]] = {j: [] for j in colors}
@@ -233,7 +234,7 @@ def refine(
         comp_of = component_map.get(j, {})
         by_comp: Dict[Tuple[int, int], List[VertexId]] = {}
         for w in singles:
-            key = (1, 0) if w == LOOP_PROXY else (0, comp_of[w])
+            key = (1, 0) if w == LOOP_PROXY else (0, _find(comp_of, w))
             by_comp.setdefault(key, []).append(w)
         residue: List[VertexId] = []
         for key in sorted(by_comp):
@@ -310,18 +311,18 @@ class _DetachState:
         return {j for j, bad in enumerate(self.failing, start=1) if not bad}
 
     def labels(self, y: VertexId, colors: Set[int]) -> Dict[int, Dict[VertexId, int]]:
-        """_component_map(cg, y, colors) restricted to each color's neighbors of y."""
+        """Per color, the union-find of the color class minus y: `_find` of a
+        vertex is its label in _component_map(cg, y, colors)."""
         self._focus(y)
         out: Dict[int, Dict[VertexId, int]] = {}
         for j in sorted(colors):
-            layer = self.cg.layer(j)
             parent = self.uf.get(j)
             if parent is None:
                 parent = self.uf[j] = {v: v for v in self.cg.vertices if v != y}
-                for u, v, _ in layer.pairs():
+                for u, v, _ in self.cg.layer(j).pairs():
                     if y != u and y != v:
                         _union(parent, u, v)
-            out[j] = {w: _find(parent, w) for w in layer.neighbors(y)}
+            out[j] = parent
         return out
 
     def apply(self, rec: StepRecord) -> None:
@@ -460,8 +461,9 @@ def _check_state(state: _DetachState, y: VertexId) -> Set[int]:
             f"qualifying colors {sorted(state.qualifying())} != {sorted(qualifying)}"
         )
     oracle = _component_map(cur, y, qualifying)
-    for j, labels in state.labels(y, qualifying).items():
-        for w, label in labels.items():
+    for j, parent in state.labels(y, qualifying).items():
+        for w in cur.layer(j).neighbors(y):
+            label = _find(parent, w)
             if oracle[j][w] != label:
                 raise AssertionError(
                     f"color {j}: component label of {w} is {label}, not {oracle[j][w]}"

@@ -50,20 +50,6 @@ class Multigraph:
         for v in vertices:
             self.add_vertex(v)
 
-    @classmethod
-    def from_edges(
-        cls,
-        vertices: Iterable[VertexId],
-        edges: Iterable[Tuple[VertexId, VertexId, int]] = (),
-        loops: Iterable[Tuple[VertexId, int]] = (),
-    ) -> "Multigraph":
-        g = cls(vertices)
-        for u, v, n in edges:
-            g.add_edges(u, v, n)
-        for v, n in loops:
-            g.add_loops(v, n)
-        return g
-
     # -- vertex bookkeeping ------------------------------------------------
 
     @property
@@ -257,18 +243,6 @@ class ColoredMultigraph:
             raise GraphError(f"color count must be positive, got {k}")
         vs = list(vertices)
         self._layers = [Multigraph(vs) for _ in range(k)]
-
-    @classmethod
-    def from_layers(cls, layers: List[Multigraph]) -> "ColoredMultigraph":
-        if not layers:
-            raise GraphError("need at least one layer")
-        vs = layers[0].vertices
-        for g in layers[1:]:
-            if g.vertices != vs:
-                raise GraphError("layers must share one vertex set")
-        cg = cls(len(layers))
-        cg._layers = [g.copy() for g in layers]
-        return cg
 
     @property
     def k(self) -> int:

@@ -1,15 +1,28 @@
 """Independent checkers for every contract in the package.
 
-The detachment checker re-derives nothing from the engine: it evaluates
-each fairness window directly on the input/output pair in exact integer
-arithmetic.  One pass over each graph counts degree by vertex, multiplicity
-by pair (min, max) and loops by vertex, per color and over all colors (0);
-a cell with no edges reads 0.  A1-A6 are rows (count, numerator,
-denominator, witness fields) over those cells: fiber vertices against their
-host's degree (A1, A2), fiber pairs against their host's loops (A3, A4) and
-pairs across two fibers against the hosts' multiplicity (A5, A6).  Rows run
-by host, color, then fiber position, so each failed check reports its first
-row: the smallest counterexample in vertex/color order.
+The fairness checkers are tables: each reads its counts once, then tests
+rows (count, scale, numerator, denominator, witness fields) against one
+exact integer window, scale*floor(num/den) <= count <= scale*ceil(num/den),
+and formats the witness of its first failing row only.  Counts are indexed
+[0 = all colors, 1..k]; a cell with no edges reads 0.
+
+The detachment checker re-derives nothing from the engine.  One pass over
+each graph counts degree by vertex, multiplicity by pair (min, max) and
+loops by vertex.  A1-A6 are rows over those cells: fiber vertices against
+their host's degree (A1, A2), fiber pairs against their host's loops (A3,
+A4) and pairs across two fibers against the hosts' multiplicity (A5, A6).
+Rows run by host, color, then fiber position, so each failed check reports
+the smallest counterexample in vertex/color order.
+
+The step relations read three stars (a vertex's loops, degree and
+multiplicity toward each neighbor): y's before and after the step and the
+new vertex's after it.  Rows run over all colors, then each color: loops at
+y (B1, B2), the degrees of y and the new vertex (B3, B4), m(y, v) and
+m(v_new, v) for each old neighbor v ascending (B5, B6), and m(y, v_new)
+against y's loops (B5(iii), B6(iii)).  The trace checker replays a trace in
+place on its own copy of the start graph and reads each host's star after
+every step; its rows are, by host, the degree ratio and m(w, vr) against the
+loops for each offshoot vr, then m(w, z) for host pairs w < z.
 """
 
 from __future__ import annotations
@@ -28,7 +41,6 @@ from .multigraph import (
     DetachmentMap,
     Multigraph,
     VertexId,
-    approx_ratio,
 )
 
 CONDITION_ORDER = (
@@ -95,12 +107,18 @@ def _counts(cg: ColoredMultigraph) -> Tuple[List[Dict], List[Dict], List[Dict]]:
     return deg, mult, loops
 
 
-def _first_failure(rows, template: str) -> Optional[str]:
-    """The witness of the first row (count, num, den, *fields) whose count
-    leaves the window of num/den, formatted for that row only."""
+def _ratio_ok(a: int, n1: int, b: int, n0: int) -> bool:
+    """approx(a/n1, b/n0) in integers: n1*floor(b/n0) <= a <= n1*ceil(b/n0);
+    n1 and n0 must be positive."""
+    return n1 * (b // n0) <= a <= n1 * -(-b // n0)
+
+
+def _first_failure(rows):
+    """The first row (count, scale, numerator, denominator, *fields) whose
+    count leaves scale times the window of numerator/denominator, or None."""
     for row in rows:
-        if not approx_ratio(row[0], row[1], row[2]):
-            return template.format(*row[3:], c=row[0], n=row[1], d=row[2])
+        if not _ratio_ok(row[0], row[1], row[2], row[3]):
+            return row
     return None
 
 
@@ -165,7 +183,7 @@ def verify_detachment(
 
     def degree_rows(colors):
         return (
-            (gdeg[j].get(u, 0), hdeg[j].get(w, 0), size[w], j, u, w)
+            (gdeg[j].get(u, 0), 1, hdeg[j].get(w, 0), size[w], j, u, w)
             for w in hosts
             for j in colors
             for u in fibers[w]
@@ -173,7 +191,7 @@ def verify_detachment(
 
     def pair_rows(blocks, host, colors):
         return (
-            (gmult[j].get(_key(u, v), 0), host[j].get(at, 0), den, j, u, v, at)
+            (gmult[j].get(_key(u, v), 0), 1, host[j].get(at, 0), den, j, u, v, at)
             for at, den, cells in blocks
             for j in colors
             for u, v in cells
@@ -199,8 +217,11 @@ def verify_detachment(
             "color {0}: m({1},{2})={c} not within {n}/{d}",
         ),
     ):
-        witness = _first_failure(rows, template)
-        report.record(name, witness is None, witness)
+        bad = _first_failure(rows)
+        witness = None
+        if bad is not None:
+            witness = template.format(*bad[4:], c=bad[0], n=bad[2], d=bad[3])
+        report.record(name, bad is None, witness)
 
     # component preservation is promised for colors whose degree/eta ratio is
     # a positive even integer everywhere; an isolated vertex would split into
@@ -265,23 +286,50 @@ def is_gdd(
         raise GraphError("partition must cover the vertex set exactly")
     if sorted(len(p) for p in partition) != sorted(params.sizes):
         return False
-    if any(g.loops(v) for v in g.vertices):
-        return False
     part_of = {v: i for i, part in enumerate(partition) for v in part}
-    verts = g.vertices
-    for a in range(len(verts)):
-        for b in range(a + 1, len(verts)):
-            u, v = verts[a], verts[b]
-            want = params.lambda1 if part_of[u] == part_of[v] else params.lambda2
-            if g.multiplicity(u, v) != want:
-                return False
-    return True
+    lam = (params.lambda2, params.lambda1)  # indexed by "same part"
+    want = [
+        (u, v, n)
+        for u, v in combinations(g.vertices, 2)
+        if (n := lam[part_of[u] == part_of[v]])
+    ]
+    return g.is_loopless() and g.pairs() == want
 
 
-def _ratio_ok(a: int, n1: int, b: int, n0: int) -> bool:
-    """approx(a/n1, b/n0) in integers: n1*floor(b/n0) <= a <= n1*ceil(b/n0);
-    n1 and n0 must be positive."""
-    return n1 * (b // n0) <= a <= n1 * -(-b // n0)
+def _star(
+    cg: ColoredMultigraph, x: VertexId
+) -> Tuple[List[int], List[int], Dict[VertexId, List[int]]]:
+    """x's loops, degree and multiplicity toward each neighbor, each count
+    indexed [0 = all colors, 1..k]."""
+    width = cg.k + 1
+    loops, degree = [0] * width, [0] * width
+    row: Dict[VertexId, List[int]] = {}
+    for j in range(1, width):
+        layer = cg.layer(j)
+        loops[j], degree[j] = layer.loops(x), layer.degree(x)
+        for v, m in layer.row(x):
+            row.setdefault(v, [0] * width)[j] = m
+    for counts in (loops, degree, *row.values()):
+        counts[0] = sum(counts)
+    return loops, degree, row
+
+
+# the witness of each step relation after "name: "; v is the row's vertex,
+# y the split vertex, new the new vertex, j the color and c the count
+_STEP_WITNESS = {
+    "B1": "loops at {v}: {c}",
+    "B2": "color {j} loops at {v}",
+    "B3(i)": "degree of {v}",
+    "B3(ii)": "degree of {v}",
+    "B4(i)": "color {j} degree of {v}",
+    "B4(ii)": "color {j} degree of {v}",
+    "B5(i)": "m({y},{v})",
+    "B5(ii)": "m({new},{v})",
+    "B6(i)": "color {j} m({y},{v})",
+    "B6(ii)": "color {j} m({new},{v})",
+    "B5(iii)": "m({y},{v})",
+    "B6(iii)": "color {j} m({y},{v})",
+}
 
 
 def assert_step_relations(
@@ -301,66 +349,41 @@ def assert_step_relations(
     n1 = n0 - 1
     if n1 < 1:
         return False, f"eta({y}) was {n0}, below the step precondition"
-    k = h_before.k
+    if h_after.k != h_before.k:
+        raise GraphError(f"color counts differ: {h_before.k} vs {h_after.k}")
+    loops_b, deg_b, row_b = _star(h_before, y)
+    loops_a, deg_a, row_a = _star(h_after, y)
+    _, deg_new, row_new = _star(h_after, v_new)
     pairs2 = n0 * (n0 - 1) // 2
+    every = range(h_before.k + 1)
+    absent = [0] * len(every)
 
-    def fail(name: str, detail: str) -> Tuple[bool, str]:
-        return False, f"{name}: {detail}"
+    # rows (count, scale, numerator, denominator, name, color, vertex): of
+    # eta(y) = n0 shares, y keeps n1 of its degree and multiplicities and the
+    # new vertex gets one; y keeps n1 - 1 shares of its loops, and y-v_new
+    # gets n1 of the loops' n0(n0-1)/2 shares
+    def rows():
+        for j in every:
+            yield loops_a[j], 1, loops_b[j] * (n1 - 1), n0, "B2" if j else "B1", j, y
+        for j in every:
+            yield deg_a[j], n1, deg_b[j], n0, "B4(i)" if j else "B3(i)", j, y
+            yield deg_new[j], 1, deg_b[j], n0, "B4(ii)" if j else "B3(ii)", j, v_new
+        for v, before in sorted(row_b.items()):
+            at_y, at_new = row_a.get(v, absent), row_new.get(v, absent)
+            for j in every:
+                yield at_y[j], n1, before[j], n0, "B6(i)" if j else "B5(i)", j, v
+                yield at_new[j], 1, before[j], n0, "B6(ii)" if j else "B5(ii)", j, v
+        to_new = row_a.get(v_new, absent)
+        for j in every:
+            name = "B6(iii)" if j else "B5(iii)"
+            yield to_new[j], n1, loops_b[j], pairs2, name, j, v_new
 
-    # loops at y shrink by one fair share
-    if not approx_ratio(h_after.loops(y), h_before.loops(y) * (n1 - 1), n0):
-        return fail("B1", f"loops at {y}: {h_after.loops(y)}")
-    for j in range(1, k + 1):
-        if not approx_ratio(
-            h_after.layer(j).loops(y), h_before.layer(j).loops(y) * (n1 - 1), n0
-        ):
-            return fail("B2", f"color {j} loops at {y}")
-
-    # degrees: y keeps n1 fair shares, the new vertex receives one
-    if not _ratio_ok(h_after.degree(y), n1, h_before.degree(y), n0):
-        return fail("B3(i)", f"degree of {y}")
-    if not approx_ratio(h_after.degree(v_new), h_before.degree(y), n0):
-        return fail("B3(ii)", f"degree of {v_new}")
-    for j in range(1, k + 1):
-        if not _ratio_ok(
-            h_after.layer(j).degree(y), n1, h_before.layer(j).degree(y), n0
-        ):
-            return fail("B4(i)", f"color {j} degree of {y}")
-        if not approx_ratio(
-            h_after.layer(j).degree(v_new), h_before.layer(j).degree(y), n0
-        ):
-            return fail("B4(ii)", f"color {j} degree of {v_new}")
-
-    # multiplicities toward every old neighbor, and between y and the new vertex
-    neighbors = {u for j in range(1, k + 1) for u, _ in h_before.layer(j).row(y)}
-    for v in sorted(neighbors):
-        if not _ratio_ok(
-            h_after.multiplicity(y, v), n1, h_before.multiplicity(y, v), n0
-        ):
-            return fail("B5(i)", f"m({y},{v})")
-        if not approx_ratio(
-            h_after.multiplicity(v_new, v), h_before.multiplicity(y, v), n0
-        ):
-            return fail("B5(ii)", f"m({v_new},{v})")
-        for j in range(1, k + 1):
-            mj = h_before.layer(j).multiplicity(y, v)
-            if not _ratio_ok(h_after.layer(j).multiplicity(y, v), n1, mj, n0):
-                return fail("B6(i)", f"color {j} m({y},{v})")
-            if not approx_ratio(
-                h_after.layer(j).multiplicity(v_new, v), mj, n0
-            ):
-                return fail("B6(ii)", f"color {j} m({v_new},{v})")
-    if not _ratio_ok(h_after.multiplicity(y, v_new), n1, h_before.loops(y), pairs2):
-        return fail("B5(iii)", f"m({y},{v_new})")
-    for j in range(1, k + 1):
-        if not _ratio_ok(
-            h_after.layer(j).multiplicity(y, v_new),
-            n1,
-            h_before.layer(j).loops(y),
-            pairs2,
-        ):
-            return fail("B6(iii)", f"color {j} m({y},{v_new})")
-    return True, None
+    bad = _first_failure(rows())
+    if bad is None:
+        return True, None
+    count, _, _, _, name, j, v = bad
+    detail = _STEP_WITNESS[name].format(v=v, y=y, new=v_new, j=j, c=count)
+    return False, f"{name}: {detail}"
 
 
 def verify_trace(
@@ -372,40 +395,40 @@ def verify_trace(
     ratios, the multiplicity ratio between a split vertex and each of its
     earlier offshoots, and the cross-pair multiplicity ratios.
     """
-    from .engine import apply_moves
+    from .engine import _move
 
+    hosts = h0.vertices
+    size = {w: eta0.value(w) for w in hosts}
+    start = {w: _star(h0, w) for w in hosts}
     cur = h0.copy()
     eta = dict(eta0.eta)
     origin: Dict[VertexId, VertexId] = {}
-    hosts = h0.vertices
+    offshoots: Dict[VertexId, List[VertexId]] = {w: [] for w in hosts}
     for step_no, rec in enumerate(trace.steps):
-        cur = apply_moves(cur, rec)
-        root = origin.get(rec.y, rec.y)
-        origin[rec.v_new] = root
+        _move(cur, rec)
+        root = origin[rec.v_new] = origin.get(rec.y, rec.y)
         eta[rec.y] -= 1
         eta[rec.v_new] = 1
+        offshoots[root].append(rec.v_new)
+        now = {w: _star(cur, w) for w in hosts}
 
-        offshoots: Dict[VertexId, List[VertexId]] = {w: [] for w in hosts}
-        for v, w in origin.items():
-            offshoots[w].append(v)
+        # rows (count, scale, numerator, denominator, witness, vertex, vertex)
+        # over all colors: host w keeps eta[w] of its size[w] shares
+        def rows():
+            for w in hosts:
+                (loops0, deg0, _), (_, deg, row) = start[w], now[w]
+                yield deg[0], eta[w], deg0[0], size[w], "degree ratio at {0}", w, None
+                if size[w] >= 2:
+                    pairs2 = size[w] * (size[w] - 1) // 2
+                    for vr in offshoots[w]:
+                        m = row.get(vr, (0,))[0]
+                        yield m, eta[w], loops0[0], pairs2, "m({0},{1}) vs loops", w, vr
+            for w, z in combinations(hosts, 2):
+                m, m0 = now[w][2].get(z, (0,))[0], start[w][2].get(z, (0,))[0]
+                scale, den = eta[w] * eta[z], size[w] * size[z]
+                yield m, scale, m0, den, "m({0},{1}) ratio", w, z
 
-        for w in hosts:
-            if not _ratio_ok(cur.degree(w), eta[w], h0.degree(w), eta0.value(w)):
-                return False, f"step {step_no}: degree ratio at {w}"
-            n0 = eta0.value(w)
-            if n0 >= 2:
-                pairs2 = n0 * (n0 - 1) // 2
-                for vr in offshoots[w]:
-                    if not _ratio_ok(
-                        cur.multiplicity(w, vr), eta[w], h0.loops(w), pairs2
-                    ):
-                        return False, f"step {step_no}: m({w},{vr}) vs loops"
-        for w, z in combinations(hosts, 2):
-            if not _ratio_ok(
-                cur.multiplicity(w, z),
-                eta[w] * eta[z],
-                h0.multiplicity(w, z),
-                eta0.value(w) * eta0.value(z),
-            ):
-                return False, f"step {step_no}: m({w},{z}) ratio"
+        bad = _first_failure(rows())
+        if bad is not None:
+            return False, f"step {step_no}: " + bad[4].format(*bad[5:])
     return True, None

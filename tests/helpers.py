@@ -7,7 +7,7 @@ own algorithms, so tests compare two routes to the same answer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from fairdetach.bee import BipartiteColoring, BipartiteMultigraph, bee_coloring
@@ -19,6 +19,7 @@ from fairdetach.multigraph import (
     ColoredMultigraph,
     DetachmentMap,
     Multigraph,
+    VertexId,
     approx_ratio,
 )
 
@@ -652,3 +653,167 @@ def reference_verify_detachment(
                 )
                 break
     return report
+
+
+# ---------------------------------------------------------------------------
+# the step, trace and GDD checkers as they were before they became tables:
+# one hand-written check per relation, read through multiplicity() calls,
+# with the trace replayed through the copying apply_moves
+
+
+def reference_is_gdd(
+    g: Multigraph,
+    params: "GddParams",
+    partition: List[List[VertexId]],
+) -> bool:
+    """True iff g is loopless with multiplicity lambda1 inside every part of
+    the partition and lambda2 across parts, with the parametrized part sizes."""
+    flat = sorted(v for part in partition for v in part)
+    if flat != g.vertices:
+        raise GraphError("partition must cover the vertex set exactly")
+    if sorted(len(p) for p in partition) != sorted(params.sizes):
+        return False
+    if any(g.loops(v) for v in g.vertices):
+        return False
+    part_of = {v: i for i, part in enumerate(partition) for v in part}
+    verts = g.vertices
+    for a in range(len(verts)):
+        for b in range(a + 1, len(verts)):
+            u, v = verts[a], verts[b]
+            want = params.lambda1 if part_of[u] == part_of[v] else params.lambda2
+            if g.multiplicity(u, v) != want:
+                return False
+    return True
+
+
+def reference_ratio_ok(a: int, n1: int, b: int, n0: int) -> bool:
+    """approx(a/n1, b/n0) in integers: n1*floor(b/n0) <= a <= n1*ceil(b/n0);
+    n1 and n0 must be positive."""
+    return n1 * (b // n0) <= a <= n1 * -(-b // n0)
+
+
+def reference_assert_step_relations(
+    h_before: ColoredMultigraph,
+    h_after: ColoredMultigraph,
+    y: VertexId,
+    v_new: VertexId,
+    eta_before: AmalgamationSpec,
+) -> Tuple[bool, Optional[str]]:
+    """Check the one-step fairness relations between consecutive graphs.
+
+    The new vertex's degrees and multiplicities, and y's remaining loops,
+    degrees and multiplicities, must all sit in the floor/ceiling window of
+    their fair shares of what y carried before the step.
+    """
+    n0 = eta_before.value(y)
+    n1 = n0 - 1
+    if n1 < 1:
+        return False, f"eta({y}) was {n0}, below the step precondition"
+    k = h_before.k
+    pairs2 = n0 * (n0 - 1) // 2
+
+    def fail(name: str, detail: str) -> Tuple[bool, str]:
+        return False, f"{name}: {detail}"
+
+    # loops at y shrink by one fair share
+    if not approx_ratio(h_after.loops(y), h_before.loops(y) * (n1 - 1), n0):
+        return fail("B1", f"loops at {y}: {h_after.loops(y)}")
+    for j in range(1, k + 1):
+        if not approx_ratio(
+            h_after.layer(j).loops(y), h_before.layer(j).loops(y) * (n1 - 1), n0
+        ):
+            return fail("B2", f"color {j} loops at {y}")
+
+    # degrees: y keeps n1 fair shares, the new vertex receives one
+    if not reference_ratio_ok(h_after.degree(y), n1, h_before.degree(y), n0):
+        return fail("B3(i)", f"degree of {y}")
+    if not approx_ratio(h_after.degree(v_new), h_before.degree(y), n0):
+        return fail("B3(ii)", f"degree of {v_new}")
+    for j in range(1, k + 1):
+        if not reference_ratio_ok(
+            h_after.layer(j).degree(y), n1, h_before.layer(j).degree(y), n0
+        ):
+            return fail("B4(i)", f"color {j} degree of {y}")
+        if not approx_ratio(
+            h_after.layer(j).degree(v_new), h_before.layer(j).degree(y), n0
+        ):
+            return fail("B4(ii)", f"color {j} degree of {v_new}")
+
+    # multiplicities toward every old neighbor, and between y and the new vertex
+    neighbors = {u for j in range(1, k + 1) for u, _ in h_before.layer(j).row(y)}
+    for v in sorted(neighbors):
+        if not reference_ratio_ok(
+            h_after.multiplicity(y, v), n1, h_before.multiplicity(y, v), n0
+        ):
+            return fail("B5(i)", f"m({y},{v})")
+        if not approx_ratio(
+            h_after.multiplicity(v_new, v), h_before.multiplicity(y, v), n0
+        ):
+            return fail("B5(ii)", f"m({v_new},{v})")
+        for j in range(1, k + 1):
+            mj = h_before.layer(j).multiplicity(y, v)
+            if not reference_ratio_ok(h_after.layer(j).multiplicity(y, v), n1, mj, n0):
+                return fail("B6(i)", f"color {j} m({y},{v})")
+            if not approx_ratio(
+                h_after.layer(j).multiplicity(v_new, v), mj, n0
+            ):
+                return fail("B6(ii)", f"color {j} m({v_new},{v})")
+    if not reference_ratio_ok(h_after.multiplicity(y, v_new), n1, h_before.loops(y), pairs2):
+        return fail("B5(iii)", f"m({y},{v_new})")
+    for j in range(1, k + 1):
+        if not reference_ratio_ok(
+            h_after.layer(j).multiplicity(y, v_new),
+            n1,
+            h_before.layer(j).loops(y),
+            pairs2,
+        ):
+            return fail("B6(iii)", f"color {j} m({y},{v_new})")
+    return True, None
+
+
+def reference_verify_trace(
+    h0: ColoredMultigraph, eta0: AmalgamationSpec, trace
+) -> Tuple[bool, Optional[str]]:
+    """Replay a detachment trace checking cumulative relations at each stage.
+
+    Checks, against the original graph, each intermediate's per-vertex degree
+    ratios, the multiplicity ratio between a split vertex and each of its
+    earlier offshoots, and the cross-pair multiplicity ratios.
+    """
+    from fairdetach.engine import apply_moves
+
+    cur = h0.copy()
+    eta = dict(eta0.eta)
+    origin: Dict[VertexId, VertexId] = {}
+    hosts = h0.vertices
+    for step_no, rec in enumerate(trace.steps):
+        cur = apply_moves(cur, rec)
+        root = origin.get(rec.y, rec.y)
+        origin[rec.v_new] = root
+        eta[rec.y] -= 1
+        eta[rec.v_new] = 1
+
+        offshoots: Dict[VertexId, List[VertexId]] = {w: [] for w in hosts}
+        for v, w in origin.items():
+            offshoots[w].append(v)
+
+        for w in hosts:
+            if not reference_ratio_ok(cur.degree(w), eta[w], h0.degree(w), eta0.value(w)):
+                return False, f"step {step_no}: degree ratio at {w}"
+            n0 = eta0.value(w)
+            if n0 >= 2:
+                pairs2 = n0 * (n0 - 1) // 2
+                for vr in offshoots[w]:
+                    if not reference_ratio_ok(
+                        cur.multiplicity(w, vr), eta[w], h0.loops(w), pairs2
+                    ):
+                        return False, f"step {step_no}: m({w},{vr}) vs loops"
+        for w, z in combinations(hosts, 2):
+            if not reference_ratio_ok(
+                cur.multiplicity(w, z),
+                eta[w] * eta[z],
+                h0.multiplicity(w, z),
+                eta0.value(w) * eta0.value(z),
+            ):
+                return False, f"step {step_no}: m({w},{z}) ratio"
+    return True, None

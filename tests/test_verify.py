@@ -6,7 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from fairdetach.engine import detach_all, detach_step
+from fairdetach.engine import (
+    DetachmentTrace,
+    MoveSet,
+    StepRecord,
+    detach_all,
+    detach_step,
+)
 from fairdetach.errors import GraphError
 from fairdetach.fuzzgen import random_detach_instance
 from fairdetach.hamilton import GddParams, walecki_odd
@@ -26,7 +32,12 @@ from fairdetach.verify import (
     verify_ham_decomposition,
     verify_trace,
 )
-from helpers import reference_verify_detachment
+from helpers import (
+    reference_assert_step_relations,
+    reference_is_gdd,
+    reference_verify_detachment,
+    reference_verify_trace,
+)
 
 
 def triangle_pair():
@@ -367,3 +378,239 @@ def test_trace_replay_relations() -> None:
         g, psi, trace = detach_all(cg, eta)
         ok, witness = verify_trace(cg, eta, trace)
         assert ok, witness
+
+
+def _outcome(check, *args):
+    """check(*args), or the type and message of the exception it raised."""
+    try:
+        return check(*args)
+    except Exception as exc:  # the reference must raise the same
+        return type(exc).__name__, str(exc)
+
+
+def _mutate_step(rng: random.Random, g: ColoredMultigraph, y, v_new):
+    """A copy of g with one or two unit edits at y or v_new, each in one
+    random color: a loop at y added or removed, an edge from y or v_new
+    added or removed, or one of their edges rerouted or recolored."""
+    bad = g.copy()
+    for _ in range(rng.randint(1, 2)):
+        layer = bad.layer(rng.randint(1, bad.k))
+        u = rng.choice((y, v_new))
+        v = rng.choice([x for x in bad.vertices if x != u])
+        kind = rng.choice(["loop", "edge", "reroute", "recolor"])
+        row = layer.row(u)
+        if kind == "loop":
+            if layer.loops(y) and rng.random() < 0.5:
+                layer.remove_loops(y, 1)
+            else:
+                layer.add_loops(y, 1)
+        elif kind == "edge" or not row:
+            if layer.multiplicity(u, v) and rng.random() < 0.5:
+                layer.remove_edges(u, v, 1)
+            else:
+                layer.add_edges(u, v, 1)
+        else:
+            w, _ = rng.choice(row)
+            layer.remove_edges(u, w, 1)
+            if kind == "reroute":
+                layer.add_edges(u, v, 1)
+            else:
+                bad.layer(rng.randint(1, bad.k)).add_edges(u, w, 1)
+    return bad
+
+
+def test_step_table_matches_reference() -> None:
+    rng = random.Random(5)
+    first: Counter = Counter()
+    steps = 0
+    while steps < 500:
+        h, eta = random_detach_instance(rng)
+        ys = [v for v in h.vertices if eta.value(v) >= 2]
+        if not ys:
+            continue
+        y = rng.choice(ys)
+        out, _, v_new = detach_step(h, eta, y)
+        for cand in [out] + [_mutate_step(rng, out, y, v_new) for _ in range(6)]:
+            got = _outcome(assert_step_relations, h, cand, y, v_new, eta)
+            assert got == _outcome(
+                reference_assert_step_relations, h, cand, y, v_new, eta
+            )
+            if got[0] is False:
+                first[got[1].split(":")[0]] += 1
+        steps += 1
+    assert set(first) == {
+        "B1", "B2", "B3(i)", "B3(ii)", "B4(i)", "B4(ii)",
+        "B5(i)", "B5(ii)", "B5(iii)", "B6(i)", "B6(ii)", "B6(iii)",
+    }, first
+
+
+def _edit_moves(trace, edits) -> DetachmentTrace:
+    """trace with each edit (step, color, w, n) adding n moves of color edges
+    y-w to that step, or n loop moves when w is None; counts reaching 0 drop."""
+    steps = list(trace.steps)
+    for s, j, w, n in edits:
+        rec = steps[s]
+        edge_moves = {c: dict(row) for c, row in rec.moves.edge_moves.items()}
+        loop_moves = dict(rec.moves.loop_moves)
+        table, key = (loop_moves, j) if w is None else (edge_moves.setdefault(j, {}), w)
+        table[key] = table.get(key, 0) + n
+        if not table[key]:
+            del table[key]
+        steps[s] = StepRecord(
+            rec.y, rec.v_new, rec.eta_y_before, MoveSet(edge_moves, loop_moves)
+        )
+    return DetachmentTrace(steps)
+
+
+def _mutate_moves(rng: random.Random, trace, k: int, vertices) -> DetachmentTrace:
+    """trace with one or two unit edits of the moves of random steps: one
+    move dropped, doubled, sent to another vertex or the loops, or recolored."""
+    edits = []
+    for _ in range(rng.randint(1, 2)):
+        s = rng.randrange(len(trace.steps))
+        moves = trace.steps[s].moves
+        have = [(j, None) for j in moves.loop_moves] + [
+            (j, w) for j, row in moves.edge_moves.items() for w in row
+        ]
+        if not have:
+            continue
+        j, w = rng.choice(have)
+        kind = rng.choice(["drop", "double", "reroute", "recolor"])
+        edits.append((s, j, w, 1 if kind == "double" else -1))
+        if kind == "reroute":
+            edits.append((s, j, rng.choice([None, *vertices]), 1))
+        elif kind == "recolor":
+            edits.append((s, rng.randint(1, k), w, 1))
+    return _edit_moves(trace, edits)
+
+
+def _trace_kind(outcome) -> str:
+    if outcome[0] is not False:
+        return str(outcome[0])
+    detail = outcome[1].split(": ", 1)[1]
+    if detail.startswith("degree ratio"):
+        return "degree"
+    return "loops" if detail.endswith("vs loops") else "pair"
+
+
+def test_trace_table_matches_reference() -> None:
+    rng = random.Random(7)
+    kinds: Counter = Counter()
+    traces = 0
+    while traces < 300:
+        h, eta = random_detach_instance(rng, max_vertices=4)
+        _, _, trace = detach_all(h, eta)
+        if not trace.steps:
+            continue
+        vertices = h.vertices + [rec.v_new for rec in trace.steps]
+        mutants = [_mutate_moves(rng, trace, h.k, vertices) for _ in range(3)]
+        for cand in [trace] + mutants:
+            got = _outcome(verify_trace, h, eta, cand)
+            assert got == _outcome(reference_verify_trace, h, eta, cand)
+            kinds[_trace_kind(got)] += 1
+        traces += 1
+    assert set(kinds) == {"True", "degree", "loops", "pair", "GraphError"}, kinds
+
+
+def test_gdd_table_matches_reference() -> None:
+    rng = random.Random(11)
+    for _ in range(300):
+        params = GddParams(
+            tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3))),
+            rng.randint(0, 2),
+            rng.randint(0, 2),
+        )
+        parts = params.part_blocks()
+        g = Multigraph(v for part in parts for v in part)
+        part_of = {v: i for i, part in enumerate(parts) for v in part}
+        for u in g.vertices:
+            for v in g.vertices:
+                n = params.lambda1 if part_of[u] == part_of[v] else params.lambda2
+                if u < v and n:
+                    g.add_edges(u, v, n)
+        verts = g.vertices
+        kind = rng.choice(["none", "add", "drop", "loop", "parts"])
+        if kind == "add" and len(verts) >= 2:
+            g.add_edges(*rng.sample(verts, 2))
+        elif kind == "drop" and g.pairs():
+            u, v, _ = rng.choice(g.pairs())
+            g.remove_edges(u, v, 1)
+        elif kind == "loop":
+            g.add_loops(rng.choice(verts))
+        elif kind == "parts":
+            rng.shuffle(verts)
+            cut = rng.randint(0, len(verts))
+            parts = [p for p in (verts[:cut], verts[cut:]) if p]
+        assert _outcome(is_gdd, g, params, parts) == _outcome(
+            reference_is_gdd, g, params, parts
+        )
+
+
+def _pinned_step():
+    """y = 0 with eta 3 in two colors (3 loops each; color 1 has 3 edges to
+    1 and one to 2, color 2 the reverse), vertex 3 apart, split once into
+    new vertex 4; the result passes every step relation."""
+    h = ColoredMultigraph(2, range(4))
+    for j, (a, b) in ((1, (1, 2)), (2, (2, 1))):
+        h.layer(j).add_loops(0, 3)
+        h.layer(j).add_edges(0, a, 3)
+        h.layer(j).add_edges(0, b, 1)
+    eta = AmalgamationSpec({0: 3, 1: 1, 2: 1, 3: 1})
+    return h, eta
+
+
+@pytest.mark.parametrize(
+    "edits, witness",
+    [
+        ([(1, 0, 0, -1)], "B1: loops at 0: 1"),
+        ([(1, 0, 0, 1), (2, 0, 0, -1)], "B2: color 1 loops at 0"),
+        ([(1, 0, 4, 1)], "B3(i): degree of 0"),
+        ([(1, 0, 4, -1)], "B3(ii): degree of 4"),
+        ([(1, 0, 1, -2)], "B4(i): color 1 degree of 0"),
+        ([(1, 2, 4, 1), (2, 0, 4, -1)], "B4(ii): color 2 degree of 4"),
+        ([(1, 0, 1, -1), (2, 0, 1, -1)], "B5(i): m(0,1)"),
+        ([(2, 3, 4, 1), (2, 2, 4, -1)], "B5(ii): m(4,2)"),
+        ([(1, 0, 1, -1)], "B6(i): color 1 m(0,1)"),
+        ([(1, 1, 4, 1)], "B6(ii): color 1 m(4,1)"),
+        ([(1, 0, 4, -1), (1, 3, 4, 1)], "B5(iii): m(0,4)"),
+        ([(1, 3, 4, 1), (1, 0, 4, -1), (2, 0, 4, 1)], "B6(iii): color 1 m(0,4)"),
+    ],
+)
+def test_each_step_relation_reports_its_witness(edits, witness) -> None:
+    # each edit (j, u, v, n) adds n color-j edges u-v, removes -n, or adds or
+    # removes loops when u == v
+    h, eta = _pinned_step()
+    out, _, v_new = detach_step(h, eta, 0)
+    assert v_new == 4
+    assert assert_step_relations(h, out, 0, 4, eta) == (True, None)
+    for j, u, v, n in edits:
+        layer = out.layer(j)
+        if u == v:
+            (layer.add_loops if n > 0 else layer.remove_loops)(u, abs(n))
+        elif n > 0:
+            layer.add_edges(u, v, n)
+        else:
+            layer.remove_edges(u, v, -n)
+    assert assert_step_relations(h, out, 0, 4, eta) == (False, witness)
+
+
+@pytest.mark.parametrize(
+    "edits, witness",
+    [
+        ([(1, 2, 2, -1)], "step 1: degree ratio at 0"),
+        ([(0, 1, None, 1)], "step 0: m(0,4) vs loops"),
+        ([(0, 2, 2, 1)], "step 1: m(0,2) ratio"),
+    ],
+)
+def test_each_trace_check_reports_its_witness(edits, witness) -> None:
+    h, eta = _pinned_step()
+    _, _, trace = detach_all(h, eta)
+    assert verify_trace(h, eta, trace) == (True, None)
+    assert verify_trace(h, eta, _edit_moves(trace, edits)) == (False, witness)
+
+
+def test_trace_replay_raises_on_moves_the_graph_lacks() -> None:
+    h, eta = _pinned_step()
+    _, _, trace = detach_all(h, eta)
+    with pytest.raises(GraphError, match=r"cannot remove 4 edges from m\(0,1\)=3"):
+        verify_trace(h, eta, _edit_moves(trace, [(0, 1, 1, 3)]))
