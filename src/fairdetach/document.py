@@ -47,9 +47,11 @@ def loads(text: str) -> Dict[str, Any]:
     return doc
 
 
-def _require(cond: bool, message: str) -> None:
+def _require(cond: bool, message: str, *args: Any) -> None:
+    """Raise DocumentError(message.format(*args)) unless cond holds.  The
+    message is formatted only on failure, so a valid record costs no repr."""
     if not cond:
-        raise DocumentError(message)
+        raise DocumentError(message.format(*args))
 
 
 def _is_int(x: Any, low: int = 0) -> bool:
@@ -59,7 +61,7 @@ def _is_int(x: Any, low: int = 0) -> bool:
 
 def _records(obj: Dict[str, Any], key: str) -> List[Any]:
     recs = obj.get(key, [])
-    _require(isinstance(recs, list), f"{key} must be a list of records")
+    _require(isinstance(recs, list), "{} must be a list of records", key)
     return recs
 
 
@@ -111,22 +113,24 @@ def doc_to_graph(
     for rec in _records(doc, "edges"):
         _require(
             isinstance(rec, list) and len(rec) == 4 and all(_is_int(x) for x in rec),
-            f"edge record {rec!r} must be [u, v, color, mult] of nonnegative integers",
+            "edge record {!r} must be [u, v, color, mult] of nonnegative integers",
+            rec,
         )
         u, v, j, n = rec
-        _require(u in vset and v in vset and u != v, f"bad edge endpoints {rec!r}")
-        _require(1 <= j <= k, f"edge color {j} out of range")
-        _require(n >= 1, f"bad multiplicity in {rec!r}")
+        _require(u in vset and v in vset and u != v, "bad edge endpoints {!r}", rec)
+        _require(1 <= j <= k, "edge color {} out of range", j)
+        _require(n >= 1, "bad multiplicity in {!r}", rec)
         cg.layer(j).add_edges(u, v, n)
     for rec in _records(doc, "loops"):
         _require(
             isinstance(rec, list) and len(rec) == 3 and all(_is_int(x) for x in rec),
-            f"loop record {rec!r} must be [v, color, mult] of nonnegative integers",
+            "loop record {!r} must be [v, color, mult] of nonnegative integers",
+            rec,
         )
         v, j, n = rec
-        _require(v in vset, f"bad loop vertex {rec!r}")
-        _require(1 <= j <= k, f"loop color {j} out of range")
-        _require(n >= 1, f"bad multiplicity in {rec!r}")
+        _require(v in vset, "bad loop vertex {!r}", rec)
+        _require(1 <= j <= k, "loop color {} out of range", j)
+        _require(n >= 1, "bad multiplicity in {!r}", rec)
         cg.layer(j).add_loops(v, n)
 
     eta = None
@@ -137,12 +141,13 @@ def doc_to_graph(
         for rec in recs:
             _require(
                 isinstance(rec, list) and len(rec) == 2,
-                f"eta record {rec!r} must be [vertex, count]",
+                "eta record {!r} must be [vertex, count]",
+                rec,
             )
             v, n = rec
-            _require(_is_int(v) and v in vset, f"eta names unknown vertex {v!r}")
-            _require(_is_int(n, 1), f"eta({v}) must be a positive integer")
-            _require(v not in mapping, f"duplicate eta record for vertex {v}")
+            _require(_is_int(v) and v in vset, "eta names unknown vertex {!r}", v)
+            _require(_is_int(n, 1), "eta({}) must be a positive integer", v)
+            _require(v not in mapping, "duplicate eta record for vertex {}", v)
             mapping[v] = n
         _require(set(mapping) == vset, "eta must cover every vertex")
         eta = AmalgamationSpec(mapping)
@@ -155,14 +160,16 @@ def doc_to_graph(
         for rec in recs:
             _require(
                 isinstance(rec, list) and len(rec) == 2 and isinstance(rec[1], list),
-                f"psi record {rec!r} must be [host, [members...]]",
+                "psi record {!r} must be [host, [members...]]",
+                rec,
             )
             w, members = rec
-            _require(_is_int(w), f"psi host vertex {w!r} must be a nonnegative integer")
-            _require(w not in fibers, f"duplicate fiber for host vertex {w}")
+            _require(_is_int(w), "psi host vertex {!r} must be a nonnegative integer", w)
+            _require(w not in fibers, "duplicate fiber for host vertex {}", w)
             _require(
                 all(_is_int(m) and m in vset for m in members),
-                f"fiber of {w} names unknown vertices",
+                "fiber of {} names unknown vertices",
+                w,
             )
             fibers[w] = members
         try:
@@ -188,20 +195,22 @@ def _obj_to_host(obj: Any) -> Multigraph:
     for rec in _records(obj, "edges"):
         _require(
             isinstance(rec, list) and len(rec) == 3 and all(_is_int(x) for x in rec),
-            f"host edge record {rec!r} must be [u, v, mult] of nonnegative integers",
+            "host edge record {!r} must be [u, v, mult] of nonnegative integers",
+            rec,
         )
         u, v, n = rec
-        _require(u in vset and v in vset and u != v, f"bad host edge {rec!r}")
-        _require(n >= 1, f"bad multiplicity in {rec!r}")
+        _require(u in vset and v in vset and u != v, "bad host edge {!r}", rec)
+        _require(n >= 1, "bad multiplicity in {!r}", rec)
         g.add_edges(u, v, n)
     for rec in _records(obj, "loops"):
         _require(
             isinstance(rec, list) and len(rec) == 2 and all(_is_int(x) for x in rec),
-            f"host loop record {rec!r} must be [v, mult] of nonnegative integers",
+            "host loop record {!r} must be [v, mult] of nonnegative integers",
+            rec,
         )
         v, n = rec
-        _require(v in vset, f"bad host loop {rec!r}")
-        _require(n >= 1, f"bad multiplicity in {rec!r}")
+        _require(v in vset, "bad host loop {!r}", rec)
+        _require(n >= 1, "bad multiplicity in {!r}", rec)
         g.add_loops(v, n)
     return g
 
@@ -224,9 +233,10 @@ def doc_to_decomposition(doc: Dict[str, Any]) -> HamDecomposition:
     for cyc in cycles:
         _require(
             isinstance(cyc, list) and all(_is_int(v) for v in cyc),
-            f"cycle {cyc!r} must be a list of vertex ids",
+            "cycle {!r} must be a list of vertex ids",
+            cyc,
         )
-        _require(all(v in vset for v in cyc), f"cycle {cyc!r} names unknown vertices")
+        _require(all(v in vset for v in cyc), "cycle {!r} names unknown vertices", cyc)
     return HamDecomposition(
         host=host, cycles=tuple(tuple(c) for c in cycles)
     )

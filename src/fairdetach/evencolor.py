@@ -10,6 +10,18 @@ and the windows compose across the peeling recursion exactly as in the
 bipartite colorings.  Loops are 2-contribution units assigned atomically
 to the currently lightest class of their vertex.
 
+One walk serves every traversal (`_walk`): Hierholzer's stack walk, loops
+first, then the smallest neighbor with an unused edge.  It spends rows read
+once (neighbor -> count, ascending) and drops a neighbor whose count runs
+out, so the smallest live neighbor is the row's first key.  `euler_circuit`,
+`_orient` and the Hamiltonian generators' cycle read-off all run it.
+
+The peel sorts the oriented arcs once into an integer skeleton: each arc's
+circulation nodes (`ends`), its uncolored count (`mult`) and each vertex's
+uncolored out-degree (`half`).  Each class is subtracted in place; an
+emptied arc keeps its slot as a [0, 0] window, which `feasible_circulation`
+leaves out, so the live arcs keep their order and yield the same flows.
+
 Euler circuits and Petersen 2-factorizations are exposed as operations in
 their own right; the 2-factorization also serves as a small-case oracle.
 """
@@ -45,69 +57,72 @@ class EulerCircuit:
         return ok and self.steps[-1][1] == self.steps[0][0]
 
 
+def _walk(
+    adj: Dict[VertexId, Dict[VertexId, int]], loops: Dict[VertexId, int], root: VertexId
+) -> List[VertexId]:
+    """Closed walk from `root` over every edge reachable from it, as a vertex
+    sequence: loops first, then the smallest neighbor with an unused edge.
+
+    Spends the counts it is given: `adj` rows must list neighbors in
+    ascending order with positive counts, and walked entries are removed.
+    """
+    stack = [root]
+    trail: List[VertexId] = []
+    while stack:
+        v = stack[-1]
+        if loops.get(v):
+            loops[v] -= 1
+            stack.append(v)
+            continue
+        row = adj[v]
+        if not row:
+            trail.append(stack.pop())
+            continue
+        u = next(iter(row))
+        back = adj[u]
+        if row[u] == 1:
+            del row[u], back[v]
+        else:
+            row[u] -= 1
+            back[v] -= 1
+        stack.append(u)
+    trail.reverse()
+    return trail
+
+
 def euler_circuit(g: Multigraph, component_root: VertexId) -> EulerCircuit:
     """Euler circuit of the component containing `component_root`.
 
     Every vertex of that component must have even degree.  Deterministic:
     the walk always takes the smallest available neighbor, loops first.
     """
-    comp = None
-    for c in g.components():
-        if component_root in c:
-            comp = c
-            break
+    comp = next((c for c in g.components() if component_root in c), None)
     if comp is None:
         raise PreconditionError(f"unknown vertex {component_root}")
     for v in comp:
         if g.degree(v) % 2:
             raise PreconditionError(f"vertex {v} has odd degree {g.degree(v)}")
 
-    adj: Dict[VertexId, Dict[VertexId, int]] = {
-        v: {u: g.multiplicity(v, u) for u in g.neighbors(v)} for v in comp
-    }
-    loops_left = {v: g.loops(v) for v in comp}
-
-    stack = [component_root]
-    trail: List[VertexId] = []
-    while stack:
-        v = stack[-1]
-        if loops_left[v]:
-            loops_left[v] -= 1
-            stack.append(v)
-            continue
-        nxt = None
-        for u in sorted(adj[v]):
-            if adj[v][u] > 0:
-                nxt = u
-                break
-        if nxt is None:
-            trail.append(stack.pop())
-        else:
-            adj[v][nxt] -= 1
-            adj[nxt][v] -= 1
-            stack.append(nxt)
-    trail.reverse()
-
+    adj = {v: dict(g.row(v)) for v in comp}
+    trail = _walk(adj, {v: g.loops(v) for v in comp}, component_root)
     steps = tuple(zip(trail, trail[1:]))
-    want = sum(g.multiplicity(u, v) for u in comp for v in comp if u < v) + sum(
-        g.loops(v) for v in comp
-    )
-    if len(steps) != want:
+    if 2 * len(steps) != sum(g.degree(v) for v in comp):
         raise AssertionError("euler walk did not cover the component")
     return EulerCircuit(steps=steps)
 
 
 def _orient(g: Multigraph) -> Dict[Tuple[VertexId, VertexId], int]:
-    """Euler orientation of a loopless even graph: arc (u, v) -> count."""
+    """Euler orientation of an even graph's edges (loops are ignored):
+    arc (u, v) -> count, each component walked from its smallest vertex."""
+    adj = {v: dict(g.row(v)) for v in g.vertices}
     arcs: Dict[Tuple[VertexId, VertexId], int] = {}
-    seen: set = set()
-    for comp in g.components():
-        root = comp[0]
-        seen.update(comp)
-        if all(g.degree(v) == 0 for v in comp):
-            continue
-        for u, v in euler_circuit(g, root).steps:
-            arcs[(u, v)] = arcs.get((u, v), 0) + 1
+    for root in g.vertices:
+        if adj[root]:  # still unwalked, so the smallest vertex of its component
+            trail = _walk(adj, {}, root)
+            for arc in zip(trail, trail[1:]):
+                arcs[arc] = arcs.get(arc, 0) + 1
+    if any(adj.values()):
+        raise AssertionError("euler walk did not cover the graph")
     return arcs
 
 
@@ -139,48 +154,31 @@ def two_factorization(g: Multigraph) -> List[Multigraph]:
         bip.add_edges((0, u), (1, v), n)
     coloring = konig_proper_coloring(bip, m)
 
-    factors = []
-    for c in range(1, m + 1):
-        f = Multigraph(verts)
-        for ((_, u), (_, v), col, n) in coloring.items():
-            if col == c:
-                f.add_edges(u, v, n)
-        for v in verts:
-            if f.degree(v) != 2:
-                raise AssertionError("factor is not 2-regular")
-        factors.append(f)
+    factors = [Multigraph(verts) for _ in range(m)]
+    for ((_, u), (_, v), col, n) in coloring.items():
+        factors[col - 1].add_edges(u, v, n)
+    if any(f.degree(v) != 2 for f in factors for v in verts):
+        raise AssertionError("factor is not 2-regular")
     return factors
 
 
 def _peel_even_class(
-    arcs: Dict[Tuple[VertexId, VertexId], int], verts: List[VertexId], c: int
-) -> Dict[Tuple[VertexId, VertexId], int]:
-    """One even class from an Euler-oriented graph: per vertex, throughput is
-    windowed to floor/ceil of (half-degree / c); conservation keeps it even."""
-    if c == 1:
-        return dict(arcs)
-    half: Dict[VertexId, int] = {v: 0 for v in verts}
-    for (u, _), n in arcs.items():
-        half[u] += n
+    ends: List[Tuple[int, int]], mult: List[int], half: List[int], c: int
+) -> List[int]:
+    """One even class of the uncolored arcs: per vertex, throughput is
+    windowed to floor/ceil of (half-degree / c); conservation keeps it even.
 
-    # nodes: v_in = 2i, v_out = 2i+1
-    index = {v: i for i, v in enumerate(verts)}
-    arc_list = []
-    order = sorted(arcs)
-    for (u, v) in order:
-        arc_list.append((2 * index[u] + 1, 2 * index[v], 0, arcs[(u, v)]))
-    vertex_arc_start = len(arc_list)
-    for v in verts:
-        s = half[v]
-        arc_list.append((2 * index[v], 2 * index[v] + 1, s // c, -((-s) // c)))
-    flows = feasible_circulation(2 * len(verts), arc_list)
+    Vertex i is the circulation nodes 2i (in) and 2i + 1 (out); arc p runs
+    ends[p] with window [0, mult[p]].  Returns the class's count on each arc.
+    """
+    if c == 1:
+        return list(mult)
+    arcs = [(a, b, 0, n) for (a, b), n in zip(ends, mult)]
+    arcs += [(2 * i, 2 * i + 1, s // c, -(-s // c)) for i, s in enumerate(half)]
+    flows = feasible_circulation(2 * len(half), arcs)
     if flows is None:  # impossible: the fractional 1/c circulation is feasible
         raise AssertionError("even class peeling was infeasible")
-    out = {}
-    for i, key in enumerate(order):
-        if flows[i]:
-            out[key] = flows[i]
-    return out
+    return flows[: len(mult)]
 
 
 def evenly_equitable_coloring(g: Multigraph, k: int) -> ColoredMultigraph:
@@ -196,24 +194,23 @@ def evenly_equitable_coloring(g: Multigraph, k: int) -> ColoredMultigraph:
         if g.degree(v) % 2:
             raise PreconditionError(f"vertex {v} has odd degree {g.degree(v)}")
 
-    loopless = g.copy()
-    for v, n in g.loop_items():
-        loopless.remove_loops(v, n)
-    arcs = _orient(loopless)
+    arcs = _orient(g)
+    order = sorted(arcs)
+    node = {v: 2 * i for i, v in enumerate(verts)}
+    ends = [(node[u] + 1, node[v]) for u, v in order]
+    mult = [arcs[arc] for arc in order]
+    half = [0] * len(verts)
+    for (a, _), n in zip(ends, mult):
+        half[a // 2] += n
 
     cg = ColoredMultigraph(k, verts)
-    remaining = dict(arcs)
     for j in range(1, k + 1):
-        cls = _peel_even_class(remaining, verts, k - j + 1)
-        for (u, v), n in sorted(cls.items()):
-            cg.layer(j).add_edges(u, v, n)
-            left = remaining[(u, v)] - n
-            if left:
-                remaining[(u, v)] = left
-            else:
-                del remaining[(u, v)]
-    if remaining:
-        raise AssertionError("peeling left arcs uncolored")
+        layer = cg.layer(j)
+        for p, f in enumerate(_peel_even_class(ends, mult, half, k - j + 1)):
+            if f:
+                layer.add_edges(*order[p], f)
+                mult[p] -= f
+                half[ends[p][0] // 2] -= f
 
     # loops: atomic 2-units, water-filled onto the lightest class at the
     # vertex, lowest color first among equals: a heap of (degree, color)

@@ -14,11 +14,11 @@ graphs, kept as a small-case oracle for the engine-based route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .engine import detach_all
 from .errors import InfeasibleError, PreconditionError
-from .evencolor import evenly_equitable_coloring
+from .evencolor import _walk, evenly_equitable_coloring
 from .multigraph import AmalgamationSpec, ColoredMultigraph, Multigraph, VertexId
 
 
@@ -139,34 +139,18 @@ def _extract_cycle(layer: Multigraph) -> Tuple[VertexId, ...]:
     """Read the spanning cycle off a connected 2-regular loopless layer.
 
     Walk from the smallest vertex, always taking the smallest neighbor with
-    an unused edge; 2-regularity leaves no choices after the first step.
+    an unused edge; 2-regularity leaves no choices after the first step, and
+    the layer is one spanning cycle exactly when the walk visits every vertex.
     """
     verts = layer.vertices
-    rem: Dict[VertexId, Dict[VertexId, int]] = {
-        v: {u: layer.multiplicity(v, u) for u in layer.neighbors(v)} for v in verts
-    }
-    start = verts[0]
-    cycle = [start]
-    cur = start
-    while True:
-        nxt = None
-        for u in sorted(rem[cur]):
-            if rem[cur][u] > 0:
-                nxt = u
-                break
-        if nxt is None:
-            break
-        rem[cur][nxt] -= 1
-        rem[nxt][cur] -= 1
-        if nxt == start:
-            break
-        cycle.append(nxt)
-        cur = nxt
-    if len(cycle) != len(verts) or any(
-        n for d in rem.values() for n in d.values()
-    ):
+    adj = {v: dict(layer.row(v)) for v in verts}
+    loopless_2_regular = layer.is_loopless() and all(
+        sum(row.values()) == 2 for row in adj.values()
+    )
+    trail = _walk(adj, {}, verts[0])
+    if not loopless_2_regular or len(trail) != len(verts) + 1:
         raise AssertionError("color class is not a single spanning cycle")
-    return tuple(cycle)
+    return tuple(trail[:-1])
 
 
 def _relabel(cg: ColoredMultigraph, order: List[VertexId]) -> ColoredMultigraph:
@@ -180,6 +164,14 @@ def _relabel(cg: ColoredMultigraph, order: List[VertexId]) -> ColoredMultigraph:
         for v, n in layer.loop_items():
             out.layer(j).add_loops(rename[v], n)
     return out
+
+
+def _read_off(cg: ColoredMultigraph, order: List[VertexId]) -> HamDecomposition:
+    """The decomposition a detachment spells: vertex order[i] becomes i and
+    each color class is read off as one spanning cycle."""
+    g = _relabel(cg, order)
+    cycles = tuple(_extract_cycle(g.layer(j)) for j in range(1, g.k + 1))
+    return HamDecomposition(host=g.underlying(), cycles=cycles)
 
 
 def ham_decompose_lambda_kn(n: int, lam: int) -> HamDecomposition:
@@ -205,9 +197,7 @@ def ham_decompose_lambda_kn(n: int, lam: int) -> HamDecomposition:
     for j in range(1, k + 1):
         cg.layer(j).add_loops(0, n)
     g, psi, _ = detach_all(cg, AmalgamationSpec({0: n}))
-    g = _relabel(g, psi.fiber(0))
-    cycles = tuple(_extract_cycle(g.layer(j)) for j in range(1, k + 1))
-    return HamDecomposition(host=g.underlying(), cycles=cycles)
+    return _read_off(g, psi.fiber(0))
 
 
 def gdd_feasible(params: GddParams) -> Feasibility:
@@ -324,10 +314,7 @@ def ham_decompose_gdd(params: GddParams) -> HamDecomposition:
 
     eta = AmalgamationSpec({y: a for y in range(p)})
     g, psi, _ = detach_all(cg, eta)
-    order = [u for y in range(p) for u in psi.fiber(y)]
-    g = _relabel(g, order)
-    cycles = tuple(_extract_cycle(g.layer(j)) for j in range(1, k + 1))
-    return HamDecomposition(host=g.underlying(), cycles=cycles)
+    return _read_off(g, [u for y in range(p) for u in psi.fiber(y)])
 
 
 # ---------------------------------------------------------------------------

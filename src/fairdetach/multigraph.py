@@ -2,9 +2,10 @@
 
 All edge bookkeeping is by exact integer multiplicity counts, never by edge
 identity.  Vertices are dense nonnegative integer ids.  The floor/ceiling
-window test `approx` is the single comparison primitive used by every
-fairness contract in the package; it is implemented in exact rational
-arithmetic and never touches floating point.
+window test `approx` is the public form of the fairness window, in exact
+rational arithmetic that never touches floating point.  The checkers test
+the same window on integers (`verify._ratio_ok`), and `approx` is the
+oracle the tests compare that window against.
 """
 
 from __future__ import annotations
@@ -25,13 +26,6 @@ def approx(x: Rational, y: Rational) -> bool:
     """True iff floor(y) <= x <= ceil(y), evaluated in exact rational arithmetic."""
     y = Fraction(y)
     return math.floor(y) <= x <= math.ceil(y)
-
-
-def approx_ratio(x: Rational, num: int, den: int) -> bool:
-    """approx(x, num/den) without constructing Fractions; den must be positive."""
-    if den <= 0:
-        raise GraphError(f"nonpositive denominator {den}")
-    return (num // den) <= x <= -((-num) // den)
 
 
 class Multigraph:

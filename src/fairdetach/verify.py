@@ -405,6 +405,8 @@ def verify_trace(
     origin: Dict[VertexId, VertexId] = {}
     offshoots: Dict[VertexId, List[VertexId]] = {w: [] for w in hosts}
     for step_no, rec in enumerate(trace.steps):
+        if rec.y not in eta:
+            raise GraphError(f"step {step_no}: vertex {rec.y} has no split count")
         _move(cur, rec)
         root = origin[rec.v_new] = origin.get(rec.y, rec.y)
         eta[rec.y] -= 1

@@ -10,18 +10,32 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
-from fairdetach.bee import BipartiteColoring, BipartiteMultigraph, bee_coloring
+from fairdetach.bee import (
+    BipartiteColoring,
+    BipartiteMultigraph,
+    bee_coloring,
+    konig_proper_coloring,
+)
 from fairdetach.engine import MoveSet
 from fairdetach.errors import GraphError, PreconditionError
-from fairdetach.evencolor import _orient, _peel_even_class, is_evenly_equitable
+from fairdetach.evencolor import EulerCircuit, is_evenly_equitable
+from fairdetach.flows import feasible_circulation
 from fairdetach.multigraph import (
     AmalgamationSpec,
     ColoredMultigraph,
     DetachmentMap,
     Multigraph,
+    Rational,
     VertexId,
-    approx_ratio,
 )
+
+
+def outcome(check, *args):
+    """check(*args), or the type and message of the exception it raised."""
+    try:
+        return check(*args)
+    except Exception as exc:  # the reference must raise the same
+        return type(exc).__name__, str(exc)
 
 
 def all_pairings(items: Sequence) -> Iterator[List[Tuple]]:
@@ -431,6 +445,185 @@ def reference_step(cg: ColoredMultigraph, y: int, eta_y: int, cond3, component_m
     }
 
 
+# ---------------------------------------------------------------------------
+# the Euler walks and the even peel as they were before they shared one walk
+# and one arc skeleton: a walk per caller that re-sorts every row at each
+# step, an orientation that walks each component through `euler_circuit`,
+# and a peel that re-sorts and re-indexes the arcs left for every class
+
+
+def reference_euler_circuit(g: Multigraph, component_root: VertexId) -> EulerCircuit:
+    """Euler circuit of the component containing `component_root`.
+
+    Every vertex of that component must have even degree.  Deterministic:
+    the walk always takes the smallest available neighbor, loops first.
+    """
+    comp = None
+    for c in g.components():
+        if component_root in c:
+            comp = c
+            break
+    if comp is None:
+        raise PreconditionError(f"unknown vertex {component_root}")
+    for v in comp:
+        if g.degree(v) % 2:
+            raise PreconditionError(f"vertex {v} has odd degree {g.degree(v)}")
+
+    adj: Dict[VertexId, Dict[VertexId, int]] = {
+        v: {u: g.multiplicity(v, u) for u in g.neighbors(v)} for v in comp
+    }
+    loops_left = {v: g.loops(v) for v in comp}
+
+    stack = [component_root]
+    trail: List[VertexId] = []
+    while stack:
+        v = stack[-1]
+        if loops_left[v]:
+            loops_left[v] -= 1
+            stack.append(v)
+            continue
+        nxt = None
+        for u in sorted(adj[v]):
+            if adj[v][u] > 0:
+                nxt = u
+                break
+        if nxt is None:
+            trail.append(stack.pop())
+        else:
+            adj[v][nxt] -= 1
+            adj[nxt][v] -= 1
+            stack.append(nxt)
+    trail.reverse()
+
+    steps = tuple(zip(trail, trail[1:]))
+    want = sum(g.multiplicity(u, v) for u in comp for v in comp if u < v) + sum(
+        g.loops(v) for v in comp
+    )
+    if len(steps) != want:
+        raise AssertionError("euler walk did not cover the component")
+    return EulerCircuit(steps=steps)
+
+
+def reference_orient(g: Multigraph) -> Dict[Tuple[VertexId, VertexId], int]:
+    """Euler orientation of a loopless even graph: arc (u, v) -> count."""
+    arcs: Dict[Tuple[VertexId, VertexId], int] = {}
+    seen: set = set()
+    for comp in g.components():
+        root = comp[0]
+        seen.update(comp)
+        if all(g.degree(v) == 0 for v in comp):
+            continue
+        for u, v in reference_euler_circuit(g, root).steps:
+            arcs[(u, v)] = arcs.get((u, v), 0) + 1
+    return arcs
+
+
+def reference_two_factorization(g: Multigraph) -> List[Multigraph]:
+    """Split a 2m-regular loopless multigraph into m spanning 2-regular layers.
+
+    Euler-orient each component, fold arcs into an m-regular bipartite graph
+    (out-side vs in-side), properly m-color it, and read each color class
+    back as a 2-factor.
+    """
+    if not g.is_loopless():
+        raise PreconditionError("2-factorization requires a loopless graph")
+    verts = g.vertices
+    if not verts:
+        return []
+    degs = {g.degree(v) for v in verts}
+    if len(degs) != 1:
+        raise PreconditionError(f"graph is not regular: degrees {sorted(degs)}")
+    d = degs.pop()
+    if d % 2:
+        raise PreconditionError(f"degree {d} is odd")
+    m = d // 2
+    if m == 0:
+        return []
+
+    arcs = reference_orient(g)
+    bip = BipartiteMultigraph([(0, v) for v in verts], [(1, v) for v in verts])
+    for (u, v), n in sorted(arcs.items()):
+        bip.add_edges((0, u), (1, v), n)
+    coloring = konig_proper_coloring(bip, m)
+
+    factors = []
+    for c in range(1, m + 1):
+        f = Multigraph(verts)
+        for ((_, u), (_, v), col, n) in coloring.items():
+            if col == c:
+                f.add_edges(u, v, n)
+        for v in verts:
+            if f.degree(v) != 2:
+                raise AssertionError("factor is not 2-regular")
+        factors.append(f)
+    return factors
+
+
+def reference_peel_even_class(
+    arcs: Dict[Tuple[VertexId, VertexId], int], verts: List[VertexId], c: int
+) -> Dict[Tuple[VertexId, VertexId], int]:
+    """One even class from an Euler-oriented graph: per vertex, throughput is
+    windowed to floor/ceil of (half-degree / c); conservation keeps it even."""
+    if c == 1:
+        return dict(arcs)
+    half: Dict[VertexId, int] = {v: 0 for v in verts}
+    for (u, _), n in arcs.items():
+        half[u] += n
+
+    # nodes: v_in = 2i, v_out = 2i+1
+    index = {v: i for i, v in enumerate(verts)}
+    arc_list = []
+    order = sorted(arcs)
+    for (u, v) in order:
+        arc_list.append((2 * index[u] + 1, 2 * index[v], 0, arcs[(u, v)]))
+    vertex_arc_start = len(arc_list)
+    for v in verts:
+        s = half[v]
+        arc_list.append((2 * index[v], 2 * index[v] + 1, s // c, -((-s) // c)))
+    flows = feasible_circulation(2 * len(verts), arc_list)
+    if flows is None:  # impossible: the fractional 1/c circulation is feasible
+        raise AssertionError("even class peeling was infeasible")
+    out = {}
+    for i, key in enumerate(order):
+        if flows[i]:
+            out[key] = flows[i]
+    return out
+
+
+def reference_extract_cycle(layer: Multigraph) -> Tuple[VertexId, ...]:
+    """Read the spanning cycle off a connected 2-regular loopless layer.
+
+    Walk from the smallest vertex, always taking the smallest neighbor with
+    an unused edge; 2-regularity leaves no choices after the first step.
+    """
+    verts = layer.vertices
+    rem: Dict[VertexId, Dict[VertexId, int]] = {
+        v: {u: layer.multiplicity(v, u) for u in layer.neighbors(v)} for v in verts
+    }
+    start = verts[0]
+    cycle = [start]
+    cur = start
+    while True:
+        nxt = None
+        for u in sorted(rem[cur]):
+            if rem[cur][u] > 0:
+                nxt = u
+                break
+        if nxt is None:
+            break
+        rem[cur][nxt] -= 1
+        rem[nxt][cur] -= 1
+        if nxt == start:
+            break
+        cycle.append(nxt)
+        cur = nxt
+    if len(cycle) != len(verts) or any(
+        n for d in rem.values() for n in d.values()
+    ):
+        raise AssertionError("color class is not a single spanning cycle")
+    return tuple(cycle)
+
+
 def reference_evenly_equitable_coloring(g: Multigraph, k: int) -> ColoredMultigraph:
     """evenly_equitable_coloring as it was before its loop placement kept a
     heap: every loop unit recomputes all k class degrees at its vertex."""
@@ -444,12 +637,12 @@ def reference_evenly_equitable_coloring(g: Multigraph, k: int) -> ColoredMultigr
     loopless = g.copy()
     for v, n in g.loop_items():
         loopless.remove_loops(v, n)
-    arcs = _orient(loopless)
+    arcs = reference_orient(loopless)
 
     cg = ColoredMultigraph(k, verts)
     remaining = dict(arcs)
     for j in range(1, k + 1):
-        cls = _peel_even_class(remaining, verts, k - j + 1)
+        cls = reference_peel_even_class(remaining, verts, k - j + 1)
         for (u, v), n in sorted(cls.items()):
             cg.layer(j).add_edges(u, v, n)
             left = remaining[(u, v)] - n
@@ -470,6 +663,13 @@ def reference_evenly_equitable_coloring(g: Multigraph, k: int) -> ColoredMultigr
     if not is_evenly_equitable(cg):
         raise AssertionError("construction violated its contract")
     return cg
+
+
+def approx_ratio(x: Rational, num: int, den: int) -> bool:
+    """approx(x, num/den) without constructing Fractions; den must be positive."""
+    if den <= 0:
+        raise GraphError(f"nonpositive denominator {den}")
+    return (num // den) <= x <= -((-num) // den)
 
 
 # ---------------------------------------------------------------------------

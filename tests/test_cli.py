@@ -8,6 +8,7 @@ import pytest
 
 from fairdetach import document
 from fairdetach.engine import detach_all
+from fairdetach.errors import DocumentError
 from fairdetach.multigraph import AmalgamationSpec, ColoredMultigraph
 
 
@@ -353,6 +354,89 @@ def test_psi_round_trip() -> None:
     assert psi2 is not None
     assert psi2.fibers == psi.fibers
     assert psi2.psi == psi.psi
+
+
+_GRAPH_DOC = {
+    "version": "v1",
+    "kind": "graph",
+    "k": 2,
+    "vertices": [0, 1],
+    "edges": [[0, 1, 1, 2]],
+    "loops": [[0, 2, 1]],
+    "eta": [[0, 2], [1, 1]],
+    "psi": [[0, [0]], [1, [1]]],
+}
+_HOST = {"vertices": [0, 1], "edges": [[0, 1, 2]], "loops": [[0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("kind", "decomposition", "expected a graph document"),
+        ("k", True, "k must be a positive integer"),
+        ("vertices", None, "missing vertex list"),
+        ("vertices", [0, -1], "vertices must be nonnegative integers"),
+        ("vertices", [0, 1, 1], "duplicate vertex ids"),
+        ("edges", {}, "edges must be a list of records"),
+        ("edges", [[0, 1, 1]], "edge record [0, 1, 1] must be [u, v, color, mult] "
+         "of nonnegative integers"),
+        ("edges", [[0, 1, 1, 1.0]], "edge record [0, 1, 1, 1.0] must be "
+         "[u, v, color, mult] of nonnegative integers"),
+        ("edges", [[0, 0, 1, 1]], "bad edge endpoints [0, 0, 1, 1]"),
+        ("edges", [[0, 5, 1, 1]], "bad edge endpoints [0, 5, 1, 1]"),
+        ("edges", [[0, 1, 3, 1]], "edge color 3 out of range"),
+        ("edges", [[0, 1, 1, 0]], "bad multiplicity in [0, 1, 1, 0]"),
+        ("loops", "x", "loops must be a list of records"),
+        ("loops", [[0, 1]], "loop record [0, 1] must be [v, color, mult] "
+         "of nonnegative integers"),
+        ("loops", [[5, 1, 1]], "bad loop vertex [5, 1, 1]"),
+        ("loops", [[0, 0, 1]], "loop color 0 out of range"),
+        ("loops", [[0, 1, 0]], "bad multiplicity in [0, 1, 0]"),
+        ("eta", {}, "eta must be a list of [vertex, count]"),
+        ("eta", [[0]], "eta record [0] must be [vertex, count]"),
+        ("eta", [["0", 2]], "eta names unknown vertex '0'"),
+        ("eta", [[0, 0]], "eta(0) must be a positive integer"),
+        ("eta", [[0, 2], [0, 2]], "duplicate eta record for vertex 0"),
+        ("eta", [[0, 2]], "eta must cover every vertex"),
+        ("psi", {}, "psi must be a list of [host, fiber]"),
+        ("psi", [[0, 0]], "psi record [0, 0] must be [host, [members...]]"),
+        ("psi", [[-1, [0]]], "psi host vertex -1 must be a nonnegative integer"),
+        ("psi", [[0, [0]], [0, [1]]], "duplicate fiber for host vertex 0"),
+        ("psi", [[0, [0, 7]]], "fiber of 0 names unknown vertices"),
+        ("psi", [[0, [0]], [1, [0]]], "bad psi: vertex 0 appears in two fibers"),
+    ],
+)
+def test_graph_document_errors_name_the_record(field, value, message) -> None:
+    doc = dict(_GRAPH_DOC, **{field: value})
+    if value is None:
+        del doc[field]
+    with pytest.raises(DocumentError) as err:
+        document.doc_to_graph(doc)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "host, message",
+    [
+        ([], "host must be an object"),
+        (dict(_HOST, vertices="01"), "missing vertex list"),
+        (dict(_HOST, edges=None), "edges must be a list of records"),
+        (dict(_HOST, edges=[[0, 1, 1, 1]]), "host edge record [0, 1, 1, 1] must be "
+         "[u, v, mult] of nonnegative integers"),
+        (dict(_HOST, edges=[[1, 1, 1]]), "bad host edge [1, 1, 1]"),
+        (dict(_HOST, edges=[[0, 1, 0]]), "bad multiplicity in [0, 1, 0]"),
+        (dict(_HOST, loops=0), "loops must be a list of records"),
+        (dict(_HOST, loops=[[0, False]]), "host loop record [0, False] must be "
+         "[v, mult] of nonnegative integers"),
+        (dict(_HOST, loops=[[2, 1]]), "bad host loop [2, 1]"),
+        (dict(_HOST, loops=[[0, 0]]), "bad multiplicity in [0, 0]"),
+    ],
+)
+def test_host_object_errors_name_the_record(host, message) -> None:
+    doc = {"version": "v1", "kind": "decomposition", "host": host, "cycles": []}
+    with pytest.raises(DocumentError) as err:
+        document.doc_to_decomposition(doc)
+    assert str(err.value) == message
 
 
 def test_exit_codes_are_mapped_in_main(tmp_path, capsys) -> None:

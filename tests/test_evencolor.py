@@ -14,7 +14,12 @@ from fairdetach.evencolor import (
 )
 from fairdetach.fuzzgen import random_even_multigraph
 from fairdetach.multigraph import ColoredMultigraph, Multigraph
-from helpers import reference_evenly_equitable_coloring
+from helpers import (
+    outcome,
+    reference_euler_circuit,
+    reference_evenly_equitable_coloring,
+    reference_two_factorization,
+)
 
 
 def complete_graph(n: int) -> Multigraph:
@@ -202,12 +207,57 @@ def test_evenly_equitable_fuzz() -> None:
 
 
 def test_evenly_equitable_matches_reference_loop_placement() -> None:
-    placed_loops = 0
-    for seed in range(200):
+    placed_loops = split_graphs = 0
+    for seed in range(500):
         g = random_even_multigraph(random.Random(seed))
         placed_loops += sum(n for _, n in g.loop_items())
-        for k in range(1, 7):
+        split_graphs += sum(1 for c in g.components() if len(c) > 1) > 1
+        for k in range(1, 8):
             assert evenly_equitable_coloring(g, k) == reference_evenly_equitable_coloring(
                 g, k
             ), (seed, k)
-    assert placed_loops > 0
+    assert placed_loops > 0 and split_graphs > 0
+
+
+def test_euler_circuit_matches_reference_from_every_root() -> None:
+    rng = random.Random(41)
+    errors = set()
+    for _ in range(300):
+        g = random_even_multigraph(rng)
+        odd = g.copy()
+        u, v = rng.sample(g.vertices, 2)
+        odd.add_edges(u, v)
+        for h in (g, odd):
+            for root in h.vertices + [len(h.vertices)]:
+                got = outcome(euler_circuit, h, root)
+                assert got == outcome(reference_euler_circuit, h, root)
+                if isinstance(got, tuple):
+                    errors.add(got[1].split()[0])
+    assert errors == {"unknown", "vertex"}
+
+
+def _random_regular(rng: random.Random) -> Multigraph:
+    """A union of random spanning 2-factors; about a third of those on six or
+    more vertices split them into two halves that no edge joins."""
+    n = rng.randint(3, 10)
+    g = Multigraph(range(n))
+    blocks = [list(range(n))]
+    if n >= 6 and rng.random() < 0.35:
+        blocks = [list(range(n // 2)), list(range(n // 2, n))]
+    for _ in range(rng.randint(1, 4)):
+        for block in blocks:
+            rng.shuffle(block)
+            for a, b in zip(block, block[1:] + block[:1]):
+                g.add_edges(a, b)
+    return g
+
+
+def test_two_factorization_matches_reference() -> None:
+    rng = random.Random(43)
+    disconnected = 0
+    for _ in range(250):
+        g = _random_regular(rng)
+        disconnected += g.component_count() > 1
+        got = outcome(two_factorization, g)
+        assert got == outcome(reference_two_factorization, g)
+    assert disconnected > 0

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import pytest
 
+from fairdetach import hamilton
 from fairdetach.errors import GraphError, InfeasibleError, PreconditionError
 from fairdetach.hamilton import (
     GddParams,
+    _extract_cycle,
     gdd_feasible,
     ham_decompose_gdd,
     ham_decompose_lambda_kn,
@@ -12,8 +14,9 @@ from fairdetach.hamilton import (
     pure_edge_counts,
     walecki_odd,
 )
+from fairdetach.multigraph import Multigraph
 from fairdetach.verify import is_gdd, verify_ham_decomposition
-from helpers import brute_force_ham_decomposable
+from helpers import brute_force_ham_decomposable, reference_extract_cycle
 
 
 def test_walecki_triangle() -> None:
@@ -231,3 +234,59 @@ def test_gdd_params_validation() -> None:
     with pytest.raises(GraphError):
         GddParams((2, 2), -1, 1)
     assert GddParams((3, 1, 2), 0, 1).sizes == (1, 2, 3)
+
+
+def test_cycle_read_off_matches_reference_on_every_layer(monkeypatch) -> None:
+    layers = 0
+
+    def both(layer):
+        nonlocal layers
+        layers += 1
+        cycle = _extract_cycle(layer)
+        assert cycle == reference_extract_cycle(layer)
+        return cycle
+
+    monkeypatch.setattr(hamilton, "_extract_cycle", both)
+    for n in range(2, 16):
+        for lam in range(1, 4):
+            if lam * (n - 1) % 2 == 0:
+                ham_decompose_lambda_kn(n, lam)
+    for sizes, l1, l2 in [
+        ((2, 2), 0, 1),
+        ((3, 3, 3), 1, 2),
+        ((2, 2, 2), 2, 1),
+        ((3, 3), 1, 2),
+        ((4, 4, 4), 2, 3),
+        ((2, 2, 2, 2), 2, 1),
+    ]:
+        ham_decompose_gdd(GddParams(sizes, l1, l2))
+    assert layers > 300
+
+
+def _layer(n, edges):
+    g = Multigraph(range(n))
+    for a, b in edges:
+        g.add_edges(a, b)
+    return g
+
+
+def _looped(g):
+    g.add_loops(0)
+    return g
+
+
+@pytest.mark.parametrize(
+    "layer",
+    [
+        _layer(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]),  # two triangles
+        _layer(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]),  # bowtie
+        _layer(4, [(0, 1), (1, 2), (2, 0), (1, 3)]),  # triangle plus pendant
+        _layer(3, [(0, 1), (1, 2)]),  # path
+        _layer(4, [(0, 1), (1, 2), (2, 0)]),  # triangle plus isolated vertex
+        _layer(1, []),  # isolated vertex
+        _looped(_layer(3, [(0, 1), (1, 2), (2, 0)])),  # triangle plus a loop
+    ],
+)
+def test_cycle_read_off_rejects_every_other_shape(layer) -> None:
+    with pytest.raises(AssertionError, match="not a single spanning cycle"):
+        _extract_cycle(layer)

@@ -12,8 +12,8 @@ from fairdetach.multigraph import (
     DetachmentMap,
     Multigraph,
     approx,
-    approx_ratio,
 )
+from helpers import approx_ratio
 
 
 def test_degree_isolated_vertex() -> None:

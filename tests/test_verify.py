@@ -33,6 +33,7 @@ from fairdetach.verify import (
     verify_trace,
 )
 from helpers import (
+    outcome,
     reference_assert_step_relations,
     reference_is_gdd,
     reference_verify_detachment,
@@ -380,14 +381,6 @@ def test_trace_replay_relations() -> None:
         assert ok, witness
 
 
-def _outcome(check, *args):
-    """check(*args), or the type and message of the exception it raised."""
-    try:
-        return check(*args)
-    except Exception as exc:  # the reference must raise the same
-        return type(exc).__name__, str(exc)
-
-
 def _mutate_step(rng: random.Random, g: ColoredMultigraph, y, v_new):
     """A copy of g with one or two unit edits at y or v_new, each in one
     random color: a loop at y added or removed, an edge from y or v_new
@@ -431,8 +424,8 @@ def test_step_table_matches_reference() -> None:
         y = rng.choice(ys)
         out, _, v_new = detach_step(h, eta, y)
         for cand in [out] + [_mutate_step(rng, out, y, v_new) for _ in range(6)]:
-            got = _outcome(assert_step_relations, h, cand, y, v_new, eta)
-            assert got == _outcome(
+            got = outcome(assert_step_relations, h, cand, y, v_new, eta)
+            assert got == outcome(
                 reference_assert_step_relations, h, cand, y, v_new, eta
             )
             if got[0] is False:
@@ -484,10 +477,10 @@ def _mutate_moves(rng: random.Random, trace, k: int, vertices) -> DetachmentTrac
     return _edit_moves(trace, edits)
 
 
-def _trace_kind(outcome) -> str:
-    if outcome[0] is not False:
-        return str(outcome[0])
-    detail = outcome[1].split(": ", 1)[1]
+def _trace_kind(got) -> str:
+    if got[0] is not False:
+        return str(got[0])
+    detail = got[1].split(": ", 1)[1]
     if detail.startswith("degree ratio"):
         return "degree"
     return "loops" if detail.endswith("vs loops") else "pair"
@@ -505,8 +498,8 @@ def test_trace_table_matches_reference() -> None:
         vertices = h.vertices + [rec.v_new for rec in trace.steps]
         mutants = [_mutate_moves(rng, trace, h.k, vertices) for _ in range(3)]
         for cand in [trace] + mutants:
-            got = _outcome(verify_trace, h, eta, cand)
-            assert got == _outcome(reference_verify_trace, h, eta, cand)
+            got = outcome(verify_trace, h, eta, cand)
+            assert got == outcome(reference_verify_trace, h, eta, cand)
             kinds[_trace_kind(got)] += 1
         traces += 1
     assert set(kinds) == {"True", "degree", "loops", "pair", "GraphError"}, kinds
@@ -541,7 +534,7 @@ def test_gdd_table_matches_reference() -> None:
             rng.shuffle(verts)
             cut = rng.randint(0, len(verts))
             parts = [p for p in (verts[:cut], verts[cut:]) if p]
-        assert _outcome(is_gdd, g, params, parts) == _outcome(
+        assert outcome(is_gdd, g, params, parts) == outcome(
             reference_is_gdd, g, params, parts
         )
 
@@ -614,3 +607,10 @@ def test_trace_replay_raises_on_moves_the_graph_lacks() -> None:
     _, _, trace = detach_all(h, eta)
     with pytest.raises(GraphError, match=r"cannot remove 4 edges from m\(0,1\)=3"):
         verify_trace(h, eta, _edit_moves(trace, [(0, 1, 1, 3)]))
+
+
+def test_trace_step_at_a_vertex_without_split_count_raises() -> None:
+    h = ColoredMultigraph(1, [0])
+    trace = DetachmentTrace([StepRecord(7, 1, 2, MoveSet({}, {}))])
+    with pytest.raises(GraphError, match=r"^step 0: vertex 7 has no split count$"):
+        verify_trace(h, AmalgamationSpec({0: 2}), trace)
