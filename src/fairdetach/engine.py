@@ -395,14 +395,17 @@ def _step(state: _DetachState, y: VertexId) -> StepRecord:
     working_deg = [0] * (cg.k + 1)
     for j, _, n in working:
         working_deg[j] += n
+    units = [0] * (cg.k + 1)
+    for j in owner:
+        units[j] += 1
     for j in sorted(cond3):
         alpha = cg.layer(j).degree(y) // eta_y
         if working_deg[j] != 2 * alpha:
             raise AssertionError(
                 f"color {j}: working degree {working_deg[j]} != 2*{alpha}"
             )
-        if owner.count(j) != alpha:
-            raise AssertionError(f"color {j}: split into {owner.count(j)} units")
+        if units[j] != alpha:
+            raise AssertionError(f"color {j}: split into {units[j]} units")
 
     # the pick keeps class 1; class 2 would be the rest (c = 1, no flow)
     (picked,) = bee_coloring(refined, 2, upto=1)

@@ -22,6 +22,14 @@ but the search does only the work that decides it:
   node gets the same parent, in the same discovery order, as in the full
   search.  No first-level node has an arc into the sink, so the first-level
   nodes never end the search themselves.
+- Full source arcs leave the search.  No path re-enters the source (its
+  parent mark is -2, so no search ever counts it unvisited), so flow never
+  comes back along a source arc's reverse: a source arc only loses
+  capacity, and once full it stays full.
+  The level-1 walk keeps the source arcs with room in a list, in adjacency
+  order; an arc leaves the list when a push fills it.  The walk meets the
+  same live arcs in the same order, and once every source arc is full
+  (a feasible circulation's last search) the search ends at once.
 - Zero-width arcs left out.  An arc with lower == upper has residual
   capacity 0 both ways from the start, and neither ever rises: flow goes
   back along a reverse arc only after it went forward, and there is no
@@ -52,11 +60,13 @@ def _max_flow(adj: List[List[int]], to: List[int], cap: List[int], s: int, t: in
     node has both, and s has no arc straight into t.
     """
     n = len(adj)
-    source_arcs = adj[s]
-    n_source = len(source_arcs)
     from_s = [-1] * n  # from_s[v]: index of the arc s -> v
-    for idx in source_arcs:
+    live: List[int] = []  # the source arcs with room, in adjacency order
+    for idx in adj[s]:
         from_s[to[idx]] = idx
+        if cap[idx] > 0:
+            live.append(idx)
+    n_live = len(live)
     into_t = [-1] * n  # into_t[v]: index of the arc v -> t
     for idx in adj[t]:
         into_t[to[idx]] = idx ^ 1
@@ -68,11 +78,9 @@ def _max_flow(adj: List[List[int]], to: List[int], cap: List[int], s: int, t: in
         qi = si = 0
         last = -1  # node whose live arc into t ends the path
         while last < 0:
-            if si < n_source:  # level 1, one live source arc at a time
-                idx = source_arcs[si]
+            if si < n_live:  # level 1, one live source arc at a time
+                idx = live[si]
                 si += 1
-                if cap[idx] <= 0:
-                    continue
                 v = to[idx]
                 parent[v] = idx
             elif qi < len(queue):
@@ -110,6 +118,9 @@ def _max_flow(adj: List[List[int]], to: List[int], cap: List[int], s: int, t: in
             cap[idx] -= push
             cap[idx ^ 1] += push
             v = to[idx ^ 1]
+        if not cap[idx]:  # idx, the path's arc out of s, is full for good
+            live.remove(idx)
+            n_live -= 1
         total += push
 
 

@@ -208,6 +208,83 @@ def reference_circulation(
     return [arcs[i][2] + net.cap[base[i] + 1] for i in range(len(arcs))]
 
 
+# ---------------------------------------------------------------------------
+# the circulation max-flow as it was while every search walked all of the
+# source's arcs from the first, stepping over the full ones
+
+
+def reference_max_flow(adj: List[List[int]], to: List[int], cap: List[int], s: int, t: int) -> int:
+    """Push a maximum flow from s to t through a residual network; return its value.
+
+    Arc idx runs to to[idx] with residual capacity cap[idx], which is
+    updated in place; its reverse is idx ^ 1, and adj[v] lists the arcs
+    leaving v in insertion order.  The network must satisfy four
+    invariants, which every network built by `feasible_circulation` does:
+    every node has at most one arc from s and at most one arc into t, no
+    node has both, and s has no arc straight into t.
+    """
+    n = len(adj)
+    source_arcs = adj[s]
+    n_source = len(source_arcs)
+    from_s = [-1] * n  # from_s[v]: index of the arc s -> v
+    for idx in source_arcs:
+        from_s[to[idx]] = idx
+    into_t = [-1] * n  # into_t[v]: index of the arc v -> t
+    for idx in adj[t]:
+        into_t[to[idx]] = idx ^ 1
+    total = 0
+    while True:
+        parent = [-1] * n
+        parent[s] = -2
+        queue: List[int] = []
+        qi = si = 0
+        last = -1  # node whose live arc into t ends the path
+        while last < 0:
+            if si < n_source:  # level 1, one live source arc at a time
+                idx = source_arcs[si]
+                si += 1
+                if cap[idx] <= 0:
+                    continue
+                v = to[idx]
+                parent[v] = idx
+            elif qi < len(queue):
+                v = queue[qi]
+                qi += 1
+            else:
+                return total
+            for idx in adj[v]:
+                if cap[idx] > 0:
+                    w = to[idx]
+                    if parent[w] == -1:
+                        e = from_s[w]
+                        if e >= 0 and cap[e] > 0:
+                            continue  # level-1 node, expanded in turn
+                        parent[w] = idx
+                        e = into_t[w]
+                        if e >= 0 and cap[e] > 0:
+                            last = w
+                            break
+                        queue.append(w)
+        # bottleneck along the BFS path
+        e = into_t[last]
+        push = cap[e]
+        v = last
+        while v != s:
+            idx = parent[v]
+            if cap[idx] < push:
+                push = cap[idx]
+            v = to[idx ^ 1]
+        cap[e] -= push
+        cap[e ^ 1] += push
+        v = last
+        while v != s:
+            idx = parent[v]
+            cap[idx] -= push
+            cap[idx ^ 1] += push
+            v = to[idx ^ 1]
+        total += push
+
+
 def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 

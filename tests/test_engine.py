@@ -255,6 +255,25 @@ def test_detach_step_requires_splittable_vertex() -> None:
         detach_step(cg, AmalgamationSpec({0: 1}), 0)
 
 
+def test_step_rejects_a_qualifying_color_short_of_units(monkeypatch) -> None:
+    """Drop the last unit of color 2 from refine's output: the step must
+    name the color and its unit count."""
+    cg, eta = loops_only_instance(3, 3, 3)  # every color: degree 6, 2 units
+
+    def short_refine(*args):
+        owner, (_, rights, pairs) = refine(*args)
+        drop = max(i for i, j in enumerate(owner) if j == 2)
+        owner = owner[:drop] + owner[drop + 1 :]
+        pairs = [(l - (l > drop), w, n) for l, w, n in pairs if l != drop]
+        return owner, (range(len(owner)), rights, pairs)
+
+    monkeypatch.setattr(engine, "refine", short_refine)
+    state = engine._DetachState(cg.copy(), dict(eta.eta))
+    with pytest.raises(AssertionError) as err:
+        engine._step(state, 0)
+    assert str(err.value) == "color 2: split into 1 units"
+
+
 def test_detach_step_preserves_edge_counts_and_relations() -> None:
     rng = random.Random(47)
     for _ in range(60):

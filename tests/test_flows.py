@@ -4,8 +4,10 @@ import random
 
 import pytest
 
-from fairdetach.flows import feasible_circulation
-from helpers import reference_circulation
+from fairdetach.bee import bee_coloring
+from fairdetach.flows import _max_flow, feasible_circulation
+from fairdetach.hamilton import GddParams, ham_decompose_gdd, ham_decompose_lambda_kn
+from helpers import reference_circulation, reference_max_flow
 
 
 def random_arcs(rng: random.Random):
@@ -80,3 +82,73 @@ def test_zero_width_loop_arcs() -> None:
     assert flows is not None
     assert (flows[0], flows[2], flows[4]) == (3, 0, 5)
     assert flows[1] == flows[3] >= 1
+
+
+def checked_max_flow(monkeypatch, calls: list) -> None:
+    """Replace `flows._max_flow` by a wrapper that also solves a copy of each
+    network with the reference and asserts the same value and the same
+    residual capacities; record (source arcs, value, source capacity)."""
+
+    def run(adj, to, cap, s, t):
+        ref_cap = list(cap)
+        want = reference_max_flow([list(row) for row in adj], list(to), ref_cap, s, t)
+        need = sum(cap[idx] for idx in adj[s])
+        got = _max_flow(adj, to, cap, s, t)
+        assert got == want
+        assert cap == ref_cap
+        calls.append((len(adj[s]), got, need))
+        return got
+
+    monkeypatch.setattr("fairdetach.flows._max_flow", run)
+
+
+def bee_shaped(rng: random.Random):
+    """A fan-like peel input: 50-400 colors on the left, 1-6 right vertices."""
+    lefts = list(range(rng.randint(50, 400)))
+    rights = list(range(1000, 1000 + rng.randint(1, 6)))
+    pairs = []
+    for l in lefts:
+        for r in rights:
+            if rng.random() < 0.6:
+                pairs.append((l, r, rng.randint(1, 9)))
+    return lefts, rights, pairs
+
+
+def test_max_flow_matches_reference_on_large_networks(monkeypatch) -> None:
+    calls: list = []
+    checked_max_flow(monkeypatch, calls)
+    peels: list = []
+
+    def keep(n, arcs):
+        peels.append((n, list(arcs)))
+        return feasible_circulation(n, arcs)
+
+    monkeypatch.setattr("fairdetach.bee.feasible_circulation", keep)
+    for seed in range(8):
+        rng = random.Random(seed)
+        bee_coloring(bee_shaped(rng), rng.randint(2, 6))
+    for lam in (4, 15, 30, 60):
+        ham_decompose_lambda_kn(5, lam)
+    ham_decompose_gdd(GddParams((3, 3, 3, 3), 1, 2))
+    ham_decompose_gdd(GddParams((4, 4, 4), 2, 3))
+    assert all(got == need for _, got, need in calls)
+    assert max(n_source for n_source, _, _ in calls) >= 50
+
+    # cap one left vertex's window below what its pairs must carry: each
+    # search ends with a source arc still live, most after filling others
+    filled = 0
+    for n, arcs in peels:
+        lows = {}
+        for a, b, low, _ in arcs:
+            if a >= 2 and b >= 2:  # a pair arc, left node a
+                lows[a] = lows.get(a, 0) + low
+        v = max(lows, key=lows.get)
+        if not lows[v]:
+            continue
+        shrunk = [(0, v, 0, lows[v] - 1) if arc[:2] == (0, v) else arc for arc in arcs]
+        del calls[:]
+        assert feasible_circulation(n, shrunk) is None
+        [(n_source, got, need)] = calls
+        assert got < need
+        filled += n_source >= 50 and got > 0
+    assert filled >= 10

@@ -31,6 +31,8 @@ def _sha(texts) -> str:
         (9, 1, "9754e4049113afece01340dafdc25807d9f06d05ecbf7aff4544b9fc6b048756"),
         (7, 2, "9ac915ea3e3865dc5e6bea4853bd44dbd2ae49ada87d0c1564b6fdc187b71fa9"),
         (21, 1, "e82a4a537c0dd4d0305e4e4a785e1e67e8f1d1f812cce57aa662a2b7909d5389"),
+        (5, 120, "350c629d6de5049e10475b30a9534539275d0265fb94f549e7ced262c7dba883"),
+        (5, 400, "bb199e4cb9d01b948e09633bb7d70728cc43b26863d1ab65446e01d3ef3da170"),
     ],
 )
 def test_lambda_kn_digest(n: int, lam: int, digest: str) -> None:
@@ -43,6 +45,15 @@ def test_gdd_digest() -> None:
     assert (
         _sha([document.dumps(document.decomposition_to_doc(dec))])
         == "726b2c6152761467974d5a0931d1d35a748a806422cce864f25ecf4adacf5e83"
+    )
+
+
+def test_gdd_lambda_heavy_digest() -> None:
+    # the cross decomposition is 108-fold K_5: many full source arcs per flow
+    dec = ham_decompose_gdd(GddParams((6, 6, 6, 6, 6), 2, 3))
+    assert (
+        _sha([document.dumps(document.decomposition_to_doc(dec))])
+        == "830a8d66cb3a9afa820d8bd8392f99ce0519b6537e53e8683be99b8e3ff0c9e3"
     )
 
 
