@@ -514,3 +514,130 @@ def test_one_process_runs_commands_like_separate_processes(tmp_path, capsys) -> 
     assert [code for code, _, _ in runs["separate"][0]] == [0, 0, 0, 0, 2, 0]
     assert runs["one_process"] == runs["separate"]
     assert sorted(runs["separate"][1]) == ["dec.json", "g.json", "t.jsonl"]
+
+
+TOP_USAGE = "usage: fairdetach [-h] {detach,ham,verify,fuzz,export} ...\n"
+DETACH_USAGE = (
+    "usage: fairdetach detach [-h] [-o OUTPUT] [--trace TRACE] [--dot DOT] input\n"
+)
+HAM_USAGE = (
+    "usage: fairdetach ham [-h] [--n N] [--lambda LAM] [--parts PARTS]\n"
+    "                      [--size SIZE] [--sizes SIZES] [--l1 L1] [--l2 L2]\n"
+    "                      [-o OUTPUT]\n"
+)
+VERIFY_USAGE = "usage: fairdetach verify [-h] documents [documents ...]\n"
+FUZZ_USAGE = (
+    "usage: fairdetach fuzz [-h] [--count COUNT] [--seed SEED] [--jobs JOBS]\n"
+    "                       [--kind {detach,bee,evencolor,all}]\n"
+)
+EXPORT_USAGE = "usage: fairdetach export [-h] [-o OUTPUT] input\n"
+
+# (argv, exit code, stdout, stderr) as argparse of CPython 3.11 prints them
+# 80 columns wide; other Python versions word and wrap help differently.
+CLI_TEXTS = [
+    (["-h"], 0, TOP_USAGE + """
+Fair detachments of edge-colored multigraphs and Hamiltonian decomposition
+generators.
+
+positional arguments:
+  {detach,ham,verify,fuzz,export}
+    detach              detach a colored multigraph per its eta map
+    ham                 generate a Hamiltonian decomposition
+    verify              verify a detachment pair or a decomposition
+    fuzz                run random instances through generator+verifier
+    export              render a document as DOT
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+    (["detach", "-h"], 0, DETACH_USAGE + """
+positional arguments:
+  input                 graph document with an eta map ('-' for stdin)
+
+options:
+  -h, --help            show this help message and exit
+  -o OUTPUT, --output OUTPUT
+                        detached graph document
+  --trace TRACE         write step trace (JSON lines) to this path
+  --dot DOT             also write a DOT rendering to this path
+""", ""),
+    (["ham", "-h"], 0, HAM_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --n N                 complete graph order
+  --lambda LAM          edge multiplicity
+  --parts PARTS         number of parts (implied by --sizes)
+  --size SIZE           uniform part size
+  --sizes SIZES         comma-separated part sizes
+  --l1 L1               intra-part multiplicity
+  --l2 L2               inter-part multiplicity
+  -o OUTPUT, --output OUTPUT
+                        decomposition document
+""", ""),
+    (["verify", "-h"], 0, VERIFY_USAGE + """
+positional arguments:
+  documents   either HOST_DOC DETACHED_DOC or one decomposition document
+
+options:
+  -h, --help  show this help message and exit
+""", ""),
+    (["fuzz", "-h"], 0, FUZZ_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --count COUNT
+  --seed SEED
+  --jobs JOBS
+  --kind {detach,bee,evencolor,all}
+""", ""),
+    (["export", "-h"], 0, EXPORT_USAGE + """
+positional arguments:
+  input                 document path ('-' for stdin)
+
+options:
+  -h, --help            show this help message and exit
+  -o OUTPUT, --output OUTPUT
+                        DOT output path
+""", ""),
+    ([], 2, "", TOP_USAGE
+     + "fairdetach: error: the following arguments are required: command\n"),
+    (["nope"], 2, "", TOP_USAGE
+     + "fairdetach: error: argument command: invalid choice: 'nope' "
+     "(choose from 'detach', 'ham', 'verify', 'fuzz', 'export')\n"),
+    (["detach"], 2, "", DETACH_USAGE
+     + "fairdetach detach: error: the following arguments are required: input\n"),
+    (["verify"], 2, "", VERIFY_USAGE
+     + "fairdetach verify: error: the following arguments are required: documents\n"),
+    (["export"], 2, "", EXPORT_USAGE
+     + "fairdetach export: error: the following arguments are required: input\n"),
+    (["detach", "-o"], 2, "", DETACH_USAGE
+     + "fairdetach detach: error: argument -o/--output: expected one argument\n"),
+    (["ham", "--n", "x"], 2, "", HAM_USAGE
+     + "fairdetach ham: error: argument --n: invalid int value: 'x'\n"),
+    (["fuzz", "--count", "-1"], 2, "", FUZZ_USAGE
+     + "fairdetach fuzz: error: argument --count: must be at least 0, got -1\n"),
+    (["fuzz", "--jobs", "0"], 2, "", FUZZ_USAGE
+     + "fairdetach fuzz: error: argument --jobs: must be at least 1, got 0\n"),
+    (["fuzz", "--kind", "nope"], 2, "", FUZZ_USAGE
+     + "fairdetach fuzz: error: argument --kind: invalid choice: 'nope' "
+     "(choose from 'detach', 'bee', 'evencolor', 'all')\n"),
+    (["detach", "a", "b"], 2, "", TOP_USAGE
+     + "fairdetach: error: unrecognized arguments: b\n"),
+    (["ham", "--n", "5", "--lambda", "1", "--zzz"], 2, "", TOP_USAGE
+     + "fairdetach: error: unrecognized arguments: --zzz\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err", CLI_TEXTS, ids=[" ".join(c[0]) or "bare" for c in CLI_TEXTS]
+)
+def test_help_and_usage_errors_print_pinned_texts(
+    argv, code, out, err, monkeypatch, capsys
+) -> None:
+    """Help and usage errors exit from argparse; their exact texts are pinned."""
+    from fairdetach.cli import main
+
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exit_.value.code, captured.out, captured.err) == (code, out, err)
