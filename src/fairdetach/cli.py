@@ -244,22 +244,14 @@ def _int_at_least(low: int) -> Callable[[str], int]:
     return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fairdetach",
-        description="Fair detachments of edge-colored multigraphs and "
-        "Hamiltonian decomposition generators.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("detach", help="detach a colored multigraph per its eta map")
+def _detach_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", help="graph document with an eta map ('-' for stdin)")
     p.add_argument("-o", "--output", default="-", help="detached graph document")
     p.add_argument("--trace", help="write step trace (JSON lines) to this path")
     p.add_argument("--dot", help="also write a DOT rendering to this path")
-    p.set_defaults(func=cmd_detach)
 
-    p = sub.add_parser("ham", help="generate a Hamiltonian decomposition")
+
+def _ham_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, help="complete graph order")
     p.add_argument("--lambda", dest="lam", type=int, help="edge multiplicity")
     p.add_argument("--parts", type=int, help="number of parts (implied by --sizes)")
@@ -268,17 +260,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l1", type=int, help="intra-part multiplicity")
     p.add_argument("--l2", type=int, help="inter-part multiplicity")
     p.add_argument("-o", "--output", default="-", help="decomposition document")
-    p.set_defaults(func=cmd_ham)
 
-    p = sub.add_parser("verify", help="verify a detachment pair or a decomposition")
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "documents",
         nargs="+",
         help="either HOST_DOC DETACHED_DOC or one decomposition document",
     )
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("fuzz", help="run random instances through generator+verifier")
+
+def _fuzz_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--count", type=_int_at_least(0), default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=_int_at_least(1), default=1)
@@ -287,18 +279,62 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["detach", "bee", "evencolor", "all"],
         default="detach",
     )
-    p.set_defaults(func=cmd_fuzz)
 
-    p = sub.add_parser("export", help="render a document as DOT")
+
+def _export_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", help="document path ('-' for stdin)")
     p.add_argument("-o", "--output", default="-", help="DOT output path")
-    p.set_defaults(func=cmd_export)
+
+
+# name -> (help, add_args, handler); the one definition of every command
+COMMANDS = {
+    "detach": ("detach a colored multigraph per its eta map", _detach_args, cmd_detach),
+    "ham": ("generate a Hamiltonian decomposition", _ham_args, cmd_ham),
+    "verify": ("verify a detachment pair or a decomposition", _verify_args, cmd_verify),
+    "fuzz": ("run random instances through generator+verifier", _fuzz_args, cmd_fuzz),
+    "export": ("render a document as DOT", _export_args, cmd_export),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full tree: a top-level parser with one sub-parser per command."""
+    parser = argparse.ArgumentParser(
+        prog="fairdetach",
+        description="Fair detachments of edge-colored multigraphs and "
+        "Hamiltonian decomposition generators.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_args, handler) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        add_args(p)
+        p.set_defaults(func=handler)
     return parser
+
+
+def _parse(argv: List[str]) -> argparse.Namespace:
+    """Parse argv with a parser for the named command alone.
+
+    argparse formats help on every add_argument, so building all five
+    sub-parsers costs more than a small command's work.  The full tree is
+    built only where its texts differ from one command's parser: no
+    command named, and leftover arguments, which it reports at the top
+    level.  Both paths print the same texts and give the same namespace.
+    """
+    if argv and argv[0] in COMMANDS:
+        name = argv[0]
+        _, add_args, handler = COMMANDS[name]
+        parser = argparse.ArgumentParser(prog=f"fairdetach {name}")
+        add_args(parser)
+        parser.set_defaults(func=handler, command=name)
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Run one command; the documented exceptions become exit codes here only."""
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except InfeasibleError as exc:
