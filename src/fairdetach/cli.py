@@ -36,10 +36,14 @@ EXIT_MALFORMED = 4
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        name = "stdin" if path == "-" else path
+        raise DocumentError(f"{name} is not UTF-8 text: {exc}") from exc
 
 
 def _write(path: Optional[str], text: str) -> None:
@@ -136,7 +140,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise DocumentError("single-document verify expects a decomposition")
         dec = document.doc_to_decomposition(first)
         ok, witness = verify_ham_decomposition(dec.host, list(dec.cycles))
-        print(f"cycles: {'ok' if ok else 'FAIL'}" + (f"  [{witness}]" if witness else ""))
+        if args.json:
+            _write(None, document.dumps({"ok": ok, "witness": witness}))
+        else:
+            print(f"cycles: {'ok' if ok else 'FAIL'}" + (f"  [{witness}]" if witness else ""))
         return EXIT_OK if ok else EXIT_VERIFY
     if len(args.documents) != 2:
         raise DocumentError("verify takes one or two documents")
@@ -151,8 +158,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report = verify_detachment(h, eta, psi, g)
     except GraphError as exc:  # the two documents describe no one detachment
         raise DocumentError(str(exc)) from exc
-    for line in report.lines():
-        print(line)
+    if args.json:
+        verdicts = {n: {"ok": ok, "witness": w} for n, (ok, w) in report.verdicts.items()}
+        _write(None, document.dumps({"ok": report.ok, "verdicts": verdicts}))
+    else:
+        for line in report.lines():
+            print(line)
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 
@@ -267,6 +278,9 @@ def _verify_args(p: argparse.ArgumentParser) -> None:
         "documents",
         nargs="+",
         help="either HOST_DOC DETACHED_DOC or one decomposition document",
+    )
+    p.add_argument(
+        "--json", action="store_true", help="print one JSON report instead of text lines"
     )
 
 

@@ -36,7 +36,9 @@ def dumps(doc: Dict[str, Any]) -> str:
 def loads(text: str) -> Dict[str, Any]:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except RecursionError as exc:
+        raise DocumentError("not valid JSON: nesting too deep") from exc
+    except ValueError as exc:  # bad syntax, or an integer past int's digit limit
         raise DocumentError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from fairdetach import document
 from fairdetach.engine import detach_all
 from fairdetach.errors import DocumentError
 from fairdetach.multigraph import AmalgamationSpec, ColoredMultigraph
+from fairdetach.verify import CONDITION_ORDER
 
 
 def run_cli(*args, stdin: str | None = None):
@@ -228,6 +230,101 @@ def test_verify_non_list_host_edges_is_malformed(tmp_path) -> None:
     res = run_cli("verify", str(bad))
     assert res.returncode == 4
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["detach", "{bad}"], ["verify", "{bad}"], ["verify", "{host}", "{bad}"],
+     ["export", "{bad}"]],
+)
+@pytest.mark.parametrize("stdin", [False, True])
+def test_non_utf8_input_is_malformed(argv, stdin, tmp_path, monkeypatch, capsys) -> None:
+    from fairdetach.cli import main
+
+    host = tmp_path / "h.json"
+    write_three_loop_doc(host)
+    raw = b'{"version": "v1", "kind": "graph\xff"}'
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(raw)
+    if stdin:
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    name = "stdin" if stdin else str(bad)
+    argv = [arg.format(host=host, bad="-" if stdin else bad) for arg in argv]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {name} is not UTF-8 text: 'utf-8' codec can't")
+    assert captured.out == ""
+
+
+def test_deeply_nested_json_is_malformed(tmp_path, capsys) -> None:
+    from fairdetach.cli import main
+
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    for command in ("detach", "verify", "export"):
+        assert main([command, str(deep)]) == 4
+        assert capsys.readouterr().err == "error: not valid JSON: nesting too deep\n"
+    with pytest.raises(DocumentError, match="nesting too deep"):
+        document.loads('{"edges": ' + "[" * 100_000 + "]" * 100_000 + "}")
+
+
+def test_integer_past_the_digit_limit_is_malformed(tmp_path) -> None:
+    bad = tmp_path / "big.json"
+    bad.write_text('{"version": "v1", "kind": "graph", "k": ' + "9" * 5000 + "}")
+    res = run_cli("detach", str(bad))
+    assert res.returncode == 4
+    assert res.stderr.startswith("error: not valid JSON: Exceeds the limit")
+
+
+def _verify_json(*paths):
+    res = run_cli("verify", "--json", *map(str, paths))
+    assert res.stderr == ""
+    assert res.stdout == document.dumps(json.loads(res.stdout))  # canonical
+    return res.returncode, json.loads(res.stdout)
+
+
+def test_verify_json_reports_every_verdict(tmp_path) -> None:
+    src = tmp_path / "h.json"
+    write_three_loop_doc(src)
+    out = tmp_path / "g.json"
+    assert run_cli("detach", str(src), "-o", str(out)).returncode == 0
+    code, report = _verify_json(src, out)
+    assert code == 0
+    passed = {"ok": True, "witness": None}
+    assert report == {"ok": True, "verdicts": {name: passed for name in CONDITION_ORDER}}
+
+    doc = json.loads(out.read_text())
+    doc["edges"][0][3] = 2  # double one edge, as in test_verify_flags_tampering
+    bad = tmp_path / "bad.json"
+    bad.write_text(document.dumps(doc))
+    code, report = _verify_json(src, bad)
+    assert code == 1
+    assert report["ok"] is False
+    failed = {name: v["witness"] for name, v in report["verdicts"].items() if not v["ok"]}
+    assert failed == {
+        "conservation": "color 1: 3 edges became 4",
+        "A1": "d(0)=3 not within d(0)/eta = 6/3",
+        "A2": "color 1: d(0)=3 not within 6/3",
+        "A3": "m(0,1)=2 not within 3/3",
+        "A4": "color 1: m(0,1)=2 not within 3/3",
+    }
+    verdicts = [(name, report["verdicts"][name]) for name in CONDITION_ORDER]
+    assert run_cli("verify", str(src), str(bad)).stdout.splitlines() == [
+        f"{name}: ok" if v["ok"] else f"{name}: FAIL  [{v['witness']}]" for name, v in verdicts
+    ]
+
+
+def test_verify_json_on_a_decomposition(tmp_path) -> None:
+    dec = tmp_path / "dec.json"
+    assert run_cli("ham", "--n", "5", "--lambda", "1", "-o", str(dec)).returncode == 0
+    assert _verify_json(dec) == (0, {"ok": True, "witness": None})
+    doc = json.loads(dec.read_text())
+    doc["cycles"] = doc["cycles"][1:]
+    dec.write_text(json.dumps(doc))
+    code, report = _verify_json(dec)
+    assert code == 1
+    assert report["ok"] is False
+    assert report["witness"].endswith("cycles use 0, host has 1")
 
 
 def test_fuzz_command() -> None:
@@ -525,7 +622,7 @@ HAM_USAGE = (
     "                      [--size SIZE] [--sizes SIZES] [--l1 L1] [--l2 L2]\n"
     "                      [-o OUTPUT]\n"
 )
-VERIFY_USAGE = "usage: fairdetach verify [-h] documents [documents ...]\n"
+VERIFY_USAGE = "usage: fairdetach verify [-h] [--json] documents [documents ...]\n"
 FUZZ_USAGE = (
     "usage: fairdetach fuzz [-h] [--count COUNT] [--seed SEED] [--jobs JOBS]\n"
     "                       [--kind {detach,bee,evencolor,all}]\n"
@@ -580,6 +677,7 @@ positional arguments:
 
 options:
   -h, --help  show this help message and exit
+  --json      print one JSON report instead of text lines
 """, ""),
     (["fuzz", "-h"], 0, FUZZ_USAGE + """
 options:
