@@ -160,16 +160,6 @@ class BipartiteColoring:
     def items(self) -> List[Tuple[Label, Label, int, int]]:
         return sorted((l, r, c, n) for (l, r, c), n in self._mult.items())
 
-    def pair_counts(self, l: Label, r: Label) -> List[int]:
-        return [self.count(l, r, c) for c in range(1, self.k + 1)]
-
-    def vertex_counts(self, v: Label) -> List[int]:
-        out = [0] * self.k
-        for (l, r, c), n in self._mult.items():
-            if l == v or r == v:
-                out[c - 1] += n
-        return out
-
     def class_sizes(self) -> List[int]:
         out = [0] * self.k
         for (_, _, c), n in self._mult.items():
@@ -209,15 +199,6 @@ def is_equalized(c: BipartiteColoring) -> bool:
     """Global color class sizes differ by at most one."""
     sizes = c.class_sizes()
     return max(sizes) - min(sizes) <= 1
-
-
-def is_proper(c: BipartiteColoring) -> bool:
-    """At every vertex, each color is used at most once."""
-    per_vertex: Dict[Tuple[Label, int], int] = {}
-    for (l, r, col), n in c._mult.items():
-        per_vertex[(l, col)] = per_vertex.get((l, col), 0) + n
-        per_vertex[(r, col)] = per_vertex.get((r, col), 0) + n
-    return all(n <= 1 for n in per_vertex.values())
 
 
 # ---------------------------------------------------------------------------

@@ -47,15 +47,6 @@ class EulerCircuit:
     def edge_count(self) -> int:
         return len(self.steps)
 
-    def check_closed(self) -> bool:
-        if not self.steps:
-            return True
-        ok = all(
-            self.steps[i][1] == self.steps[i + 1][0]
-            for i in range(len(self.steps) - 1)
-        )
-        return ok and self.steps[-1][1] == self.steps[0][0]
-
 
 def _walk(
     adj: Dict[VertexId, Dict[VertexId, int]], loops: Dict[VertexId, int], root: VertexId

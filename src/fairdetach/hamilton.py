@@ -315,31 +315,3 @@ def ham_decompose_gdd(params: GddParams) -> HamDecomposition:
     eta = AmalgamationSpec({y: a for y in range(p)})
     g, psi, _ = detach_all(cg, eta)
     return _read_off(g, [u for y in range(p) for u in psi.fiber(y)])
-
-
-# ---------------------------------------------------------------------------
-# cycle composition counts used by the counting-bound checks
-
-
-def pure_edge_counts(
-    cycle: Tuple[VertexId, ...], partition: List[List[VertexId]]
-) -> List[int]:
-    """Edges of the cycle inside each part, in part order."""
-    part_of = {v: i for i, part in enumerate(partition) for v in part}
-    counts = [0] * len(partition)
-    for u, v in zip(cycle, cycle[1:] + cycle[:1]):
-        if part_of[u] == part_of[v]:
-            counts[part_of[u]] += 1
-    return counts
-
-
-def mixed_edge_count(
-    cycle: Tuple[VertexId, ...], partition: List[List[VertexId]]
-) -> int:
-    """Edges of the cycle joining two different parts."""
-    part_of = {v: i for i, part in enumerate(partition) for v in part}
-    return sum(
-        1
-        for u, v in zip(cycle, cycle[1:] + cycle[:1])
-        if part_of[u] != part_of[v]
-    )

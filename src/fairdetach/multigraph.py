@@ -157,15 +157,6 @@ class Multigraph:
     def is_loopless(self) -> bool:
         return not self._loops
 
-    def multiplicity_sets(self, a: Iterable[VertexId], b: Iterable[VertexId]) -> int:
-        """Total number of edges joining a vertex of A to a vertex of B (A, B disjoint)."""
-        sa, sb = set(a), set(b)
-        if sa & sb:
-            raise GraphError("multiplicity_sets requires disjoint vertex sets")
-        for v in sa | sb:
-            self._require(v)
-        return sum(self._adj[u].get(v, 0) for u in sa for v in sb)
-
     def component_count(self) -> int:
         """Number of connected components, counting isolated vertices."""
         return len(self.components())

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
-from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from fairdetach.bee import (
     BipartiteColoring,
@@ -747,6 +747,63 @@ def approx_ratio(x: Rational, num: int, den: int) -> bool:
     if den <= 0:
         raise GraphError(f"nonpositive denominator {den}")
     return (num // den) <= x <= -((-num) // den)
+
+
+# ---------------------------------------------------------------------------
+# readers that only the tests use
+
+
+def pure_edge_counts(cycle: Tuple[VertexId, ...], partition: List[List[VertexId]]) -> List[int]:
+    """Edges of the cycle inside each part, in part order."""
+    part_of = {v: i for i, part in enumerate(partition) for v in part}
+    counts = [0] * len(partition)
+    for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+        if part_of[u] == part_of[v]:
+            counts[part_of[u]] += 1
+    return counts
+
+
+def mixed_edge_count(cycle: Tuple[VertexId, ...], partition: List[List[VertexId]]) -> int:
+    """Edges of the cycle joining two different parts."""
+    part_of = {v: i for i, part in enumerate(partition) for v in part}
+    return sum(1 for u, v in zip(cycle, cycle[1:] + cycle[:1]) if part_of[u] != part_of[v])
+
+
+def is_proper(c: BipartiteColoring) -> bool:
+    """At every vertex, each color is used at most once."""
+    per_vertex: Dict[Tuple[Hashable, int], int] = {}
+    for l, r, col, n in c.items():
+        per_vertex[(l, col)] = per_vertex.get((l, col), 0) + n
+        per_vertex[(r, col)] = per_vertex.get((r, col), 0) + n
+    return all(n <= 1 for n in per_vertex.values())
+
+
+def pair_counts(c: BipartiteColoring, l: Hashable, r: Hashable) -> List[int]:
+    """Multiplicity of the pair l-r in each color 1..k."""
+    return [c.count(l, r, col) for col in range(1, c.k + 1)]
+
+
+def vertex_counts(c: BipartiteColoring, v: Hashable) -> List[int]:
+    """Edges at v in each color 1..k."""
+    out = [0] * c.k
+    for l, r, col, n in c.items():
+        if l == v or r == v:
+            out[col - 1] += n
+    return out
+
+
+def check_closed(circ: EulerCircuit) -> bool:
+    """Each step of the circuit starts where the one before it ends."""
+    steps = circ.steps
+    return all(a[1] == b[0] for a, b in zip(steps, steps[1:] + steps[:1]))
+
+
+def multiplicity_sets(g: Multigraph, a: Iterable[VertexId], b: Iterable[VertexId]) -> int:
+    """Total number of edges joining a vertex of A to a vertex of B (A, B disjoint)."""
+    sa, sb = set(a), set(b)
+    if sa & sb:
+        raise GraphError("multiplicity_sets requires disjoint vertex sets")
+    return sum(g.multiplicity(u, v) for u in sa for v in sb)
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,9 @@ from fairdetach.hamilton import (
     gdd_feasible,
     ham_decompose_gdd,
     ham_decompose_lambda_kn,
-    mixed_edge_count,
-    pure_edge_counts,
 )
 from fairdetach.verify import is_gdd, verify_detachment, verify_ham_decomposition
-from helpers import brute_force_ham_decomposable
+from helpers import brute_force_ham_decomposable, mixed_edge_count, pure_edge_counts
 
 DETACH_SEEDS = range(1000, 1500)
 POSITIVE_GDD = [

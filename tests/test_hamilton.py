@@ -10,13 +10,16 @@ from fairdetach.hamilton import (
     gdd_feasible,
     ham_decompose_gdd,
     ham_decompose_lambda_kn,
-    mixed_edge_count,
-    pure_edge_counts,
     walecki_odd,
 )
 from fairdetach.multigraph import Multigraph
 from fairdetach.verify import is_gdd, verify_ham_decomposition
-from helpers import brute_force_ham_decomposable, reference_extract_cycle
+from helpers import (
+    brute_force_ham_decomposable,
+    mixed_edge_count,
+    pure_edge_counts,
+    reference_extract_cycle,
+)
 
 
 def test_walecki_triangle() -> None:
