@@ -37,8 +37,8 @@ EXIT_MALFORMED = 4
 
 def _read(path: str) -> str:
     try:
-        if path == "-":
-            return sys.stdin.read()
+        if path == "-":  # bytes, as text stdin may pass bad bytes on as surrogates
+            return sys.stdin.buffer.read().decode("utf-8")
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:

@@ -246,8 +246,9 @@ def test_non_utf8_input_is_malformed(argv, stdin, tmp_path, monkeypatch, capsys)
     raw = b'{"version": "v1", "kind": "graph\xff"}'
     bad = tmp_path / "bad.json"
     bad.write_bytes(raw)
-    if stdin:
-        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    if stdin:  # a text stdin that, like Python's own, lets undecodable bytes through
+        wrapper = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="surrogateescape")
+        monkeypatch.setattr(sys, "stdin", wrapper)
     name = "stdin" if stdin else str(bad)
     argv = [arg.format(host=host, bad="-" if stdin else bad) for arg in argv]
     assert main(argv) == 4
@@ -739,3 +740,19 @@ def test_help_and_usage_errors_print_pinned_texts(
         main(argv)
     captured = capsys.readouterr()
     assert (exit_.value.code, captured.out, captured.err) == (code, out, err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["detach", "h.json", "-o", "g.json", "--trace", "t.jsonl", "--dot", "g.dot"],
+        ["ham", "--sizes", "3,3", "--l1", "1", "--l2", "2"],
+        ["verify", "--json", "h.json", "g.json"],
+        ["fuzz", "--kind", "all", "--jobs", "2"],
+        ["export", "-", "-o", "x.dot"],
+    ],
+)
+def test_one_command_parser_gives_the_full_tree_namespace(argv) -> None:
+    from fairdetach.cli import _parse, build_parser
+
+    assert vars(_parse(argv)) == vars(build_parser().parse_args(argv))
