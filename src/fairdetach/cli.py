@@ -87,15 +87,10 @@ def cmd_ham(args: argparse.Namespace) -> int:
     use_gdd = any(v is not None for v in gdd_flags)
     use_kn = args.n is not None or args.lam is not None
     if use_gdd == use_kn:
-        print(
-            "error: give either --n/--lambda or --parts/--size(s)/--l1/--l2",
-            file=sys.stderr,
-        )
-        return EXIT_MALFORMED
+        raise DocumentError("give either --n/--lambda or --parts/--size(s)/--l1/--l2")
     if use_kn:
         if args.n is None or args.lam is None:
-            print("error: --n and --lambda are both required", file=sys.stderr)
-            return EXIT_MALFORMED
+            raise DocumentError("--n and --lambda are both required")
         dec = ham_decompose_lambda_kn(args.n, args.lam)
     else:
         # --sizes gives the part count itself, so --parts is needed only
@@ -105,35 +100,31 @@ def cmd_ham(args: argparse.Namespace) -> int:
             required.insert(0, ("--parts", args.parts))
         missing = [flag for flag, value in required if value is None]
         if len(missing) == 1:
-            print(f"error: {missing[0]} is required", file=sys.stderr)
-            return EXIT_MALFORMED
+            raise DocumentError(f"{missing[0]} is required")
         if missing:
             names = ", ".join(missing[:-1]) + " and " + missing[-1]
-            print(f"error: {names} are required", file=sys.stderr)
-            return EXIT_MALFORMED
+            raise DocumentError(f"{names} are required")
         if (args.size is None) == (args.sizes is None):
-            print("error: give exactly one of --size or --sizes", file=sys.stderr)
-            return EXIT_MALFORMED
+            raise DocumentError("give exactly one of --size or --sizes")
         if args.size is not None:
             sizes = [args.size] * args.parts
         else:
             try:
                 sizes = [int(s) for s in args.sizes.split(",")]
             except ValueError:
-                print(f"error: bad --sizes {args.sizes!r}", file=sys.stderr)
-                return EXIT_MALFORMED
+                raise DocumentError(f"bad --sizes {args.sizes!r}") from None
             if args.parts is not None and len(sizes) != args.parts:
-                print(
-                    f"error: --sizes lists {len(sizes)} parts, --parts says {args.parts}",
-                    file=sys.stderr,
+                raise DocumentError(
+                    f"--sizes lists {len(sizes)} parts, --parts says {args.parts}"
                 )
-                return EXIT_MALFORMED
         dec = ham_decompose_gdd(GddParams(tuple(sizes), args.l1, args.l2))
     _write(args.output, document.dumps(document.decomposition_to_doc(dec)))
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if len(args.documents) > 2:
+        raise DocumentError("verify takes one or two documents")
     first = document.loads(_read(args.documents[0]))
     if len(args.documents) == 1:
         if first.get("kind") != "decomposition":
@@ -145,8 +136,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         else:
             print(f"cycles: {'ok' if ok else 'FAIL'}" + (f"  [{witness}]" if witness else ""))
         return EXIT_OK if ok else EXIT_VERIFY
-    if len(args.documents) != 2:
-        raise DocumentError("verify takes one or two documents")
     second = document.loads(_read(args.documents[1]))
     h, eta, _ = document.doc_to_graph(first)
     g, _, psi = document.doc_to_graph(second)

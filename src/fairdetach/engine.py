@@ -32,26 +32,33 @@ last.
 Repeating until every split count reaches 1 yields a loopless detachment
 whose degrees, per-color degrees, intra- and cross-fiber multiplicities all
 sit in the floor/ceiling window of their fair shares, with component counts
-preserved for the qualifying colors.  Everything is deterministic: lowest
+preserved for the condition-3 colors.  Everything is deterministic: lowest
 vertex id first, lowest color first.
 
 `detach_all` (and `detach_step`, on a copy of its inputs) drives one mutable
 state: a working copy of the graph that each step's moves are applied to in
-place, the split counts, the next vertex id, per color the set of vertices
-failing the condition-3 ratio test, and per qualifying color a union-find
-over the color class minus y.  A step changes degrees and split counts only
-at y and the new vertex, so only those two are re-tested, and their degrees
-come from the step's moves: a moved edge y-w or loop at y costs y one degree
-and gives the new vertex one, so y's per-color degrees are read once per y
-and then only decremented.  While y stays the same, the class minus y only
-grows: a moved edge y-w becomes v_new-w, which joins v_new to w's
-component, and a moved loop becomes an edge y-v_new, which the class minus
-y does not contain.  So the union-find (roots are smallest members, the
-labels `refine` needs) is built once per y and color and then takes one
-union per moved edge (Tarjan, "Efficiency of a good but not linear set
-union algorithm", JACM 1975).  `condition3_colors` and
-`_component_map` recompute the same facts from scratch; they are the oracles
-that `detach_all(check=True)` compares the state with on every step.
+place, the split counts, the next vertex id, the condition-3 colors, and per
+condition-3 color a union-find over the color class minus y.
+
+The condition-3 colors are computed once, because no fair step changes
+them.  A step changes degrees only at y and the new vertex: a moved edge y-w
+becomes v_new-w, and a moved loop at y becomes an edge y-v_new.  Say y has
+degree d in a color and split count eta, and the step gives the new vertex m
+of those edge ends.  B4 puts both m and (d - m)/(eta - 1) in the window
+floor(d/eta)..ceil(d/eta), which holds at most one even integer.  So both
+are positive even integers exactly when m = (d - m)/(eta - 1) = d/eta is
+even, that is, when d > 0 and 2*eta divides d: a color passes the test
+after a step exactly when it passed before.
+
+While y stays the same, the class minus y only grows: a moved edge y-w
+becomes v_new-w, which joins v_new to w's component, and a moved loop
+becomes an edge y-v_new, which the class minus y does not contain.  So the
+union-find (roots are smallest members, the labels `refine` needs) is built
+once per y and color and then takes one union per moved edge (Tarjan,
+"Efficiency of a good but not linear set union algorithm", JACM 1975).
+`condition3_colors` and `_component_map` recompute the same facts from
+scratch; they are the oracles that `detach_all(check=True)` compares the
+state with on every step.
 """
 
 from __future__ import annotations
@@ -191,7 +198,7 @@ def refine(
     cond3: Set[int],
     component_map: Dict[int, Dict[VertexId, int]],
 ) -> RefinedBipartite:
-    """Split qualifying color vertices of the working subgraph into degree-2 units.
+    """Split condition-3 color vertices of the working subgraph into degree-2 units.
 
     Pairing is greedily maximal: first as many units as possible take two
     parallel edges to one right vertex, then as many leftovers as possible
@@ -200,7 +207,7 @@ def refine(
     the fan restricted to the two working classes, with the fan's left and
     right sides.  Left labels of the result count up from 0 in color order,
     each color's units in the order they are formed, and the pairs come out
-    sorted, so the result is in peel order.  Per qualifying color,
+    sorted, so the result is in peel order.  Per condition-3 color,
     `component_map` is a union-find whose roots (`_find`) are the labels.
     """
     colors, rights, pairs = working
@@ -281,8 +288,9 @@ def _component_map(
 
 class _DetachState:
     """The working graph of a detachment, mutated in place step by step, with
-    the split counts, the condition-3 failing sets and the union-finds of the
-    current y (see the module docstring)."""
+    the split counts, the condition-3 colors, fixed for the whole detachment,
+    and their union-finds over the color class minus the current y (see the
+    module docstring)."""
 
     def __init__(self, cg: ColoredMultigraph, eta: Dict[VertexId, int]) -> None:
         self.cg = cg
@@ -292,69 +300,36 @@ class _DetachState:
             if v not in eta:
                 raise GraphError(f"eta is undefined at vertex {v}")
         self.next_id: VertexId = max(vertices, default=-1) + 1
-        self.failing: List[Set[VertexId]] = [
-            {v for v in vertices if not _even_ratio(cg.layer(j).degree(v), eta[v])}
-            for j in range(1, cg.k + 1)
-        ]
-        self.y: Optional[VertexId] = None  # the vertex uf and deg_y belong to
+        self.cond3 = condition3_colors(cg, AmalgamationSpec(eta))
+        self.y: Optional[VertexId] = None  # the vertex uf belongs to
         self.uf: Dict[int, Dict[VertexId, VertexId]] = {}
-        self.deg_y: List[int] = []
 
-    def _focus(self, y: VertexId) -> None:
-        """Start the per-y caches afresh when the detachment moves to a new y."""
+    def labels(self, y: VertexId) -> Dict[int, Dict[VertexId, VertexId]]:
+        """Per condition-3 color, the union-find of the color class minus y:
+        `_find` of a vertex is its label in _component_map(cg, y, cond3)."""
         if y != self.y:
             self.y, self.uf = y, {}
-            self.deg_y = [self.cg.layer(j).degree(y) for j in range(1, self.cg.k + 1)]
-
-    def qualifying(self) -> Set[int]:
-        """condition3_colors of the working graph, read off the failing sets."""
-        return {j for j, bad in enumerate(self.failing, start=1) if not bad}
-
-    def labels(self, y: VertexId, colors: Set[int]) -> Dict[int, Dict[VertexId, int]]:
-        """Per color, the union-find of the color class minus y: `_find` of a
-        vertex is its label in _component_map(cg, y, colors)."""
-        self._focus(y)
-        out: Dict[int, Dict[VertexId, int]] = {}
-        for j in sorted(colors):
-            parent = self.uf.get(j)
-            if parent is None:
+            for j in sorted(self.cond3):
                 parent = self.uf[j] = {v: v for v in self.cg.vertices if v != y}
                 for u, v, _ in self.cg.layer(j).pairs():
                     if y != u and y != v:
                         _union(parent, u, v)
-            out[j] = parent
-        return out
+        return self.uf
 
     def apply(self, rec: StepRecord) -> None:
-        """Apply one step to the working graph and bring the state up to date."""
+        """Apply one step to the working graph and bring the state up to date;
+        `labels(rec.y)` must have been called for this y."""
         y, v_new = rec.y, rec.v_new
-        self._focus(y)
         _move(self.cg, rec)
         self.eta[y] -= 1
         self.eta[v_new] = 1
         self.next_id = v_new + 1
-        # a moved edge y-w becomes v_new-w and a moved loop at y becomes an
-        # edge y-v_new: either way y loses one degree and v_new gains one
-        edge_moves, loop_moves = rec.moves.edge_moves, rec.moves.loop_moves
-        for j, bad in enumerate(self.failing, start=1):
-            moved = sum(edge_moves.get(j, {}).values()) + loop_moves.get(j, 0)
-            self.deg_y[j - 1] -= moved
-            for v, d, e in ((y, self.deg_y[j - 1], self.eta[y]), (v_new, moved, 1)):
-                if _even_ratio(d, e):
-                    bad.discard(v)
-                else:
-                    bad.add(v)
         # class minus y gains v_new and its moved edges v_new-w; moved loops
         # become edges y-v_new, which class minus y does not contain
         for j, parent in self.uf.items():
             parent[v_new] = v_new
             for w in rec.moves.edge_moves.get(j, {}):
                 _union(parent, w, v_new)
-
-
-def _even_ratio(d: int, eta: int) -> bool:
-    """The condition-3 test of one vertex of degree d and split count eta."""
-    return d > 0 and d % (2 * eta) == 0
 
 
 def _find(parent: Dict[VertexId, VertexId], v: VertexId) -> VertexId:
@@ -387,11 +362,10 @@ def _step(state: _DetachState, y: VertexId) -> StepRecord:
     first, second = bee_coloring(fan, eta_y, upto=2)
     working = [(j, w, a + b) for (j, w, _), a, b in zip(pairs, first, second) if a + b]
 
-    cond3 = state.qualifying()
-    comp_map = state.labels(y, cond3)
-    owner, refined = refine((colors, rights, working), cond3, comp_map)
+    cond3 = state.cond3
+    owner, refined = refine((colors, rights, working), cond3, state.labels(y))
 
-    # the qualifying colors must split into exactly degree/eta units
+    # the condition-3 colors must split into exactly degree/eta units
     working_deg = [0] * (cg.k + 1)
     for j, _, n in working:
         working_deg[j] += n
@@ -455,23 +429,22 @@ def detach_step(
     return state.cg, AmalgamationSpec(state.eta), rec.v_new
 
 
-def _check_state(state: _DetachState, y: VertexId) -> Set[int]:
-    """Assert the state agrees with the from-scratch oracles; return cond3."""
-    cur, cur_eta = state.cg, AmalgamationSpec(state.eta)
-    qualifying = condition3_colors(cur, cur_eta)
-    if state.qualifying() != qualifying:
+def _check_state(state: _DetachState, y: VertexId) -> None:
+    """Assert the state agrees with the from-scratch oracles."""
+    cur = state.cg
+    cond3 = condition3_colors(cur, AmalgamationSpec(state.eta))
+    if state.cond3 != cond3:
         raise AssertionError(
-            f"qualifying colors {sorted(state.qualifying())} != {sorted(qualifying)}"
+            f"condition-3 colors {sorted(state.cond3)} != {sorted(cond3)}"
         )
-    oracle = _component_map(cur, y, qualifying)
-    for j, parent in state.labels(y, qualifying).items():
+    oracle = _component_map(cur, y, cond3)
+    for j, parent in state.labels(y).items():
         for w in cur.layer(j).neighbors(y):
             label = _find(parent, w)
             if oracle[j][w] != label:
                 raise AssertionError(
                     f"color {j}: component label of {w} is {label}, not {oracle[j][w]}"
                 )
-    return qualifying
 
 
 def detach_all(
@@ -485,7 +458,7 @@ def detach_all(
     graph, and the step trace.  Inputs are not mutated.  With check=True
     every step additionally asserts that the incremental state agrees with
     condition3_colors and _component_map, the step relations and, for
-    qualifying colors, preservation of evenness ratios and component counts
+    condition-3 colors, preservation of evenness ratios and component counts
     (slower; meant for tests).
     """
     eta.validate_against(cg)
@@ -504,15 +477,15 @@ def detach_all(
         while state.eta[y] >= 2:
             if check:
                 before, before_eta = cur.copy(), AmalgamationSpec(dict(state.eta))
-                qualifying = _check_state(state, y)
-                omega_before = {j: cur.layer(j).component_count() for j in qualifying}
+                _check_state(state, y)
+                omega_before = {j: cur.layer(j).component_count() for j in state.cond3}
             rec = _step(state, y)
             if check:
                 ok, witness = assert_step_relations(before, cur, y, rec.v_new, before_eta)
                 if not ok:
                     raise AssertionError(f"step relation violated: {witness}")
                 still = condition3_colors(cur, AmalgamationSpec(state.eta))
-                for j in sorted(qualifying):
+                for j in sorted(state.cond3):
                     if j not in still:
                         raise AssertionError(f"color {j} lost its evenness ratios")
                     if cur.layer(j).component_count() != omega_before[j]:

@@ -25,4 +25,5 @@ class InfeasibleError(Exception):
 
 
 class DocumentError(Exception):
-    """A serialized document is malformed or has an unsupported version."""
+    """Malformed input: a serialized document that is malformed or has an
+    unsupported version, or command-line flags that do not go together."""

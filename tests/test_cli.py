@@ -555,6 +555,8 @@ def test_exit_codes_are_mapped_in_main(tmp_path, capsys) -> None:
         (["verify", str(host), str(mismatched)], 4, "error: fiber of 0 has size 2"),
         (["verify", str(host), str(host), str(host)], 4,
          "error: verify takes one or two documents"),
+        (["verify", missing, str(host), str(host)], 4,
+         "error: verify takes one or two documents"),
         (["verify", str(host)], 4, "error: single-document verify expects"),
         (["detach", missing], 4, "error: "),
         (["verify", missing], 4, "error: "),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -53,6 +54,31 @@ def test_condition3_zero_degree_makes_no_promise() -> None:
     cg.layer(1).add_loops(0, 2)
     eta = AmalgamationSpec({0: 2, 1: 2})
     assert condition3_colors(cg, eta) == set()
+
+
+def test_a_step_changes_no_condition3_verdict() -> None:
+    """B4 puts the new vertex's degree m and y's ratio (d - m)/(eta - 1) in
+    one window, which holds at most one even integer, so a step keeps every
+    color's verdict; the engine computes the condition-3 colors once.
+    Exhaustive over two colors at y = 0 with 0-4 loops, 0-3 edges to vertex
+    1 and eta(0) in 2..4, which includes colors that fail only at y."""
+    steps = 0
+    for loops, edges, eta0 in itertools.product(
+        itertools.product(range(5), repeat=2),
+        itertools.product(range(4), repeat=2),
+        range(2, 5),
+    ):
+        cg = ColoredMultigraph(2, [0, 1])
+        for j in (1, 2):
+            cg.layer(j).add_loops(0, loops[j - 1])
+            cg.layer(j).add_edges(0, 1, edges[j - 1])
+        eta = AmalgamationSpec({0: eta0, 1: 1})
+        while eta.value(0) >= 2:
+            before = condition3_colors(cg, eta)
+            cg, eta, _ = detach_step(cg, eta, 0)
+            assert condition3_colors(cg, eta) == before, (loops, edges, eta0)
+            steps += 1
+    assert steps == 2400
 
 
 def multiplicity(bipartite, l, r) -> int:
@@ -429,16 +455,9 @@ def test_incremental_state_matches_oracles_on_every_step(family: str) -> None:
         for y in [v for v in cg.vertices if eta.value(v) >= 2]:
             while state.eta[y] >= 2:
                 cond3 = condition3_colors(state.cg, AmalgamationSpec(dict(state.eta)))
-                assert state.qualifying() == cond3
-                for j, failing in enumerate(state.failing, start=1):
-                    degree = state.cg.layer(j).degree
-                    assert failing == {
-                        v
-                        for v in state.cg.vertices
-                        if degree(v) == 0 or degree(v) % (2 * state.eta[v])
-                    }
+                assert state.cond3 == cond3
                 oracle = engine._component_map(state.cg, y, cond3)
-                labels = state.labels(y, cond3)
+                labels = state.labels(y)
                 assert sorted(labels) == sorted(cond3)
                 for j in cond3:
                     # the labels are the state's union-find, exact everywhere
