@@ -21,9 +21,11 @@ sort and index it again.  A pair that earlier classes emptied keeps its
 place with the window [0, 0]; the circulation solver leaves such arcs out
 of its network, so the flows are those of a network built without them.
 
-`konig_proper_coloring` is the classical alternating-path proper coloring;
-it is not used by `bee_coloring` but serves the 2-factorization and is
-exposed in its own right.
+`konig_proper_coloring` is the proper coloring of Konig's theorem (1916):
+a bipartite multigraph of maximum degree at most k has a proper
+k-edge-coloring.  It needs no algorithm of its own, since an equitable
+k-coloring (de Werra 1971) gives each vertex of degree d <= k at most one
+edge of each color.  It serves the 2-factorization.
 """
 
 from __future__ import annotations
@@ -303,65 +305,13 @@ def bee_coloring(
 def konig_proper_coloring(bg: BipartiteMultigraph, k: int) -> BipartiteColoring:
     """Proper k-edge-coloring of a bipartite multigraph with max degree <= k.
 
-    Classical alternating-path construction: edges are colored one unit at a
-    time; when no color is free at both endpoints, the two-colored chain from
-    one endpoint is flipped to free one up.  Deterministic: lowest free color
-    first, edge bundles in sorted order.
+    Konig (1916): such a coloring exists.  It is the equitable coloring of
+    `bee_coloring` (de Werra 1971): a vertex of degree d <= k sees each
+    color floor(d/k) or ceil(d/k) times, that is 0 or 1, so no two edges
+    at a vertex share a color.
     """
     if bg.max_degree() > k:
         raise PreconditionError(
             f"max degree {bg.max_degree()} exceeds color count {k}"
         )
-    # at[(v, c)] = partner joined to v by the unit edge colored c; properness
-    # means each slot holds at most one unit, so the map stays well defined
-    at: Dict[Tuple[Label, int], Label] = {}
-    used: Dict[Label, set] = {v: set() for v in bg.left + bg.right}
-    left_set = set(bg.left)
-
-    def flip_chain(start: Label, alpha: int, beta: int) -> None:
-        # `start` carries alpha but misses beta, so its alpha/beta chain is a
-        # path; flipping it frees alpha at `start` and stays proper throughout
-        x, col = start, alpha
-        chain = []
-        while (x, col) in at:
-            w = at[(x, col)]
-            chain.append((x, w, col))
-            x, col = w, (beta if col == alpha else alpha)
-        for p, q, col in chain:
-            del at[(p, col)]
-            del at[(q, col)]
-        for p, q, col in chain:
-            nc = beta if col == alpha else alpha
-            at[(p, nc)] = q
-            at[(q, nc)] = p
-        used[start].discard(alpha)
-        used[start].add(beta)
-        far, far_col = chain[-1][1], chain[-1][2]
-        nc = beta if far_col == alpha else alpha
-        used[far].discard(far_col)
-        used[far].add(nc)
-
-    for l, r, n in bg.pairs():
-        for _ in range(n):
-            free_l = [c for c in range(1, k + 1) if c not in used[l]]
-            free_r = set(range(1, k + 1)) - used[r]
-            common = [c for c in free_l if c in free_r]
-            if common:
-                c = common[0]
-            else:
-                # flipping the chain at r cannot reach l: the chain enters
-                # left-side vertices only via alpha, which is free at l
-                alpha = free_l[0]
-                beta = min(free_r)
-                flip_chain(r, alpha, beta)
-                c = alpha
-            at[(l, c)] = r
-            at[(r, c)] = l
-            used[l].add(c)
-            used[r].add(c)
-
-    out = BipartiteColoring(k, bg.left, bg.right)
-    units = sorted((v, c) for (v, c) in at if v in left_set)
-    for v, c in units:
-        out.add(v, at[(v, c)], c, 1)
-    return out
+    return bee_coloring(bg, k)

@@ -141,6 +141,8 @@ def apply_moves(cg: ColoredMultigraph, rec: StepRecord) -> ColoredMultigraph:
 
 def _move(cg: ColoredMultigraph, rec: StepRecord) -> None:
     """Apply one recorded step to cg in place."""
+    if cg.layer(1).has_vertex(rec.v_new):
+        raise GraphError(f"new vertex {rec.v_new} already exists")
     cg.add_vertex(rec.v_new)
     for j, row in rec.moves.edge_moves.items():
         layer = cg.layer(j)

@@ -59,6 +59,8 @@ def test_konig_random_instances_are_proper() -> None:
 
 def test_konig_degree_overflow_rejected() -> None:
     bg = BipartiteMultigraph([0], [1])
+    with pytest.raises(PreconditionError, match="need at least one color, got 0"):
+        konig_proper_coloring(bg, 0)
     bg.add_edges(0, 1, 4)
     with pytest.raises(PreconditionError):
         konig_proper_coloring(bg, 3)

@@ -118,6 +118,21 @@ def test_two_factorization_doubled_triangle() -> None:
     assert merged == g
 
 
+@pytest.mark.parametrize("n, lam", [(5, 200), (9, 20)])
+def test_two_factorization_lambda_fold_complete_graph(n: int, lam: int) -> None:
+    g = Multigraph(range(n))
+    for u in range(n):
+        for v in range(u + 1, n):
+            g.add_edges(u, v, lam)
+    factors = two_factorization(g)
+    assert len(factors) == lam * (n - 1) // 2
+    merged = Multigraph(range(n))
+    for f in factors:
+        assert all(f.degree(v) == 2 for v in range(n))
+        merged.merge(f)
+    assert merged == g
+
+
 def test_two_factorization_rejects_bad_inputs() -> None:
     with pytest.raises(PreconditionError):
         two_factorization(complete_graph(4))  # 3-regular

@@ -614,3 +614,12 @@ def test_trace_step_at_a_vertex_without_split_count_raises() -> None:
     trace = DetachmentTrace([StepRecord(7, 1, 2, MoveSet({}, {}))])
     with pytest.raises(GraphError, match=r"^step 0: vertex 7 has no split count$"):
         verify_trace(h, AmalgamationSpec({0: 2}), trace)
+
+
+def test_trace_step_onto_an_existing_vertex_raises() -> None:
+    h = ColoredMultigraph(1, [0, 1])
+    trace = DetachmentTrace([StepRecord(0, 1, 2, MoveSet({}, {}))])
+    with pytest.raises(GraphError, match=r"^new vertex 1 already exists$"):
+        verify_trace(h, AmalgamationSpec({0: 2, 1: 1}), trace)
+    with pytest.raises(GraphError, match=r"^new vertex 1 already exists$"):
+        trace.replay(h)
