@@ -135,24 +135,8 @@ class DetachmentTrace:
 def apply_moves(cg: ColoredMultigraph, rec: StepRecord) -> ColoredMultigraph:
     """Apply one recorded step to a copy of cg and return the new graph."""
     out = cg.copy()
-    _move(out, rec)
+    out.split_off(rec.y, rec.v_new, rec.moves.edge_moves, rec.moves.loop_moves)
     return out
-
-
-def _move(cg: ColoredMultigraph, rec: StepRecord) -> None:
-    """Apply one recorded step to cg in place."""
-    if cg.layer(1).has_vertex(rec.v_new):
-        raise GraphError(f"new vertex {rec.v_new} already exists")
-    cg.add_vertex(rec.v_new)
-    for j, row in rec.moves.edge_moves.items():
-        layer = cg.layer(j)
-        for w, n in row.items():
-            layer.remove_edges(rec.y, w, n)
-            layer.add_edges(rec.v_new, w, n)
-    for j, nl in rec.moves.loop_moves.items():
-        layer = cg.layer(j)
-        layer.remove_loops(rec.y, nl)
-        layer.add_edges(rec.y, rec.v_new, nl)
 
 
 def condition3_colors(cg: ColoredMultigraph, eta: AmalgamationSpec) -> Set[int]:
@@ -180,16 +164,11 @@ def build_split_bipartite(cg: ColoredMultigraph, y: VertexId) -> SplitBipartite:
     Read straight off y's rows, which are sorted, so the pairs come out in
     peel order with the proxy (-1) first in each color.
     """
-    if not cg.layer(1).has_vertex(y):
-        raise GraphError(f"unknown vertex {y}")
     neighbors: Set[VertexId] = set()
     pairs: List[Tuple[int, VertexId, int]] = []
-    for j in range(1, cg.k + 1):
-        layer = cg.layer(j)
-        nl = layer.loops(y)
+    for j, (nl, row) in enumerate(cg.rows_at(y), 1):
         if nl:
             pairs.append((j, LOOP_PROXY, 2 * nl))
-        row = layer.row(y)
         neighbors.update(u for u, _ in row)
         pairs.extend((j, u, n) for u, n in row)
     return range(1, cg.k + 1), [LOOP_PROXY, *sorted(neighbors)], pairs
@@ -310,19 +289,19 @@ class _DetachState:
         """Per condition-3 color, the union-find of the color class minus y:
         `_find` of a vertex is its label in _component_map(cg, y, cond3)."""
         if y != self.y:
-            self.y, self.uf = y, {}
-            for j in sorted(self.cond3):
-                parent = self.uf[j] = {v: v for v in self.cg.vertices if v != y}
-                for u, v, _ in self.cg.layer(j).pairs():
-                    if y != u and y != v:
-                        _union(parent, u, v)
+            self.y = y
+            # each vertex points straight at its component's minimum, which
+            # is a union-find whose roots are minima
+            self.uf = {
+                j: self.cg.layer(j).component_labels(y) for j in sorted(self.cond3)
+            }
         return self.uf
 
     def apply(self, rec: StepRecord) -> None:
         """Apply one step to the working graph and bring the state up to date;
         `labels(rec.y)` must have been called for this y."""
         y, v_new = rec.y, rec.v_new
-        _move(self.cg, rec)
+        self.cg.split_off(y, v_new, rec.moves.edge_moves, rec.moves.loop_moves)
         self.eta[y] -= 1
         self.eta[v_new] = 1
         self.next_id = v_new + 1
@@ -499,7 +478,7 @@ def detach_all(
         raise AssertionError(
             f"took {len(trace.steps)} steps, expected {expected_steps}"
         )
-    if any(cur.loops(v) for v in cur.vertices):
+    if not all(cur.layer(j).is_loopless() for j in range(1, cur.k + 1)):
         raise AssertionError("detached graph still carries loops")
     psi = DetachmentMap.from_fibers(fibers)
     psi.validate(eta)

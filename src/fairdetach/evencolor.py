@@ -105,7 +105,7 @@ def euler_circuit(g: Multigraph, component_root: VertexId) -> EulerCircuit:
 def _orient(g: Multigraph) -> Dict[Tuple[VertexId, VertexId], int]:
     """Euler orientation of an even graph's edges (loops are ignored):
     arc (u, v) -> count, each component walked from its smallest vertex."""
-    adj = {v: dict(g.row(v)) for v in g.vertices}
+    adj = g.rows()
     arcs: Dict[Tuple[VertexId, VertexId], int] = {}
     for root in g.vertices:
         if adj[root]:  # still unwalked, so the smallest vertex of its component

@@ -142,8 +142,8 @@ def _extract_cycle(layer: Multigraph) -> Tuple[VertexId, ...]:
     an unused edge; 2-regularity leaves no choices after the first step, and
     the layer is one spanning cycle exactly when the walk visits every vertex.
     """
-    verts = layer.vertices
-    adj = {v: dict(layer.row(v)) for v in verts}
+    adj = layer.rows()
+    verts = list(adj)
     loopless_2_regular = layer.is_loopless() and all(
         sum(row.values()) == 2 for row in adj.values()
     )
@@ -155,15 +155,7 @@ def _extract_cycle(layer: Multigraph) -> Tuple[VertexId, ...]:
 
 def _relabel(cg: ColoredMultigraph, order: List[VertexId]) -> ColoredMultigraph:
     """Rename vertices so order[i] becomes i."""
-    rename = {v: i for i, v in enumerate(order)}
-    out = ColoredMultigraph(cg.k, range(len(order)))
-    for j in range(1, cg.k + 1):
-        layer = cg.layer(j)
-        for u, v, n in layer.pairs():
-            out.layer(j).add_edges(rename[u], rename[v], n)
-        for v, n in layer.loop_items():
-            out.layer(j).add_loops(rename[v], n)
-    return out
+    return cg.relabeled(order)
 
 
 def _read_off(cg: ColoredMultigraph, order: List[VertexId]) -> HamDecomposition:

@@ -6,6 +6,27 @@ window test `approx` is the public form of the fairness window, in exact
 rational arithmetic that never touches floating point.  The checkers test
 the same window on integers (`verify._ratio_ok`), and `approx` is the
 oracle the tests compare that window against.
+
+The storage (`_adj`, `_loops`, `_layers`) is private to this module; no
+other module reads or writes it.  Besides the checked per-pair methods,
+which look up both endpoints on every call, row-level operations serve the
+detachment engine and the cycle read-off:
+
+  * `ColoredMultigraph.split_off` applies one detachment step's moves in
+    place, one row update per (color, neighbor);
+  * `ColoredMultigraph.relabeled` renames every vertex in one pass, and
+    `Multigraph.merge` adds a graph's rows in one pass, so `underlying` is
+    one pass per layer;
+  * `ColoredMultigraph.rows_at` reads a vertex's per-color loop counts and
+    sorted rows in one call (the engine's fan), `Multigraph.rows` all of a
+    graph's sorted rows (the read-off and the Euler walks) and
+    `Multigraph.component_labels` the components of a graph minus one
+    vertex in one traversal (the engine's union-finds).
+
+They keep the checked methods' guards and messages.  An unknown vertex, a
+new vertex that already exists, w == y, removing more than is present and a
+negative count each raise the same GraphError, and a move that passes them
+all costs one comparison (0 < n <= present).
 """
 
 from __future__ import annotations
@@ -13,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .errors import GraphError, PreconditionError
 
@@ -79,6 +100,8 @@ class Multigraph:
         self._adj[v][u] = self._adj[v].get(u, 0) + n
 
     def remove_edges(self, u: VertexId, v: VertexId, n: int = 1) -> None:
+        if n < 0:
+            raise GraphError(f"negative edge count {n}")
         have = self.multiplicity(u, v)
         if n > have:
             raise GraphError(f"cannot remove {n} edges from m({u},{v})={have}")
@@ -99,6 +122,8 @@ class Multigraph:
             self._loops[v] = self._loops.get(v, 0) + n
 
     def remove_loops(self, v: VertexId, n: int = 1) -> None:
+        if n < 0:
+            raise GraphError(f"negative loop count {n}")
         have = self.loops(v)
         if n > have:
             raise GraphError(f"cannot remove {n} loops from l({v})={have}")
@@ -137,6 +162,11 @@ class Multigraph:
         self._require(v)
         return sorted(self._adj[v].items())
 
+    def rows(self) -> Dict[VertexId, Dict[VertexId, int]]:
+        """A fresh {v: {neighbor: multiplicity}} of every row (loops
+        excluded), vertices and each row's neighbors ascending."""
+        return {v: dict(sorted(self._adj[v].items())) for v in sorted(self._adj)}
+
     def pairs(self) -> List[Tuple[VertexId, VertexId, int]]:
         """All (u, v, multiplicity) with u < v, in ascending order."""
         out = []
@@ -163,23 +193,26 @@ class Multigraph:
 
     def components(self) -> List[List[VertexId]]:
         """Connected components as sorted vertex lists, ordered by smallest member."""
-        seen: set = set()
-        comps = []
+        comps: Dict[VertexId, List[VertexId]] = {}
+        for v, root in self.component_labels().items():
+            comps.setdefault(root, []).append(v)
+        return [sorted(comp) for comp in comps.values()]
+
+    def component_labels(self, skip: Optional[VertexId] = None) -> Dict[VertexId, VertexId]:
+        """The smallest vertex of each vertex's component in the graph minus
+        `skip`, the components in ascending order of that vertex."""
+        label: Dict[VertexId, VertexId] = {}
         for root in sorted(self._adj):
-            if root in seen:
+            if root == skip or root in label:
                 continue
-            comp = [root]
-            seen.add(root)
+            label[root] = root
             stack = [root]
             while stack:
-                x = stack.pop()
-                for y in self._adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        comp.append(y)
-                        stack.append(y)
-            comps.append(sorted(comp))
-        return comps
+                for u in self._adj[stack.pop()]:
+                    if u != skip and u not in label:
+                        label[u] = root
+                        stack.append(u)
+        return label
 
     # -- structural helpers ----------------------------------------------------
 
@@ -191,12 +224,22 @@ class Multigraph:
 
     def merge(self, other: "Multigraph") -> None:
         """Add all of other's vertices, edges and loops into this graph."""
-        for v in other._adj:
-            self.add_vertex(v)
-        for u, v, n in other.pairs():
-            self.add_edges(u, v, n)
-        for v, n in other.loop_items():
-            self.add_loops(v, n)
+        for v, row in other._adj.items():
+            mine = self._adj.setdefault(v, {})
+            for u, n in row.items():
+                mine[u] = mine.get(u, 0) + n
+        for v, n in other._loops.items():
+            self._loops[v] = self._loops.get(v, 0) + n
+
+    def _renamed(self, rename: Dict[VertexId, VertexId]) -> "Multigraph":
+        """A copy with every vertex v renamed to rename[v]."""
+        g = Multigraph()
+        g._adj = {
+            rename[v]: {rename[u]: n for u, n in row.items()}
+            for v, row in self._adj.items()
+        }
+        g._loops = {rename[v]: n for v, n in self._loops.items()}
+        return g
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Multigraph):
@@ -239,7 +282,7 @@ class ColoredMultigraph:
 
     def layer(self, j: int) -> Multigraph:
         """Color class j, 1-based."""
-        if not 1 <= j <= self.k:
+        if not 1 <= j <= len(self._layers):
             raise GraphError(f"color {j} out of range 1..{self.k}")
         return self._layers[j - 1]
 
@@ -255,6 +298,74 @@ class ColoredMultigraph:
 
     def multiplicity(self, u: VertexId, v: VertexId) -> int:
         return sum(g.multiplicity(u, v) for g in self._layers)
+
+    def rows_at(self, y: VertexId) -> List[Tuple[int, List[Tuple[VertexId, int]]]]:
+        """Per color 1..k: y's loop count and its row, neighbors ascending."""
+        if y not in self._layers[0]._adj:
+            raise GraphError(f"unknown vertex {y}")
+        return [(g._loops.get(y, 0), sorted(g._adj[y].items())) for g in self._layers]
+
+    def split_off(
+        self,
+        y: VertexId,
+        v_new: VertexId,
+        edge_moves: Dict[int, Dict[VertexId, int]],
+        loop_moves: Dict[int, int],
+    ) -> None:
+        """Add vertex v_new and hand it edge ends of y, in place: per color j,
+        edge_moves[j][w] edges y-w become v_new-w, then loop_moves[j] loops at
+        y become edges y-v_new.
+
+        A move of 0 < n <= present is one comparison and a direct row update.
+        Any other entry goes through remove_edges/remove_loops and add_edges,
+        so a zero count only checks its vertices, and a negative count, an
+        over-count, an unknown vertex, w == y or w == v_new raises their
+        GraphError.  On an error the moves before it stay applied.
+        """
+        if v_new in self._layers[0]._adj:
+            raise GraphError(f"new vertex {v_new} already exists")
+        self.add_vertex(v_new)
+        for j, moves in edge_moves.items():
+            g = self.layer(j)
+            adj = g._adj
+            at_y, at_new = adj.get(y, {}), adj[v_new]
+            for w, n in moves.items():
+                have = at_y.get(w, 0)
+                if 0 < n <= have:  # so w is a neighbor of y: known, not y, not v_new
+                    at_w = adj[w]
+                    if n == have:
+                        del at_y[w], at_w[y]
+                    else:
+                        at_y[w] = at_w[y] = have - n
+                    at_new[w] = at_new.get(w, 0) + n
+                    at_w[v_new] = at_w.get(v_new, 0) + n
+                else:
+                    g.remove_edges(y, w, n)
+                    g.add_edges(v_new, w, n)
+        for j, n in loop_moves.items():
+            g = self.layer(j)
+            have = g._loops.get(y, 0)
+            if 0 < n <= have:  # so y is known and is not v_new
+                if n == have:
+                    del g._loops[y]
+                else:
+                    g._loops[y] = have - n
+                at_y = g._adj[y]
+                at_y[v_new] = at_y.get(v_new, 0) + n
+                g._adj[v_new][y] = at_y[v_new]
+            else:
+                g.remove_loops(y, n)
+                g.add_edges(y, v_new, n)
+
+    def relabeled(self, order: List[VertexId]) -> "ColoredMultigraph":
+        """A copy with vertex order[i] renamed to i; order must list every
+        vertex exactly once."""
+        rename = {v: i for i, v in enumerate(order)}
+        if len(rename) != len(order) or sorted(rename) != self.vertices:
+            raise GraphError("a relabeling order must list every vertex exactly once")
+        cg = ColoredMultigraph(self.k)
+        cg._layers = [g._renamed(rename) for g in self._layers]
+        return cg
 
     def underlying(self) -> Multigraph:
         g = Multigraph(self.vertices)

@@ -304,10 +304,9 @@ def _star(
     width = cg.k + 1
     loops, degree = [0] * width, [0] * width
     row: Dict[VertexId, List[int]] = {}
-    for j in range(1, width):
-        layer = cg.layer(j)
-        loops[j], degree[j] = layer.loops(x), layer.degree(x)
-        for v, m in layer.row(x):
+    for j, (nl, pairs) in enumerate(cg.rows_at(x), 1):
+        loops[j], degree[j] = nl, 2 * nl + sum(m for _, m in pairs)
+        for v, m in pairs:
             row.setdefault(v, [0] * width)[j] = m
     for counts in (loops, degree, *row.values()):
         counts[0] = sum(counts)
@@ -395,8 +394,6 @@ def verify_trace(
     ratios, the multiplicity ratio between a split vertex and each of its
     earlier offshoots, and the cross-pair multiplicity ratios.
     """
-    from .engine import _move
-
     hosts = h0.vertices
     size = {w: eta0.value(w) for w in hosts}
     start = {w: _star(h0, w) for w in hosts}
@@ -407,7 +404,10 @@ def verify_trace(
     for step_no, rec in enumerate(trace.steps):
         if rec.y not in eta:
             raise GraphError(f"step {step_no}: vertex {rec.y} has no split count")
-        _move(cur, rec)
+        try:
+            cur.split_off(rec.y, rec.v_new, rec.moves.edge_moves, rec.moves.loop_moves)
+        except GraphError as exc:
+            raise GraphError(f"step {step_no}: {exc}") from None
         root = origin[rec.v_new] = origin.get(rec.y, rec.y)
         eta[rec.y] -= 1
         eta[rec.v_new] = 1

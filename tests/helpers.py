@@ -523,6 +523,57 @@ def reference_step(cg: ColoredMultigraph, y: int, eta_y: int, cond3, component_m
 
 
 # ---------------------------------------------------------------------------
+# the step's moves and the read-off as they were before they ran on adjacency
+# rows: every pair and loop goes through the checked Multigraph methods
+
+
+def reference_move(cg: ColoredMultigraph, rec) -> None:
+    """Apply one recorded step to cg in place."""
+    if cg.layer(1).has_vertex(rec.v_new):
+        raise GraphError(f"new vertex {rec.v_new} already exists")
+    cg.add_vertex(rec.v_new)
+    for j, row in rec.moves.edge_moves.items():
+        layer = cg.layer(j)
+        for w, n in row.items():
+            layer.remove_edges(rec.y, w, n)
+            layer.add_edges(rec.v_new, w, n)
+    for j, nl in rec.moves.loop_moves.items():
+        layer = cg.layer(j)
+        layer.remove_loops(rec.y, nl)
+        layer.add_edges(rec.y, rec.v_new, nl)
+
+
+def reference_relabel(cg: ColoredMultigraph, order: List[VertexId]) -> ColoredMultigraph:
+    """Rename vertices so order[i] becomes i."""
+    rename = {v: i for i, v in enumerate(order)}
+    out = ColoredMultigraph(cg.k, range(len(order)))
+    for j in range(1, cg.k + 1):
+        layer = cg.layer(j)
+        for u, v, n in layer.pairs():
+            out.layer(j).add_edges(rename[u], rename[v], n)
+        for v, n in layer.loop_items():
+            out.layer(j).add_loops(rename[v], n)
+    return out
+
+
+def reference_merge(g: Multigraph, other: Multigraph) -> None:
+    """Add all of other's vertices, edges and loops into g."""
+    for v in other.vertices:
+        g.add_vertex(v)
+    for u, v, n in other.pairs():
+        g.add_edges(u, v, n)
+    for v, n in other.loop_items():
+        g.add_loops(v, n)
+
+
+def reference_underlying(cg: ColoredMultigraph) -> Multigraph:
+    g = Multigraph(cg.vertices)
+    for j in range(1, cg.k + 1):
+        reference_merge(g, cg.layer(j))
+    return g
+
+
+# ---------------------------------------------------------------------------
 # the Euler walks and the even peel as they were before they shared one walk
 # and one arc skeleton: a walk per caller that re-sorts every row at each
 # step, an orientation that walks each component through `euler_circuit`,
@@ -1121,7 +1172,10 @@ def reference_verify_trace(
     origin: Dict[VertexId, VertexId] = {}
     hosts = h0.vertices
     for step_no, rec in enumerate(trace.steps):
-        cur = apply_moves(cur, rec)
+        try:
+            cur = apply_moves(cur, rec)
+        except GraphError as exc:
+            raise GraphError(f"step {step_no}: {exc}") from None
         root = origin.get(rec.y, rec.y)
         origin[rec.v_new] = root
         eta[rec.y] -= 1

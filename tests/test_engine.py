@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 
 from fairdetach import engine, hamilton
 from fairdetach.engine import (
     LOOP_PROXY,
+    MoveSet,
     SplitBipartite,
+    StepRecord,
     build_split_bipartite,
     condition3_colors,
     detach_all,
@@ -20,7 +23,7 @@ from fairdetach.fuzzgen import random_detach_instance
 from fairdetach.hamilton import GddParams, ham_decompose_gdd
 from fairdetach.multigraph import AmalgamationSpec, ColoredMultigraph, Multigraph
 from fairdetach.verify import assert_step_relations, verify_detachment
-from helpers import all_pairings, reference_step
+from helpers import all_pairings, outcome, reference_move, reference_step
 
 
 def loops_only_instance(k: int, loops_per_color: int, eta: int):
@@ -517,6 +520,76 @@ def test_step_matches_graph_building_reference(family: str, monkeypatch) -> None
                 assert got == want
                 steps += 1
     assert steps > 0
+
+
+def _reference_apply(cg: ColoredMultigraph, rec: StepRecord) -> ColoredMultigraph:
+    out = cg.copy()
+    reference_move(out, rec)
+    return out
+
+
+def _move_mutants(cg: ColoredMultigraph, rec: StepRecord):
+    """rec with one odd entry each: zero, negative and over-counts, an
+    unknown w, w == y, w == v_new, an unknown color, an unknown y and a new
+    vertex that exists; an edited entry keeps its place in the move set."""
+    y, v_new, eta_y = rec.y, rec.v_new, rec.eta_y_before
+    edge_moves, loop_moves = rec.moves.edge_moves, rec.moves.loop_moves
+    j = next(iter(edge_moves), 1)
+    row = cg.layer(j).row(y)
+    w, m = row[-1] if row else (y, 0)
+    nl = cg.layer(j).loops(y)
+    unknown = v_new + 5
+
+    def with_edge(c, u, n):
+        edges = {c: dict(r) for c, r in edge_moves.items()}
+        edges.setdefault(c, {})[u] = n
+        return StepRecord(y, v_new, eta_y, MoveSet(edges, dict(loop_moves)))
+
+    def with_loops(c, n):
+        edges = {c: dict(r) for c, r in edge_moves.items()}
+        return StepRecord(y, v_new, eta_y, MoveSet(edges, {**loop_moves, c: n}))
+
+    yield from (with_edge(j, w, n) for n in (0, -2, m, m + 1))
+    yield from (with_edge(j, u, n) for u in (unknown, y, v_new) for n in (-1, 0, 1))
+    yield from (with_loops(j, n) for n in (0, -2, nl, nl + 1))
+    yield with_edge(cg.k + 1, w, 1)
+    yield with_loops(0, 1)
+    yield StepRecord(unknown, v_new, eta_y, rec.moves)
+    yield StepRecord(unknown, v_new, eta_y, MoveSet({}, {}))
+    yield StepRecord(unknown, v_new, eta_y, MoveSet({}, {1: 0}))
+    yield StepRecord(y, y, eta_y, rec.moves)
+
+
+def test_moves_match_the_checked_reference_on_fuzz_traces() -> None:
+    """apply_moves (the one move path) against the old pair-by-pair move, on
+    every step of the fuzz traces and on mutated move sets."""
+    steps, errors = 0, set()
+    for cg, eta in step_instances("fuzz"):
+        _, _, trace = detach_all(cg, eta)
+        cur = cg
+        for rec in trace.steps:
+            for cand in _move_mutants(cur, rec):
+                got = outcome(engine.apply_moves, cur, cand)
+                assert got == outcome(_reference_apply, cur, cand)
+                if isinstance(got, tuple):
+                    assert got[0] == "GraphError"
+                    errors.add(re.sub(r"-?\d+", "N", got[1]))
+            nxt = engine.apply_moves(cur, rec)
+            assert nxt == _reference_apply(cur, rec)
+            cur = nxt
+            steps += 1
+    assert steps > 300
+    assert errors == {
+        "new vertex N already exists",
+        "unknown vertex N",
+        "color N out of range N..N",
+        "multiplicity is defined for distinct vertices; use loops()",
+        "use add_loops for loops",
+        "negative edge count N",
+        "negative loop count N",
+        "cannot remove N edges from m(N,N)=N",
+        "cannot remove N loops from l(N)=N",
+    }
 
 
 def test_detach_all_and_detach_step_leave_inputs_unmodified() -> None:

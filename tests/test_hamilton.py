@@ -7,18 +7,21 @@ from fairdetach.errors import GraphError, InfeasibleError, PreconditionError
 from fairdetach.hamilton import (
     GddParams,
     _extract_cycle,
+    _relabel,
     gdd_feasible,
     ham_decompose_gdd,
     ham_decompose_lambda_kn,
     walecki_odd,
 )
-from fairdetach.multigraph import Multigraph
+from fairdetach.multigraph import ColoredMultigraph, Multigraph
 from fairdetach.verify import is_gdd, verify_ham_decomposition
 from helpers import (
     brute_force_ham_decomposable,
     mixed_edge_count,
     pure_edge_counts,
     reference_extract_cycle,
+    reference_relabel,
+    reference_underlying,
 )
 
 
@@ -240,7 +243,8 @@ def test_gdd_params_validation() -> None:
 
 
 def test_cycle_read_off_matches_reference_on_every_layer(monkeypatch) -> None:
-    layers = 0
+    layers = relabels = hosts = 0
+    underlying = ColoredMultigraph.underlying
 
     def both(layer):
         nonlocal layers
@@ -249,7 +253,23 @@ def test_cycle_read_off_matches_reference_on_every_layer(monkeypatch) -> None:
         assert cycle == reference_extract_cycle(layer)
         return cycle
 
+    def both_relabel(cg, order):
+        nonlocal relabels
+        relabels += 1
+        g = _relabel(cg, order)
+        assert g == reference_relabel(cg, order)
+        return g
+
+    def both_underlying(cg):
+        nonlocal hosts
+        hosts += 1
+        host = underlying(cg)
+        assert host == reference_underlying(cg)
+        return host
+
     monkeypatch.setattr(hamilton, "_extract_cycle", both)
+    monkeypatch.setattr(hamilton, "_relabel", both_relabel)
+    monkeypatch.setattr(ColoredMultigraph, "underlying", both_underlying)
     for n in range(2, 16):
         for lam in range(1, 4):
             if lam * (n - 1) % 2 == 0:
@@ -264,6 +284,7 @@ def test_cycle_read_off_matches_reference_on_every_layer(monkeypatch) -> None:
     ]:
         ham_decompose_gdd(GddParams(sizes, l1, l2))
     assert layers > 300
+    assert relabels == hosts > 30
 
 
 def _layer(n, edges):

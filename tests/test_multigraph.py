@@ -164,6 +164,28 @@ def test_remove_more_than_present_rejected() -> None:
         g.remove_loops(0, 1)
 
 
+def test_negative_remove_counts_rejected() -> None:
+    g = Multigraph([0, 1])
+    g.add_edges(0, 1, 3)
+    g.add_loops(0, 1)
+    with pytest.raises(GraphError, match=r"^negative edge count -2$"):
+        g.remove_edges(0, 1, -2)
+    with pytest.raises(GraphError, match=r"^negative loop count -2$"):
+        g.remove_loops(0, -2)
+    assert g.multiplicity(0, 1) == 3 and g.loops(0) == 1
+
+
+def test_relabeling_order_must_list_every_vertex_once() -> None:
+    cg = ColoredMultigraph(2, [0, 1, 2])
+    cg.layer(1).add_edges(0, 2, 2)
+    cg.layer(2).add_loops(1, 3)
+    out = cg.relabeled([2, 0, 1])
+    assert out.layer(1).pairs() == [(0, 1, 2)] and out.layer(2).loop_items() == [(2, 3)]
+    for order in ([0, 1], [0, 1, 1], [0, 1, 2, 3], [0, 1, 1, 2]):
+        with pytest.raises(GraphError, match="every vertex exactly once"):
+            cg.relabeled(order)
+
+
 def test_colored_underlying_matches_layer_sum() -> None:
     cg = ColoredMultigraph(3, range(4))
     cg.layer(1).add_edges(0, 1, 2)

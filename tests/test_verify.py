@@ -605,7 +605,9 @@ def test_each_trace_check_reports_its_witness(edits, witness) -> None:
 def test_trace_replay_raises_on_moves_the_graph_lacks() -> None:
     h, eta = _pinned_step()
     _, _, trace = detach_all(h, eta)
-    with pytest.raises(GraphError, match=r"cannot remove 4 edges from m\(0,1\)=3"):
+    with pytest.raises(
+        GraphError, match=r"^step 0: cannot remove 4 edges from m\(0,1\)=3$"
+    ):
         verify_trace(h, eta, _edit_moves(trace, [(0, 1, 1, 3)]))
 
 
@@ -619,7 +621,7 @@ def test_trace_step_at_a_vertex_without_split_count_raises() -> None:
 def test_trace_step_onto_an_existing_vertex_raises() -> None:
     h = ColoredMultigraph(1, [0, 1])
     trace = DetachmentTrace([StepRecord(0, 1, 2, MoveSet({}, {}))])
-    with pytest.raises(GraphError, match=r"^new vertex 1 already exists$"):
+    with pytest.raises(GraphError, match=r"^step 0: new vertex 1 already exists$"):
         verify_trace(h, AmalgamationSpec({0: 2, 1: 1}), trace)
     with pytest.raises(GraphError, match=r"^new vertex 1 already exists$"):
         trace.replay(h)
