@@ -25,7 +25,7 @@ of its network, so the flows are those of a network built without them.
 a bipartite multigraph of maximum degree at most k has a proper
 k-edge-coloring.  It needs no algorithm of its own, since an equitable
 k-coloring (de Werra 1971) gives each vertex of degree d <= k at most one
-edge of each color.  It serves the 2-factorization.
+edge of each color.
 """
 
 from __future__ import annotations
@@ -70,11 +70,6 @@ class BipartiteMultigraph:
             raise GraphError(f"{v!r} is already a right vertex")
         self._left.add(v)
 
-    def add_right(self, v: Label) -> None:
-        if v in self._left:
-            raise GraphError(f"{v!r} is already a left vertex")
-        self._right.add(v)
-
     def add_edges(self, l: Label, r: Label, n: int = 1) -> None:
         if l not in self._left or r not in self._right:
             raise GraphError(f"unknown endpoint in ({l!r}, {r!r})")
@@ -94,18 +89,8 @@ class BipartiteMultigraph:
         else:
             self._mult[(l, r)] = have - n
 
-    def multiplicity(self, l: Label, r: Label) -> int:
-        return self._mult.get((l, r), 0)
-
     def pairs(self) -> List[Tuple[Label, Label, int]]:
         return sorted((l, r, n) for (l, r), n in self._mult.items())
-
-    def degree(self, v: Label) -> int:
-        if v in self._left:
-            return sum(n for (l, _), n in self._mult.items() if l == v)
-        if v in self._right:
-            return sum(n for (_, r), n in self._mult.items() if r == v)
-        raise GraphError(f"unknown vertex {v!r}")
 
     def max_degree(self) -> int:
         deg: Dict[Label, int] = {}

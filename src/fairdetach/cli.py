@@ -61,22 +61,18 @@ def cmd_detach(args: argparse.Namespace) -> int:
     g, psi, trace = detach_all(cg, eta)
     out = document.graph_to_doc(g, psi=psi)
     _write(args.output, document.dumps(out))
-    if args.trace:
-        lines = []
-        for i, rec in enumerate(trace.steps):
-            moved = rec.moves.moved_total()
-            lines.append(
-                document.dumps(
-                    {
-                        "step": i,
-                        "from": rec.y,
-                        "new": rec.v_new,
-                        "eta_before": rec.eta_y_before,
-                        "moved": moved,
-                    }
-                ).rstrip("\n")
-            )
-        _write(args.trace, "\n".join(lines) + ("\n" if lines else ""))
+    if args.trace:  # one JSON line per step; each dumps ends with a newline
+        records = (
+            {
+                "step": i,
+                "from": rec.y,
+                "new": rec.v_new,
+                "eta_before": rec.eta_y_before,
+                "moved": rec.moves.moved_total(),
+            }
+            for i, rec in enumerate(trace.steps)
+        )
+        _write(args.trace, "".join(document.dumps(record) for record in records))
     if args.dot:
         _write(args.dot, document.to_dot(out))
     return EXIT_OK
@@ -189,33 +185,22 @@ def _fuzz_one(kind: str, seed: int) -> Optional[str]:
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
     kinds = ["detach", "bee", "evencolor"] if args.kind == "all" else [args.kind]
-    jobs = []
-    for kind in kinds:
-        for i in range(args.count):
-            jobs.append((kind, args.seed + i))
-    failures: List[str] = []
+    job_kinds = [kind for kind in kinds for _ in range(args.count)]
+    job_seeds = [args.seed + i for _ in kinds for i in range(args.count)]
     # a pool starts every worker up front, so start no more than can be busy
-    workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
+    workers = min(args.jobs, len(job_seeds), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for res in pool.map(_fuzz_one_star, jobs):
-                if res:
-                    failures.append(res)
+            results = list(pool.map(_fuzz_one, job_kinds, job_seeds))
     else:
-        for kind, seed in jobs:
-            res = _fuzz_one(kind, seed)
-            if res:
-                failures.append(res)
+        results = list(map(_fuzz_one, job_kinds, job_seeds))
+    failures = [res for res in results if res]
     for line in failures:
         print(f"FAIL {line}")
-    print(f"ran {len(jobs)} instances, {len(failures)} failures")
+    print(f"ran {len(results)} instances, {len(failures)} failures")
     return EXIT_OK if not failures else EXIT_VERIFY
-
-
-def _fuzz_one_star(job) -> Optional[str]:
-    return _fuzz_one(*job)
 
 
 def cmd_export(args: argparse.Namespace) -> int:

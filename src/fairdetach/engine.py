@@ -25,9 +25,10 @@ fan is read off y's sorted rows; the fan coloring returns classes 1 and 2
 as multiplicity vectors over the fan's pairs, and their sum is the working
 subgraph on the same pairs; `refine` emits its units with integer labels
 and pairs already sorted; the pick peels only class 1, which is the moves.
-Two orders meet here: in every graph the peel reads, the loop proxy (-1) is
-the first right vertex, while `refine` pairs leftover edges with the proxy
-last.
+The loop proxy (-1) sorts below every vertex id, so it is the first right
+vertex of every graph the peel reads and heads a color's row; `refine` takes
+its multiplicity off that front once and pairs it after the vertices: its
+double units after theirs, its single after the sorted residue.
 
 Repeating until every split count reaches 1 yields a loopless detachment
 whose degrees, per-color degrees, intra- and cross-fiber multiplicities all
@@ -76,13 +77,9 @@ from .multigraph import (
     VertexId,
 )
 
-# right-side stand-in for loops at y; sorts below all real vertex ids so the
-# documented "ascending vertex id, loop proxy last" order needs explicit keys
+# right-side stand-in for loops at y; sorts below all real vertex ids, so it
+# heads every row of the fan, and refine pairs its edges after the vertices'
 LOOP_PROXY: VertexId = -1
-
-
-def _w_order(w: VertexId) -> Tuple[int, VertexId]:
-    return (1, 0) if w == LOOP_PROXY else (0, w)
 
 
 # The fan: left labels are the colors 1..k, every one present even at degree
@@ -209,28 +206,30 @@ def refine(
             raise AssertionError(
                 f"color {j} has odd working degree {deg}; the fan coloring is broken"
             )
-        if row and row[0][0] == LOOP_PROXY:  # pair the proxy's edges last
-            row = row[1:] + row[:1]
+        # the loop proxy heads the row and pairs last: it belongs to no
+        # component of the color class minus y
+        proxy = row[0][1] if row and row[0][0] == LOOP_PROXY else 0
         units: List[Tuple[VertexId, VertexId]] = []
         singles: List[VertexId] = []
-        for w, n in row:
+        for w, n in row[1:] if proxy else row:
             units.extend([(w, w)] * (n // 2))
             if n % 2:
                 singles.append(w)
-        # pair leftovers sharing a component of the color class minus y;
-        # the loop proxy belongs to no component
+        units.extend([(LOOP_PROXY, LOOP_PROXY)] * (proxy // 2))
+        # pair leftovers sharing a component of the color class minus y
         comp_of = component_map.get(j, {})
-        by_comp: Dict[Tuple[int, int], List[VertexId]] = {}
+        by_comp: Dict[int, List[VertexId]] = {}
         for w in singles:
-            key = (1, 0) if w == LOOP_PROXY else (0, _find(comp_of, w))
-            by_comp.setdefault(key, []).append(w)
+            by_comp.setdefault(_find(comp_of, w), []).append(w)
         residue: List[VertexId] = []
         for key in sorted(by_comp):
             bucket = by_comp[key]
             units.extend(zip(bucket[::2], bucket[1::2]))
             if len(bucket) % 2:
                 residue.append(bucket[-1])
-        residue.sort(key=_w_order)
+        residue.sort()
+        if proxy % 2:
+            residue.append(LOOP_PROXY)
         units.extend(zip(residue[::2], residue[1::2]))
         for a, b in units:
             label = len(owner)
@@ -254,15 +253,10 @@ def _component_map(
     for j in sorted(colors):
         layer = cg.layer(j)
         rest = layer.copy()
-        for u in layer.neighbors(y):
-            rest.remove_edges(y, u, layer.multiplicity(y, u))
-        if layer.loops(y):
-            rest.remove_loops(y, layer.loops(y))
-        labels: Dict[VertexId, int] = {}
-        for comp in rest.components():
-            members = [v for v in comp if v != y]
-            for v in members:
-                labels[v] = min(members)
+        for u, n in layer.row(y):
+            rest.remove_edges(y, u, n)
+        labels = rest.component_labels()  # y is isolated in rest: drop it
+        del labels[y]
         out[j] = labels
     return out
 

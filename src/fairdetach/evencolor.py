@@ -32,7 +32,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .bee import BipartiteMultigraph, konig_proper_coloring
+from .bee import bee_coloring
 from .errors import PreconditionError
 from .flows import feasible_circulation
 from .multigraph import ColoredMultigraph, Multigraph, VertexId
@@ -43,9 +43,6 @@ class EulerCircuit:
     """Closed traversal of one component; loops appear as (v, v) steps."""
 
     steps: Tuple[Tuple[VertexId, VertexId], ...]
-
-    def edge_count(self) -> int:
-        return len(self.steps)
 
 
 def _walk(
@@ -121,8 +118,8 @@ def two_factorization(g: Multigraph) -> List[Multigraph]:
     """Split a 2m-regular loopless multigraph into m spanning 2-regular layers.
 
     Euler-orient each component, fold arcs into an m-regular bipartite graph
-    (out-side vs in-side), properly m-color it, and read each color class
-    back as a 2-factor.
+    (out-side vs in-side), color it equitably with m colors, which is proper
+    at degree m, and read each color class back as a 2-factor.
     """
     if not g.is_loopless():
         raise PreconditionError("2-factorization requires a loopless graph")
@@ -139,15 +136,12 @@ def two_factorization(g: Multigraph) -> List[Multigraph]:
     if m == 0:
         return []
 
-    arcs = _orient(g)
-    bip = BipartiteMultigraph([(0, v) for v in verts], [(1, v) for v in verts])
-    for (u, v), n in sorted(arcs.items()):
-        bip.add_edges((0, u), (1, v), n)
-    coloring = konig_proper_coloring(bip, m)
-
+    pairs = sorted((u, v, n) for (u, v), n in _orient(g).items())
     factors = [Multigraph(verts) for _ in range(m)]
-    for ((_, u), (_, v), col, n) in coloring.items():
-        factors[col - 1].add_edges(u, v, n)
+    for factor, flows in zip(factors, bee_coloring((verts, verts, pairs), m)):
+        for (u, v, _), n in zip(pairs, flows):
+            if n:
+                factor.add_edges(u, v, n)
     if any(f.degree(v) != 2 for f in factors for v in verts):
         raise AssertionError("factor is not 2-regular")
     return factors

@@ -244,11 +244,7 @@ class Multigraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Multigraph):
             return NotImplemented
-        return (
-            set(self._adj) == set(other._adj)
-            and all(self._adj[v] == other._adj.get(v, {}) for v in self._adj)
-            and self._loops == other._loops
-        )
+        return self._adj == other._adj and self._loops == other._loops
 
     def __repr__(self) -> str:
         return (
@@ -372,9 +368,6 @@ class ColoredMultigraph:
         for layer in self._layers:
             g.merge(layer)
         return g
-
-    def edge_count(self) -> int:
-        return sum(g.edge_count() for g in self._layers)
 
     def copy(self) -> "ColoredMultigraph":
         cg = ColoredMultigraph(self.k)

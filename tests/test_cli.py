@@ -579,6 +579,29 @@ ROUND_TRIP_HOST = {
 }
 
 
+@pytest.mark.parametrize(
+    "doc, want",
+    [
+        (
+            ROUND_TRIP_HOST,
+            b'{"eta_before":3,"from":0,"moved":3,"new":2,"step":0}\n'
+            b'{"eta_before":2,"from":0,"moved":4,"new":3,"step":1}\n'
+            b'{"eta_before":2,"from":1,"moved":4,"new":4,"step":2}\n',
+        ),
+        (dict(ROUND_TRIP_HOST, loops=[], eta=[[0, 1], [1, 1]]), b""),
+    ],
+    ids=["three_steps", "no_steps"],
+)
+def test_detach_trace_bytes_are_pinned(tmp_path, doc, want) -> None:
+    from fairdetach.cli import main
+
+    host = tmp_path / "h.json"
+    host.write_text(json.dumps(doc))
+    trace = tmp_path / "t.jsonl"
+    assert main(["detach", str(host), "-o", str(tmp_path / "g.json"), "--trace", str(trace)]) == 0
+    assert trace.read_bytes() == want
+
+
 def test_one_process_runs_commands_like_separate_processes(tmp_path, capsys) -> None:
     from fairdetach.cli import main
 
