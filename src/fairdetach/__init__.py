@@ -8,8 +8,6 @@ complete graphs and uniform group divisible multigraphs.
 """
 
 from .bee import (
-    BipartiteColoring,
-    BipartiteMultigraph,
     bee_coloring,
     is_balanced,
     is_equalized,
@@ -70,8 +68,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmalgamationSpec",
-    "BipartiteColoring",
-    "BipartiteMultigraph",
     "ColoredMultigraph",
     "DetachmentMap",
     "DetachmentReport",

@@ -10,16 +10,17 @@ circulation whose arc windows are the floor/ceiling quotas of the pair
 multiplicities, vertex degrees and edge total, so every quota is met by
 construction and the guarantees compose across the recursion.
 
-Each call sorts its vertices and pairs once, or takes them already sorted
-(a `SortedBipartite`, which is how the detachment engine hands over its
-graphs and gets its classes back as multiplicity vectors), and keeps one
-integer skeleton of them: a node index (source, sink, left vertices, right vertices), the
-two nodes of every pair, and the uncolored pair multiplicities, vertex
-degrees and edge total.  Every class is peeled from the skeleton and then
-subtracted from it in place, so later classes neither copy the graph nor
-sort and index it again.  A pair that earlier classes emptied keeps its
-place with the window [0, 0]; the circulation solver leaves such arcs out
-of its network, so the flows are those of a network built without them.
+A graph is a `SortedBipartite` (lefts, rights, pairs), already in peel
+order, and a coloring is its list of classes, each the vector of its
+multiplicities on `pairs`; the three predicates take the graph and that
+list.  Each call keeps one integer skeleton of the graph: a node index
+(source, sink, left vertices, right vertices), the two nodes of every
+pair, and the uncolored pair multiplicities, vertex degrees and edge
+total.  Every class is peeled from the skeleton and then subtracted from
+it in place, so later classes neither copy the graph nor sort and index
+it again.  A pair that earlier classes emptied keeps its place with the
+window [0, 0]; the circulation solver leaves such arcs out of its
+network, so the flows are those of a network built without them.
 
 `konig_proper_coloring` is the proper coloring of Konig's theorem (1916):
 a bipartite multigraph of maximum degree at most k has a proper
@@ -30,162 +31,49 @@ edge of each color.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import GraphError, PreconditionError
+from .errors import PreconditionError
 from .flows import feasible_circulation
 
 Label = Hashable
 Pairs = List[Tuple[Label, Label, int]]
-# (lefts, rights, pairs): a bipartite multigraph already in peel order; see bee_coloring
+# (lefts, rights, pairs): a bipartite multigraph in peel order; see bee_coloring
 SortedBipartite = Tuple[Sequence[Label], Sequence[Label], Pairs]
-
-
-class BipartiteMultigraph:
-    """Bipartite multigraph with multiplicity counts keyed (left, right).
-
-    Side labels may be any sortable hashable values (ints, tuples of ints);
-    the two sides must be disjoint and loops cannot exist.
-    """
-
-    __slots__ = ("_left", "_right", "_mult")
-
-    def __init__(self, left: Iterable[Label] = (), right: Iterable[Label] = ()) -> None:
-        self._left = set(left)
-        self._right = set(right)
-        if self._left & self._right:
-            raise GraphError("bipartition sides must be disjoint")
-        self._mult: Dict[Tuple[Label, Label], int] = {}
-
-    @property
-    def left(self) -> List[Label]:
-        return sorted(self._left)
-
-    @property
-    def right(self) -> List[Label]:
-        return sorted(self._right)
-
-    def add_left(self, v: Label) -> None:
-        if v in self._right:
-            raise GraphError(f"{v!r} is already a right vertex")
-        self._left.add(v)
-
-    def add_edges(self, l: Label, r: Label, n: int = 1) -> None:
-        if l not in self._left or r not in self._right:
-            raise GraphError(f"unknown endpoint in ({l!r}, {r!r})")
-        if n < 0:
-            raise GraphError("negative edge count")
-        if n:
-            self._mult[(l, r)] = self._mult.get((l, r), 0) + n
-
-    def remove_edges(self, l: Label, r: Label, n: int = 1) -> None:
-        have = self._mult.get((l, r), 0)
-        if n > have:
-            raise GraphError(f"cannot remove {n} edges from m={have}")
-        if n == 0:
-            return
-        if have == n:
-            del self._mult[(l, r)]
-        else:
-            self._mult[(l, r)] = have - n
-
-    def pairs(self) -> List[Tuple[Label, Label, int]]:
-        return sorted((l, r, n) for (l, r), n in self._mult.items())
-
-    def max_degree(self) -> int:
-        deg: Dict[Label, int] = {}
-        for (l, r), n in self._mult.items():
-            deg[l] = deg.get(l, 0) + n
-            deg[r] = deg.get(r, 0) + n
-        return max(deg.values(), default=0)
-
-    def edge_count(self) -> int:
-        return sum(self._mult.values())
-
-    def copy(self) -> "BipartiteMultigraph":
-        g = BipartiteMultigraph()
-        g._left = set(self._left)
-        g._right = set(self._right)
-        g._mult = dict(self._mult)
-        return g
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BipartiteMultigraph):
-            return NotImplemented
-        return (
-            self._left == other._left
-            and self._right == other._right
-            and self._mult == other._mult
-        )
-
-
-class BipartiteColoring:
-    """A k-edge-coloring of a bipartite multigraph, stored as per-color counts."""
-
-    __slots__ = ("k", "_left", "_right", "_mult")
-
-    def __init__(self, k: int, left: Iterable[Label], right: Iterable[Label]) -> None:
-        if k < 1:
-            raise GraphError("color count must be positive")
-        self.k = k
-        self._left = set(left)
-        self._right = set(right)
-        self._mult: Dict[Tuple[Label, Label, int], int] = {}
-
-    def add(self, l: Label, r: Label, color: int, n: int = 1) -> None:
-        if not 1 <= color <= self.k:
-            raise GraphError(f"color {color} out of range 1..{self.k}")
-        if n < 0:
-            raise GraphError("negative count")
-        if n:
-            key = (l, r, color)
-            self._mult[key] = self._mult.get(key, 0) + n
-
-    def count(self, l: Label, r: Label, color: int) -> int:
-        return self._mult.get((l, r, color), 0)
-
-    def items(self) -> List[Tuple[Label, Label, int, int]]:
-        return sorted((l, r, c, n) for (l, r, c), n in self._mult.items())
-
-    def class_sizes(self) -> List[int]:
-        out = [0] * self.k
-        for (_, _, c), n in self._mult.items():
-            out[c - 1] += n
-        return out
-
-    def parent(self) -> BipartiteMultigraph:
-        """The colored graph with colors forgotten."""
-        g = BipartiteMultigraph(self._left, self._right)
-        for (l, r, _), n in self._mult.items():
-            g.add_edges(l, r, n)
-        return g
+# class j of a coloring: its multiplicity on every pair, in the order of `pairs`
+Classes = List[List[int]]
 
 
 # ---------------------------------------------------------------------------
 # predicates
 
 
-def is_balanced(c: BipartiteColoring) -> bool:
+def _within_one(counts: Iterable[Sequence[int]]) -> bool:
+    return all(max(c) - min(c) <= 1 for c in counts)
+
+
+def is_balanced(bg: SortedBipartite, classes: Classes) -> bool:
     """Per vertex pair, color counts among parallel edges differ by at most one."""
-    per_pair: Dict[Tuple[Label, Label], List[int]] = {}
-    for (l, r, col), n in c._mult.items():
-        per_pair.setdefault((l, r), [0] * c.k)[col - 1] += n
-    return all(max(v) - min(v) <= 1 for v in per_pair.values())
+    return _within_one(zip(*classes))
 
 
-def is_equitable(c: BipartiteColoring) -> bool:
-    """Per vertex, incident color counts differ by at most one."""
-    per_vertex: Dict[Label, List[int]] = {}
-    for (l, r, col), n in c._mult.items():
-        per_vertex.setdefault(l, [0] * c.k)[col - 1] += n
-        per_vertex.setdefault(r, [0] * c.k)[col - 1] += n
-    return all(max(v) - min(v) <= 1 for v in per_vertex.values())
+def is_equitable(bg: SortedBipartite, classes: Classes) -> bool:
+    """Per vertex, incident color counts differ by at most one.
+
+    Vertices are keyed by side, so the two sides may share labels.
+    """
+    per_vertex: Dict[Tuple[int, Label], List[int]] = {}
+    for (l, r, _), counts in zip(bg[2], zip(*classes)):
+        for key in ((0, l), (1, r)):
+            seen = per_vertex.setdefault(key, [0] * len(classes))
+            for j, n in enumerate(counts):
+                seen[j] += n
+    return _within_one(per_vertex.values())
 
 
-def is_equalized(c: BipartiteColoring) -> bool:
+def is_equalized(bg: SortedBipartite, classes: Classes) -> bool:
     """Global color class sizes differ by at most one."""
-    sizes = c.class_sizes()
-    return max(sizes) - min(sizes) <= 1
+    return _within_one([[sum(cls) for cls in classes]])
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +121,7 @@ def _peel_class(sk: _Skeleton, c: int) -> List[int]:
     return flows[sk.n_left : sk.n_left + len(sk.mult)]
 
 
-def bee_coloring(
-    bg: Union[BipartiteMultigraph, SortedBipartite], k: int, *, upto: Optional[int] = None
-) -> Union[BipartiteColoring, List[List[int]]]:
+def bee_coloring(bg: SortedBipartite, k: int, *, upto: Optional[int] = None) -> Classes:
     """Balanced, equitable and equalized k-edge-coloring of a bipartite multigraph.
 
     Exists for every finite bipartite multigraph and every k >= 1; classes
@@ -246,13 +132,11 @@ def bee_coloring(
     edges classes 1..j-1 left, so classes 1..m are exactly those of the
     full coloring.
 
-    A `BipartiteMultigraph` gives a `BipartiteColoring`.  A `SortedBipartite`
-    (lefts, rights, pairs) is taken as it comes, already in the order the
-    peel needs: the left labels sorted, the right labels sorted, and the
-    (left, right, multiplicity) pairs sorted by (left, right), with positive
-    multiplicities.  It gives the classes themselves: class j is the list
-    of its multiplicities on `pairs`, in that order.  The two sides of a
-    `SortedBipartite` may share labels.
+    The graph (lefts, rights, pairs) is taken as it comes, already in the
+    order the peel needs: the left labels sorted, the right labels sorted,
+    and the (left, right, multiplicity) pairs sorted by (left, right), with
+    positive multiplicities.  The two sides may share labels.  Class j is
+    returned as the list of its multiplicities on `pairs`, in that order.
     """
     if k < 1:
         raise PreconditionError(f"need at least one color, got {k}")
@@ -260,9 +144,7 @@ def bee_coloring(
         upto = k
     if not 1 <= upto <= k:
         raise PreconditionError(f"upto must lie in 1..{k}, got {upto}")
-    graph = isinstance(bg, BipartiteMultigraph)
-    lefts, rights, pairs = (bg.left, bg.right, bg.pairs()) if graph else bg
-    sk = _Skeleton(lefts, rights, pairs)
+    sk = _Skeleton(*bg)
     mult, deg, ends = sk.mult, sk.deg, sk.ends
     classes = []
     for j in range(1, upto + 1):
@@ -277,17 +159,10 @@ def bee_coloring(
         sk.total -= sum(flows)
     if upto == k and sk.total != 0:
         raise AssertionError("peeling left edges uncolored")
-    if not graph:
-        return classes
-    out = BipartiteColoring(k, lefts, rights)
-    for j, flows in enumerate(classes, start=1):
-        for (l, r, _), f in zip(pairs, flows):
-            if f:
-                out.add(l, r, j, f)
-    return out
+    return classes
 
 
-def konig_proper_coloring(bg: BipartiteMultigraph, k: int) -> BipartiteColoring:
+def konig_proper_coloring(bg: SortedBipartite, k: int) -> Classes:
     """Proper k-edge-coloring of a bipartite multigraph with max degree <= k.
 
     Konig (1916): such a coloring exists.  It is the equitable coloring of
@@ -295,8 +170,7 @@ def konig_proper_coloring(bg: BipartiteMultigraph, k: int) -> BipartiteColoring:
     color floor(d/k) or ceil(d/k) times, that is 0 or 1, so no two edges
     at a vertex share a color.
     """
-    if bg.max_degree() > k:
-        raise PreconditionError(
-            f"max degree {bg.max_degree()} exceeds color count {k}"
-        )
+    top = max(_Skeleton(*bg).deg)
+    if top > k:
+        raise PreconditionError(f"max degree {top} exceeds color count {k}")
     return bee_coloring(bg, k)

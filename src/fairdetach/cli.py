@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 verification failure, 2 precondition violation,
 3 infeasible parameters, 4 malformed input.  Commands raise
 InfeasibleError, PreconditionError, DocumentError or OSError and `main`
-alone turns them into exit codes.  All outputs are deterministic for
+alone turns them into exit codes; `fuzz` reports an instance that raises
+anything as a FAIL line naming its seed.  All outputs are deterministic for
 identical inputs; --seed only drives the fuzz instance generator.
 """
 
@@ -153,31 +154,39 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _fuzz_one(kind: str, seed: int) -> Optional[str]:
-    rng = random.Random(seed)
+    """The failure line of one fuzz instance, or None; a crash is a failure."""
+    try:
+        failure = _fuzz_check(kind, random.Random(seed))
+    except Exception as exc:
+        failure = f"{kind}: {type(exc).__name__}: {exc}"
+    return None if failure is None else f"seed {seed}: {failure}"
+
+
+def _fuzz_check(kind: str, rng: random.Random) -> Optional[str]:
     if kind == "detach":
         cg, eta = random_detach_instance(rng)
         g, psi, _ = detach_all(cg, eta)
         report = verify_detachment(cg, eta, psi, g)
         if not report.ok:
             name, witness = report.first_failure() or ("?", None)
-            return f"seed {seed}: {name} failed: {witness}"
+            return f"{name} failed: {witness}"
     elif kind == "bee":
         bg = random_bipartite(rng)
         k = rng.randint(1, 5)
-        coloring = bee_coloring(bg, k)
+        classes = bee_coloring(bg, k)
         if not (
-            is_balanced(coloring)
-            and is_equitable(coloring)
-            and is_equalized(coloring)
-            and coloring.parent() == bg
+            is_balanced(bg, classes)
+            and is_equitable(bg, classes)
+            and is_equalized(bg, classes)
+            and [sum(col) for col in zip(*classes)] == [n for _, _, n in bg[2]]
         ):
-            return f"seed {seed}: coloring contract violated"
+            return "coloring contract violated"
     elif kind == "evencolor":
         g = random_even_multigraph(rng)
         k = rng.randint(1, 5)
         cg = evenly_equitable_coloring(g, k)
         if not (is_evenly_equitable(cg) and cg.underlying() == g):
-            return f"seed {seed}: even coloring contract violated"
+            return "even coloring contract violated"
     else:
         raise ValueError(f"unknown fuzz kind {kind}")
     return None

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from typing import Tuple
 
-from .bee import BipartiteMultigraph
+from .bee import SortedBipartite
 from .multigraph import AmalgamationSpec, ColoredMultigraph, Multigraph
 
 
@@ -44,15 +44,18 @@ def random_bipartite(
     rng: random.Random,
     max_side: int = 8,
     max_mult: int = 6,
-) -> BipartiteMultigraph:
+) -> SortedBipartite:
+    """A random bipartite multigraph in peel order, lefts 0.. and rights 100.."""
     nl = rng.randint(1, max_side)
     nr = rng.randint(1, max_side)
-    bg = BipartiteMultigraph(range(nl), range(100, 100 + nr))
-    for l in range(nl):
-        for r in range(100, 100 + nr):
-            if rng.random() < 0.4:
-                bg.add_edges(l, r, rng.randint(1, max_mult))
-    return bg
+    lefts, rights = list(range(nl)), list(range(100, 100 + nr))
+    pairs = [
+        (l, r, rng.randint(1, max_mult))
+        for l in lefts
+        for r in rights
+        if rng.random() < 0.4
+    ]
+    return lefts, rights, pairs
 
 
 def random_even_multigraph(

@@ -10,12 +10,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from fairdetach.bee import (
-    BipartiteColoring,
-    BipartiteMultigraph,
-    bee_coloring,
-    konig_proper_coloring,
-)
+from fairdetach.bee import Classes, SortedBipartite
 from fairdetach.engine import MoveSet
 from fairdetach.errors import GraphError, PreconditionError
 from fairdetach.evencolor import EulerCircuit, is_evenly_equitable
@@ -28,6 +23,124 @@ from fairdetach.multigraph import (
     Rational,
     VertexId,
 )
+
+
+class BipartiteMultigraph:
+    """Bipartite multigraph with multiplicity counts keyed (left, right): the
+    object form the library's colorings took before they ran on sorted
+    tuples, kept for the oracles below.  The two sides must be disjoint."""
+
+    __slots__ = ("_left", "_right", "_mult")
+
+    def __init__(self, left: Iterable[Hashable] = (), right: Iterable[Hashable] = ()) -> None:
+        self._left = set(left)
+        self._right = set(right)
+        if self._left & self._right:
+            raise GraphError("bipartition sides must be disjoint")
+        self._mult: Dict[Tuple[Hashable, Hashable], int] = {}
+
+    @property
+    def left(self) -> List[Hashable]:
+        return sorted(self._left)
+
+    @property
+    def right(self) -> List[Hashable]:
+        return sorted(self._right)
+
+    def add_left(self, v: Hashable) -> None:
+        if v in self._right:
+            raise GraphError(f"{v!r} is already a right vertex")
+        self._left.add(v)
+
+    def add_edges(self, l: Hashable, r: Hashable, n: int = 1) -> None:
+        if l not in self._left or r not in self._right:
+            raise GraphError(f"unknown endpoint in ({l!r}, {r!r})")
+        if n < 0:
+            raise GraphError("negative edge count")
+        if n:
+            self._mult[(l, r)] = self._mult.get((l, r), 0) + n
+
+    def remove_edges(self, l: Hashable, r: Hashable, n: int = 1) -> None:
+        have = self._mult.get((l, r), 0)
+        if n > have:
+            raise GraphError(f"cannot remove {n} edges from m={have}")
+        if n == 0:
+            return
+        if have == n:
+            del self._mult[(l, r)]
+        else:
+            self._mult[(l, r)] = have - n
+
+    def pairs(self) -> List[Tuple[Hashable, Hashable, int]]:
+        return sorted((l, r, n) for (l, r), n in self._mult.items())
+
+    def edge_count(self) -> int:
+        return sum(self._mult.values())
+
+    def copy(self) -> "BipartiteMultigraph":
+        g = BipartiteMultigraph()
+        g._left = set(self._left)
+        g._right = set(self._right)
+        g._mult = dict(self._mult)
+        return g
+
+
+class BipartiteColoring:
+    """A k-edge-coloring of a BipartiteMultigraph, stored as per-color counts."""
+
+    __slots__ = ("k", "_left", "_right", "_mult")
+
+    def __init__(self, k: int, left: Iterable[Hashable], right: Iterable[Hashable]) -> None:
+        if k < 1:
+            raise GraphError("color count must be positive")
+        self.k = k
+        self._left = set(left)
+        self._right = set(right)
+        self._mult: Dict[Tuple[Hashable, Hashable, int], int] = {}
+
+    def add(self, l: Hashable, r: Hashable, color: int, n: int = 1) -> None:
+        if not 1 <= color <= self.k:
+            raise GraphError(f"color {color} out of range 1..{self.k}")
+        if n < 0:
+            raise GraphError("negative count")
+        if n:
+            key = (l, r, color)
+            self._mult[key] = self._mult.get(key, 0) + n
+
+    def count(self, l: Hashable, r: Hashable, color: int) -> int:
+        return self._mult.get((l, r, color), 0)
+
+    def items(self) -> List[Tuple[Hashable, Hashable, int, int]]:
+        return sorted((l, r, c, n) for (l, r, c), n in self._mult.items())
+
+
+def bipartite_of(bg: SortedBipartite) -> BipartiteMultigraph:
+    """The object form of a sorted (lefts, rights, pairs) tuple."""
+    lefts, rights, pairs = bg
+    g = BipartiteMultigraph(lefts, rights)
+    for l, r, n in pairs:
+        g.add_edges(l, r, n)
+    return g
+
+
+def coloring_of(bg: SortedBipartite, classes: Classes) -> BipartiteColoring:
+    """The object form of a coloring given as class vectors over bg's pairs."""
+    lefts, rights, pairs = bg
+    c = BipartiteColoring(len(classes), lefts, rights)
+    for j, cls in enumerate(classes, start=1):
+        for (l, r, _), n in zip(pairs, cls):
+            c.add(l, r, j, n)
+    return c
+
+
+def class_vectors(c: BipartiteColoring, pairs: Sequence[Tuple]) -> Classes:
+    """Each class of c as its multiplicities on pairs, in that order."""
+    return [[c.count(l, r, j) for l, r, _ in pairs] for j in range(1, c.k + 1)]
+
+
+def covers_pairs(bg: SortedBipartite, classes: Classes) -> bool:
+    """The classes share out every pair's multiplicity, no more and no less."""
+    return [sum(col) for col in zip(*classes)] == [n for _, _, n in bg[2]]
 
 
 def outcome(check, *args):
@@ -491,10 +604,10 @@ def reference_step(cg: ColoredMultigraph, y: int, eta_y: int, cond3, component_m
     order, beside the color of each.
     """
     fan = reference_build_split_bipartite(cg, y)
-    fan_coloring = bee_coloring(fan.graph, eta_y, upto=2)
+    fan_coloring = reference_bee_coloring(fan.graph, eta_y, upto=2)
     working = SplitBipartite(y=y, k=cg.k, graph=reference_restrict(fan_coloring, (1, 2)))
     refined = reference_refine(working, cond3, component_map)
-    pick = bee_coloring(refined.graph, 2)
+    pick = reference_bee_coloring(refined.graph, 2)
     edge_moves: Dict[int, Dict[int, int]] = {}
     loop_moves: Dict[int, int] = {}
     for (label, w), n in reference_class_pair_row(pick, 1).items():
@@ -512,12 +625,10 @@ def reference_step(cg: ColoredMultigraph, y: int, eta_y: int, cond3, component_m
     refined_rows = _as_rows(refined.graph, number)
     return {
         "fan": fan_rows,
-        "classes": [
-            [fan_coloring.count(l, r, c) for l, r, _ in fan.graph.pairs()] for c in (1, 2)
-        ],
+        "classes": class_vectors(fan_coloring, fan.graph.pairs())[:2],
         "working": _as_rows(working.graph, colors),
         "refined": ([label[0] for label in unit_labels], refined_rows),
-        "picked": [pick.count(l, r, 1) for l, r, _ in refined.graph.pairs()],
+        "picked": class_vectors(pick, refined.graph.pairs())[0],
         "moves": MoveSet(edge_moves=edge_moves, loop_moves=loop_moves),
     }
 
@@ -672,7 +783,7 @@ def reference_two_factorization(g: Multigraph) -> List[Multigraph]:
     bip = BipartiteMultigraph([(0, v) for v in verts], [(1, v) for v in verts])
     for (u, v), n in sorted(arcs.items()):
         bip.add_edges((0, u), (1, v), n)
-    coloring = konig_proper_coloring(bip, m)
+    coloring = reference_bee_coloring(bip, m)
 
     factors = []
     for c in range(1, m + 1):

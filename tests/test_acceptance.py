@@ -28,7 +28,12 @@ from fairdetach.hamilton import (
     ham_decompose_lambda_kn,
 )
 from fairdetach.verify import is_gdd, verify_detachment, verify_ham_decomposition
-from helpers import brute_force_ham_decomposable, mixed_edge_count, pure_edge_counts
+from helpers import (
+    brute_force_ham_decomposable,
+    covers_pairs,
+    mixed_edge_count,
+    pure_edge_counts,
+)
 
 DETACH_SEEDS = range(1000, 1500)
 POSITIVE_GDD = [
@@ -163,10 +168,10 @@ def test_criterion_5_coloring_contracts() -> None:
         k = rng.randint(1, 5)
         c = bee_coloring(bg, k)
         if not (
-            is_balanced(c)
-            and is_equitable(c)
-            and is_equalized(c)
-            and c.parent() == bg
+            is_balanced(bg, c)
+            and is_equitable(bg, c)
+            and is_equalized(bg, c)
+            and covers_pairs(bg, c)
         ):
             bad += 1
     for seed in range(3000, 3200):

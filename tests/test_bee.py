@@ -1,13 +1,12 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
 
 from fairdetach.bee import (
-    BipartiteColoring,
-    BipartiteMultigraph,
     bee_coloring,
     is_balanced,
     is_equalized,
@@ -17,7 +16,11 @@ from fairdetach.bee import (
 from fairdetach.errors import PreconditionError
 from fairdetach.fuzzgen import random_bipartite
 from helpers import (
+    bipartite_of,
+    class_vectors,
     coloring_from_assignment,
+    coloring_of,
+    covers_pairs,
     enumerate_unit_edges,
     is_proper,
     pair_counts,
@@ -26,121 +29,112 @@ from helpers import (
 )
 
 
+def is_bee(bg, classes) -> bool:
+    return is_balanced(bg, classes) and is_equitable(bg, classes) and is_equalized(bg, classes)
+
+
 def test_konig_perfect_matching_one_color() -> None:
-    bg = BipartiteMultigraph([0, 1, 2], [10, 11, 12])
-    for l, r in [(0, 10), (1, 11), (2, 12)]:
-        bg.add_edges(l, r)
+    bg = ([0, 1, 2], [10, 11, 12], [(0, 10, 1), (1, 11, 1), (2, 12, 1)])
     c = konig_proper_coloring(bg, 1)
-    assert is_proper(c)
-    assert all(col == 1 for _, _, col, _ in c.items())
+    assert is_proper(coloring_of(bg, c))
+    assert c == [[1, 1, 1]]
 
 
 def test_konig_parallel_edges_get_distinct_colors() -> None:
-    bg = BipartiteMultigraph([0], [1])
-    bg.add_edges(0, 1, 3)
+    bg = ([0], [1], [(0, 1, 3)])
     c = konig_proper_coloring(bg, 3)
-    assert sorted(c.count(0, 1, col) for col in (1, 2, 3)) == [1, 1, 1]
+    assert c == [[1], [1], [1]]
 
 
 def test_konig_random_instances_are_proper() -> None:
     rng = random.Random(5)
     for _ in range(150):
         nl, nr = rng.randint(1, 6), rng.randint(1, 6)
-        bg = BipartiteMultigraph(range(nl), range(50, 50 + nr))
-        for l in range(nl):
-            for r in range(50, 50 + nr):
+        lefts, rights = list(range(nl)), list(range(50, 50 + nr))
+        pairs = []
+        for l in lefts:
+            for r in rights:
                 if rng.random() < 0.4:
-                    bg.add_edges(l, r, rng.randint(1, 3))
-        k = max(bg.max_degree(), 1) + rng.randint(0, 2)
+                    pairs.append((l, r, rng.randint(1, 3)))
+        bg = (lefts, rights, pairs)
+        deg: Counter = Counter()
+        for l, r, n in pairs:
+            deg[l] += n
+            deg[r] += n
+        k = max([1, *deg.values()]) + rng.randint(0, 2)
         c = konig_proper_coloring(bg, k)
-        assert is_proper(c)
-        assert c.parent() == bg
+        assert is_proper(coloring_of(bg, c))
+        assert covers_pairs(bg, c)
 
 
 def test_konig_degree_overflow_rejected() -> None:
-    bg = BipartiteMultigraph([0], [1])
     with pytest.raises(PreconditionError, match="need at least one color, got 0"):
-        konig_proper_coloring(bg, 0)
-    bg.add_edges(0, 1, 4)
-    with pytest.raises(PreconditionError):
-        konig_proper_coloring(bg, 3)
+        konig_proper_coloring(([0], [1], []), 0)
+    with pytest.raises(PreconditionError, match="max degree 4 exceeds color count 3"):
+        konig_proper_coloring(([0], [1], [(0, 1, 4)]), 3)
 
 
 def test_bee_five_parallel_edges_split_three_two() -> None:
-    bg = BipartiteMultigraph([0], [1])
-    bg.add_edges(0, 1, 5)
+    bg = ([0], [1], [(0, 1, 5)])
     c = bee_coloring(bg, 2)
-    assert sorted(pair_counts(c, 0, 1)) == [2, 3]
+    assert sorted(pair_counts(coloring_of(bg, c), 0, 1)) == [2, 3]
 
 
 def test_bee_star_center_sees_each_color_twice() -> None:
-    bg = BipartiteMultigraph([0], range(1, 7))
-    for r in range(1, 7):
-        bg.add_edges(0, r)
+    bg = ([0], list(range(1, 7)), [(0, r, 1) for r in range(1, 7)])
     c = bee_coloring(bg, 3)
-    assert vertex_counts(c, 0) == [2, 2, 2]
+    assert vertex_counts(coloring_of(bg, c), 0) == [2, 2, 2]
 
 
 def test_bee_mixed_instance_against_exhaustive_oracle() -> None:
     # sides {x1,x2} and {y1,y2}: m(x1,y1)=3, m(x1,y2)=1, m(x2,y1)=2, k=2
-    bg = BipartiteMultigraph([0, 1], [10, 11])
-    bg.add_edges(0, 10, 3)
-    bg.add_edges(0, 11, 1)
-    bg.add_edges(1, 10, 2)
+    lefts, rights, pairs = bg = ([0, 1], [10, 11], [(0, 10, 3), (0, 11, 1), (1, 10, 2)])
 
-    units = enumerate_unit_edges(bg.pairs())
+    units = enumerate_unit_edges(pairs)
     valid = 0
     for colors in product((1, 2), repeat=len(units)):
-        c = coloring_from_assignment(units, colors, 2, bg.left, bg.right)
-        if is_balanced(c) and is_equitable(c) and is_equalized(c):
+        c = coloring_from_assignment(units, colors, 2, lefts, rights)
+        if is_bee(bg, class_vectors(c, pairs)):
             valid += 1
     assert valid >= 1
 
     produced = bee_coloring(bg, 2)
-    assert sorted(produced.class_sizes()) == [3, 3]
-    assert is_balanced(produced) and is_equitable(produced) and is_equalized(produced)
-    for l, r, _ in bg.pairs():
-        counts = pair_counts(produced, l, r)
+    assert sorted(sum(cls) for cls in produced) == [3, 3]
+    assert is_bee(bg, produced)
+    for l, r, _ in pairs:
+        counts = pair_counts(coloring_of(bg, produced), l, r)
         assert max(counts) - min(counts) <= 1
 
 
 def test_is_balanced_on_simple_graph_single_color() -> None:
-    bg = BipartiteMultigraph([0, 1], [10, 11])
-    bg.add_edges(0, 10)
-    bg.add_edges(1, 11)
+    bg = ([0, 1], [10, 11], [(0, 10, 1), (1, 11, 1)])
     c = bee_coloring(bg, 1)
-    assert is_balanced(c)
+    assert is_balanced(bg, c)
 
 
 def test_is_balanced_rejects_three_one_split() -> None:
-    c = BipartiteColoring(2, [0], [1])
-    c.add(0, 1, 1, 3)
-    c.add(0, 1, 2, 1)
-    assert not is_balanced(c)
+    assert not is_balanced(([0], [1], [(0, 1, 4)]), [[3], [1]])
 
 
 def test_is_equitable_k1_always_true() -> None:
-    c = BipartiteColoring(1, [0], [1])
-    c.add(0, 1, 1, 9)
-    assert is_equitable(c)
+    assert is_equitable(([0], [1], [(0, 1, 9)]), [[9]])
 
 
 def test_is_equitable_rejects_four_one_split() -> None:
-    c = BipartiteColoring(2, [0], [1, 2])
-    c.add(0, 1, 1, 4)
-    c.add(0, 2, 2, 1)
-    assert not is_equitable(c)
+    assert not is_equitable(([0], [1, 2], [(0, 1, 4), (0, 2, 1)]), [[4, 0], [0, 1]])
+
+
+def test_is_equitable_keys_vertices_by_side() -> None:
+    # the sides share labels, as in the 2-factorization fold; merging left 0
+    # with right 0 (and left 1 with right 1) would see class 1 twice there
+    bg = ((0, 1), (0, 1), [(0, 1, 1), (1, 0, 1)])
+    assert is_equitable(bg, [[1, 1], [0, 0], [0, 0]])
 
 
 def test_is_equalized_examples() -> None:
-    good = BipartiteColoring(3, [0], [1])
-    for col, n in [(1, 3), (2, 2), (3, 2)]:
-        good.add(0, 1, col, n)
-    assert is_equalized(good)
-    bad = BipartiteColoring(3, [0], [1])
-    for col, n in [(1, 4), (2, 2), (3, 1)]:
-        bad.add(0, 1, col, n)
-    assert not is_equalized(bad)
+    bg = ([0], [1], [(0, 1, 7)])
+    assert is_equalized(bg, [[3], [2], [2]])
+    assert not is_equalized(bg, [[4], [2], [1]])
 
 
 def test_bee_class_sizes_hit_floor_or_ceil() -> None:
@@ -149,17 +143,16 @@ def test_bee_class_sizes_hit_floor_or_ceil() -> None:
         bg = random_bipartite(rng, max_side=5, max_mult=4)
         k = rng.randint(1, 5)
         c = bee_coloring(bg, k)
-        total = bg.edge_count()
-        for size in c.class_sizes():
+        total = sum(n for _, _, n in bg[2])
+        for size in (sum(cls) for cls in c):
             assert size in (total // k, -((-total) // k))
 
 
 def test_bee_more_colors_than_edges() -> None:
-    bg = BipartiteMultigraph([0], [1])
-    bg.add_edges(0, 1, 2)
+    bg = ([0], [1], [(0, 1, 2)])
     c = bee_coloring(bg, 5)
-    assert sum(c.class_sizes()) == 2
-    assert is_balanced(c) and is_equitable(c) and is_equalized(c)
+    assert sum(map(sum, c)) == 2
+    assert is_bee(bg, c)
 
 
 def test_bee_fuzz_contract() -> None:
@@ -168,10 +161,10 @@ def test_bee_fuzz_contract() -> None:
         bg = random_bipartite(rng, max_side=6, max_mult=5)
         k = rng.randint(1, 5)
         c = bee_coloring(bg, k)
-        assert is_balanced(c)
-        assert is_equitable(c)
-        assert is_equalized(c)
-        assert c.parent() == bg
+        assert is_balanced(bg, c)
+        assert is_equitable(bg, c)
+        assert is_equalized(bg, c)
+        assert covers_pairs(bg, c)
 
 
 def test_bee_upto_matches_leading_classes() -> None:
@@ -179,33 +172,25 @@ def test_bee_upto_matches_leading_classes() -> None:
     for _ in range(120):
         bg = random_bipartite(rng, max_side=6, max_mult=5)
         for k in range(1, 6):
-            full = bee_coloring(bg, k).items()
+            full = bee_coloring(bg, k)
             for m in sorted({1, min(2, k), k}):
-                part = bee_coloring(bg, k, upto=m)
-                assert part.items() == [it for it in full if it[2] <= m]
+                assert bee_coloring(bg, k, upto=m) == full[:m]
 
 
 @pytest.mark.parametrize("block", range(4))
 def test_bee_matches_reference_peel(block: int) -> None:
     for seed in range(block * 30, block * 30 + 30):
         bg = random_bipartite(random.Random(seed), max_side=6, max_mult=5)
+        graph = bipartite_of(bg)
         for k in range(1, 6):
             for u in sorted({1, min(2, k), k}):
-                ref = reference_bee_coloring(bg, k, upto=u)
-                got = bee_coloring(bg, k, upto=u).items()
-                assert got == ref.items(), (seed, k, u)
-                # the same graph handed over in peel order gives its classes
-                # as multiplicity vectors over the pairs
-                pairs = bg.pairs()
-                classes = bee_coloring((bg.left, bg.right, pairs), k, upto=u)
-                assert classes == [
-                    [ref.count(l, r, j) for l, r, _ in pairs] for j in range(1, u + 1)
-                ], (seed, k, u)
+                ref = reference_bee_coloring(graph, k, upto=u)
+                got = bee_coloring(bg, k, upto=u)
+                assert got == class_vectors(ref, bg[2])[:u], (seed, k, u)
 
 
 def test_bee_upto_out_of_range_rejected() -> None:
-    bg = BipartiteMultigraph([0], [1])
-    bg.add_edges(0, 1, 4)
+    bg = ([0], [1], [(0, 1, 4)])
     for upto in (0, -1, 4):
         with pytest.raises(PreconditionError):
             bee_coloring(bg, 3, upto=upto)
@@ -213,7 +198,7 @@ def test_bee_upto_out_of_range_rejected() -> None:
 
 def test_bee_deterministic() -> None:
     rng = random.Random(29)
-    bg = random_bipartite(rng)
-    a = bee_coloring(bg, 3).items()
-    b = bee_coloring(bg.copy(), 3).items()
+    lefts, rights, pairs = bg = random_bipartite(rng)
+    a = bee_coloring(bg, 3)
+    b = bee_coloring((list(lefts), list(rights), list(pairs)), 3)
     assert a == b

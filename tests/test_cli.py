@@ -343,6 +343,29 @@ def test_fuzz_worker_pool_prints_what_the_serial_run_prints() -> None:
     assert "ran 12 instances" in pooled.stdout
 
 
+def test_fuzz_reports_a_crash_and_keeps_running(monkeypatch, capsys) -> None:
+    from fairdetach import cli
+
+    calls = []
+
+    def crash_on_second(cg, eta):
+        calls.append(cg)
+        if len(calls) == 2:
+            raise RuntimeError("planted fault")
+        return detach_all(cg, eta)
+
+    monkeypatch.setattr(cli, "detach_all", crash_on_second)
+    code = cli.main(["fuzz", "--count", "3", "--kind", "detach", "--seed", "5"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_VERIFY
+    assert captured.out == (
+        "FAIL seed 6: detach: RuntimeError: planted fault\n"
+        "ran 3 instances, 1 failures\n"
+    )
+    assert "Traceback" not in captured.err
+    assert len(calls) == 3
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
