@@ -18,9 +18,12 @@ list.  Each call keeps one integer skeleton of the graph: a node index
 pair, and the uncolored pair multiplicities, vertex degrees and edge
 total.  Every class is peeled from the skeleton and then subtracted from
 it in place, so later classes neither copy the graph nor sort and index
-it again.  A pair that earlier classes emptied keeps its place with the
-window [0, 0]; the circulation solver leaves such arcs out of its
-network, so the flows are those of a network built without them.
+it again.  Every window is floor(x/c)..ceil(x/c), so an arc has room for
+at most one unit: each peel builds its unit-capacity residual network
+straight from the skeleton, in one pass, and hands it to the circulation
+solver.  A pair that earlier classes emptied keeps its place with the
+window [0, 0]; like every arc without room, it is left out of the
+network, so the flows are those of a network built without it.
 
 `konig_proper_coloring` is the proper coloring of Konig's theorem (1916):
 a bipartite multigraph of maximum degree at most k has a proper
@@ -33,8 +36,8 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import PreconditionError
-from .flows import feasible_circulation
+from .errors import GraphError, PreconditionError
+from .flows import Residual, feasible_circulation
 
 Label = Hashable
 Pairs = List[Tuple[Label, Label, int]]
@@ -91,8 +94,15 @@ class _Skeleton:
         left_node = {v: i for i, v in enumerate(lefts, start=2)}
         right_node = {v: i for i, v in enumerate(rights, start=2 + len(lefts))}
         self.n_left = len(lefts)
-        self.ends = [(left_node[l], right_node[r]) for l, r, _ in pairs]
+        try:
+            self.ends = [(left_node[l], right_node[r]) for l, r, _ in pairs]
+        except KeyError:
+            l, r, _ = next(p for p in pairs if p[0] not in left_node or p[1] not in right_node)
+            raise GraphError(f"unknown endpoint in ({l!r}, {r!r})") from None
         self.mult = [n for _, _, n in pairs]
+        if self.mult and min(self.mult) < 1:
+            l, r, n = next(p for p in pairs if p[2] < 1)
+            raise GraphError(f"multiplicity {n} of ({l!r}, {r!r}) is not positive")
         self.deg = [0] * (2 + len(lefts) + len(rights))
         for (a, b), n in zip(self.ends, self.mult):
             self.deg[a] += n
@@ -103,19 +113,71 @@ class _Skeleton:
 def _peel_class(sk: _Skeleton, c: int) -> List[int]:
     """One color class with floor/ceil quotas of 1/c on pairs, vertices, total.
 
-    Returns the class's multiplicity on every pair of the skeleton; pairs
-    that earlier classes emptied get the window [0, 0].
+    Returns the class's multiplicity on every pair of the skeleton.  The
+    circulation's arcs, in order, are 0 -> v for each left vertex v, the
+    pairs, v -> 1 for each right vertex v, and 1 -> 0; each carries the
+    window floor(x/c)..ceil(x/c) of its degree, multiplicity or total x.
+    So one divmod gives an arc's lower bound and tells whether it has room,
+    and every arc with room has capacity 1.  The residual network is built
+    here in one pass, as `feasible_circulation` would build it from those
+    windows.
     """
     if c == 1:
         return list(sk.mult)
     deg = sk.deg
+    n = len(deg)
     split = 2 + sk.n_left
-    arcs = [(0, v, d // c, -(-d // c)) for v, d in enumerate(deg[2:split], start=2)]
-    arcs += [(a, b, n // c, -(-n // c)) for (a, b), n in zip(sk.ends, sk.mult)]
-    arcs += [(v, 1, d // c, -(-d // c)) for v, d in enumerate(deg[split:], start=split)]
-    arcs.append((1, 0, sk.total // c, -(-sk.total // c)))
+    adj: List[List[int]] = [[] for _ in range(n)]
+    to: List[int] = []
+    low: List[int] = []
+    live: List[int] = []
+    excess = [0] * n
+    i = 0
+    for v in range(2, split):
+        q, r = divmod(deg[v], c)
+        low.append(q)
+        excess[v] = q
+        if r:
+            adj[0].append(len(to))
+            adj[v].append(len(to) + 1)
+            to += (v, 0)
+            live.append(i)
+        i += 1
+    excess[0] = -sum(low)
+    for (a, b), m in zip(sk.ends, sk.mult):
+        q, r = divmod(m, c)
+        low.append(q)
+        if q:
+            excess[a] -= q
+            excess[b] += q
+        if r:
+            adj[a].append(len(to))
+            adj[b].append(len(to) + 1)
+            to += (b, a)
+            live.append(i)
+        i += 1
+    for v in range(split, n):
+        q, r = divmod(deg[v], c)
+        low.append(q)
+        excess[v] -= q
+        excess[1] += q
+        if r:
+            adj[v].append(len(to))
+            adj[1].append(len(to) + 1)
+            to += (1, v)
+            live.append(i)
+        i += 1
+    q, r = divmod(sk.total, c)
+    low.append(q)
+    excess[0] += q
+    excess[1] -= q
+    if r:
+        adj[1].append(len(to))
+        adj[0].append(len(to) + 1)
+        to += (0, 1)
+        live.append(i)
 
-    flows = feasible_circulation(len(deg), arcs)
+    flows = feasible_circulation(n, Residual(adj, to, [1, 0] * len(live), low, live, excess))
     if flows is None:  # impossible: the fractional 1/c point meets every window
         raise AssertionError("class peeling was infeasible")
     return flows[sk.n_left : sk.n_left + len(sk.mult)]
@@ -135,8 +197,9 @@ def bee_coloring(bg: SortedBipartite, k: int, *, upto: Optional[int] = None) -> 
     The graph (lefts, rights, pairs) is taken as it comes, already in the
     order the peel needs: the left labels sorted, the right labels sorted,
     and the (left, right, multiplicity) pairs sorted by (left, right), with
-    positive multiplicities.  The two sides may share labels.  Class j is
-    returned as the list of its multiplicities on `pairs`, in that order.
+    positive multiplicities; a pair with an unlisted end or a multiplicity
+    below one raises GraphError.  The two sides may share labels.  Class j
+    is returned as the list of its multiplicities on `pairs`, in that order.
     """
     if k < 1:
         raise PreconditionError(f"need at least one color, got {k}")

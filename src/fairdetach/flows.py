@@ -7,29 +7,40 @@ integral circulation, and max-flow integrality turns the fractional
 arcs are augmented in insertion order with shortest-path (BFS) search
 (Edmonds-Karp).
 
-Each augmenting path is the one a plain BFS from the source would find,
-but the search does only the work that decides it:
+A problem reaches the search as a `Residual`: the residual network of its
+arcs with the lower bounds taken out, and each node's excess of
+lower-bound inflow over outflow held as `supply` (positive excess) or
+`demand` (negative).  `feasible_circulation` builds one from
+(tail, head, lower, upper) tuples; a caller whose windows all have one
+known shape may build its own (`bee` does).
 
-- Sink test at discovery.  Every node has at most one arc into the sink,
-  and BFS expands nodes in the order it discovers them, so the first node
-  expanded with a live arc into the sink is also the first node discovered
-  with one.  The search ends as soon as that node is reached; its BFS
-  parent, and so the whole path, is the one the full search would take.
-- Lazy level 1.  The source's arcs are walked in adjacency order and each
-  live head is expanded as soon as it is reached, rather than queueing the
+Each augmenting path is the one a plain BFS finds in the network with a
+super source s and a super sink t made explicit: an arc s -> v of capacity
+supply[v] and an arc v -> t of capacity demand[v], added in node order
+after every arc of the problem.  The search does only the work that
+decides that path:
+
+- Node arrays for s and t.  The search never walks an arc of s or t, so
+  they are not arcs at all but the two lists, updated in place.  No path
+  re-enters s, so flow never comes back along an arc s -> v: supply only
+  falls.  No node has both supply and demand, and a node with demand ends
+  the search when it is discovered (next point), so no expanded node has
+  a live arc into t, and t itself is never expanded.  The arcs of s and t
+  came last in each node's adjacency list, so every other arc keeps its
+  place.
+- Sink test at discovery.  BFS expands nodes in the order it discovers
+  them, so the first node expanded with demand left is also the first
+  node discovered with it.  The search ends as soon as that node is
+  reached; its BFS parent, and so the whole path, is the one the full
+  search would take.
+- Lazy level 1.  The nodes with supply left are walked in node order, and
+  each is expanded as soon as it is reached, rather than queueing the
   whole first level.  A first-level node not yet expanded is treated as
-  visited exactly when its one arc from the source is live, so every later
-  node gets the same parent, in the same discovery order, as in the full
-  search.  No first-level node has an arc into the sink, so the first-level
-  nodes never end the search themselves.
-- Full source arcs leave the search.  No path re-enters the source (its
-  parent mark is -2, so no search ever counts it unvisited), so flow never
-  comes back along a source arc's reverse: a source arc only loses
-  capacity, and once full it stays full.
-  The level-1 walk keeps the source arcs with room in a list, in adjacency
-  order; an arc leaves the list when a push fills it.  The walk meets the
-  same live arcs in the same order, and once every source arc is full
-  (a feasible circulation's last search) the search ends at once.
+  visited exactly when its supply is positive, so every later node gets
+  the same parent, in the same discovery order, as in the full search.
+  A node leaves the walk's list when a push spends its supply, and once
+  every supply is spent (a feasible circulation's last search) the search
+  ends at once.
 - Zero-width arcs left out.  An arc with lower == upper has residual
   capacity 0 both ways from the start, and neither ever rises: flow goes
   back along a reverse arc only after it went forward, and there is no
@@ -44,45 +55,67 @@ Same paths in the same order give the same flows, arc for arc.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 Arc = Tuple[int, int, int, int]  # (tail, head, lower, upper)
 
 
-def _max_flow(adj: List[List[int]], to: List[int], cap: List[int], s: int, t: int) -> int:
-    """Push a maximum flow from s to t through a residual network; return its value.
+class Residual:
+    """A circulation problem as the search takes it.
 
-    Arc idx runs to to[idx] with residual capacity cap[idx], which is
-    updated in place; its reverse is idx ^ 1, and adj[v] lists the arcs
-    leaving v in insertion order.  The network must satisfy four
-    invariants, which every network built by `feasible_circulation` does:
-    every node has at most one arc from s and at most one arc into t, no
-    node has both, and s has no arc straight into t.
+    Nodes are 0..len(adj)-1.  Problem arc i has lower bound low[i]; the
+    arcs with room are live[0], live[1], ... in input order, and live[r]
+    is residual arc 2r (forward, to[2r] its head) and 2r + 1 (reverse).
+    adj[v] lists the residual arcs leaving v in insertion order.  `excess`
+    is each node's lower-bound inflow minus outflow.  `len` counts every
+    arc of the problem, zero-width ones included.
+    """
+
+    __slots__ = ("adj", "to", "cap", "low", "live", "supply", "demand")
+
+    def __init__(
+        self,
+        adj: List[List[int]],
+        to: List[int],
+        cap: List[int],
+        low: List[int],
+        live: List[int],
+        excess: List[int],
+    ) -> None:
+        self.adj, self.to, self.cap, self.low, self.live = adj, to, cap, low, live
+        self.supply = [e if e > 0 else 0 for e in excess]
+        self.demand = [-e if e < 0 else 0 for e in excess]
+
+    def __len__(self) -> int:
+        return len(self.low)
+
+
+def _max_flow(
+    adj: List[List[int]], to: List[int], cap: List[int], supply: List[int], demand: List[int]
+) -> int:
+    """Push a maximum flow from a super source to a super sink; return its value.
+
+    Arc idx runs to to[idx] with residual capacity cap[idx]; its reverse
+    is idx ^ 1, and adj[v] lists the arcs leaving v in insertion order.
+    The super source feeds node v up to supply[v], and v drains into the
+    super sink up to demand[v]; no node has both.  cap, supply and demand
+    are updated in place.  The paths are those of the network with the
+    super source and sink made explicit (see the module docstring).
     """
     n = len(adj)
-    from_s = [-1] * n  # from_s[v]: index of the arc s -> v
-    live: List[int] = []  # the source arcs with room, in adjacency order
-    for idx in adj[s]:
-        from_s[to[idx]] = idx
-        if cap[idx] > 0:
-            live.append(idx)
+    live = [v for v in range(n) if supply[v]]  # nodes with supply left
     n_live = len(live)
-    into_t = [-1] * n  # into_t[v]: index of the arc v -> t
-    for idx in adj[t]:
-        into_t[to[idx]] = idx ^ 1
     total = 0
     while True:
-        parent = [-1] * n
-        parent[s] = -2
+        parent = [-1] * n  # -2 marks a first-level node
         queue: List[int] = []
         qi = si = 0
-        last = -1  # node whose live arc into t ends the path
+        last = -1  # node whose demand ends the path
         while last < 0:
-            if si < n_live:  # level 1, one live source arc at a time
-                idx = live[si]
+            if si < n_live:  # level 1, one node with supply at a time
+                v = live[si]
                 si += 1
-                v = to[idx]
-                parent[v] = idx
+                parent[v] = -2
             elif qi < len(queue):
                 v = queue[qi]
                 qi += 1
@@ -92,51 +125,46 @@ def _max_flow(adj: List[List[int]], to: List[int], cap: List[int], s: int, t: in
                 if cap[idx] > 0:
                     w = to[idx]
                     if parent[w] == -1:
-                        e = from_s[w]
-                        if e >= 0 and cap[e] > 0:
+                        if supply[w]:
                             continue  # level-1 node, expanded in turn
                         parent[w] = idx
-                        e = into_t[w]
-                        if e >= 0 and cap[e] > 0:
+                        if demand[w]:
                             last = w
                             break
                         queue.append(w)
-        # bottleneck along the BFS path
-        e = into_t[last]
-        push = cap[e]
+        # bottleneck along the BFS path, back to its first-level node
+        push = demand[last]
         v = last
-        while v != s:
-            idx = parent[v]
+        idx = parent[v]
+        while idx >= 0:
             if cap[idx] < push:
                 push = cap[idx]
             v = to[idx ^ 1]
-        cap[e] -= push
-        cap[e ^ 1] += push
-        v = last
-        while v != s:
             idx = parent[v]
+        if supply[v] < push:
+            push = supply[v]
+        supply[v] -= push
+        if not supply[v]:  # v's supply is spent for good
+            live.remove(v)
+            n_live -= 1
+        demand[last] -= push
+        v = last
+        idx = parent[v]
+        while idx >= 0:
             cap[idx] -= push
             cap[idx ^ 1] += push
             v = to[idx ^ 1]
-        if not cap[idx]:  # idx, the path's arc out of s, is full for good
-            live.remove(idx)
-            n_live -= 1
+            idx = parent[v]
         total += push
 
 
-def feasible_circulation(n: int, arcs: Sequence[Arc]) -> Optional[List[int]]:
-    """Integral circulation respecting every arc's [lower, upper] window.
-
-    Nodes are 0..n-1.  Returns one flow value per arc (in input order), or
-    None when no feasible circulation exists.
-    """
-    src, snk = n, n + 1
-    adj: List[List[int]] = [[] for _ in range(n + 2)]
+def _residual(n: int, arcs: Sequence[Arc]) -> Residual:
+    adj: List[List[int]] = [[] for _ in range(n)]
     to: List[int] = []
     cap: List[int] = []
     add_to, add_cap = to.append, cap.append
     excess = [0] * n
-    live: List[int] = []  # input positions of the arcs with room; arc r is 2r
+    live: List[int] = []
     for i, (a, b, low, high) in enumerate(arcs):
         if low < high:
             if low < 0:
@@ -154,28 +182,23 @@ def feasible_circulation(n: int, arcs: Sequence[Arc]) -> Optional[List[int]]:
         if low:
             excess[b] += low
             excess[a] -= low
-    need = 0
-    for v, e in enumerate(excess):
-        if e:
-            idx = len(to)
-            if e > 0:
-                adj[src].append(idx)
-                adj[v].append(idx + 1)
-                add_to(v)
-                add_to(src)
-                need += e
-            else:
-                adj[v].append(idx)
-                adj[snk].append(idx + 1)
-                add_to(snk)
-                add_to(v)
-                e = -e
-            add_cap(e)
-            add_cap(0)
-    if _max_flow(adj, to, cap, src, snk) != need:
+    return Residual(adj, to, cap, [arc[2] for arc in arcs], live, excess)
+
+
+def feasible_circulation(n: int, arcs: Union[Sequence[Arc], Residual]) -> Optional[List[int]]:
+    """Integral circulation respecting every arc's [lower, upper] window.
+
+    Nodes are 0..n-1, and `arcs` is a sequence of (tail, head, lower,
+    upper) tuples or a `Residual` built for them.  Returns one flow value
+    per arc (in input order), or None when no feasible circulation exists.
+    """
+    net = arcs if isinstance(arcs, Residual) else _residual(n, arcs)
+    need = sum(net.supply)
+    if _max_flow(net.adj, net.to, net.cap, net.supply, net.demand) != need:
         return None
     # flow on an arc = lower bound + units pushed onto its residual reverse
-    flows = [arc[2] for arc in arcs]
-    for r, i in enumerate(live):
-        flows[i] += cap[2 * r + 1]
+    flows = list(net.low)
+    for i, pushed in zip(net.live, net.cap[1::2]):
+        if pushed:
+            flows[i] += pushed
     return flows

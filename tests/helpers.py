@@ -332,9 +332,10 @@ def reference_max_flow(adj: List[List[int]], to: List[int], cap: List[int], s: i
     Arc idx runs to to[idx] with residual capacity cap[idx], which is
     updated in place; its reverse is idx ^ 1, and adj[v] lists the arcs
     leaving v in insertion order.  The network must satisfy four
-    invariants, which every network built by `feasible_circulation` does:
-    every node has at most one arc from s and at most one arc into t, no
-    node has both, and s has no arc straight into t.
+    invariants, which every network with its `supply` and `demand` made
+    explicit arcs does (see `test_flows.checked_max_flow`): every node has
+    at most one arc from s and at most one arc into t, no node has both,
+    and s has no arc straight into t.
     """
     n = len(adj)
     source_arcs = adj[s]
@@ -396,6 +397,19 @@ def reference_max_flow(adj: List[List[int]], to: List[int], cap: List[int], s: i
             cap[idx ^ 1] += push
             v = to[idx ^ 1]
         total += push
+
+
+def reference_peel_windows(sk, c: int) -> List[Tuple[int, int, int, int]]:
+    """The circulation of one bee peel as (tail, head, lower, upper) tuples,
+    as `bee._peel_class` built them for the generic network build: from
+    its skeleton `sk` (n_left, ends, mult, deg, total) and c colors."""
+    deg = sk.deg
+    split = 2 + sk.n_left
+    arcs = [(0, v, d // c, -(-d // c)) for v, d in enumerate(deg[2:split], start=2)]
+    arcs += [(a, b, n // c, -(-n // c)) for (a, b), n in zip(sk.ends, sk.mult)]
+    arcs += [(v, 1, d // c, -(-d // c)) for v, d in enumerate(deg[split:], start=split)]
+    arcs.append((1, 0, sk.total // c, -(-sk.total // c)))
+    return arcs
 
 
 def _ceil_div(a: int, b: int) -> int:

@@ -13,7 +13,7 @@ from fairdetach.bee import (
     is_equitable,
     konig_proper_coloring,
 )
-from fairdetach.errors import PreconditionError
+from fairdetach.errors import GraphError, PreconditionError
 from fairdetach.fuzzgen import random_bipartite
 from helpers import (
     bipartite_of,
@@ -194,6 +194,19 @@ def test_bee_upto_out_of_range_rejected() -> None:
     for upto in (0, -1, 4):
         with pytest.raises(PreconditionError):
             bee_coloring(bg, 3, upto=upto)
+
+
+def test_bee_bad_pair_rejected() -> None:
+    # an endpoint on neither side's list, and a multiplicity below one
+    cases = [
+        (([0], [1], [(0, 2, 1)]), r"unknown endpoint in \(0, 2\)"),
+        (([0], [1], [(0, 1, -3)]), r"multiplicity -3 of \(0, 1\)"),
+        (([0, 5], [1], [(0, 1, 2), (5, 1, 0)]), r"multiplicity 0 of \(5, 1\)"),
+    ]
+    for bg, message in cases:
+        for color in (bee_coloring, konig_proper_coloring):
+            with pytest.raises(GraphError, match=message):
+                color(bg, 2)
 
 
 def test_bee_deterministic() -> None:

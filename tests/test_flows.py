@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from fairdetach import bee
 from fairdetach.bee import bee_coloring
 from fairdetach.flows import _max_flow, feasible_circulation
 from fairdetach.hamilton import GddParams, ham_decompose_gdd, ham_decompose_lambda_kn
-from helpers import reference_circulation, reference_max_flow
+from helpers import reference_circulation, reference_max_flow, reference_peel_windows
 
 
 def random_arcs(rng: random.Random):
@@ -85,21 +87,61 @@ def test_zero_width_loop_arcs() -> None:
 
 
 def checked_max_flow(monkeypatch, calls: list) -> None:
-    """Replace `flows._max_flow` by a wrapper that also solves a copy of each
-    network with the reference and asserts the same value and the same
-    residual capacities; record (source arcs, value, source capacity)."""
+    """Replace `flows._max_flow` by a wrapper that also solves each network
+    with the reference, on a copy whose super source s and super sink t are
+    explicit arcs (s -> v of capacity supply[v], v -> t of capacity
+    demand[v], in node order after every other arc), and asserts the same
+    value, the same residual capacities on the network's own arcs and the
+    same leftover supply and demand; record (source arcs, value, supply)."""
 
-    def run(adj, to, cap, s, t):
-        ref_cap = list(cap)
-        want = reference_max_flow([list(row) for row in adj], list(to), ref_cap, s, t)
-        need = sum(cap[idx] for idx in adj[s])
-        got = _max_flow(adj, to, cap, s, t)
+    def run(adj, to, cap, supply, demand):
+        n, m = len(adj), len(to)
+        s, t = n, n + 1
+        ref_adj = [list(row) for row in adj] + [[], []]
+        ref_to, ref_cap = list(to), list(cap)
+        explicit = []  # (v, index of its arc from s or into t, from s?)
+        for v in range(n):
+            if supply[v] or demand[v]:
+                assert not (supply[v] and demand[v])
+                tail, head = (s, v) if supply[v] else (v, t)
+                explicit.append((v, len(ref_to), tail == s))
+                ref_adj[tail].append(len(ref_to))
+                ref_adj[head].append(len(ref_to) + 1)
+                ref_to += [head, tail]
+                ref_cap += [supply[v] + demand[v], 0]
+        want = reference_max_flow(ref_adj, ref_to, ref_cap, s, t)
+        need = sum(supply)
+        got = _max_flow(adj, to, cap, supply, demand)
         assert got == want
-        assert cap == ref_cap
-        calls.append((len(adj[s]), got, need))
+        assert cap == ref_cap[:m]
+        left_supply, left_demand = [0] * n, [0] * n
+        for v, e, from_s in explicit:
+            (left_supply if from_s else left_demand)[v] = ref_cap[e]
+        assert supply == left_supply
+        assert demand == left_demand
+        calls.append((sum(from_s for _, _, from_s in explicit), got, need))
         return got
 
     monkeypatch.setattr("fairdetach.flows._max_flow", run)
+
+
+def capture_peels(monkeypatch, peels: list) -> None:
+    """Record (skeleton copy, c) for every `bee._peel_class` call with c > 1."""
+    peel = bee._peel_class
+
+    def keep(sk, c):
+        if c > 1:
+            copy = SimpleNamespace(
+                n_left=sk.n_left,
+                ends=list(sk.ends),
+                mult=list(sk.mult),
+                deg=list(sk.deg),
+                total=sk.total,
+            )
+            peels.append((copy, c))
+        return peel(sk, c)
+
+    monkeypatch.setattr(bee, "_peel_class", keep)
 
 
 def bee_shaped(rng: random.Random):
@@ -118,12 +160,7 @@ def test_max_flow_matches_reference_on_large_networks(monkeypatch) -> None:
     calls: list = []
     checked_max_flow(monkeypatch, calls)
     peels: list = []
-
-    def keep(n, arcs):
-        peels.append((n, list(arcs)))
-        return feasible_circulation(n, arcs)
-
-    monkeypatch.setattr("fairdetach.bee.feasible_circulation", keep)
+    capture_peels(monkeypatch, peels)
     for seed in range(8):
         rng = random.Random(seed)
         bee_coloring(bee_shaped(rng), rng.randint(2, 6))
@@ -137,7 +174,8 @@ def test_max_flow_matches_reference_on_large_networks(monkeypatch) -> None:
     # cap one left vertex's window below what its pairs must carry: each
     # search ends with a source arc still live, most after filling others
     filled = 0
-    for n, arcs in peels:
+    for sk, c in peels:
+        n, arcs = len(sk.deg), reference_peel_windows(sk, c)
         lows = {}
         for a, b, low, _ in arcs:
             if a >= 2 and b >= 2:  # a pair arc, left node a
@@ -152,3 +190,30 @@ def test_max_flow_matches_reference_on_large_networks(monkeypatch) -> None:
         assert got < need
         filled += n_source >= 50 and got > 0
     assert filled >= 10
+
+
+def test_bee_network_matches_generic_build(monkeypatch) -> None:
+    """Each peel's own network gives the flows of the generic build from its
+    windows, and of the reference, across c = k..2, so pairs emptied by
+    earlier classes and zero-width arcs occur."""
+    peels: list = []
+    capture_peels(monkeypatch, peels)
+    nets: list = []
+
+    def solve(n, net):
+        nets.append((len(net), feasible_circulation(n, net)))
+        return nets[-1][1]
+
+    monkeypatch.setattr(bee, "feasible_circulation", solve)
+    emptied = fixed = 0
+    for seed in range(12):
+        rng = random.Random(seed)
+        bee_coloring(bee_shaped(rng), rng.randint(2, 9))
+    assert len(peels) == len(nets) > 12
+    for (sk, c), (size, flows) in zip(peels, nets):
+        n, arcs = len(sk.deg), reference_peel_windows(sk, c)
+        assert size == len(arcs)
+        assert flows == feasible_circulation(n, arcs) == reference_circulation(n, arcs)
+        emptied += sk.mult.count(0)
+        fixed += sum(low == high for _, _, low, high in arcs)
+    assert emptied and fixed
