@@ -15,15 +15,16 @@ order, and a coloring is its list of classes, each the vector of its
 multiplicities on `pairs`; the three predicates take the graph and that
 list.  Each call keeps one integer skeleton of the graph: a node index
 (source, sink, left vertices, right vertices), the two nodes of every
-pair, and the uncolored pair multiplicities, vertex degrees and edge
-total.  Every class is peeled from the skeleton and then subtracted from
-it in place, so later classes neither copy the graph nor sort and index
-it again.  Every window is floor(x/c)..ceil(x/c), so an arc has room for
-at most one unit: each peel builds its unit-capacity residual network
-straight from the skeleton, in one pass, and hands it to the circulation
-solver.  A pair that earlier classes emptied keeps its place with the
-window [0, 0]; like every arc without room, it is left out of the
-network, so the flows are those of a network built without it.
+pair, the uncolored pair multiplicities, vertex degrees and edge total,
+and the one residual network topology that all its peels share.  Every
+class is peeled from the skeleton and subtracted from it in place (but
+for the last class of a partial coloring), so later classes neither copy
+the graph nor sort, index or link it again.  Every window is
+floor(x/c)..ceil(x/c), so a peel computes only the lower bounds and the
+capacities, 0 or 1.  An arc without room, such as a pair that earlier
+classes emptied, keeps its place with capacity 0 both ways; the search
+skips it like any saturated arc, so the flows are those of a network
+built without it.  The engine hands `bee_coloring` skeletons it built.
 
 `konig_proper_coloring` is the proper coloring of Konig's theorem (1916):
 a bipartite multigraph of maximum degree at most k has a proper
@@ -34,7 +35,8 @@ edge of each color.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from itertools import compress
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import GraphError, PreconditionError
 from .flows import Residual, feasible_circulation
@@ -85,105 +87,103 @@ def is_equalized(bg: SortedBipartite, classes: Classes) -> bool:
 
 class _Skeleton:
     """Integer data of one bee coloring: node 0 is the source, 1 the sink,
-    2.. the left then the right vertices in sorted order; `ends` holds each
-    pair's two nodes and `mult`, `deg`, `total` what is still uncolored."""
+    2.. the n_left left then the n_right right vertices in peel order; `ends`
+    holds each pair's two nodes and `mult`, `deg`, `total` what is still
+    uncolored.  `adj` and `to` are the residual network of every peel: arc i
+    of 0 -> v per left vertex v, the pairs, v -> 1 per right vertex v, and
+    1 -> 0, in that order, is residual arc 2i (forward) and 2i + 1."""
 
-    __slots__ = ("n_left", "ends", "mult", "deg", "total")
+    __slots__ = ("n_left", "ends", "mult", "deg", "total", "adj", "to")
 
-    def __init__(self, lefts: Sequence[Label], rights: Sequence[Label], pairs: Pairs) -> None:
-        left_node = {v: i for i, v in enumerate(lefts, start=2)}
-        right_node = {v: i for i, v in enumerate(rights, start=2 + len(lefts))}
-        self.n_left = len(lefts)
-        try:
-            self.ends = [(left_node[l], right_node[r]) for l, r, _ in pairs]
-        except KeyError:
-            l, r, _ = next(p for p in pairs if p[0] not in left_node or p[1] not in right_node)
-            raise GraphError(f"unknown endpoint in ({l!r}, {r!r})") from None
-        self.mult = [n for _, _, n in pairs]
-        if self.mult and min(self.mult) < 1:
-            l, r, n = next(p for p in pairs if p[2] < 1)
-            raise GraphError(f"multiplicity {n} of ({l!r}, {r!r}) is not positive")
-        self.deg = [0] * (2 + len(lefts) + len(rights))
-        for (a, b), n in zip(self.ends, self.mult):
-            self.deg[a] += n
-            self.deg[b] += n
-        self.total = sum(self.mult)
+    def __init__(
+        self, n_left: int, n_right: int, ends: List[Tuple[int, int]], mult: List[int]
+    ) -> None:
+        split = 2 + n_left
+        n = split + n_right
+        self.n_left, self.ends, self.mult, self.total = n_left, ends, mult, sum(mult)
+        self.deg = deg = [0] * n
+        self.adj = adj = [[] for _ in range(n)]
+        self.to = to = []
+        i = 0
+        for v in range(2, split):
+            adj[0].append(i)
+            adj[v].append(i + 1)
+            to += (v, 0)
+            i += 2
+        for (a, b), m in zip(ends, mult):
+            deg[a] += m
+            deg[b] += m
+            adj[a].append(i)
+            adj[b].append(i + 1)
+            to += (b, a)
+            i += 2
+        for v in range(split, n):
+            adj[v].append(i)
+            adj[1].append(i + 1)
+            to += (1, v)
+            i += 2
+        adj[1].append(i)
+        adj[0].append(i + 1)
+        to += (0, 1)
+
+
+def _skeleton_of(bg: SortedBipartite) -> _Skeleton:
+    """The skeleton of a labeled graph, its input checked once."""
+    lefts, rights, pairs = bg
+    left_node = {v: i for i, v in enumerate(lefts, start=2)}
+    right_node = {v: i for i, v in enumerate(rights, start=2 + len(lefts))}
+    try:
+        ends = [(left_node[l], right_node[r]) for l, r, _ in pairs]
+    except KeyError:
+        l, r, _ = next(p for p in pairs if p[0] not in left_node or p[1] not in right_node)
+        raise GraphError(f"unknown endpoint in ({l!r}, {r!r})") from None
+    mult = [n for _, _, n in pairs]
+    if mult and min(mult) < 1:
+        l, r, n = next(p for p in pairs if p[2] < 1)
+        raise GraphError(f"multiplicity {n} of ({l!r}, {r!r}) is not positive")
+    return _Skeleton(len(lefts), len(rights), ends, mult)
 
 
 def _peel_class(sk: _Skeleton, c: int) -> List[int]:
     """One color class with floor/ceil quotas of 1/c on pairs, vertices, total.
 
-    Returns the class's multiplicity on every pair of the skeleton.  The
-    circulation's arcs, in order, are 0 -> v for each left vertex v, the
-    pairs, v -> 1 for each right vertex v, and 1 -> 0; each carries the
-    window floor(x/c)..ceil(x/c) of its degree, multiplicity or total x.
-    So one divmod gives an arc's lower bound and tells whether it has room,
-    and every arc with room has capacity 1.  The residual network is built
-    here in one pass, as `feasible_circulation` would build it from those
-    windows.
+    Returns the class's multiplicity on every pair of the skeleton.  Each
+    arc of the skeleton's network carries the window floor(x/c)..ceil(x/c)
+    of its degree, multiplicity or total x, so its lower bound is x // c
+    and it has room for one unit exactly when c does not divide x.  The
+    peel computes only those bounds, capacities and the node excesses; an
+    arc without room keeps its place with capacity 0 both ways, which the
+    search skips like any saturated arc.
     """
     if c == 1:
         return list(sk.mult)
-    deg = sk.deg
-    n = len(deg)
-    split = 2 + sk.n_left
-    adj: List[List[int]] = [[] for _ in range(n)]
-    to: List[int] = []
-    low: List[int] = []
-    live: List[int] = []
-    excess = [0] * n
-    i = 0
-    for v in range(2, split):
-        q, r = divmod(deg[v], c)
-        low.append(q)
-        excess[v] = q
-        if r:
-            adj[0].append(len(to))
-            adj[v].append(len(to) + 1)
-            to += (v, 0)
-            live.append(i)
-        i += 1
-    excess[0] = -sum(low)
-    for (a, b), m in zip(sk.ends, sk.mult):
-        q, r = divmod(m, c)
-        low.append(q)
-        if q:
-            excess[a] -= q
-            excess[b] += q
-        if r:
-            adj[a].append(len(to))
-            adj[b].append(len(to) + 1)
-            to += (b, a)
-            live.append(i)
-        i += 1
-    for v in range(split, n):
-        q, r = divmod(deg[v], c)
-        low.append(q)
-        excess[v] -= q
-        excess[1] += q
-        if r:
-            adj[v].append(len(to))
-            adj[1].append(len(to) + 1)
-            to += (1, v)
-            live.append(i)
-        i += 1
-    q, r = divmod(sk.total, c)
-    low.append(q)
-    excess[0] += q
-    excess[1] -= q
-    if r:
-        adj[1].append(len(to))
-        adj[0].append(len(to) + 1)
-        to += (0, 1)
-        live.append(i)
+    deg, mult = sk.deg, sk.mult
+    n_left, n_pairs = sk.n_left, len(mult)
+    split = 2 + n_left
+    xs = deg[2:split] + mult + deg[split:]
+    xs.append(sk.total)
+    low = [x // c for x in xs]
+    cap = [0] * (2 * len(xs))
+    cap[::2] = [1 if x % c else 0 for x in xs]
+    low_total = low[-1]
+    low_right = low[n_left + n_pairs : -1]
+    excess = [low_total - sum(low[:n_left]), sum(low_right) - low_total]
+    excess += low[:n_left]
+    excess += [-q for q in low_right]
+    low_pairs = low[n_left : n_left + n_pairs]
+    for (a, b), q in zip(compress(sk.ends, low_pairs), filter(None, low_pairs)):
+        excess[a] -= q
+        excess[b] += q
 
-    flows = feasible_circulation(n, Residual(adj, to, [1, 0] * len(live), low, live, excess))
+    flows = feasible_circulation(len(deg), Residual(sk.adj, sk.to, cap, low, excess))
     if flows is None:  # impossible: the fractional 1/c point meets every window
         raise AssertionError("class peeling was infeasible")
-    return flows[sk.n_left : sk.n_left + len(sk.mult)]
+    return flows[n_left : n_left + n_pairs]
 
 
-def bee_coloring(bg: SortedBipartite, k: int, *, upto: Optional[int] = None) -> Classes:
+def bee_coloring(
+    bg: Union[SortedBipartite, _Skeleton], k: int, *, upto: Optional[int] = None
+) -> Classes:
     """Balanced, equitable and equalized k-edge-coloring of a bipartite multigraph.
 
     Exists for every finite bipartite multigraph and every k >= 1; classes
@@ -200,6 +200,7 @@ def bee_coloring(bg: SortedBipartite, k: int, *, upto: Optional[int] = None) -> 
     positive multiplicities; a pair with an unlisted end or a multiplicity
     below one raises GraphError.  The two sides may share labels.  Class j
     is returned as the list of its multiplicities on `pairs`, in that order.
+    A `_Skeleton` may stand in for the graph; it is peeled in place.
     """
     if k < 1:
         raise PreconditionError(f"need at least one color, got {k}")
@@ -207,12 +208,14 @@ def bee_coloring(bg: SortedBipartite, k: int, *, upto: Optional[int] = None) -> 
         upto = k
     if not 1 <= upto <= k:
         raise PreconditionError(f"upto must lie in 1..{k}, got {upto}")
-    sk = _Skeleton(*bg)
+    sk = bg if isinstance(bg, _Skeleton) else _skeleton_of(bg)
     mult, deg, ends = sk.mult, sk.deg, sk.ends
     classes = []
     for j in range(1, upto + 1):
         flows = _peel_class(sk, k - j + 1)
         classes.append(flows)
+        if j == upto < k:
+            break  # no later class is peeled from what is left
         for p, f in enumerate(flows):
             if f:
                 mult[p] -= f
@@ -233,7 +236,8 @@ def konig_proper_coloring(bg: SortedBipartite, k: int) -> Classes:
     color floor(d/k) or ceil(d/k) times, that is 0 or 1, so no two edges
     at a vertex share a color.
     """
-    top = max(_Skeleton(*bg).deg)
+    sk = _skeleton_of(bg)
+    top = max(sk.deg)
     if top > k:
         raise PreconditionError(f"max degree {top} exceeds color count {k}")
-    return bee_coloring(bg, k)
+    return bee_coloring(sk, k)

@@ -21,10 +21,13 @@ through two auxiliary bipartite colorings:
 
 A step hands its data from stage to stage as integer rows in peel order
 (see `bee.bee_coloring`), so no stage builds a graph or sorts again.  The
-fan is read off y's sorted rows; the fan coloring returns classes 1 and 2
-as multiplicity vectors over the fan's pairs, and their sum is the working
-subgraph on the same pairs; `refine` emits its units with integer labels
-and pairs already sorted; the pick peels only class 1, which is the moves.
+fan is read off y's sorted rows straight into a bee skeleton, whose left
+degrees also give the condition-3 check each color's degree at y; the fan
+coloring returns classes 1 and 2 as multiplicity vectors over the fan's
+pairs, and their sum is the working subgraph on the same pairs; `refine`
+emits its units with integer labels and pairs already sorted; the pick's
+skeleton is built straight from them, and the pick peels only class 1,
+which is the moves.
 The loop proxy (-1) sorts below every vertex id, so it is the first right
 vertex of every graph the peel reads and heads a color's row; `refine` takes
 its multiplicity off that front once and pairs it after the vertices: its
@@ -65,9 +68,10 @@ state with on every step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 from typing import Dict, List, Optional, Set, Tuple
 
-from .bee import SortedBipartite, bee_coloring
+from .bee import SortedBipartite, _Skeleton, bee_coloring
 from .errors import GraphError, PreconditionError
 from .multigraph import (
     AmalgamationSpec,
@@ -82,9 +86,9 @@ from .multigraph import (
 LOOP_PROXY: VertexId = -1
 
 
-# The fan: left labels are the colors 1..k, every one present even at degree
-# 0; the right side is the loop proxy (present even without loops) and then
-# y's neighbors ascending; pairs are (color, w, multiplicity), sorted.
+# The working subgraph, as refine takes it: left labels are the colors 1..k,
+# all present; the right side is the fan's, the loop proxy (present even
+# without loops) and y's neighbors ascending; pairs (color, w, n), sorted.
 SplitBipartite = SortedBipartite
 
 # refine's output (owner, graph): left label i of graph is a unit (or a whole
@@ -155,20 +159,25 @@ def condition3_colors(cg: ColoredMultigraph, eta: AmalgamationSpec) -> Set[int]:
     return out
 
 
-def build_split_bipartite(cg: ColoredMultigraph, y: VertexId) -> SplitBipartite:
+def build_split_bipartite(cg: ColoredMultigraph, y: VertexId) -> Tuple[_Skeleton, List[VertexId]]:
     """Fan graph: m(c_j, u) = per-color multiplicity to u, m(c_j, proxy) = 2*loops.
 
-    Read straight off y's rows, which are sorted, so the pairs come out in
-    peel order with the proxy (-1) first in each color.
+    Returned as a bee skeleton and its right labels, the loop proxy (-1)
+    and then y's neighbors ascending: color j is node j + 1, the proxy node
+    k + 2.  Read straight off y's sorted rows, so the pairs come out in peel
+    order with the proxy first in each color.
     """
-    neighbors: Set[VertexId] = set()
-    pairs: List[Tuple[int, VertexId, int]] = []
-    for j, (nl, row) in enumerate(cg.rows_at(y), 1):
+    rows = cg.rows_at(y)
+    k = len(rows)
+    rights = [LOOP_PROXY, *sorted({u for _, row in rows for u, _ in row})]
+    node = {w: i for i, w in enumerate(rights, k + 2)}
+    ends, mult = [], []
+    for a, (nl, row) in enumerate(rows, 2):
         if nl:
-            pairs.append((j, LOOP_PROXY, 2 * nl))
-        neighbors.update(u for u, _ in row)
-        pairs.extend((j, u, n) for u, n in row)
-    return range(1, cg.k + 1), [LOOP_PROXY, *sorted(neighbors)], pairs
+            row = [(LOOP_PROXY, 2 * nl), *row]
+        ends += [(a, node[u]) for u, _ in row]
+        mult += [n for _, n in row]
+    return _Skeleton(k, len(rights), ends, mult), rights
 
 
 def refine(
@@ -332,23 +341,25 @@ def _step(state: _DetachState, y: VertexId) -> StepRecord:
     if eta_y < 2:
         raise PreconditionError(f"vertex {y} has eta={eta_y}, nothing to detach")
 
-    fan = build_split_bipartite(cg, y)
-    colors, rights, pairs = fan
+    fan, rights = build_split_bipartite(cg, y)
+    k = cg.k
+    fan_deg = fan.deg[1 : k + 2]  # color j's degree at y, read before the peel
     first, second = bee_coloring(fan, eta_y, upto=2)
-    working = [(j, w, a + b) for (j, w, _), a, b in zip(pairs, first, second) if a + b]
+    both = zip(fan.ends, map(add, first, second))
+    working = [(a - 1, rights[b - k - 2], n) for (a, b), n in both if n]
 
     cond3 = state.cond3
-    owner, refined = refine((colors, rights, working), cond3, state.labels(y))
+    owner, refined = refine((range(1, k + 1), rights, working), cond3, state.labels(y))
 
     # the condition-3 colors must split into exactly degree/eta units
-    working_deg = [0] * (cg.k + 1)
+    working_deg = [0] * (k + 1)
     for j, _, n in working:
         working_deg[j] += n
-    units = [0] * (cg.k + 1)
+    units = [0] * (k + 1)
     for j in owner:
         units[j] += 1
     for j in sorted(cond3):
-        alpha = cg.layer(j).degree(y) // eta_y
+        alpha = fan_deg[j] // eta_y
         if working_deg[j] != 2 * alpha:
             raise AssertionError(
                 f"color {j}: working degree {working_deg[j]} != 2*{alpha}"
@@ -357,12 +368,15 @@ def _step(state: _DetachState, y: VertexId) -> StepRecord:
             raise AssertionError(f"color {j}: split into {units[j]} units")
 
     # the pick keeps class 1; class 2 would be the rest (c = 1, no flow)
-    (picked,) = bee_coloring(refined, 2, upto=1)
+    _, unit_rights, unit_pairs = refined
+    node = {w: i for i, w in enumerate(unit_rights, len(owner) + 2)}
+    ends = [(label + 2, node[w]) for label, w, _ in unit_pairs]
+    pick = _Skeleton(len(owner), len(unit_rights), ends, [n for _, _, n in unit_pairs])
+    (picked,) = bee_coloring(pick, 2, upto=1)
 
     v_new = state.next_id
     edge_moves: Dict[int, Dict[VertexId, int]] = {}
     loop_moves: Dict[int, int] = {}
-    _, _, unit_pairs = refined
     for (label, w, _), n in zip(unit_pairs, picked):
         if not n:
             continue

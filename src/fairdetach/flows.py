@@ -41,20 +41,21 @@ decides that path:
   A node leaves the walk's list when a push spends its supply, and once
   every supply is spent (a feasible circulation's last search) the search
   ends at once.
-- Zero-width arcs left out.  An arc with lower == upper has residual
-  capacity 0 both ways from the start, and neither ever rises: flow goes
-  back along a reverse arc only after it went forward, and there is no
-  room to go forward.  So every search skipped both directions of such an
-  arc; the network is built without them, the arc's flow is its lower
-  bound, and only that bound enters the node excesses.  Every other arc
-  keeps its place in each adjacency list, so each search scans the same
-  live arcs in the same order and finds the same path.
+- Arcs without room stay in the lists with capacity 0.  An arc with
+  lower == upper has residual capacity 0 both ways from the start, and
+  neither ever rises: flow goes back along a reverse arc only after it
+  went forward, and there is no room to go forward.  So the search skips
+  both directions, like any saturated arc, and the arc's flow is its lower
+  bound.  Keeping such arcs gives every problem arc i the fixed residual
+  arcs 2i and 2i + 1, so a caller may build a network's topology once and
+  reuse it for windows whose widths differ (`bee` does).
 
 Same paths in the same order give the same flows, arc for arc.
 """
 
 from __future__ import annotations
 
+from operator import add
 from typing import List, Optional, Sequence, Tuple, Union
 
 Arc = Tuple[int, int, int, int]  # (tail, head, lower, upper)
@@ -63,26 +64,20 @@ Arc = Tuple[int, int, int, int]  # (tail, head, lower, upper)
 class Residual:
     """A circulation problem as the search takes it.
 
-    Nodes are 0..len(adj)-1.  Problem arc i has lower bound low[i]; the
-    arcs with room are live[0], live[1], ... in input order, and live[r]
-    is residual arc 2r (forward, to[2r] its head) and 2r + 1 (reverse).
-    adj[v] lists the residual arcs leaving v in insertion order.  `excess`
-    is each node's lower-bound inflow minus outflow.  `len` counts every
-    arc of the problem, zero-width ones included.
+    Nodes are 0..len(adj)-1.  Problem arc i has lower bound low[i] and is
+    residual arc 2i (forward, to[2i] its head, capacity upper - lower) and
+    2i + 1 (reverse, capacity 0); an arc without room has capacity 0 both
+    ways.  adj[v] lists the residual arcs leaving v in insertion order.
+    `excess` is each node's lower-bound inflow minus outflow.  `len` counts
+    every arc of the problem.
     """
 
-    __slots__ = ("adj", "to", "cap", "low", "live", "supply", "demand")
+    __slots__ = ("adj", "to", "cap", "low", "supply", "demand")
 
     def __init__(
-        self,
-        adj: List[List[int]],
-        to: List[int],
-        cap: List[int],
-        low: List[int],
-        live: List[int],
-        excess: List[int],
+        self, adj: List[List[int]], to: List[int], cap: List[int], low: List[int], excess: List[int]
     ) -> None:
-        self.adj, self.to, self.cap, self.low, self.live = adj, to, cap, low, live
+        self.adj, self.to, self.cap, self.low = adj, to, cap, low
         self.supply = [e if e > 0 else 0 for e in excess]
         self.demand = [-e if e < 0 else 0 for e in excess]
 
@@ -162,27 +157,18 @@ def _residual(n: int, arcs: Sequence[Arc]) -> Residual:
     adj: List[List[int]] = [[] for _ in range(n)]
     to: List[int] = []
     cap: List[int] = []
-    add_to, add_cap = to.append, cap.append
     excess = [0] * n
-    live: List[int] = []
     for i, (a, b, low, high) in enumerate(arcs):
-        if low < high:
-            if low < 0:
-                raise ValueError(f"bad arc bounds [{low}, {high}]")
-            idx = len(to)
-            adj[a].append(idx)
-            adj[b].append(idx + 1)
-            add_to(b)
-            add_to(a)
-            add_cap(high - low)
-            add_cap(0)
-            live.append(i)
-        elif low != high or low < 0:
+        if low < 0 or low > high:
             raise ValueError(f"bad arc bounds [{low}, {high}]")
+        adj[a].append(2 * i)
+        adj[b].append(2 * i + 1)
+        to += (b, a)
+        cap += (high - low, 0)
         if low:
             excess[b] += low
             excess[a] -= low
-    return Residual(adj, to, cap, [arc[2] for arc in arcs], live, excess)
+    return Residual(adj, to, cap, [arc[2] for arc in arcs], excess)
 
 
 def feasible_circulation(n: int, arcs: Union[Sequence[Arc], Residual]) -> Optional[List[int]]:
@@ -197,8 +183,4 @@ def feasible_circulation(n: int, arcs: Union[Sequence[Arc], Residual]) -> Option
     if _max_flow(net.adj, net.to, net.cap, net.supply, net.demand) != need:
         return None
     # flow on an arc = lower bound + units pushed onto its residual reverse
-    flows = list(net.low)
-    for i, pushed in zip(net.live, net.cap[1::2]):
-        if pushed:
-            flows[i] += pushed
-    return flows
+    return list(map(add, net.low, net.cap[1::2]))

@@ -143,6 +143,16 @@ def covers_pairs(bg: SortedBipartite, classes: Classes) -> bool:
     return [sum(col) for col in zip(*classes)] == [n for _, _, n in bg[2]]
 
 
+def skeleton_graph(sk, lefts: Sequence, rights: Sequence) -> SortedBipartite:
+    """A bee skeleton's pairs as a labeled (lefts, rights, pairs) tuple:
+    node 2 + i is lefts[i] and node 2 + len(lefts) + i is rights[i].  Reads
+    only `ends` and `mult`, so a copy of those two stands in for a skeleton
+    that a peel has since changed."""
+    labels = [None, None, *lefts, *rights]
+    pairs = [(labels[a], labels[b], n) for (a, b), n in zip(sk.ends, sk.mult)]
+    return list(lefts), list(rights), pairs
+
+
 def outcome(check, *args):
     """check(*args), or the type and message of the exception it raised."""
     try:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,7 +24,13 @@ from fairdetach.fuzzgen import random_detach_instance
 from fairdetach.hamilton import GddParams, ham_decompose_gdd
 from fairdetach.multigraph import AmalgamationSpec, ColoredMultigraph, Multigraph
 from fairdetach.verify import assert_step_relations, verify_detachment
-from helpers import all_pairings, outcome, reference_move, reference_step
+from helpers import (
+    all_pairings,
+    outcome,
+    reference_move,
+    reference_step,
+    skeleton_graph,
+)
 
 
 def loops_only_instance(k: int, loops_per_color: int, eta: int):
@@ -106,23 +113,33 @@ def assert_peel_order(bipartite) -> None:
     assert all(l in lefts and r in rights and n > 0 for l, r, n in pairs)
 
 
+def fan_graph(cg: ColoredMultigraph, y):
+    """The fan of y as its skeleton and as a labeled (colors, rights, pairs)
+    tuple."""
+    fan, rights = build_split_bipartite(cg, y)
+    return fan, skeleton_graph(fan, range(1, cg.k + 1), rights)
+
+
 def test_build_split_bipartite_loop_rule() -> None:
     cg = ColoredMultigraph(1, [0])
     cg.layer(1).add_loops(0, 2)
-    fan = build_split_bipartite(cg, 0)
-    assert multiplicity(fan, 1, LOOP_PROXY) == 4
+    fan, graph = fan_graph(cg, 0)
+    assert multiplicity(graph, 1, LOOP_PROXY) == 4
+    # color 1 is node 2 and the proxy node k + 2 = 3
+    assert fan.ends == [(2, 3)]
 
 
 def test_build_split_bipartite_color_rows() -> None:
     cg = ColoredMultigraph(2, [0, 1])
     cg.layer(2).add_edges(0, 1, 3)
-    fan = build_split_bipartite(cg, 0)
-    assert multiplicity(fan, 2, 1) == 3
-    assert left_degree(fan, 1) == 0
+    fan, graph = fan_graph(cg, 0)
+    assert multiplicity(graph, 2, 1) == 3
+    assert left_degree(graph, 1) == 0
     # every color is a left vertex even at degree 0, and the proxy is the
     # first right vertex even without loops
-    assert list(fan[0]) == [1, 2]
-    assert fan[1] == [LOOP_PROXY, 1]
+    assert graph[0] == [1, 2]
+    assert graph[1] == [LOOP_PROXY, 1]
+    assert (fan.n_left, fan.ends, fan.mult) == (2, [(3, 5)], [3])
 
 
 def test_build_split_bipartite_degree_identities() -> None:
@@ -130,15 +147,16 @@ def test_build_split_bipartite_degree_identities() -> None:
     for _ in range(50):
         cg, _ = random_detach_instance(rng)
         y = cg.vertices[rng.randrange(len(cg.vertices))]
-        fan = build_split_bipartite(cg, y)
-        assert_peel_order(fan)
+        fan, graph = fan_graph(cg, y)
+        assert_peel_order(graph)
         under = cg.underlying()
         for j in range(1, cg.k + 1):
-            assert left_degree(fan, j) == cg.layer(j).degree(y)
-        assert right_degree(fan, LOOP_PROXY) == 2 * under.loops(y)
-        assert fan[1] == [LOOP_PROXY, *under.neighbors(y)]
+            assert left_degree(graph, j) == cg.layer(j).degree(y) == fan.deg[j + 1]
+        assert right_degree(graph, LOOP_PROXY) == 2 * under.loops(y)
+        assert graph[1] == [LOOP_PROXY, *under.neighbors(y)]
         for u in under.neighbors(y):
-            assert right_degree(fan, u) == under.multiplicity(y, u)
+            assert right_degree(graph, u) == under.multiplicity(y, u)
+        assert fan.total == sum(n for _, _, n in graph[2])
 
 
 def working_graph(rows: dict) -> SplitBipartite:
@@ -473,13 +491,15 @@ def test_incremental_state_matches_oracles_on_every_step(family: str) -> None:
     assert steps > 0
 
 
-def recording(monkeypatch, name: str, calls: list) -> None:
-    """Record every (args, result) of engine.<name> into calls."""
+def recording(monkeypatch, name: str, calls: list, snap=None) -> None:
+    """Record every (args, result) of engine.<name> into calls; with `snap`,
+    record snap(*args), taken before the call, in place of args."""
     fn = getattr(engine, name)
 
     def record(*args, **kwargs):
+        before = snap(*args) if snap else args
         result = fn(*args, **kwargs)
-        calls.append((args, result))
+        calls.append((before, result))
         return result
 
     monkeypatch.setattr(engine, name, record)
@@ -491,7 +511,13 @@ def test_step_matches_graph_building_reference(family: str, monkeypatch) -> None
     step that built each stage as a BipartiteMultigraph."""
     fans, colorings, refines = [], [], []
     recording(monkeypatch, "build_split_bipartite", fans)
-    recording(monkeypatch, "bee_coloring", colorings)
+    # a peel changes its skeleton: keep the pairs each coloring was given
+    recording(
+        monkeypatch,
+        "bee_coloring",
+        colorings,
+        lambda sk, *_: (sk, SimpleNamespace(ends=list(sk.ends), mult=list(sk.mult))),
+    )
     recording(monkeypatch, "refine", refines)
     steps = 0
     for cg, eta in step_instances(family):
@@ -503,14 +529,14 @@ def test_step_matches_graph_building_reference(family: str, monkeypatch) -> None
                 want = reference_step(state.cg, y, state.eta[y], cond3, comp_map)
                 del fans[:], colorings[:], refines[:]
                 moves = engine._step(state, y).moves
-                [(_, fan)], [(fan_call, classes), (_, picked)] = fans, colorings
+                [(_, (fan, rights))] = fans
+                [((fan_arg, fan_given), classes), ((_, pick_given), picked)] = colorings
                 [((working, _, _), (owner, refined))] = refines
-                assert fan_call[0] is fan
-                lefts, rights, pairs = fan
+                assert fan_arg is fan
                 w_lefts, w_rights, w_pairs = working
                 u_lefts, u_rights, u_pairs = refined
                 got = {
-                    "fan": (list(lefts), rights, pairs),
+                    "fan": skeleton_graph(fan_given, range(1, cg.k + 1), rights),
                     "classes": classes,
                     "working": (list(w_lefts), w_rights, w_pairs),
                     "refined": (owner, (list(u_lefts), u_rights, u_pairs)),
@@ -518,6 +544,8 @@ def test_step_matches_graph_building_reference(family: str, monkeypatch) -> None
                     "moves": moves,
                 }
                 assert got == want
+                # the pick peels the refined graph itself
+                assert skeleton_graph(pick_given, u_lefts, u_rights) == got["refined"][1]
                 steps += 1
     assert steps > 0
 

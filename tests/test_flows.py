@@ -7,7 +7,7 @@ import pytest
 
 from fairdetach import bee
 from fairdetach.bee import bee_coloring
-from fairdetach.flows import _max_flow, feasible_circulation
+from fairdetach.flows import _max_flow, _residual, feasible_circulation
 from fairdetach.hamilton import GddParams, ham_decompose_gdd, ham_decompose_lambda_kn
 from helpers import reference_circulation, reference_max_flow, reference_peel_windows
 
@@ -137,6 +137,8 @@ def capture_peels(monkeypatch, peels: list) -> None:
                 mult=list(sk.mult),
                 deg=list(sk.deg),
                 total=sk.total,
+                adj=[list(row) for row in sk.adj],
+                to=list(sk.to),
             )
             peels.append((copy, c))
         return peel(sk, c)
@@ -217,3 +219,33 @@ def test_bee_network_matches_generic_build(monkeypatch) -> None:
         emptied += sk.mult.count(0)
         fixed += sum(low == high for _, _, low, high in arcs)
     assert emptied and fixed
+
+
+def test_peel_network_keeps_the_generic_numbering(monkeypatch) -> None:
+    """Every peel, bee-shaped, of lambda K_n and of a GDD, solves on its
+    skeleton's fixed topology: the adjacency and heads are those of the
+    generic build from the peel's windows, arcs without room included, and
+    so are its capacities, lower bounds, supply and demand."""
+    peels: list = []
+    capture_peels(monkeypatch, peels)
+    nets: list = []
+
+    def solve(n, net):
+        nets.append((list(net.cap), net.low, list(net.supply), list(net.demand)))
+        return feasible_circulation(n, net)
+
+    monkeypatch.setattr(bee, "feasible_circulation", solve)
+    for seed in range(6):
+        rng = random.Random(seed)
+        bee_coloring(bee_shaped(rng), rng.randint(2, 6))
+    ham_decompose_lambda_kn(11, 2)
+    ham_decompose_gdd(GddParams((3, 3, 3, 3), 1, 2))
+    assert len(peels) == len(nets) > 6
+    no_room = 0
+    for (sk, c), net in zip(peels, nets):
+        generic = _residual(len(sk.deg), reference_peel_windows(sk, c))
+        assert sk.adj == generic.adj
+        assert sk.to == generic.to
+        assert net == (generic.cap, generic.low, generic.supply, generic.demand)
+        no_room += generic.cap[::2].count(0)
+    assert no_room
