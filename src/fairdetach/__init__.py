@@ -18,7 +18,6 @@ from .engine import (
     DetachmentTrace,
     MoveSet,
     RefinedBipartite,
-    SplitBipartite,
     StepRecord,
     build_split_bipartite,
     condition3_colors,
@@ -83,7 +82,6 @@ __all__ = [
     "Multigraph",
     "PreconditionError",
     "RefinedBipartite",
-    "SplitBipartite",
     "StepRecord",
     "approx",
     "assert_step_relations",

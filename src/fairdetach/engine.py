@@ -25,13 +25,21 @@ fan is read off y's sorted rows straight into a bee skeleton, whose left
 degrees also give the condition-3 check each color's degree at y; the fan
 coloring returns classes 1 and 2 as multiplicity vectors over the fan's
 pairs, and their sum is the working subgraph on the same pairs; `refine`
-emits its units with integer labels and pairs already sorted; the pick's
-skeleton is built straight from them, and the pick peels only class 1,
-which is the moves.
-The loop proxy (-1) sorts below every vertex id, so it is the first right
-vertex of every graph the peel reads and heads a color's row; `refine` takes
-its multiplicity off that front once and pairs it after the vertices: its
-double units after theirs, its single after the sorted residue.
+reads those counts off the fan's integer pairs and emits the pick's
+skeleton pairs in node numbers, and the pick peels only class 1, which is
+the moves.  A double unit, whose two edge ends go to one right vertex, is
+settled in `refine` and left out of the pick.  With c = 2 each of its
+windows is fixed: its pair and its source arc carry 2 and must get
+exactly 1, so it moves exactly one edge end (or one loop), and its node is
+isolated with excess 0.  Without it, its right vertex and the total each
+lose 2, so their floors and ceilings both drop by 1 at the same parity:
+every other excess and live arc and the node order are kept, the search
+finds the same paths and the flows are the same.
+The loop proxy (-1, the fan's right vertex 0) sorts below every vertex
+id, so it is the first right vertex of every graph the peel reads and
+heads a color's row; `refine` takes its multiplicity off that front once
+and pairs it after the vertices: its double units after theirs, its
+single after the sorted residue.
 
 Repeating until every split count reaches 1 yields a loopless detachment
 whose degrees, per-color degrees, intra- and cross-fiber multiplicities all
@@ -68,10 +76,11 @@ state with on every step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import add
+from itertools import compress
+from operator import add, itemgetter
 from typing import Dict, List, Optional, Set, Tuple
 
-from .bee import SortedBipartite, _Skeleton, bee_coloring
+from .bee import _Skeleton, bee_coloring
 from .errors import GraphError, PreconditionError
 from .multigraph import (
     AmalgamationSpec,
@@ -86,14 +95,12 @@ from .multigraph import (
 LOOP_PROXY: VertexId = -1
 
 
-# The working subgraph, as refine takes it: left labels are the colors 1..k,
-# all present; the right side is the fan's, the loop proxy (present even
-# without loops) and y's neighbors ascending; pairs (color, w, n), sorted.
-SplitBipartite = SortedBipartite
-
-# refine's output (owner, graph): left label i of graph is a unit (or a whole
-# unsplit color vertex) of color owner[i]; the right side is the fan's.
-RefinedBipartite = Tuple[List[int], SortedBipartite]
+# refine's output (owner, ends, mult, settled): the pick's skeleton, whose
+# left node i + 2 is a unit (or a whole unsplit color vertex) of color
+# owner[i] and whose right node r + len(owner) + 2 is the fan's right
+# vertex r (the loop proxy at r = 0); each settled (color, r) is a double
+# unit, left out of the pick, that moves one edge end (a loop at r = 0).
+RefinedBipartite = Tuple[List[int], List[Tuple[int, int]], List[int], List[Tuple[int, int]]]
 
 
 @dataclass(frozen=True)
@@ -181,7 +188,9 @@ def build_split_bipartite(cg: ColoredMultigraph, y: VertexId) -> Tuple[_Skeleton
 
 
 def refine(
-    working: SplitBipartite,
+    fan: _Skeleton,
+    working: List[int],
+    rights: List[VertexId],
     cond3: Set[int],
     component_map: Dict[int, Dict[VertexId, int]],
 ) -> RefinedBipartite:
@@ -191,66 +200,75 @@ def refine(
     parallel edges to one right vertex, then as many leftovers as possible
     pair within one component of their color class minus y, then whatever
     remains pairs in ascending vertex order, loop proxy last.  `working` is
-    the fan restricted to the two working classes, with the fan's left and
-    right sides.  Left labels of the result count up from 0 in color order,
-    each color's units in the order they are formed, and the pairs come out
-    sorted, so the result is in peel order.  Per condition-3 color,
-    `component_map` is a union-find whose roots (`_find`) are the labels.
+    the working subgraph's multiplicity on each of the fan's pairs, and
+    `rights` the fan's right labels.  The units that pair parallel edges
+    are double units, settled without the pick (see the module docstring):
+    they come out as (color, r) in the order they are formed.  Every other
+    unit, and every color outside cond3 whole, is a left node of the pick,
+    in color order and each color's units in the order they are formed;
+    their pairs come out sorted, in node numbers, so the result is in peel
+    order.  Per condition-3 color, `component_map` is a union-find whose
+    roots (`_find`) are the labels.
     """
-    colors, rights, pairs = working
-    rows: Dict[int, List[Tuple[VertexId, int]]] = {j: [] for j in colors}
-    for j, w, n in pairs:
-        rows[j].append((w, n))
+    k = fan.n_left
+    rows: List[List[Tuple[int, int]]] = [[] for _ in range(k + 1)]
+    for (a, b), n in zip(compress(fan.ends, working), filter(None, working)):
+        rows[a - 1].append((b - k - 2, n))
     owner: List[int] = []
-    out: List[Tuple[int, VertexId, int]] = []
-    for j in colors:
+    ends: List[Tuple[int, int]] = []
+    mult: List[int] = []
+    settled: List[Tuple[int, int]] = []
+    for j in range(1, k + 1):
         row = rows[j]
         if j not in cond3:
             label = len(owner)
             owner.append(j)
-            out.extend((label, w, n) for w, n in row)
+            ends += [(label, r) for r, _ in row]
+            mult += [n for _, n in row]
             continue
-        deg = sum(n for _, n in row)
+        # the loop proxy (r = 0) heads the row and pairs last: it belongs to
+        # no component of the color class minus y
+        proxy = row[0][1] if row and row[0][0] == 0 else 0
+        deg = proxy
+        singles: List[int] = []
+        for r, n in row[1:] if proxy else row:
+            deg += n
+            if n > 1:
+                settled += [(j, r)] * (n // 2)
+            if n % 2:
+                singles.append(r)
         if deg % 2:
             raise AssertionError(
                 f"color {j} has odd working degree {deg}; the fan coloring is broken"
             )
-        # the loop proxy heads the row and pairs last: it belongs to no
-        # component of the color class minus y
-        proxy = row[0][1] if row and row[0][0] == LOOP_PROXY else 0
-        units: List[Tuple[VertexId, VertexId]] = []
-        singles: List[VertexId] = []
-        for w, n in row[1:] if proxy else row:
-            units.extend([(w, w)] * (n // 2))
-            if n % 2:
-                singles.append(w)
-        units.extend([(LOOP_PROXY, LOOP_PROXY)] * (proxy // 2))
-        # pair leftovers sharing a component of the color class minus y
-        comp_of = component_map.get(j, {})
-        by_comp: Dict[int, List[VertexId]] = {}
-        for w in singles:
-            by_comp.setdefault(_find(comp_of, w), []).append(w)
-        residue: List[VertexId] = []
-        for key in sorted(by_comp):
-            bucket = by_comp[key]
-            units.extend(zip(bucket[::2], bucket[1::2]))
-            if len(bucket) % 2:
-                residue.append(bucket[-1])
-        residue.sort()
+        settled += [(j, 0)] * (proxy // 2)
+        units: List[Tuple[int, int]] = []
+        residue = singles  # ascending
+        if len(singles) > 2:  # fewer pair the same whatever their components
+            # pair leftovers sharing a component of the color class minus y
+            comp_of = component_map.get(j, {})
+            by_comp: Dict[int, List[int]] = {}
+            for r in singles:
+                by_comp.setdefault(_find(comp_of, rights[r]), []).append(r)
+            residue = []
+            for key in sorted(by_comp):
+                bucket = by_comp[key]
+                units.extend(zip(bucket[::2], bucket[1::2]))
+                if len(bucket) % 2:
+                    residue.append(bucket[-1])
+            residue.sort()
         if proxy % 2:
-            residue.append(LOOP_PROXY)
+            residue.append(0)
         units.extend(zip(residue[::2], residue[1::2]))
         for a, b in units:
             label = len(owner)
             owner.append(j)
-            if a == b:
-                out.append((label, a, 2))
-            else:  # the proxy, last in the pairing order, sorts first here
-                if a > b:
-                    a, b = b, a
-                out.append((label, a, 1))
-                out.append((label, b, 1))
-    return owner, (range(len(owner)), rights, out)
+            if a > b:  # the proxy, last in the pairing order, sorts first here
+                a, b = b, a
+            ends += [(label, a), (label, b)]
+            mult += [1, 1]
+    right = len(owner) + 2
+    return owner, [(u + 2, r + right) for u, r in ends], mult, settled
 
 
 def _component_map(
@@ -345,18 +363,19 @@ def _step(state: _DetachState, y: VertexId) -> StepRecord:
     k = cg.k
     fan_deg = fan.deg[1 : k + 2]  # color j's degree at y, read before the peel
     first, second = bee_coloring(fan, eta_y, upto=2)
-    both = zip(fan.ends, map(add, first, second))
-    working = [(a - 1, rights[b - k - 2], n) for (a, b), n in both if n]
+    working = list(map(add, first, second))
 
     cond3 = state.cond3
-    owner, refined = refine((range(1, k + 1), rights, working), cond3, state.labels(y))
+    owner, ends, mult, settled = refine(fan, working, rights, cond3, state.labels(y))
 
     # the condition-3 colors must split into exactly degree/eta units
     working_deg = [0] * (k + 1)
-    for j, _, n in working:
-        working_deg[j] += n
+    for (a, _), n in zip(compress(fan.ends, working), filter(None, working)):
+        working_deg[a - 1] += n
     units = [0] * (k + 1)
     for j in owner:
+        units[j] += 1
+    for j, _ in settled:
         units[j] += 1
     for j in sorted(cond3):
         alpha = fan_deg[j] // eta_y
@@ -368,23 +387,24 @@ def _step(state: _DetachState, y: VertexId) -> StepRecord:
             raise AssertionError(f"color {j}: split into {units[j]} units")
 
     # the pick keeps class 1; class 2 would be the rest (c = 1, no flow)
-    _, unit_rights, unit_pairs = refined
-    node = {w: i for i, w in enumerate(unit_rights, len(owner) + 2)}
-    ends = [(label + 2, node[w]) for label, w, _ in unit_pairs]
-    pick = _Skeleton(len(owner), len(unit_rights), ends, [n for _, _, n in unit_pairs])
+    pick = _Skeleton(len(owner), len(rights), ends, mult)
     (picked,) = bee_coloring(pick, 2, upto=1)
 
+    # a settled unit moves one edge end; a color's settled units were formed
+    # before its other units, and the sort by color is stable
+    right = len(owner) + 2
+    moved = [(j, r, 1) for j, r in settled]
+    moved += [(owner[a - 2], b - right, n) for (a, b), n in zip(ends, picked) if n]
+    moved.sort(key=itemgetter(0))
     v_new = state.next_id
     edge_moves: Dict[int, Dict[VertexId, int]] = {}
     loop_moves: Dict[int, int] = {}
-    for (label, w, _), n in zip(unit_pairs, picked):
-        if not n:
-            continue
-        j = owner[label]
-        if w == LOOP_PROXY:
+    for j, r, n in moved:
+        if r == 0:
             loop_moves[j] = loop_moves.get(j, 0) + n
         else:
             per_w = edge_moves.setdefault(j, {})
+            w = rights[r]
             per_w[w] = per_w.get(w, 0) + n
     for j, nl in sorted(loop_moves.items()):
         if nl > cg.layer(j).loops(y):

@@ -14,11 +14,11 @@ graphs, kept as a small-case oracle for the engine-based route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .engine import detach_all
-from .errors import InfeasibleError, PreconditionError
-from .evencolor import _walk, evenly_equitable_coloring
+from .errors import GraphError, InfeasibleError, PreconditionError
+from .evencolor import evenly_equitable_coloring
 from .multigraph import AmalgamationSpec, ColoredMultigraph, Multigraph, VertexId
 
 
@@ -135,35 +135,38 @@ def walecki_odd(n: int) -> HamDecomposition:
 # engine-based constructions
 
 
-def _extract_cycle(layer: Multigraph) -> Tuple[VertexId, ...]:
-    """Read the spanning cycle off a connected 2-regular loopless layer.
+def _extract_cycle(layer: Multigraph, rename: Dict[VertexId, int]) -> Tuple[VertexId, ...]:
+    """Read the spanning cycle off a connected 2-regular loopless layer,
+    each vertex v renamed to rename[v].
 
-    Walk from the smallest vertex, always taking the smallest neighbor with
-    an unused edge; 2-regularity leaves no choices after the first step, and
-    the layer is one spanning cycle exactly when the walk visits every vertex.
+    `rename` is `_relabel`'s map, so its first vertex, order[0], is the one
+    renamed 0.  The walk starts there and takes its lower-renamed neighbor
+    first; 2-regularity leaves no choices after that, and the layer is one
+    spanning cycle exactly when the walk comes back after every vertex.
     """
-    adj = layer.rows()
-    verts = list(adj)
-    loopless_2_regular = layer.is_loopless() and all(
-        sum(row.values()) == 2 for row in adj.values()
-    )
-    trail = _walk(adj, {}, verts[0])
-    if not loopless_2_regular or len(trail) != len(verts) + 1:
+    cycle = layer.spanning_cycle(next(iter(rename)), rename)
+    if cycle is None:
         raise AssertionError("color class is not a single spanning cycle")
-    return tuple(trail[:-1])
+    return tuple(cycle)
 
 
-def _relabel(cg: ColoredMultigraph, order: List[VertexId]) -> ColoredMultigraph:
-    """Rename vertices so order[i] becomes i."""
-    return cg.relabeled(order)
+def _relabel(cg: ColoredMultigraph, order: List[VertexId]) -> Dict[VertexId, int]:
+    """The map renaming vertex order[i] to i; order must list every vertex
+    exactly once."""
+    rename = {v: i for i, v in enumerate(order)}
+    if len(rename) != len(order) or sorted(rename) != cg.vertices:
+        raise GraphError("a relabeling order must list every vertex exactly once")
+    return rename
 
 
 def _read_off(cg: ColoredMultigraph, order: List[VertexId]) -> HamDecomposition:
     """The decomposition a detachment spells: vertex order[i] becomes i and
-    each color class is read off as one spanning cycle."""
-    g = _relabel(cg, order)
-    cycles = tuple(_extract_cycle(g.layer(j)) for j in range(1, g.k + 1))
-    return HamDecomposition(host=g.underlying(), cycles=cycles)
+    each color class is read off as one spanning cycle.  The layers are
+    walked as they are, renaming only the vertices each cycle emits; the
+    host is the underlying graph, renamed once."""
+    rename = _relabel(cg, order)
+    cycles = tuple(_extract_cycle(cg.layer(j), rename) for j in range(1, cg.k + 1))
+    return HamDecomposition(host=cg.underlying().renamed(rename), cycles=cycles)
 
 
 def ham_decompose_lambda_kn(n: int, lam: int) -> HamDecomposition:

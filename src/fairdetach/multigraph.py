@@ -14,14 +14,16 @@ detachment engine and the cycle read-off:
 
   * `ColoredMultigraph.split_off` applies one detachment step's moves in
     place, one row update per (color, neighbor);
-  * `ColoredMultigraph.relabeled` renames every vertex in one pass, and
-    `Multigraph.merge` adds a graph's rows in one pass, so `underlying` is
-    one pass per layer;
+  * `Multigraph.renamed` renames every vertex in one pass (the read-off's
+    host), and `Multigraph.merge` adds a graph's rows in one pass, so
+    `underlying` is one pass per layer;
+  * `Multigraph.spanning_cycle` walks a 2-regular layer once, emitting
+    renamed vertices, so the read-off copies no layer;
   * `ColoredMultigraph.rows_at` reads a vertex's per-color loop counts and
     sorted rows in one call (the engine's fan), `Multigraph.rows` all of a
-    graph's sorted rows (the read-off and the Euler walks) and
-    `Multigraph.component_labels` the components of a graph minus one
-    vertex in one traversal (the engine's union-finds).
+    graph's sorted rows (the Euler walks) and `Multigraph.component_labels`
+    the components of a graph minus one vertex in one traversal (the
+    engine's union-finds).
 
 They keep the checked methods' guards and messages.  An unknown vertex, a
 new vertex that already exists, w == y, removing more than is present and a
@@ -231,7 +233,7 @@ class Multigraph:
         for v, n in other._loops.items():
             self._loops[v] = self._loops.get(v, 0) + n
 
-    def _renamed(self, rename: Dict[VertexId, VertexId]) -> "Multigraph":
+    def renamed(self, rename: Dict[VertexId, VertexId]) -> "Multigraph":
         """A copy with every vertex v renamed to rename[v]."""
         g = Multigraph()
         g._adj = {
@@ -240,6 +242,27 @@ class Multigraph:
         }
         g._loops = {rename[v]: n for v, n in self._loops.items()}
         return g
+
+    def spanning_cycle(
+        self, start: VertexId, rename: Dict[VertexId, VertexId]
+    ) -> Optional[List[VertexId]]:
+        """The vertices of the graph's one spanning cycle, renamed through
+        `rename`, walked from `start` towards its lower-renamed neighbor;
+        None unless the graph is loopless, 2-regular and connected.
+
+        After the first step each vertex has one edge left, to the neighbor
+        it was not entered from, or back along a doubled edge (the 2-cycle
+        of two parallel edges).
+        """
+        adj = self._adj
+        if self._loops or any(sum(row.values()) != 2 for row in adj.values()):
+            return None
+        cycle = [rename[start]]
+        prev, v = start, min(adj[start], key=rename.__getitem__)
+        while v != start:
+            cycle.append(rename[v])
+            prev, v = v, next((u for u in adj[v] if u != prev), prev)
+        return cycle if len(cycle) == len(adj) else None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Multigraph):
@@ -352,16 +375,6 @@ class ColoredMultigraph:
             else:
                 g.remove_loops(y, n)
                 g.add_edges(y, v_new, n)
-
-    def relabeled(self, order: List[VertexId]) -> "ColoredMultigraph":
-        """A copy with vertex order[i] renamed to i; order must list every
-        vertex exactly once."""
-        rename = {v: i for i, v in enumerate(order)}
-        if len(rename) != len(order) or sorted(rename) != self.vertices:
-            raise GraphError("a relabeling order must list every vertex exactly once")
-        cg = ColoredMultigraph(self.k)
-        cg._layers = [g._renamed(rename) for g in self._layers]
-        return cg
 
     def underlying(self) -> Multigraph:
         g = Multigraph(self.vertices)

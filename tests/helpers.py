@@ -8,10 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from fairdetach.bee import Classes, SortedBipartite
-from fairdetach.engine import MoveSet
+from fairdetach.bee import Classes, SortedBipartite, _Skeleton, bee_coloring
+from fairdetach.engine import MoveSet, _find
 from fairdetach.errors import GraphError, PreconditionError
 from fairdetach.evencolor import EulerCircuit, is_evenly_equitable
 from fairdetach.flows import feasible_circulation
@@ -552,7 +552,7 @@ def reference_class_pair_row(coloring: BipartiteColoring, color: int):
     }
 
 
-def reference_refine(t: SplitBipartite, cond3, component_map) -> RefinedBipartite:
+def reference_refine_bipartite(t: SplitBipartite, cond3, component_map) -> RefinedBipartite:
     """Split qualifying color vertices of the working subgraph into degree-2 units."""
     bg = BipartiteMultigraph([], t.graph.right)
     groups: Dict[int, List[Tuple[int, int]]] = {}
@@ -630,7 +630,7 @@ def reference_step(cg: ColoredMultigraph, y: int, eta_y: int, cond3, component_m
     fan = reference_build_split_bipartite(cg, y)
     fan_coloring = reference_bee_coloring(fan.graph, eta_y, upto=2)
     working = SplitBipartite(y=y, k=cg.k, graph=reference_restrict(fan_coloring, (1, 2)))
-    refined = reference_refine(working, cond3, component_map)
+    refined = reference_refine_bipartite(working, cond3, component_map)
     pick = reference_bee_coloring(refined.graph, 2)
     edge_moves: Dict[int, Dict[int, int]] = {}
     loop_moves: Dict[int, int] = {}
@@ -655,6 +655,111 @@ def reference_step(cg: ColoredMultigraph, y: int, eta_y: int, cond3, component_m
         "picked": class_vectors(pick, refined.graph.pairs())[0],
         "moves": MoveSet(edge_moves=edge_moves, loop_moves=loop_moves),
     }
+
+
+# ---------------------------------------------------------------------------
+# the pick as it was before refine settled its double units outside the flow:
+# refine takes the working subgraph as labeled (color, w, n) triples and
+# emits every unit, and the pick coloring peels all of them
+
+
+def reference_refine(
+    working: SortedBipartite,
+    cond3: Set[int],
+    component_map: Dict[int, Dict[VertexId, int]],
+) -> Tuple[List[int], SortedBipartite]:
+    """Split condition-3 color vertices of the working subgraph into degree-2 units.
+
+    Pairing is greedily maximal: first as many units as possible take two
+    parallel edges to one right vertex, then as many leftovers as possible
+    pair within one component of their color class minus y, then whatever
+    remains pairs in ascending vertex order, loop proxy last.  `working` is
+    the fan restricted to the two working classes, with the fan's left and
+    right sides.  Left labels of the result count up from 0 in color order,
+    each color's units in the order they are formed, and the pairs come out
+    sorted, so the result is in peel order.  Per condition-3 color,
+    `component_map` is a union-find whose roots (`_find`) are the labels.
+    """
+    colors, rights, pairs = working
+    rows: Dict[int, List[Tuple[VertexId, int]]] = {j: [] for j in colors}
+    for j, w, n in pairs:
+        rows[j].append((w, n))
+    owner: List[int] = []
+    out: List[Tuple[int, VertexId, int]] = []
+    for j in colors:
+        row = rows[j]
+        if j not in cond3:
+            label = len(owner)
+            owner.append(j)
+            out.extend((label, w, n) for w, n in row)
+            continue
+        deg = sum(n for _, n in row)
+        if deg % 2:
+            raise AssertionError(
+                f"color {j} has odd working degree {deg}; the fan coloring is broken"
+            )
+        # the loop proxy heads the row and pairs last: it belongs to no
+        # component of the color class minus y
+        proxy = row[0][1] if row and row[0][0] == LOOP_PROXY else 0
+        units: List[Tuple[VertexId, VertexId]] = []
+        singles: List[VertexId] = []
+        for w, n in row[1:] if proxy else row:
+            units.extend([(w, w)] * (n // 2))
+            if n % 2:
+                singles.append(w)
+        units.extend([(LOOP_PROXY, LOOP_PROXY)] * (proxy // 2))
+        # pair leftovers sharing a component of the color class minus y
+        comp_of = component_map.get(j, {})
+        by_comp: Dict[int, List[VertexId]] = {}
+        for w in singles:
+            by_comp.setdefault(_find(comp_of, w), []).append(w)
+        residue: List[VertexId] = []
+        for key in sorted(by_comp):
+            bucket = by_comp[key]
+            units.extend(zip(bucket[::2], bucket[1::2]))
+            if len(bucket) % 2:
+                residue.append(bucket[-1])
+        residue.sort()
+        if proxy % 2:
+            residue.append(LOOP_PROXY)
+        units.extend(zip(residue[::2], residue[1::2]))
+        for a, b in units:
+            label = len(owner)
+            owner.append(j)
+            if a == b:
+                out.append((label, a, 2))
+            else:  # the proxy, last in the pairing order, sorts first here
+                if a > b:
+                    a, b = b, a
+                out.append((label, a, 1))
+                out.append((label, b, 1))
+    return owner, (range(len(owner)), rights, out)
+
+
+def reference_pick(fan, working, rights, cond3, component_map) -> MoveSet:
+    """The step's moves from the fan skeleton's pairs and the working counts
+    on them: `reference_refine`, then class 1 of a full 2-coloring of every
+    unit, its double units included."""
+    k = fan.n_left
+    triples = [(a - 1, rights[b - k - 2], n) for (a, b), n in zip(fan.ends, working) if n]
+    owner, refined = reference_refine((range(1, k + 1), rights, triples), cond3, component_map)
+    _, unit_rights, unit_pairs = refined
+    node = {w: i for i, w in enumerate(unit_rights, len(owner) + 2)}
+    ends = [(label + 2, node[w]) for label, w, _ in unit_pairs]
+    pick = _Skeleton(len(owner), len(unit_rights), ends, [n for _, _, n in unit_pairs])
+    (picked,) = bee_coloring(pick, 2, upto=1)
+    edge_moves: Dict[int, Dict[int, int]] = {}
+    loop_moves: Dict[int, int] = {}
+    for (label, w, _), n in zip(unit_pairs, picked):
+        if not n:
+            continue
+        j = owner[label]
+        if w == LOOP_PROXY:
+            loop_moves[j] = loop_moves.get(j, 0) + n
+        else:
+            per_w = edge_moves.setdefault(j, {})
+            per_w[w] = per_w.get(w, 0) + n
+    return MoveSet(edge_moves=edge_moves, loop_moves=loop_moves)
 
 
 # ---------------------------------------------------------------------------

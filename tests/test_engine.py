@@ -8,10 +8,10 @@ from types import SimpleNamespace
 import pytest
 
 from fairdetach import engine, hamilton
+from fairdetach.bee import _Skeleton
 from fairdetach.engine import (
     LOOP_PROXY,
     MoveSet,
-    SplitBipartite,
     StepRecord,
     build_split_bipartite,
     condition3_colors,
@@ -28,6 +28,7 @@ from helpers import (
     all_pairings,
     outcome,
     reference_move,
+    reference_pick,
     reference_step,
     skeleton_graph,
 )
@@ -159,12 +160,35 @@ def test_build_split_bipartite_degree_identities() -> None:
         assert fan.total == sum(n for _, _, n in graph[2])
 
 
-def working_graph(rows: dict) -> SplitBipartite:
-    """Build a working (two-class) fan restriction from explicit rows."""
+def expand_refined(refined, rights, picked):
+    """refine's output with its settled double units put back, each with
+    pair (label, w, 2) and picked 1, among the other units in the order
+    they were formed: (owner, (lefts, rights, pairs)) and the pick's class
+    1 on those pairs, as the engine built them before it settled units."""
+    owner, ends, mult, settled = refined
+    rows = [[] for _ in owner]
+    for (a, b), n, f in zip(ends, mult, picked):
+        rows[a - 2].append((rights[b - len(owner) - 2], n, f))
+    units = [(j, [(rights[r], 2, 1)]) for j, r in settled]
+    units += zip(owner, rows)
+    units.sort(key=lambda unit: unit[0])  # a color's settled units come first
+    pairs = [(label, w, n) for label, (_, row) in enumerate(units) for w, n, _ in row]
+    graph = (list(range(len(units))), list(rights), pairs)
+    return [j for j, _ in units], graph, [f for _, row in units for _, _, f in row]
+
+
+def refine_rows(rows: dict, cond3, comp_map):
+    """refine on a working subgraph given as rows {color: {w: n}}, read as
+    the engine reads it off a fan skeleton; its output is returned with
+    the settled units put back (see expand_refined), beside the raw one."""
     k = max(rows)
-    right = sorted({w for row in rows.values() for w in row})
-    pairs = sorted((j, w, n) for j, row in rows.items() for w, n in row.items())
-    return range(1, k + 1), right, pairs
+    rights = [LOOP_PROXY, *sorted({w for row in rows.values() for w in row} - {LOOP_PROXY})]
+    node = {w: i for i, w in enumerate(rights, k + 2)}
+    ends = [(j + 1, node[w]) for j in sorted(rows) for w in sorted(rows[j])]
+    working = [rows[j][w] for j in sorted(rows) for w in sorted(rows[j])]
+    raw = refine(_Skeleton(k, len(rights), ends, working), working, rights, cond3, comp_map)
+    owner, graph, _ = expand_refined(raw, rights, [0] * len(raw[1]))
+    return (owner, graph), raw
 
 
 def units_of(refined, j):
@@ -174,8 +198,9 @@ def units_of(refined, j):
 
 
 def test_refine_parallel_pairs_saturate() -> None:
-    t = working_graph({1: {7: 4}})
-    refined = refine(t, {1}, {1: {7: 7}})
+    refined, raw = refine_rows({1: {7: 4}}, {1}, {1: {7: 7}})
+    # both units are double units: settled, none left for the pick
+    assert raw == ([], [], [], [(1, 1), (1, 1)])
     assert len(units_of(refined, 1)) == 2
     for label in units_of(refined, 1):
         assert multiplicity(refined[1], label, 7) == 2
@@ -183,8 +208,7 @@ def test_refine_parallel_pairs_saturate() -> None:
 
 def test_refine_forced_order() -> None:
     # edges u,u,w,x: one unit takes (u,u) by parallel pairing, the other (w,x)
-    t = working_graph({1: {5: 2, 6: 1, 7: 1}})
-    refined = refine(t, {1}, {1: {5: 5, 6: 6, 7: 6}})
+    refined, _ = refine_rows({1: {5: 2, 6: 1, 7: 1}}, {1}, {1: {5: 5, 6: 6, 7: 6}})
     graph = refined[1]
     assert_peel_order(graph)
     unit_rows = []
@@ -200,8 +224,7 @@ def test_refine_forced_order() -> None:
 
 
 def test_refine_unsplit_colors_keep_their_rows() -> None:
-    t = working_graph({1: {5: 3}})
-    refined = refine(t, set(), {})
+    refined, _ = refine_rows({1: {5: 3}}, set(), {})
     assert units_of(refined, 1) == [0]
     assert multiplicity(refined[1], 0, 5) == 3
 
@@ -210,8 +233,11 @@ def test_refine_proxy_pairs_last_and_sorts_first() -> None:
     # color 1 pairs its two edges to 4 first; the leftovers 3 and the proxy
     # share no component, so the residue joins them into one unit, whose
     # pairs list the proxy first; unsplit color 2 keeps its proxy row
-    t = working_graph({1: {LOOP_PROXY: 1, 3: 1, 4: 2}, 2: {LOOP_PROXY: 2}})
-    owner, graph = refine(t, {1}, {1: {3: 3, 4: 4}})
+    rows = {1: {LOOP_PROXY: 1, 3: 1, 4: 2}, 2: {LOOP_PROXY: 2}}
+    (owner, graph), raw = refine_rows(rows, {1}, {1: {3: 3, 4: 4}})
+    # the (4, 4) unit is settled; the pick has two left nodes (2, 3) and
+    # right nodes 4, 5, 6 for the proxy, 3 and 4
+    assert raw == ([1, 2], [(2, 4), (2, 5), (3, 4)], [1, 1, 2], [(1, 2)])
     assert owner == [1, 1, 2]
     assert_peel_order(graph)
     assert graph[2] == [
@@ -264,8 +290,7 @@ def test_refine_pairing_is_lexicographically_maximal() -> None:
                 total += n
         if total == 0 or total % 2 or total > 8:
             continue
-        t = working_graph({1: dict(row)})
-        refined = refine(t, {1}, {1: comp_of})
+        refined, _ = refine_rows({1: dict(row)}, {1}, {1: comp_of})
         units = [(r[0], r[1]) for r in unit_endpoints(refined, 1)]
         got = pairing_score(units, comp_of)
 
@@ -308,11 +333,10 @@ def test_step_rejects_a_qualifying_color_short_of_units(monkeypatch) -> None:
     cg, eta = loops_only_instance(3, 3, 3)  # every color: degree 6, 2 units
 
     def short_refine(*args):
-        owner, (_, rights, pairs) = refine(*args)
-        drop = max(i for i, j in enumerate(owner) if j == 2)
-        owner = owner[:drop] + owner[drop + 1 :]
-        pairs = [(l - (l > drop), w, n) for l, w, n in pairs if l != drop]
-        return owner, (range(len(owner)), rights, pairs)
+        owner, ends, mult, settled = refine(*args)
+        # every unit of this step is a double unit, settled outside the pick
+        drop = max(i for i, (j, _) in enumerate(settled) if j == 2)
+        return owner, ends, mult, settled[:drop] + settled[drop + 1 :]
 
     monkeypatch.setattr(engine, "refine", short_refine)
     state = engine._DetachState(cg.copy(), dict(eta.eta))
@@ -531,23 +555,78 @@ def test_step_matches_graph_building_reference(family: str, monkeypatch) -> None
                 moves = engine._step(state, y).moves
                 [(_, (fan, rights))] = fans
                 [((fan_arg, fan_given), classes), ((_, pick_given), picked)] = colorings
-                [((working, _, _), (owner, refined))] = refines
-                assert fan_arg is fan
-                w_lefts, w_rights, w_pairs = working
-                u_lefts, u_rights, u_pairs = refined
+                [((fan_refined, working, rights_given, _, _), refined)] = refines
+                assert fan_arg is fan_refined is fan and rights_given is rights
+                k = cg.k
+                w_pairs = [
+                    (a - 1, rights[b - k - 2], n) for (a, b), n in zip(fan.ends, working) if n
+                ]
+                owner, unit_graph, unit_picked = expand_refined(refined, rights, picked[0])
                 got = {
-                    "fan": skeleton_graph(fan_given, range(1, cg.k + 1), rights),
+                    "fan": skeleton_graph(fan_given, range(1, k + 1), rights),
                     "classes": classes,
-                    "working": (list(w_lefts), w_rights, w_pairs),
-                    "refined": (owner, (list(u_lefts), u_rights, u_pairs)),
-                    "picked": picked[0],
+                    "working": (list(range(1, k + 1)), rights, w_pairs),
+                    "refined": (owner, unit_graph),
+                    "picked": unit_picked,
                     "moves": moves,
                 }
                 assert got == want
-                # the pick peels the refined graph itself
-                assert skeleton_graph(pick_given, u_lefts, u_rights) == got["refined"][1]
+                # the pick peels refine's skeleton, the settled units left out
+                _, ends, mult, _ = refined
+                assert (pick_given.ends, pick_given.mult) == (ends, mult)
                 steps += 1
     assert steps > 0
+
+
+def pick_instances(family: str):
+    if family == "lambda_kn":
+        return [
+            lambda_kn_host(n, lam)
+            for lam in (1, 2, 3)
+            for n in range(2, 16)
+            if lam * (n - 1) % 2 == 0
+        ]
+    if family == "fuzz":
+        return [random_detach_instance(random.Random(seed)) for seed in range(300)]
+    return step_instances(family)
+
+
+@pytest.mark.parametrize("family", ["lambda_kn", "gdd", "fuzz"])
+def test_pick_matches_the_full_pick_of_every_unit(family: str, monkeypatch) -> None:
+    """Every step's moves, in their insertion order, equal those of the old
+    refine followed by class 1 of a 2-coloring of all its units, double
+    units included; some steps settle every unit and still peel the empty
+    pick, so every step makes two bee colorings."""
+    instances = pick_instances(family)  # the GDDs run detach_all: unpatched
+    wants, empty = [], 0
+    colorings: list = []
+    recording(monkeypatch, "bee_coloring", colorings, lambda *_: None)
+
+    def checked_refine(*args):
+        nonlocal empty
+        wants.append(reference_pick(*args))
+        out = refine(*args)
+        empty += not out[1]
+        return out
+
+    monkeypatch.setattr(engine, "refine", checked_refine)
+    steps = 0
+    for cg, eta in instances:
+        state = engine._DetachState(cg.copy(), dict(eta.eta))
+        for y in [v for v in cg.vertices if eta.value(v) >= 2]:
+            while state.eta[y] >= 2:
+                got = engine._step(state, y).moves
+                [want] = wants
+                del wants[:]
+                assert got == want
+                assert [(j, list(row.items())) for j, row in got.edge_moves.items()] == [
+                    (j, list(row.items())) for j, row in want.edge_moves.items()
+                ]
+                assert list(got.loop_moves.items()) == list(want.loop_moves.items())
+                steps += 1
+    assert steps > 30
+    assert empty > 0
+    assert len(colorings) == 2 * steps
 
 
 def _reference_apply(cg: ColoredMultigraph, rec: StepRecord) -> ColoredMultigraph:

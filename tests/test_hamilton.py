@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from fairdetach import hamilton
@@ -7,6 +9,7 @@ from fairdetach.errors import GraphError, InfeasibleError, PreconditionError
 from fairdetach.hamilton import (
     GddParams,
     _extract_cycle,
+    _read_off,
     _relabel,
     gdd_feasible,
     ham_decompose_gdd,
@@ -18,8 +21,10 @@ from fairdetach.verify import is_gdd, verify_ham_decomposition
 from helpers import (
     brute_force_ham_decomposable,
     mixed_edge_count,
+    outcome,
     pure_edge_counts,
     reference_extract_cycle,
+    reference_merge,
     reference_relabel,
     reference_underlying,
 )
@@ -242,23 +247,33 @@ def test_gdd_params_validation() -> None:
     assert GddParams((3, 1, 2), 0, 1).sizes == (1, 2, 3)
 
 
+def relabeled_layer(layer: Multigraph, order) -> Multigraph:
+    """layer with vertex order[i] renamed to i, through the old relabel."""
+    cg = ColoredMultigraph(1, layer.vertices)
+    reference_merge(cg.layer(1), layer)
+    return reference_relabel(cg, order).layer(1)
+
+
 def test_cycle_read_off_matches_reference_on_every_layer(monkeypatch) -> None:
     layers = relabels = hosts = 0
     underlying = ColoredMultigraph.underlying
 
-    def both(layer):
+    def both(layer, rename):
         nonlocal layers
         layers += 1
-        cycle = _extract_cycle(layer)
-        assert cycle == reference_extract_cycle(layer)
+        cycle = _extract_cycle(layer, rename)
+        order = sorted(rename, key=rename.__getitem__)
+        assert cycle == reference_extract_cycle(relabeled_layer(layer, order))
         return cycle
 
     def both_relabel(cg, order):
         nonlocal relabels
         relabels += 1
-        g = _relabel(cg, order)
-        assert g == reference_relabel(cg, order)
-        return g
+        rename = _relabel(cg, order)
+        # the read-off's host: the underlying graph, renamed once
+        want = reference_underlying(reference_relabel(cg, order))
+        assert underlying(cg).renamed(rename) == want
+        return rename
 
     def both_underlying(cg):
         nonlocal hosts
@@ -309,8 +324,72 @@ def _looped(g):
         _layer(4, [(0, 1), (1, 2), (2, 0)]),  # triangle plus isolated vertex
         _layer(1, []),  # isolated vertex
         _looped(_layer(3, [(0, 1), (1, 2), (2, 0)])),  # triangle plus a loop
+        _layer(5, [(0, 1), (0, 1), (2, 3), (3, 4), (4, 2)]),  # doubled edge plus triangle
     ],
 )
 def test_cycle_read_off_rejects_every_other_shape(layer) -> None:
-    with pytest.raises(AssertionError, match="not a single spanning cycle"):
-        _extract_cycle(layer)
+    n = len(layer.vertices)
+    for rename in ({v: v for v in range(n)}, {v: n - 1 - v for v in reversed(range(n))}):
+        with pytest.raises(AssertionError, match="not a single spanning cycle"):
+            _extract_cycle(layer, rename)
+
+
+def test_cycle_read_off_takes_a_doubled_edge_as_the_2_cycle() -> None:
+    layer = _layer(2, [(0, 1), (0, 1)])
+    assert _extract_cycle(layer, {0: 0, 1: 1}) == (0, 1)
+    assert _extract_cycle(layer, {1: 0, 0: 1}) == (0, 1)
+
+
+def random_layer(rng: random.Random, n: int) -> Multigraph:
+    """Vertex-disjoint cycles (a doubled edge for two vertices, nothing for
+    one) over a shuffled vertex list, sometimes with one stray edge or loop."""
+    g = Multigraph(range(n))
+    vs = list(range(n))
+    rng.shuffle(vs)
+    i = 0
+    while i < n:
+        block = vs[i : i + rng.choice((1, 2, 3, n))]
+        i += len(block)
+        if len(block) == 2:
+            g.add_edges(*block, 2)
+        elif len(block) > 2:
+            for a, b in zip(block, block[1:] + block[:1]):
+                g.add_edges(a, b)
+    if rng.random() < 0.3:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u == v:
+            g.add_loops(u)
+        else:
+            g.add_edges(u, v)
+    return g
+
+
+def test_read_off_matches_reference_on_random_layers() -> None:
+    """The read-off of a random one-color graph in a random order raises
+    exactly when the old relabel-then-walk does, or the layer has a loop
+    or a vertex of degree other than 2, which the old walk takes on trust
+    (a path passes it); otherwise it gives the same cycle and host."""
+    rng = random.Random(67)
+    seen = {"cycle": 0, "walk": 0, "shape": 0}
+    for _ in range(3000):
+        n = rng.randint(1, 7)
+        cg = ColoredMultigraph(1, range(n))
+        layer = random_layer(rng, n)
+        reference_merge(cg.layer(1), layer)
+        order = list(range(n))
+        rng.shuffle(order)
+        ref = reference_relabel(cg, order)
+        want = outcome(reference_extract_cycle, ref.layer(1))
+        shaped = layer.is_loopless() and all(layer.degree(v) == 2 for v in range(n))
+        got = outcome(_read_off, cg, order)
+        if isinstance(want, tuple) and isinstance(want[0], str):
+            assert got == want
+            seen["walk"] += 1
+        elif not shaped:
+            assert got == ("AssertionError", "color class is not a single spanning cycle")
+            seen["shape"] += 1
+        else:
+            assert got.cycles == (want,)
+            assert got.host == reference_underlying(ref)
+            seen["cycle"] += 1
+    assert min(seen.values()) > 200, seen

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from fairdetach.errors import GraphError, PreconditionError
+from fairdetach.hamilton import _relabel
 from fairdetach.multigraph import (
     AmalgamationSpec,
     ColoredMultigraph,
@@ -179,11 +180,13 @@ def test_relabeling_order_must_list_every_vertex_once() -> None:
     cg = ColoredMultigraph(2, [0, 1, 2])
     cg.layer(1).add_edges(0, 2, 2)
     cg.layer(2).add_loops(1, 3)
-    out = cg.relabeled([2, 0, 1])
-    assert out.layer(1).pairs() == [(0, 1, 2)] and out.layer(2).loop_items() == [(2, 3)]
+    rename = _relabel(cg, [2, 0, 1])
+    assert rename == {2: 0, 0: 1, 1: 2}
+    assert cg.layer(1).renamed(rename).pairs() == [(0, 1, 2)]
+    assert cg.layer(2).renamed(rename).loop_items() == [(2, 3)]
     for order in ([0, 1], [0, 1, 1], [0, 1, 2, 3], [0, 1, 1, 2]):
         with pytest.raises(GraphError, match="every vertex exactly once"):
-            cg.relabeled(order)
+            _relabel(cg, order)
 
 
 def test_colored_underlying_matches_layer_sum() -> None:
