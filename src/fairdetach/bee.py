@@ -16,15 +16,16 @@ multiplicities on `pairs`; the three predicates take the graph and that
 list.  Each call keeps one integer skeleton of the graph: a node index
 (source, sink, left vertices, right vertices), the two nodes of every
 pair, the uncolored pair multiplicities, vertex degrees and edge total,
-and the one residual network topology that all its peels share.  Every
-class is peeled from the skeleton and subtracted from it in place (but
-for the last class of a partial coloring), so later classes neither copy
-the graph nor sort, index or link it again.  Every window is
+and the one `flows.Network` that all its peels share.  Every class is
+peeled from the skeleton and subtracted from it in place (but for the
+last class of a partial coloring), so later classes neither copy the
+graph nor sort, index or link it again.  Every window is
 floor(x/c)..ceil(x/c), so a peel computes only the lower bounds and the
-capacities, 0 or 1.  An arc without room, such as a pair that earlier
-classes emptied, keeps its place with capacity 0 both ways; the search
-skips it like any saturated arc, so the flows are those of a network
-built without it.  The engine hands `bee_coloring` skeletons it built.
+rooms, 0 or 1, and hands them to `flows.Residual`.  An arc without room,
+such as a pair that earlier classes emptied, keeps its place with
+capacity 0 both ways; the search skips it like any saturated arc, so the
+flows are those of a network built without it.  The engine hands
+`bee_coloring` skeletons it built.
 
 `konig_proper_coloring` is the proper coloring of Konig's theorem (1916):
 a bipartite multigraph of maximum degree at most k has a proper
@@ -35,11 +36,10 @@ edge of each color.
 
 from __future__ import annotations
 
-from itertools import compress
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import GraphError, PreconditionError
-from .flows import Residual, feasible_circulation
+from .flows import Network, Residual, feasible_circulation
 
 Label = Hashable
 Pairs = List[Tuple[Label, Label, int]]
@@ -89,11 +89,11 @@ class _Skeleton:
     """Integer data of one bee coloring: node 0 is the source, 1 the sink,
     2.. the n_left left then the n_right right vertices in peel order; `ends`
     holds each pair's two nodes and `mult`, `deg`, `total` what is still
-    uncolored.  `adj` and `to` are the residual network of every peel: arc i
-    of 0 -> v per left vertex v, the pairs, v -> 1 per right vertex v, and
-    1 -> 0, in that order, is residual arc 2i (forward) and 2i + 1."""
+    uncolored.  `net` is the network of every peel, with the arcs 0 -> v
+    per left vertex v, the pairs, v -> 1 per right vertex v, and 1 -> 0,
+    in that order."""
 
-    __slots__ = ("n_left", "ends", "mult", "deg", "total", "adj", "to")
+    __slots__ = ("n_left", "ends", "mult", "deg", "total", "net")
 
     def __init__(
         self, n_left: int, n_right: int, ends: List[Tuple[int, int]], mult: List[int]
@@ -102,29 +102,14 @@ class _Skeleton:
         n = split + n_right
         self.n_left, self.ends, self.mult, self.total = n_left, ends, mult, sum(mult)
         self.deg = deg = [0] * n
-        self.adj = adj = [[] for _ in range(n)]
-        self.to = to = []
-        i = 0
-        for v in range(2, split):
-            adj[0].append(i)
-            adj[v].append(i + 1)
-            to += (v, 0)
-            i += 2
         for (a, b), m in zip(ends, mult):
             deg[a] += m
             deg[b] += m
-            adj[a].append(i)
-            adj[b].append(i + 1)
-            to += (b, a)
-            i += 2
-        for v in range(split, n):
-            adj[v].append(i)
-            adj[1].append(i + 1)
-            to += (1, v)
-            i += 2
-        adj[1].append(i)
-        adj[0].append(i + 1)
-        to += (0, 1)
+        arcs = [(0, v) for v in range(2, split)]
+        arcs += ends
+        arcs += [(v, 1) for v in range(split, n)]
+        arcs.append((1, 0))
+        self.net = Network(n, arcs)
 
 
 def _skeleton_of(bg: SortedBipartite) -> _Skeleton:
@@ -151,34 +136,22 @@ def _peel_class(sk: _Skeleton, c: int) -> List[int]:
     arc of the skeleton's network carries the window floor(x/c)..ceil(x/c)
     of its degree, multiplicity or total x, so its lower bound is x // c
     and it has room for one unit exactly when c does not divide x.  The
-    peel computes only those bounds, capacities and the node excesses; an
-    arc without room keeps its place with capacity 0 both ways, which the
-    search skips like any saturated arc.
+    peel computes only those bounds and rooms; an arc without room keeps
+    its place with capacity 0 both ways, which the search skips like any
+    saturated arc.
     """
     if c == 1:
         return list(sk.mult)
-    deg, mult = sk.deg, sk.mult
-    n_left, n_pairs = sk.n_left, len(mult)
+    deg, mult, n_left = sk.deg, sk.mult, sk.n_left
     split = 2 + n_left
     xs = deg[2:split] + mult + deg[split:]
     xs.append(sk.total)
     low = [x // c for x in xs]
-    cap = [0] * (2 * len(xs))
-    cap[::2] = [1 if x % c else 0 for x in xs]
-    low_total = low[-1]
-    low_right = low[n_left + n_pairs : -1]
-    excess = [low_total - sum(low[:n_left]), sum(low_right) - low_total]
-    excess += low[:n_left]
-    excess += [-q for q in low_right]
-    low_pairs = low[n_left : n_left + n_pairs]
-    for (a, b), q in zip(compress(sk.ends, low_pairs), filter(None, low_pairs)):
-        excess[a] -= q
-        excess[b] += q
-
-    flows = feasible_circulation(len(deg), Residual(sk.adj, sk.to, cap, low, excess))
+    room = [1 if x % c else 0 for x in xs]
+    flows = feasible_circulation(len(deg), Residual(sk.net, low, room))
     if flows is None:  # impossible: the fractional 1/c point meets every window
         raise AssertionError("class peeling was infeasible")
-    return flows[n_left : n_left + n_pairs]
+    return flows[n_left : n_left + len(mult)]
 
 
 def bee_coloring(

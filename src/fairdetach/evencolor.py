@@ -17,10 +17,10 @@ out, so the smallest live neighbor is the row's first key.  `euler_circuit`,
 `_orient` and the Hamiltonian generators' cycle read-off all run it.
 
 The peel sorts the oriented arcs once into an integer skeleton: each arc's
-circulation nodes (`ends`), its uncolored count (`mult`) and each vertex's
-uncolored out-degree (`half`).  Each class is subtracted in place; an
-emptied arc keeps its slot as a [0, 0] window, which `feasible_circulation`
-leaves out, so the live arcs keep their order and yield the same flows.
+uncolored count (`mult`), each vertex's uncolored out-degree (`half`) and
+one `flows.Network` (the arcs, then one arc per vertex) for every class.
+Each class is subtracted in place; an emptied arc keeps its place with
+capacity 0 both ways, which the search skips like any saturated arc.
 
 Euler circuits and Petersen 2-factorizations are exposed as operations in
 their own right; the 2-factorization also serves as a small-case oracle.
@@ -34,7 +34,7 @@ from typing import Dict, List, Tuple
 
 from .bee import bee_coloring
 from .errors import PreconditionError
-from .flows import feasible_circulation
+from .flows import Network, Residual, feasible_circulation
 from .multigraph import ColoredMultigraph, Multigraph, VertexId
 
 
@@ -147,20 +147,20 @@ def two_factorization(g: Multigraph) -> List[Multigraph]:
     return factors
 
 
-def _peel_even_class(
-    ends: List[Tuple[int, int]], mult: List[int], half: List[int], c: int
-) -> List[int]:
+def _peel_even_class(net: Network, mult: List[int], half: List[int], c: int) -> List[int]:
     """One even class of the uncolored arcs: per vertex, throughput is
     windowed to floor/ceil of (half-degree / c); conservation keeps it even.
 
-    Vertex i is the circulation nodes 2i (in) and 2i + 1 (out); arc p runs
-    ends[p] with window [0, mult[p]].  Returns the class's count on each arc.
+    Vertex i is the circulation nodes 2i (in) and 2i + 1 (out).  The arcs
+    of `net` are first the oriented arcs, arc p with window [0, mult[p]],
+    then 2i -> 2i + 1 per vertex i.  Returns the class's count on each
+    oriented arc.
     """
     if c == 1:
         return list(mult)
-    arcs = [(a, b, 0, n) for (a, b), n in zip(ends, mult)]
-    arcs += [(2 * i, 2 * i + 1, s // c, -(-s // c)) for i, s in enumerate(half)]
-    flows = feasible_circulation(2 * len(half), arcs)
+    low = [0] * len(mult) + [s // c for s in half]
+    room = mult + [1 if s % c else 0 for s in half]
+    flows = feasible_circulation(2 * len(half), Residual(net, low, room))
     if flows is None:  # impossible: the fractional 1/c circulation is feasible
         raise AssertionError("even class peeling was infeasible")
     return flows[: len(mult)]
@@ -187,11 +187,12 @@ def evenly_equitable_coloring(g: Multigraph, k: int) -> ColoredMultigraph:
     half = [0] * len(verts)
     for (a, _), n in zip(ends, mult):
         half[a // 2] += n
+    net = Network(2 * len(verts), ends + [(2 * i, 2 * i + 1) for i in range(len(verts))])
 
     cg = ColoredMultigraph(k, verts)
     for j in range(1, k + 1):
         layer = cg.layer(j)
-        for p, f in enumerate(_peel_even_class(ends, mult, half, k - j + 1)):
+        for p, f in enumerate(_peel_even_class(net, mult, half, k - j + 1)):
             if f:
                 layer.add_edges(*order[p], f)
                 mult[p] -= f

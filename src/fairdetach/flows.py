@@ -7,12 +7,13 @@ integral circulation, and max-flow integrality turns the fractional
 arcs are augmented in insertion order with shortest-path (BFS) search
 (Edmonds-Karp).
 
-A problem reaches the search as a `Residual`: the residual network of its
-arcs with the lower bounds taken out, and each node's excess of
-lower-bound inflow over outflow held as `supply` (positive excess) or
-`demand` (negative).  `feasible_circulation` builds one from
-(tail, head, lower, upper) tuples; a caller whose windows all have one
-known shape may build its own (`bee` does).
+This module alone knows the residual format.  A `Network` is the topology
+of a problem's arcs, built once from their (tail, head) ends; a `Residual`
+is one problem on it, from each arc's lower bound and room (upper - lower),
+with each node's excess of lower-bound inflow over outflow held as
+`supply` (positive) or `demand` (negative).  `feasible_circulation` builds
+both from (tail, head, lower, upper) tuples; `bee` and `evencolor` build
+one `Network` per coloring and a `Residual` per class.
 
 Each augmenting path is the one a plain BFS finds in the network with a
 super source s and a super sink t made explicit: an arc s -> v of capacity
@@ -47,37 +48,63 @@ decides that path:
   went forward, and there is no room to go forward.  So the search skips
   both directions, like any saturated arc, and the arc's flow is its lower
   bound.  Keeping such arcs gives every problem arc i the fixed residual
-  arcs 2i and 2i + 1, so a caller may build a network's topology once and
-  reuse it for windows whose widths differ (`bee` does).
+  arcs 2i and 2i + 1, so one `Network` serves windows whose widths differ.
 
 Same paths in the same order give the same flows, arc for arc.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from operator import add
 from typing import List, Optional, Sequence, Tuple, Union
 
 Arc = Tuple[int, int, int, int]  # (tail, head, lower, upper)
 
 
-class Residual:
-    """A circulation problem as the search takes it.
+class Network:
+    """The residual topology of a problem's arcs, shared by every problem on them.
 
-    Nodes are 0..len(adj)-1.  Problem arc i has lower bound low[i] and is
-    residual arc 2i (forward, to[2i] its head, capacity upper - lower) and
-    2i + 1 (reverse, capacity 0); an arc without room has capacity 0 both
-    ways.  adj[v] lists the residual arcs leaving v in insertion order.
-    `excess` is each node's lower-bound inflow minus outflow.  `len` counts
-    every arc of the problem.
+    Nodes are 0..n-1 and `ends` lists each problem arc's (tail, head).
+    Problem arc i is residual arc 2i (forward, to[2i] its head) and 2i + 1
+    (reverse, to[2i + 1] its tail); adj[v] lists the residual arcs leaving
+    v in insertion order.
+    """
+
+    __slots__ = ("ends", "adj", "to")
+
+    def __init__(self, n: int, ends: Sequence[Tuple[int, int]]) -> None:
+        self.ends = ends
+        self.adj = adj = [[] for _ in range(n)]
+        self.to = to = []
+        i = 0
+        for a, b in ends:
+            adj[a].append(i)
+            adj[b].append(i + 1)
+            to += (b, a)
+            i += 2
+
+
+class Residual:
+    """A circulation problem on a `Network`, as the search takes it.
+
+    Problem arc i has lower bound low[i], and its residual arcs 2i and
+    2i + 1 start with capacities room[i] (upper - lower) and 0; an arc
+    without room has capacity 0 both ways.  Each node's lower-bound inflow
+    minus outflow is split into `supply` (positive) and `demand` (minus
+    the negative).  `len` counts every arc of the problem.
     """
 
     __slots__ = ("adj", "to", "cap", "low", "supply", "demand")
 
-    def __init__(
-        self, adj: List[List[int]], to: List[int], cap: List[int], low: List[int], excess: List[int]
-    ) -> None:
-        self.adj, self.to, self.cap, self.low = adj, to, cap, low
+    def __init__(self, net: Network, low: List[int], room: Sequence[int]) -> None:
+        self.adj, self.to, self.low = net.adj, net.to, low
+        self.cap = [0] * (2 * len(low))
+        self.cap[::2] = room
+        excess = [0] * len(net.adj)
+        for (a, b), q in zip(compress(net.ends, low), filter(None, low)):
+            excess[a] -= q
+            excess[b] += q
         self.supply = [e if e > 0 else 0 for e in excess]
         self.demand = [-e if e < 0 else 0 for e in excess]
 
@@ -154,21 +181,11 @@ def _max_flow(
 
 
 def _residual(n: int, arcs: Sequence[Arc]) -> Residual:
-    adj: List[List[int]] = [[] for _ in range(n)]
-    to: List[int] = []
-    cap: List[int] = []
-    excess = [0] * n
-    for i, (a, b, low, high) in enumerate(arcs):
+    for _, _, low, high in arcs:
         if low < 0 or low > high:
             raise ValueError(f"bad arc bounds [{low}, {high}]")
-        adj[a].append(2 * i)
-        adj[b].append(2 * i + 1)
-        to += (b, a)
-        cap += (high - low, 0)
-        if low:
-            excess[b] += low
-            excess[a] -= low
-    return Residual(adj, to, cap, [arc[2] for arc in arcs], excess)
+    net = Network(n, [(a, b) for a, b, _, _ in arcs])
+    return Residual(net, [arc[2] for arc in arcs], [high - low for _, _, low, high in arcs])
 
 
 def feasible_circulation(n: int, arcs: Union[Sequence[Arc], Residual]) -> Optional[List[int]]:

@@ -390,9 +390,11 @@ def verify_trace(
 ) -> Tuple[bool, Optional[str]]:
     """Replay a detachment trace checking cumulative relations at each stage.
 
-    Checks, against the original graph, each intermediate's per-vertex degree
-    ratios, the multiplicity ratio between a split vertex and each of its
-    earlier offshoots, and the cross-pair multiplicity ratios.
+    Each step must split a vertex whose replayed split count is at least 2
+    and record that count as `eta_y_before`.  Checks, against the original
+    graph, each intermediate's per-vertex degree ratios, the multiplicity
+    ratio between a split vertex and each of its earlier offshoots, and the
+    cross-pair multiplicity ratios.
     """
     hosts = h0.vertices
     size = {w: eta0.value(w) for w in hosts}
@@ -404,6 +406,10 @@ def verify_trace(
     for step_no, rec in enumerate(trace.steps):
         if rec.y not in eta:
             raise GraphError(f"step {step_no}: vertex {rec.y} has no split count")
+        n0 = eta[rec.y]
+        if n0 < 2 or rec.eta_y_before != n0:
+            why = "below the step precondition" if n0 < 2 else f"not {rec.eta_y_before}"
+            return False, f"step {step_no}: eta({rec.y}) was {n0}, {why}"
         try:
             cur.split_off(rec.y, rec.v_new, rec.moves.edge_moves, rec.moves.loop_moves)
         except GraphError as exc:

@@ -13,7 +13,7 @@ from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence,
 from fairdetach.bee import Classes, SortedBipartite, _Skeleton, bee_coloring
 from fairdetach.engine import MoveSet, _find
 from fairdetach.errors import GraphError, PreconditionError
-from fairdetach.evencolor import EulerCircuit, is_evenly_equitable
+from fairdetach.evencolor import EulerCircuit, _orient, is_evenly_equitable
 from fairdetach.flows import feasible_circulation
 from fairdetach.multigraph import (
     AmalgamationSpec,
@@ -419,6 +419,20 @@ def reference_peel_windows(sk, c: int) -> List[Tuple[int, int, int, int]]:
     arcs += [(a, b, n // c, -(-n // c)) for (a, b), n in zip(sk.ends, sk.mult)]
     arcs += [(v, 1, d // c, -(-d // c)) for v, d in enumerate(deg[split:], start=split)]
     arcs.append((1, 0, sk.total // c, -(-sk.total // c)))
+    return arcs
+
+
+def reference_even_peel_windows(
+    g: Multigraph, mult: List[int], half: List[int], c: int
+) -> List[Tuple[int, int, int, int]]:
+    """The circulation of one `evenly_equitable_coloring` class peel as
+    (tail, head, lower, upper) tuples, as `_peel_even_class` built them for
+    the generic network build: vertex i of g is the nodes 2i (in) and
+    2i + 1 (out); the Euler-oriented arcs of g, in sorted order, carry
+    [0, mult[p]], then 2i -> 2i + 1 carries the window of half[i] / c."""
+    node = {v: 2 * i for i, v in enumerate(g.vertices)}
+    arcs = [(node[u] + 1, node[v], 0, n) for (u, v), n in zip(sorted(_orient(g)), mult)]
+    arcs += [(2 * i, 2 * i + 1, s // c, -(-s // c)) for i, s in enumerate(half)]
     return arcs
 
 

@@ -5,11 +5,18 @@ from types import SimpleNamespace
 
 import pytest
 
-from fairdetach import bee
+from fairdetach import bee, evencolor
 from fairdetach.bee import bee_coloring
+from fairdetach.evencolor import evenly_equitable_coloring
 from fairdetach.flows import _max_flow, _residual, feasible_circulation
+from fairdetach.fuzzgen import random_even_multigraph
 from fairdetach.hamilton import GddParams, ham_decompose_gdd, ham_decompose_lambda_kn
-from helpers import reference_circulation, reference_max_flow, reference_peel_windows
+from helpers import (
+    reference_circulation,
+    reference_even_peel_windows,
+    reference_max_flow,
+    reference_peel_windows,
+)
 
 
 def random_arcs(rng: random.Random):
@@ -126,7 +133,8 @@ def checked_max_flow(monkeypatch, calls: list) -> None:
 
 
 def capture_peels(monkeypatch, peels: list) -> None:
-    """Record (skeleton copy, c) for every `bee._peel_class` call with c > 1."""
+    """Record (skeleton copy, c) for every `bee._peel_class` call with c > 1;
+    the copy shares the skeleton's network, which no peel changes."""
     peel = bee._peel_class
 
     def keep(sk, c):
@@ -137,8 +145,7 @@ def capture_peels(monkeypatch, peels: list) -> None:
                 mult=list(sk.mult),
                 deg=list(sk.deg),
                 total=sk.total,
-                adj=[list(row) for row in sk.adj],
-                to=list(sk.to),
+                net=sk.net,
             )
             peels.append((copy, c))
         return peel(sk, c)
@@ -244,8 +251,50 @@ def test_peel_network_keeps_the_generic_numbering(monkeypatch) -> None:
     no_room = 0
     for (sk, c), net in zip(peels, nets):
         generic = _residual(len(sk.deg), reference_peel_windows(sk, c))
-        assert sk.adj == generic.adj
-        assert sk.to == generic.to
+        assert sk.net.adj == generic.adj
+        assert sk.net.to == generic.to
         assert net == (generic.cap, generic.low, generic.supply, generic.demand)
         no_room += generic.cap[::2].count(0)
     assert no_room
+
+
+def test_even_peel_network_keeps_the_generic_numbering(monkeypatch) -> None:
+    """Every class `evenly_equitable_coloring` peels, over random even
+    multigraphs and k = 2..7, solves on the coloring's one network: the
+    adjacency, heads, capacities, lower bounds, supply and demand are those
+    of the generic build from the class's windows, emptied arcs included,
+    and so are the flows."""
+    peels: list = []
+    peel = evencolor._peel_even_class
+
+    def keep(net, mult, half, c):
+        if c > 1:
+            peels.append((list(mult), list(half), c))
+        return peel(net, mult, half, c)
+
+    nets: list = []
+
+    def solve(n, net):
+        state = (net.adj, net.to, list(net.cap), net.low, list(net.supply), list(net.demand))
+        flows = feasible_circulation(n, net)
+        nets.append((n, state, flows))
+        return flows
+
+    monkeypatch.setattr(evencolor, "_peel_even_class", keep)
+    monkeypatch.setattr(evencolor, "feasible_circulation", solve)
+    emptied = solved = 0
+    for seed in range(60):
+        g = random_even_multigraph(random.Random(seed))
+        for k in range(2, 8):
+            del peels[:], nets[:]
+            evenly_equitable_coloring(g, k)
+            assert len(peels) == len(nets) == k - 1
+            for (mult, half, c), (n, state, flows) in zip(peels, nets):
+                arcs = reference_even_peel_windows(g, mult, half, c)
+                generic = _residual(n, arcs)
+                want = (generic.adj, generic.to, generic.cap, generic.low)
+                assert state == want + (generic.supply, generic.demand), (seed, k, c)
+                assert flows == feasible_circulation(n, arcs), (seed, k, c)
+                emptied += mult.count(0)
+                solved += 1
+    assert emptied and solved > 300

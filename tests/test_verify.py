@@ -618,6 +618,24 @@ def test_trace_step_at_a_vertex_without_split_count_raises() -> None:
         verify_trace(h, AmalgamationSpec({0: 2}), trace)
 
 
+def test_trace_step_must_split_a_vertex_still_at_two_or_more() -> None:
+    # one vertex with 2 loops and eta = 2 splits once; a second split of
+    # vertex 0, and a first step that misstates its split count, both fail
+    h = ColoredMultigraph(1, [0])
+    h.layer(1).add_loops(0, 2)
+    eta = AmalgamationSpec({0: 2})
+    _, _, trace = detach_all(h, eta)
+    [rec] = trace.steps
+    assert (rec.y, rec.v_new, rec.eta_y_before) == (0, 1, 2)
+    assert verify_trace(h, eta, trace) == (True, None)
+    over = DetachmentTrace([rec, StepRecord(0, 2, 2, MoveSet({1: {1: 2}}, {}))])
+    witness = "step 1: eta(0) was 1, below the step precondition"
+    assert verify_trace(h, eta, over) == (False, witness)
+    misstated = DetachmentTrace([StepRecord(0, 1, 3, rec.moves)])
+    witness = "step 0: eta(0) was 2, not 3"
+    assert verify_trace(h, eta, misstated) == (False, witness)
+
+
 def test_trace_step_onto_an_existing_vertex_raises() -> None:
     h = ColoredMultigraph(1, [0, 1])
     trace = DetachmentTrace([StepRecord(0, 1, 2, MoveSet({}, {}))])
