@@ -42,6 +42,18 @@ decides that path:
   A node leaves the walk's list when a push spends its supply, and once
   every supply is spent (a feasible circulation's last search) the search
   ends at once.
+- One-arc paths in one forward pass.  Lazy level 1 scans every arc of
+  every node with supply before it expands any queued node, so a search
+  takes a one-arc path (a live arc from a node with supply straight into a
+  node with demand) whenever one exists, and the first one by (node, arc)
+  order.  Once passed, such a (node, arc) never becomes a path again:
+  supply and demand only fall, and capacity rises only on the reverse arcs
+  of pushed paths, whose tails are demand or inner nodes of a path, never
+  a node with supply (the search does not enter one, and supply never
+  rises).  So one pass over the nodes with supply in node order, and over
+  each one's arcs in order, pushing min(supply, capacity, demand) on every
+  arc it reaches, makes those searches' pushes in their order; the BFS
+  then starts where they leave off.
 - Arcs without room stay in the lists with capacity 0.  An arc with
   lower == upper has residual capacity 0 both ways from the start, and
   neither ever rises: flow goes back along a reverse arc only after it
@@ -125,9 +137,31 @@ def _max_flow(
     super source and sink made explicit (see the module docstring).
     """
     n = len(adj)
-    live = [v for v in range(n) if supply[v]]  # nodes with supply left
-    n_live = len(live)
+    # one-arc paths first, in one forward pass (see the module docstring)
+    live: List[int] = []  # nodes with supply left
     total = 0
+    for v in compress(range(n), supply):
+        s = supply[v]
+        for idx in adj[v]:
+            c = cap[idx]
+            if c:
+                w = to[idx]
+                d = demand[w]
+                if d:
+                    push = s if s < c else c
+                    if d < push:
+                        push = d
+                    cap[idx] = c - push
+                    cap[idx ^ 1] += push
+                    demand[w] = d - push
+                    s -= push
+                    if not s:
+                        break
+        total += supply[v] - s
+        supply[v] = s
+        if s:
+            live.append(v)
+    n_live = len(live)
     while True:
         parent = [-1] * n  # -2 marks a first-level node
         queue: List[int] = []

@@ -336,7 +336,14 @@ def reference_circulation(
 # source's arcs from the first, stepping over the full ones
 
 
-def reference_max_flow(adj: List[List[int]], to: List[int], cap: List[int], s: int, t: int) -> int:
+def reference_max_flow(
+    adj: List[List[int]],
+    to: List[int],
+    cap: List[int],
+    s: int,
+    t: int,
+    hops: Optional[List[int]] = None,
+) -> int:
     """Push a maximum flow from s to t through a residual network; return its value.
 
     Arc idx runs to to[idx] with residual capacity cap[idx], which is
@@ -345,7 +352,8 @@ def reference_max_flow(adj: List[List[int]], to: List[int], cap: List[int], s: i
     invariants, which every network with its `supply` and `demand` made
     explicit arcs does (see `test_flows.checked_max_flow`): every node has
     at most one arc from s and at most one arc into t, no node has both,
-    and s has no arc straight into t.
+    and s has no arc straight into t.  With `hops`, the number of arcs
+    between s and t on each augmenting path is appended to it, path by path.
     """
     n = len(adj)
     source_arcs = adj[s]
@@ -401,11 +409,15 @@ def reference_max_flow(adj: List[List[int]], to: List[int], cap: List[int], s: i
         cap[e] -= push
         cap[e ^ 1] += push
         v = last
+        n_hops = -1  # the arc from s is not counted
         while v != s:
             idx = parent[v]
             cap[idx] -= push
             cap[idx ^ 1] += push
             v = to[idx ^ 1]
+            n_hops += 1
+        if hops is not None:
+            hops.append(n_hops)
         total += push
 
 
@@ -973,35 +985,30 @@ def reference_peel_even_class(
 
 
 def reference_extract_cycle(layer: Multigraph) -> Tuple[VertexId, ...]:
-    """Read the spanning cycle off a connected 2-regular loopless layer.
+    """Read the spanning cycle off a layer that is one: no loops, every
+    vertex of degree 2, and one walk through every vertex.
 
     Walk from the smallest vertex, always taking the smallest neighbor with
-    an unused edge; 2-regularity leaves no choices after the first step.
+    an unused edge; 2-regularity leaves no choices after the first step, and
+    the walk closes at the start once it has used every edge it can reach.
     """
     verts = layer.vertices
     rem: Dict[VertexId, Dict[VertexId, int]] = {
         v: {u: layer.multiplicity(v, u) for u in layer.neighbors(v)} for v in verts
     }
-    start = verts[0]
+    if any(layer.loops(v) or sum(rem[v].values()) != 2 for v in verts):
+        raise AssertionError("color class is not a single spanning cycle")
+    start = cur = verts[0]
     cycle = [start]
-    cur = start
     while True:
-        nxt = None
-        for u in sorted(rem[cur]):
-            if rem[cur][u] > 0:
-                nxt = u
-                break
-        if nxt is None:
-            break
+        nxt = min(u for u, n in rem[cur].items() if n)
         rem[cur][nxt] -= 1
         rem[nxt][cur] -= 1
         if nxt == start:
             break
         cycle.append(nxt)
         cur = nxt
-    if len(cycle) != len(verts) or any(
-        n for d in rem.values() for n in d.values()
-    ):
+    if len(cycle) != len(verts):
         raise AssertionError("color class is not a single spanning cycle")
     return tuple(cycle)
 
@@ -1415,9 +1422,13 @@ def reference_verify_trace(
 ) -> Tuple[bool, Optional[str]]:
     """Replay a detachment trace checking cumulative relations at each stage.
 
-    Checks, against the original graph, each intermediate's per-vertex degree
-    ratios, the multiplicity ratio between a split vertex and each of its
-    earlier offshoots, and the cross-pair multiplicity ratios.
+    A step splits one vertex off y, so y must still stand for at least 2
+    vertices of the detachment: its replayed split count (eta0 for a host
+    vertex, less one per earlier step at it; 1 for an offshoot) must be at
+    least 2, and the step must record that count.  Checks, against the
+    original graph, each intermediate's per-vertex degree ratios, the
+    multiplicity ratio between a split vertex and each of its earlier
+    offshoots, and the cross-pair multiplicity ratios.
     """
     from fairdetach.engine import apply_moves
 
@@ -1426,6 +1437,13 @@ def reference_verify_trace(
     origin: Dict[VertexId, VertexId] = {}
     hosts = h0.vertices
     for step_no, rec in enumerate(trace.steps):
+        count = eta.get(rec.y)
+        if count is None:
+            raise GraphError(f"step {step_no}: vertex {rec.y} has no split count")
+        if count < 2:
+            return False, f"step {step_no}: eta({rec.y}) was {count}, below the step precondition"
+        if rec.eta_y_before != count:
+            return False, f"step {step_no}: eta({rec.y}) was {count}, not {rec.eta_y_before}"
         try:
             cur = apply_moves(cur, rec)
         except GraphError as exc:

@@ -99,7 +99,9 @@ def checked_max_flow(monkeypatch, calls: list) -> None:
     explicit arcs (s -> v of capacity supply[v], v -> t of capacity
     demand[v], in node order after every other arc), and asserts the same
     value, the same residual capacities on the network's own arcs and the
-    same leftover supply and demand; record (source arcs, value, supply)."""
+    same leftover supply and demand; record (source arcs, value, supply,
+    the arc count of each of the reference's augmenting paths between s
+    and t)."""
 
     def run(adj, to, cap, supply, demand):
         n, m = len(adj), len(to)
@@ -116,7 +118,8 @@ def checked_max_flow(monkeypatch, calls: list) -> None:
                 ref_adj[head].append(len(ref_to) + 1)
                 ref_to += [head, tail]
                 ref_cap += [supply[v] + demand[v], 0]
-        want = reference_max_flow(ref_adj, ref_to, ref_cap, s, t)
+        hops: list = []
+        want = reference_max_flow(ref_adj, ref_to, ref_cap, s, t, hops)
         need = sum(supply)
         got = _max_flow(adj, to, cap, supply, demand)
         assert got == want
@@ -126,7 +129,7 @@ def checked_max_flow(monkeypatch, calls: list) -> None:
             (left_supply if from_s else left_demand)[v] = ref_cap[e]
         assert supply == left_supply
         assert demand == left_demand
-        calls.append((sum(from_s for _, _, from_s in explicit), got, need))
+        calls.append((sum(from_s for _, _, from_s in explicit), got, need, hops))
         return got
 
     monkeypatch.setattr("fairdetach.flows._max_flow", run)
@@ -177,8 +180,8 @@ def test_max_flow_matches_reference_on_large_networks(monkeypatch) -> None:
         ham_decompose_lambda_kn(5, lam)
     ham_decompose_gdd(GddParams((3, 3, 3, 3), 1, 2))
     ham_decompose_gdd(GddParams((4, 4, 4), 2, 3))
-    assert all(got == need for _, got, need in calls)
-    assert max(n_source for n_source, _, _ in calls) >= 50
+    assert all(got == need for _, got, need, _ in calls)
+    assert max(n_source for n_source, _, _, _ in calls) >= 50
 
     # cap one left vertex's window below what its pairs must carry: each
     # search ends with a source arc still live, most after filling others
@@ -195,10 +198,55 @@ def test_max_flow_matches_reference_on_large_networks(monkeypatch) -> None:
         shrunk = [(0, v, 0, lows[v] - 1) if arc[:2] == (0, v) else arc for arc in arcs]
         del calls[:]
         assert feasible_circulation(n, shrunk) is None
-        [(n_source, got, need)] = calls
+        [(n_source, got, need, _)] = calls
         assert got < need
         filled += n_source >= 50 and got > 0
     assert filled >= 10
+
+
+def test_one_arc_pass_hands_on_to_the_search(monkeypatch) -> None:
+    """Node 0's supply reaches demand only through three arcs, 0-1-2-3, and
+    node 4 has a one-arc path 4 -> 3 ahead of 4 -> 5.  The direct pass pushes
+    4 -> 3; the search then sends 0's unit on through 3, back along 4 -> 3
+    and out by 4 -> 5, as the plain search does, arc for arc."""
+    calls: list = []
+    checked_max_flow(monkeypatch, calls)
+    arcs = [
+        (0, 1, 0, 1),
+        (1, 2, 0, 1),
+        (2, 3, 0, 1),
+        (4, 3, 0, 1),
+        (4, 5, 0, 1),
+        (3, 0, 1, 1),  # supply at 0, demand at 3
+        (5, 4, 1, 1),  # supply at 4, demand at 5
+    ]
+    assert feasible_circulation(6, arcs) == [1, 1, 1, 0, 1, 1, 1]
+    [(n_source, got, need, hops)] = calls
+    assert (n_source, got, need, hops) == (2, 2, 2, [1, 5])
+
+
+def test_one_arc_paths_come_first_on_peel_networks(monkeypatch) -> None:
+    """On bee and even peel networks the direct pass and the search after it
+    leave the reference's residual network; the reference takes every
+    one-arc path before any longer one, and at least 50 calls need both the
+    pass and the search."""
+    calls: list = []
+    checked_max_flow(monkeypatch, calls)
+    for seed in range(8):
+        rng = random.Random(seed)
+        bee_coloring(bee_shaped(rng), rng.randint(2, 6))
+    for seed in range(30):
+        g = random_even_multigraph(random.Random(seed))
+        for k in range(2, 8):
+            evenly_equitable_coloring(g, k)
+    ham_decompose_lambda_kn(11, 2)
+    ham_decompose_gdd(GddParams((3, 3, 3, 3), 1, 2))
+    both = 0
+    for _, got, need, hops in calls:
+        assert got == need
+        assert hops == sorted(hops, key=lambda h: h > 1)  # one-arc paths first
+        both += 1 in hops and hops[-1] > 1
+    assert both >= 50, both
 
 
 def test_bee_network_matches_generic_build(monkeypatch) -> None:

@@ -477,10 +477,30 @@ def _mutate_moves(rng: random.Random, trace, k: int, vertices) -> DetachmentTrac
     return _edit_moves(trace, edits)
 
 
+def _mutate_split(rng: random.Random, trace, vertices) -> DetachmentTrace:
+    """trace with one random step split at another vertex (one with a split
+    count of 1, an offshoot made later, or an unknown one), or with its
+    recorded `eta_y_before` off by one."""
+    steps = list(trace.steps)
+    s = rng.randrange(len(steps))
+    rec = steps[s]
+    y, before = rec.y, rec.eta_y_before
+    if rng.random() < 0.5:
+        y = rng.choice([*vertices, max(vertices) + 1])
+    else:
+        before += rng.choice((-1, 1))
+    steps[s] = StepRecord(y, rec.v_new, before, rec.moves)
+    return DetachmentTrace(steps)
+
+
 def _trace_kind(got) -> str:
     if got[0] is not False:
         return str(got[0])
     detail = got[1].split(": ", 1)[1]
+    if detail.endswith("below the step precondition"):
+        return "split count"
+    if detail.startswith("eta("):
+        return "eta_y_before"
     if detail.startswith("degree ratio"):
         return "degree"
     return "loops" if detail.endswith("vs loops") else "pair"
@@ -497,12 +517,14 @@ def test_trace_table_matches_reference() -> None:
             continue
         vertices = h.vertices + [rec.v_new for rec in trace.steps]
         mutants = [_mutate_moves(rng, trace, h.k, vertices) for _ in range(3)]
+        mutants.append(_mutate_split(rng, trace, vertices))
         for cand in [trace] + mutants:
             got = outcome(verify_trace, h, eta, cand)
             assert got == outcome(reference_verify_trace, h, eta, cand)
             kinds[_trace_kind(got)] += 1
         traces += 1
-    assert set(kinds) == {"True", "degree", "loops", "pair", "GraphError"}, kinds
+    want = {"True", "degree", "loops", "pair", "GraphError", "split count", "eta_y_before"}
+    assert set(kinds) == want, kinds
 
 
 def test_gdd_table_matches_reference() -> None:
