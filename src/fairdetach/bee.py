@@ -87,24 +87,24 @@ def is_equalized(bg: SortedBipartite, classes: Classes) -> bool:
 
 class _Skeleton:
     """Integer data of one bee coloring: node 0 is the source, 1 the sink,
-    2.. the n_left left then the n_right right vertices in peel order; `ends`
-    holds each pair's two nodes and `mult`, `deg`, `total` what is still
-    uncolored.  `net` is the network of every peel, with the arcs 0 -> v
-    per left vertex v, the pairs, v -> 1 per right vertex v, and 1 -> 0,
-    in that order."""
+    2.. the n_left left then the right vertices in peel order; `ends` holds
+    each pair's two nodes and `mult`, `deg` (one entry per node), `total`
+    what is still uncolored.  `net` is the network of every peel, with the
+    arcs 0 -> v per left vertex v, the pairs, v -> 1 per right vertex v,
+    and 1 -> 0, in that order.  The degrees come from the caller, who
+    knows them without a pass over the pairs: the engine's live fan keeps
+    them, `engine.build_split_bipartite` and `engine.refine` sum them as
+    they emit the pairs, and `_skeleton_of` for tuple input."""
 
     __slots__ = ("n_left", "ends", "mult", "deg", "total", "net")
 
     def __init__(
-        self, n_left: int, n_right: int, ends: List[Tuple[int, int]], mult: List[int]
+        self, n_left: int, ends: List[Tuple[int, int]], mult: List[int], deg: List[int]
     ) -> None:
         split = 2 + n_left
-        n = split + n_right
-        self.n_left, self.ends, self.mult, self.total = n_left, ends, mult, sum(mult)
-        self.deg = deg = [0] * n
-        for (a, b), m in zip(ends, mult):
-            deg[a] += m
-            deg[b] += m
+        n = len(deg)
+        self.n_left, self.ends, self.mult, self.deg = n_left, ends, mult, deg
+        self.total = sum(mult)
         arcs = [(0, v) for v in range(2, split)]
         arcs += ends
         arcs += [(v, 1) for v in range(split, n)]
@@ -126,7 +126,11 @@ def _skeleton_of(bg: SortedBipartite) -> _Skeleton:
     if mult and min(mult) < 1:
         l, r, n = next(p for p in pairs if p[2] < 1)
         raise GraphError(f"multiplicity {n} of ({l!r}, {r!r}) is not positive")
-    return _Skeleton(len(lefts), len(rights), ends, mult)
+    deg = [0] * (2 + len(lefts) + len(rights))
+    for (a, b), m in zip(ends, mult):
+        deg[a] += m
+        deg[b] += m
+    return _Skeleton(len(lefts), ends, mult, deg)
 
 
 def _peel_class(sk: _Skeleton, c: int) -> List[int]:

@@ -21,8 +21,8 @@ through two auxiliary bipartite colorings:
 
 A step hands its data from stage to stage as integer rows in peel order
 (see `bee.bee_coloring`), so no stage builds a graph or sorts again.  The
-fan is read off y's sorted rows straight into a bee skeleton, whose left
-degrees also give the condition-3 check each color's degree at y; the fan
+fan is a bee skeleton, whose left degrees also give the condition-3 check
+each color's degree at y (see below for how it is kept); the fan
 coloring returns classes 1 and 2 as multiplicity vectors over the fan's
 pairs, and their sum is the working subgraph on the same pairs; `refine`
 reads those counts off the fan's integer pairs and emits the pick's
@@ -41,6 +41,22 @@ heads a color's row; `refine` takes its multiplicity off that front once
 and pairs it after the vertices: its double units after theirs, its
 single after the sorted residue.
 
+The fan is read off y's sorted rows once per y (`build_split_bipartite`)
+and then kept live across y's steps (`_LiveFan`), since a step hands the
+new vertex only edge ends at y: between two steps at y the fan changes
+only at that step's moves.  A moved edge y-w lowers pair (j, w); a moved
+loop lowers j's proxy pair by 2 and adds one to pair (j, v_new), and
+v_new, the largest id, becomes the last right vertex.  A pair that drops
+to 0 keeps its place in the live fan, and each step's skeleton leaves it
+out with one `compress`, so every peel sees the pairs of a fresh build in
+its order.  Right vertices are never renumbered: one that y has lost
+stays an isolated node, whose sink arc has window [0, 0], so it has no
+room and the node has excess 0.  The search never reaches it, and every
+other node keeps its relative order and the order of its live arcs, so
+the flows are those of a fresh build.  The live fan is seeded at the
+first step at a y with eta(y) > 2 and dropped after y's last step, so a
+vertex with eta = 2 never keeps one.
+
 Repeating until every split count reaches 1 yields a loopless detachment
 whose degrees, per-color degrees, intra- and cross-fiber multiplicities all
 sit in the floor/ceiling window of their fair shares, with component counts
@@ -49,8 +65,9 @@ vertex id first, lowest color first.
 
 `detach_all` (and `detach_step`, on a copy of its inputs) drives one mutable
 state: a working copy of the graph that each step's moves are applied to in
-place, the split counts, the next vertex id, the condition-3 colors, and per
-condition-3 color a union-find over the color class minus y.
+place, the split counts, the next vertex id, the condition-3 colors, per
+condition-3 color a union-find over the color class minus y, and y's live
+fan.
 
 The condition-3 colors are computed once, because no fair step changes
 them.  A step changes degrees only at y and the new vertex: a moved edge y-w
@@ -68,15 +85,16 @@ becomes an edge y-v_new, which the class minus y does not contain.  So the
 union-find (roots are smallest members, the labels `refine` needs) is built
 once per y and color and then takes one union per moved edge (Tarjan,
 "Efficiency of a good but not linear set union algorithm", JACM 1975).
-`condition3_colors` and `_component_map` recompute the same facts from
-scratch; they are the oracles that `detach_all(check=True)` compares the
-state with on every step.
+`condition3_colors`, `_component_map` and `build_split_bipartite` recompute
+the same facts from scratch; they are the oracles that
+`detach_all(check=True)` compares the state with on every step.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 from operator import add, itemgetter
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -95,12 +113,15 @@ from .multigraph import (
 LOOP_PROXY: VertexId = -1
 
 
-# refine's output (owner, ends, mult, settled): the pick's skeleton, whose
-# left node i + 2 is a unit (or a whole unsplit color vertex) of color
+# refine's output (owner, ends, mult, deg, settled): the pick's skeleton,
+# whose left node i + 2 is a unit (or a whole unsplit color vertex) of color
 # owner[i] and whose right node r + len(owner) + 2 is the fan's right
-# vertex r (the loop proxy at r = 0); each settled (color, r) is a double
-# unit, left out of the pick, that moves one edge end (a loop at r = 0).
-RefinedBipartite = Tuple[List[int], List[Tuple[int, int]], List[int], List[Tuple[int, int]]]
+# vertex r (the loop proxy at r = 0), with every node's degree; each
+# settled (color, r) is a double unit, left out of the pick, that moves one
+# edge end (a loop at r = 0).
+RefinedBipartite = Tuple[
+    List[int], List[Tuple[int, int]], List[int], List[int], List[Tuple[int, int]]
+]
 
 
 @dataclass(frozen=True)
@@ -172,19 +193,27 @@ def build_split_bipartite(cg: ColoredMultigraph, y: VertexId) -> Tuple[_Skeleton
     Returned as a bee skeleton and its right labels, the loop proxy (-1)
     and then y's neighbors ascending: color j is node j + 1, the proxy node
     k + 2.  Read straight off y's sorted rows, so the pairs come out in peel
-    order with the proxy first in each color.
+    order with the proxy first in each color, and the node degrees are
+    summed on the way.  The engine builds the fan once per y and keeps it
+    live across y's steps (`_LiveFan`); this builder is also the oracle
+    that `detach_all(check=True)` compares the live fan with.
     """
     rows = cg.rows_at(y)
     k = len(rows)
     rights = [LOOP_PROXY, *sorted({u for _, row in rows for u, _ in row})]
     node = {w: i for i, w in enumerate(rights, k + 2)}
+    deg = [0] * (k + 2 + len(rights))
     ends, mult = [], []
     for a, (nl, row) in enumerate(rows, 2):
         if nl:
             row = [(LOOP_PROXY, 2 * nl), *row]
-        ends += [(a, node[u]) for u, _ in row]
-        mult += [n for _, n in row]
-    return _Skeleton(k, len(rights), ends, mult), rights
+        for u, n in row:
+            b = node[u]
+            ends.append((a, b))
+            mult.append(n)
+            deg[a] += n
+            deg[b] += n
+    return _Skeleton(k, ends, mult, deg), rights
 
 
 def refine(
@@ -207,8 +236,8 @@ def refine(
     unit, and every color outside cond3 whole, is a left node of the pick,
     in color order and each color's units in the order they are formed;
     their pairs come out sorted, in node numbers, so the result is in peel
-    order.  Per condition-3 color, `component_map` is a union-find whose
-    roots (`_find`) are the labels.
+    order, and so do the pick's node degrees.  Per condition-3 color,
+    `component_map` is a union-find whose roots (`_find`) are the labels.
     """
     k = fan.n_left
     rows: List[List[Tuple[int, int]]] = [[] for _ in range(k + 1)]
@@ -217,14 +246,21 @@ def refine(
     owner: List[int] = []
     ends: List[Tuple[int, int]] = []
     mult: List[int] = []
+    left_deg: List[int] = []
+    right_deg = [0] * len(rights)
     settled: List[Tuple[int, int]] = []
     for j in range(1, k + 1):
         row = rows[j]
         if j not in cond3:
             label = len(owner)
             owner.append(j)
-            ends += [(label, r) for r, _ in row]
-            mult += [n for _, n in row]
+            deg = 0
+            for r, n in row:
+                ends.append((label, r))
+                mult.append(n)
+                right_deg[r] += n
+                deg += n
+            left_deg.append(deg)
             continue
         # the loop proxy (r = 0) heads the row and pairs last: it belongs to
         # no component of the color class minus y
@@ -237,6 +273,7 @@ def refine(
                 settled += [(j, r)] * (n // 2)
             if n % 2:
                 singles.append(r)
+                right_deg[r] += 1
         if deg % 2:
             raise AssertionError(
                 f"color {j} has odd working degree {deg}; the fan coloring is broken"
@@ -259,7 +296,9 @@ def refine(
             residue.sort()
         if proxy % 2:
             residue.append(0)
+            right_deg[0] += 1
         units.extend(zip(residue[::2], residue[1::2]))
+        left_deg += [2] * len(units)
         for a, b in units:
             label = len(owner)
             owner.append(j)
@@ -268,7 +307,8 @@ def refine(
             ends += [(label, a), (label, b)]
             mult += [1, 1]
     right = len(owner) + 2
-    return owner, [(u + 2, r + right) for u, r in ends], mult, settled
+    ends = [(u + 2, r + right) for u, r in ends]
+    return owner, ends, mult, [0, 0, *left_deg, *right_deg], settled
 
 
 def _component_map(
@@ -288,11 +328,70 @@ def _component_map(
     return out
 
 
+class _LiveFan:
+    """y's fan, kept live across y's steps (see the module docstring).
+
+    Per color j, its pairs in row order: `ends[j]` holds their nodes,
+    sorted, and `mult[j]` their multiplicities; a pair whose multiplicity
+    drops to 0 keeps its place at 0.  `rights` are the right labels, a
+    label that y has lost kept in place, `node` their nodes and `deg` the
+    degree of every node, as in the fan's skeleton.
+    """
+
+    __slots__ = ("y", "rights", "node", "ends", "mult", "deg")
+
+    def __init__(self, y: VertexId, fan: _Skeleton, rights: List[VertexId]) -> None:
+        """Seed from a fresh build, before a peel changes it."""
+        k = fan.n_left
+        self.y, self.rights, self.deg = y, rights, list(fan.deg)
+        self.node = {w: i for i, w in enumerate(rights, k + 2)}
+        # color j's pairs, at left node j + 1, are one slice of the sorted ends
+        cuts = [bisect_left(fan.ends, (a,)) for a in range(2, k + 3)]
+        self.ends = [[], *(fan.ends[lo:hi] for lo, hi in zip(cuts, cuts[1:]))]
+        self.mult = [[], *(fan.mult[lo:hi] for lo, hi in zip(cuts, cuts[1:]))]
+
+    def skeleton(self) -> _Skeleton:
+        """A fresh skeleton of the live pairs, the dead ones compacted out:
+        the pairs and their order are those of a fresh build, and the right
+        nodes y has lost are isolated, with degree 0."""
+        mult = list(chain.from_iterable(self.mult))
+        ends = list(compress(chain.from_iterable(self.ends), mult))
+        return _Skeleton(len(self.mult) - 1, ends, list(filter(None, mult)), list(self.deg))
+
+    def apply(self, rec: StepRecord) -> None:
+        """Bring the fan past one step at y, touching only the moved colors:
+        a moved edge y-w lowers pair (j, w), a moved loop lowers j's proxy
+        pair, which heads j's row, by 2 and adds 1 to pair (j, v_new), whose
+        right node, v_new having the largest id, comes last."""
+        moves, v_new = rec.moves, rec.v_new
+        deg, node, ends, mult = self.deg, self.node, self.ends, self.mult
+        for j, row in moves.edge_moves.items():
+            ends_j, mult_j = ends[j], mult[j]
+            for w, n in row.items():
+                b = node[w]
+                mult_j[bisect_left(ends_j, (j + 1, b))] -= n
+                deg[b] -= n
+            deg[j + 1] -= sum(row.values())
+        if moves.loop_moves:
+            proxy = len(mult) + 1  # k + 2
+            b = node[v_new] = len(deg)
+            self.rights = [*self.rights, v_new]  # steps already handed on keep theirs
+            deg.append(0)
+            for j, nl in moves.loop_moves.items():
+                mult_j = mult[j]
+                mult_j[0] -= 2 * nl
+                mult_j.append(nl)
+                ends[j].append((j + 1, b))
+                deg[j + 1] -= nl
+                deg[proxy] -= 2 * nl
+                deg[b] += nl
+
+
 class _DetachState:
     """The working graph of a detachment, mutated in place step by step, with
     the split counts, the condition-3 colors, fixed for the whole detachment,
-    and their union-finds over the color class minus the current y (see the
-    module docstring)."""
+    their union-finds over the color class minus the current y and y's live
+    fan (see the module docstring)."""
 
     def __init__(self, cg: ColoredMultigraph, eta: Dict[VertexId, int]) -> None:
         self.cg = cg
@@ -305,6 +404,7 @@ class _DetachState:
         self.cond3 = condition3_colors(cg, AmalgamationSpec(eta))
         self.y: Optional[VertexId] = None  # the vertex uf belongs to
         self.uf: Dict[int, Dict[VertexId, VertexId]] = {}
+        self.fan: Optional[_LiveFan] = None  # kept while a step at its y follows
 
     def labels(self, y: VertexId) -> Dict[int, Dict[VertexId, VertexId]]:
         """Per condition-3 color, the union-find of the color class minus y:
@@ -318,14 +418,29 @@ class _DetachState:
             }
         return self.uf
 
+    def fan_at(self, y: VertexId) -> Tuple[_Skeleton, List[VertexId]]:
+        """y's fan to peel and its right labels: the live fan's skeleton, or
+        a fresh build, kept live when a later step at y will use it."""
+        live = self.fan
+        if live is not None and live.y == y:
+            return live.skeleton(), live.rights
+        fan, rights = build_split_bipartite(self.cg, y)
+        self.fan = _LiveFan(y, fan, rights) if self.eta[y] > 2 else None
+        return fan, rights
+
     def apply(self, rec: StepRecord) -> None:
         """Apply one step to the working graph and bring the state up to date;
-        `labels(rec.y)` must have been called for this y."""
+        `labels(rec.y)` and `fan_at(rec.y)` must have been called for this y."""
         y, v_new = rec.y, rec.v_new
         self.cg.split_off(y, v_new, rec.moves.edge_moves, rec.moves.loop_moves)
         self.eta[y] -= 1
         self.eta[v_new] = 1
         self.next_id = v_new + 1
+        if self.fan is not None:
+            if self.eta[y] >= 2:
+                self.fan.apply(rec)
+            else:  # no further step at y
+                self.fan = None
         # class minus y gains v_new and its moved edges v_new-w; moved loops
         # become edges y-v_new, which class minus y does not contain
         for j, parent in self.uf.items():
@@ -359,14 +474,14 @@ def _step(state: _DetachState, y: VertexId) -> StepRecord:
     if eta_y < 2:
         raise PreconditionError(f"vertex {y} has eta={eta_y}, nothing to detach")
 
-    fan, rights = build_split_bipartite(cg, y)
+    fan, rights = state.fan_at(y)
     k = cg.k
     fan_deg = fan.deg[1 : k + 2]  # color j's degree at y, read before the peel
     first, second = bee_coloring(fan, eta_y, upto=2)
     working = list(map(add, first, second))
 
     cond3 = state.cond3
-    owner, ends, mult, settled = refine(fan, working, rights, cond3, state.labels(y))
+    owner, ends, mult, deg, settled = refine(fan, working, rights, cond3, state.labels(y))
 
     # the condition-3 colors must split into exactly degree/eta units
     working_deg = [0] * (k + 1)
@@ -387,7 +502,7 @@ def _step(state: _DetachState, y: VertexId) -> StepRecord:
             raise AssertionError(f"color {j}: split into {units[j]} units")
 
     # the pick keeps class 1; class 2 would be the rest (c = 1, no flow)
-    pick = _Skeleton(len(owner), len(rights), ends, mult)
+    pick = _Skeleton(len(owner), ends, mult, deg)
     (picked,) = bee_coloring(pick, 2, upto=1)
 
     # a settled unit moves one edge end; a color's settled units were formed
@@ -454,6 +569,22 @@ def _check_state(state: _DetachState, y: VertexId) -> None:
                 raise AssertionError(
                     f"color {j}: component label of {w} is {label}, not {oracle[j][w]}"
                 )
+    live = state.fan
+    if live is not None:
+        fresh = _by_label(*build_split_bipartite(cur, live.y))
+        if _by_label(live.skeleton(), live.rights) != fresh:
+            raise AssertionError(f"live fan of vertex {live.y} differs from a fresh build")
+
+
+def _by_label(fan: _Skeleton, rights: List[VertexId]) -> tuple:
+    """A fan's pairs as (color, right label, multiplicity) in order, its
+    color degrees and its right labels with their degrees, an isolated
+    right vertex left out unless it is the loop proxy, which a fresh build
+    always lists."""
+    k = fan.n_left
+    pairs = [(a - 1, rights[b - k - 2], n) for (a, b), n in zip(fan.ends, fan.mult)]
+    right = [(w, d) for w, d in zip(rights, fan.deg[k + 2 :]) if d or w == LOOP_PROXY]
+    return pairs, fan.deg[: k + 2], right
 
 
 def detach_all(
@@ -466,7 +597,8 @@ def detach_all(
     Returns the loopless detached graph, the vertex map onto the input
     graph, and the step trace.  Inputs are not mutated.  With check=True
     every step additionally asserts that the incremental state agrees with
-    condition3_colors and _component_map, the step relations and, for
+    condition3_colors, _component_map and, for y's live fan, a fresh
+    build_split_bipartite, the step relations and, for
     condition-3 colors, preservation of evenness ratios and component counts
     (slower; meant for tests).
     """

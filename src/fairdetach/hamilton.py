@@ -163,10 +163,10 @@ def _read_off(cg: ColoredMultigraph, order: List[VertexId]) -> HamDecomposition:
     """The decomposition a detachment spells: vertex order[i] becomes i and
     each color class is read off as one spanning cycle.  The layers are
     walked as they are, renaming only the vertices each cycle emits; the
-    host is the underlying graph, renamed once."""
+    host is the sum of the layers' rows, renamed as they are added."""
     rename = _relabel(cg, order)
     cycles = tuple(_extract_cycle(cg.layer(j), rename) for j in range(1, cg.k + 1))
-    return HamDecomposition(host=cg.underlying().renamed(rename), cycles=cycles)
+    return HamDecomposition(host=cg.underlying(rename), cycles=cycles)
 
 
 def ham_decompose_lambda_kn(n: int, lam: int) -> HamDecomposition:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from fairdetach.bee import Classes, SortedBipartite, _Skeleton, bee_coloring
+from fairdetach.bee import Classes, SortedBipartite, _skeleton_of, bee_coloring
 from fairdetach.engine import MoveSet, _find
 from fairdetach.errors import GraphError, PreconditionError
 from fairdetach.evencolor import EulerCircuit, _orient, is_evenly_equitable
@@ -770,10 +770,7 @@ def reference_pick(fan, working, rights, cond3, component_map) -> MoveSet:
     triples = [(a - 1, rights[b - k - 2], n) for (a, b), n in zip(fan.ends, working) if n]
     owner, refined = reference_refine((range(1, k + 1), rights, triples), cond3, component_map)
     _, unit_rights, unit_pairs = refined
-    node = {w: i for i, w in enumerate(unit_rights, len(owner) + 2)}
-    ends = [(label + 2, node[w]) for label, w, _ in unit_pairs]
-    pick = _Skeleton(len(owner), len(unit_rights), ends, [n for _, _, n in unit_pairs])
-    (picked,) = bee_coloring(pick, 2, upto=1)
+    (picked,) = bee_coloring(_skeleton_of((range(len(owner)), unit_rights, unit_pairs)), 2, upto=1)
     edge_moves: Dict[int, Dict[int, int]] = {}
     loop_moves: Dict[int, int] = {}
     for (label, w, _), n in zip(unit_pairs, picked):

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from fairdetach import engine, hamilton
-from fairdetach.bee import _Skeleton
+from fairdetach.bee import _skeleton_of
 from fairdetach.engine import (
     LOOP_PROXY,
     MoveSet,
@@ -165,7 +165,7 @@ def expand_refined(refined, rights, picked):
     pair (label, w, 2) and picked 1, among the other units in the order
     they were formed: (owner, (lefts, rights, pairs)) and the pick's class
     1 on those pairs, as the engine built them before it settled units."""
-    owner, ends, mult, settled = refined
+    owner, ends, mult, _, settled = refined
     rows = [[] for _ in owner]
     for (a, b), n, f in zip(ends, mult, picked):
         rows[a - 2].append((rights[b - len(owner) - 2], n, f))
@@ -183,10 +183,9 @@ def refine_rows(rows: dict, cond3, comp_map):
     the settled units put back (see expand_refined), beside the raw one."""
     k = max(rows)
     rights = [LOOP_PROXY, *sorted({w for row in rows.values() for w in row} - {LOOP_PROXY})]
-    node = {w: i for i, w in enumerate(rights, k + 2)}
-    ends = [(j + 1, node[w]) for j in sorted(rows) for w in sorted(rows[j])]
-    working = [rows[j][w] for j in sorted(rows) for w in sorted(rows[j])]
-    raw = refine(_Skeleton(k, len(rights), ends, working), working, rights, cond3, comp_map)
+    pairs = [(j, w, rows[j][w]) for j in sorted(rows) for w in sorted(rows[j])]
+    fan = _skeleton_of((range(1, k + 1), rights, pairs))
+    raw = refine(fan, fan.mult, rights, cond3, comp_map)
     owner, graph, _ = expand_refined(raw, rights, [0] * len(raw[1]))
     return (owner, graph), raw
 
@@ -200,7 +199,7 @@ def units_of(refined, j):
 def test_refine_parallel_pairs_saturate() -> None:
     refined, raw = refine_rows({1: {7: 4}}, {1}, {1: {7: 7}})
     # both units are double units: settled, none left for the pick
-    assert raw == ([], [], [], [(1, 1), (1, 1)])
+    assert raw == ([], [], [], [0, 0, 0, 0], [(1, 1), (1, 1)])
     assert len(units_of(refined, 1)) == 2
     for label in units_of(refined, 1):
         assert multiplicity(refined[1], label, 7) == 2
@@ -236,8 +235,8 @@ def test_refine_proxy_pairs_last_and_sorts_first() -> None:
     rows = {1: {LOOP_PROXY: 1, 3: 1, 4: 2}, 2: {LOOP_PROXY: 2}}
     (owner, graph), raw = refine_rows(rows, {1}, {1: {3: 3, 4: 4}})
     # the (4, 4) unit is settled; the pick has two left nodes (2, 3) and
-    # right nodes 4, 5, 6 for the proxy, 3 and 4
-    assert raw == ([1, 2], [(2, 4), (2, 5), (3, 4)], [1, 1, 2], [(1, 2)])
+    # right nodes 4, 5, 6 for the proxy, 3 and 4, and 4 has none left
+    assert raw == ([1, 2], [(2, 4), (2, 5), (3, 4)], [1, 1, 2], [0, 0, 2, 2, 3, 1, 0], [(1, 2)])
     assert owner == [1, 1, 2]
     assert_peel_order(graph)
     assert graph[2] == [
@@ -333,10 +332,10 @@ def test_step_rejects_a_qualifying_color_short_of_units(monkeypatch) -> None:
     cg, eta = loops_only_instance(3, 3, 3)  # every color: degree 6, 2 units
 
     def short_refine(*args):
-        owner, ends, mult, settled = refine(*args)
+        owner, ends, mult, deg, settled = refine(*args)
         # every unit of this step is a double unit, settled outside the pick
         drop = max(i for i, (j, _) in enumerate(settled) if j == 2)
-        return owner, ends, mult, settled[:drop] + settled[drop + 1 :]
+        return owner, ends, mult, deg, settled[:drop] + settled[drop + 1 :]
 
     monkeypatch.setattr(engine, "refine", short_refine)
     state = engine._DetachState(cg.copy(), dict(eta.eta))
@@ -529,21 +528,35 @@ def recording(monkeypatch, name: str, calls: list, snap=None) -> None:
     monkeypatch.setattr(engine, name, record)
 
 
+def summed_degrees(sk):
+    """Every node degree of a skeleton, summed over its pairs."""
+    deg = [0] * len(sk.deg)
+    for (a, b), n in zip(sk.ends, sk.mult):
+        deg[a] += n
+        deg[b] += n
+    return deg
+
+
 @pytest.mark.parametrize("family", ["lambda_kn", "gdd", "fuzz"])
 def test_step_matches_graph_building_reference(family: str, monkeypatch) -> None:
     """Every stage of every step, from the fan to the moves, equals the
-    step that built each stage as a BipartiteMultigraph."""
-    fans, colorings, refines = [], [], []
-    recording(monkeypatch, "build_split_bipartite", fans)
-    # a peel changes its skeleton: keep the pairs each coloring was given
+    step that built each stage as a BipartiteMultigraph.  The fan is the
+    skeleton the step peels, live or freshly built; a right vertex that y
+    has lost stays in a live fan, isolated, so the stages' right labels are
+    compared with the isolated ones dropped."""
+    colorings, refines = [], []
+    # a peel changes its skeleton: keep what each coloring was given
     recording(
         monkeypatch,
         "bee_coloring",
         colorings,
-        lambda sk, *_: (sk, SimpleNamespace(ends=list(sk.ends), mult=list(sk.mult))),
+        lambda sk, *_: (
+            sk,
+            SimpleNamespace(ends=list(sk.ends), mult=list(sk.mult), deg=list(sk.deg)),
+        ),
     )
     recording(monkeypatch, "refine", refines)
-    steps = 0
+    steps = isolated = 0
     for cg, eta in step_instances(family):
         state = engine._DetachState(cg.copy(), dict(eta.eta))
         for y in [v for v in cg.vertices if eta.value(v) >= 2]:
@@ -551,31 +564,122 @@ def test_step_matches_graph_building_reference(family: str, monkeypatch) -> None
                 cond3 = condition3_colors(state.cg, AmalgamationSpec(dict(state.eta)))
                 comp_map = engine._component_map(state.cg, y, cond3)
                 want = reference_step(state.cg, y, state.eta[y], cond3, comp_map)
-                del fans[:], colorings[:], refines[:]
+                del colorings[:], refines[:]
                 moves = engine._step(state, y).moves
-                [(_, (fan, rights))] = fans
-                [((fan_arg, fan_given), classes), ((_, pick_given), picked)] = colorings
-                [((fan_refined, working, rights_given, _, _), refined)] = refines
-                assert fan_arg is fan_refined is fan and rights_given is rights
+                [((fan, fan_given), classes), ((_, pick_given), picked)] = colorings
+                [((fan_refined, working, rights, _, _), refined)] = refines
+                assert fan_refined is fan
                 k = cg.k
+                assert fan_given.deg == summed_degrees(fan_given)
+                fan_rights = [
+                    w for w, d in zip(rights, fan_given.deg[k + 2 :]) if d or w == LOOP_PROXY
+                ]
+                isolated += len(rights) - len(fan_rights)
+                fan_pairs = skeleton_graph(fan_given, range(1, k + 1), rights)[2]
                 w_pairs = [
                     (a - 1, rights[b - k - 2], n) for (a, b), n in zip(fan.ends, working) if n
                 ]
                 owner, unit_graph, unit_picked = expand_refined(refined, rights, picked[0])
                 got = {
-                    "fan": skeleton_graph(fan_given, range(1, k + 1), rights),
+                    "fan": (list(range(1, k + 1)), fan_rights, fan_pairs),
                     "classes": classes,
-                    "working": (list(range(1, k + 1)), rights, w_pairs),
-                    "refined": (owner, unit_graph),
+                    "working": (list(range(1, k + 1)), fan_rights, w_pairs),
+                    "refined": (owner, (unit_graph[0], fan_rights, unit_graph[2])),
                     "picked": unit_picked,
                     "moves": moves,
                 }
                 assert got == want
-                # the pick peels refine's skeleton, the settled units left out
-                _, ends, mult, _ = refined
-                assert (pick_given.ends, pick_given.mult) == (ends, mult)
+                # the pick peels refine's skeleton, the settled units left
+                # out, with the degrees refine summed
+                _, ends, mult, deg, _ = refined
+                assert (pick_given.ends, pick_given.mult, pick_given.deg) == (ends, mult, deg)
+                assert deg == summed_degrees(pick_given)
                 steps += 1
     assert steps > 0
+    assert isolated or family != "fuzz"
+
+
+# what each family's steps must include: live fans with dead pairs always,
+# right vertices that y lost (isolated in its live fan), a live fan at more
+# than one y of a detachment, and vertices with eta = 2, which never get one
+LIVE_FAN_COVERAGE = {
+    "lambda_kn": {"dead"},
+    "gdd": {"dead", "y changes", "eta 2"},
+    "fuzz": {"dead", "isolated", "y changes", "eta 2"},
+}
+
+
+@pytest.mark.parametrize("family", ["lambda_kn", "gdd", "fuzz"])
+def test_live_fan_matches_a_fresh_build_on_every_step(family: str, monkeypatch) -> None:
+    """Before every step at a y that an earlier step used, the live fan's
+    skeleton has the pairs of a fresh build in its order, with the same
+    multiplicities and degrees, by label; a right vertex y has lost stays
+    in it with degree 0.  A fan is seeded exactly at the first step at a y
+    with eta > 2 and dropped after y's last step."""
+    seeds: list = []
+
+    class Recorded(engine._LiveFan):
+        __slots__ = ()
+
+        def __init__(self, y, fan, rights):
+            seeds.append(y)
+            super().__init__(y, fan, rights)
+
+    monkeypatch.setattr(engine, "_LiveFan", Recorded)
+    seen = dict.fromkeys(["live", "dead", "isolated", "y changes", "eta 2"], 0)
+    for cg, eta in step_instances(family):
+        state = engine._DetachState(cg.copy(), dict(eta.eta))
+        k = cg.k
+        fan_ys = 0
+        for y in [v for v in cg.vertices if eta.value(v) >= 2]:
+            seen["eta 2"] += eta.value(y) == 2
+            first = True
+            while state.eta[y] >= 2:
+                live = state.fan
+                assert (live is not None) == (not first)
+                if live is not None:
+                    assert live.y == y
+                    sk = live.skeleton()
+                    fresh, rights = build_split_bipartite(state.cg, y)
+                    got = skeleton_graph(sk, range(1, k + 1), live.rights)
+                    assert got[2] == skeleton_graph(fresh, range(1, k + 1), rights)[2]
+                    assert sk.deg[: k + 2] == fresh.deg[: k + 2]
+                    assert sk.total == fresh.total
+                    deg = dict(zip(live.rights, sk.deg[k + 2 :]))
+                    assert [w for w in live.rights if w in rights] == rights
+                    assert {w: deg[w] for w in rights} == dict(zip(rights, fresh.deg[k + 2 :]))
+                    lost = [w for w in live.rights if w not in rights]
+                    assert all(deg[w] == 0 for w in lost)
+                    seen["live"] += 1
+                    seen["dead"] += len(sk.mult) < sum(map(len, live.mult))
+                    seen["isolated"] += len(lost)
+                n_seeds = len(seeds)
+                engine._step(state, y)
+                assert seeds[n_seeds:] == ([y] if first and eta.value(y) > 2 else [])
+                first = False
+            assert state.fan is None
+            fan_ys += eta.value(y) > 2
+        seen["y changes"] += fan_ys > 1
+    assert seen["live"] > 0
+    assert {key for key, n in seen.items() if n and key != "live"} >= LIVE_FAN_COVERAGE[family]
+
+
+def test_checked_detach_catches_a_stale_live_fan(monkeypatch) -> None:
+    """detach_all(check=True) compares the live fan with a fresh build
+    before every step: a fan that skips the proxy decrement of its moved
+    loops is caught before the step that would peel it."""
+    apply = engine._LiveFan.apply
+
+    def skip_proxy_decrement(self, rec):
+        apply(self, rec)
+        for j, nl in rec.moves.loop_moves.items():
+            self.mult[j][0] += 2 * nl  # the proxy heads the row
+
+    cg, eta = lambda_kn_host(7, 1)
+    detach_all(cg, eta, check=True)
+    monkeypatch.setattr(engine._LiveFan, "apply", skip_proxy_decrement)
+    with pytest.raises(AssertionError, match=r"^live fan of vertex 0 differs from a fresh build$"):
+        detach_all(cg, eta, check=True)
 
 
 def pick_instances(family: str):
