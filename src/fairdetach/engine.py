@@ -93,10 +93,9 @@ the same facts from scratch; they are the oracles that
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from itertools import chain, compress
 from operator import add, itemgetter
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .bee import _Skeleton, bee_coloring
 from .errors import GraphError, PreconditionError
@@ -106,6 +105,7 @@ from .multigraph import (
     DetachmentMap,
     Multigraph,
     VertexId,
+    _Record,
 )
 
 # right-side stand-in for loops at y; sorts below all real vertex ids, so it
@@ -124,8 +124,7 @@ RefinedBipartite = Tuple[
 ]
 
 
-@dataclass(frozen=True)
-class MoveSet:
+class MoveSet(NamedTuple):
     """Per-color edge moves of one step: counts by neighbor, plus loop moves."""
 
     edge_moves: Dict[int, Dict[VertexId, int]]
@@ -137,8 +136,7 @@ class MoveSet:
         )
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """Everything needed to replay one detachment step."""
 
     y: VertexId
@@ -147,9 +145,12 @@ class StepRecord:
     moves: MoveSet
 
 
-@dataclass
-class DetachmentTrace:
-    steps: List[StepRecord] = field(default_factory=list)
+class DetachmentTrace(_Record):
+    __slots__ = ("steps",)
+    steps: List[StepRecord]
+
+    def __init__(self, steps: Optional[List[StepRecord]] = None) -> None:
+        super().__init__([] if steps is None else steps)
 
     def replay(self, start: ColoredMultigraph) -> List[ColoredMultigraph]:
         """All intermediate graphs, starting graph first, final graph last."""
@@ -483,10 +484,8 @@ def _step(state: _DetachState, y: VertexId) -> StepRecord:
     cond3 = state.cond3
     owner, ends, mult, deg, settled = refine(fan, working, rights, cond3, state.labels(y))
 
-    # the condition-3 colors must split into exactly degree/eta units
-    working_deg = [0] * (k + 1)
-    for (a, _), n in zip(compress(fan.ends, working), filter(None, working)):
-        working_deg[a - 1] += n
+    # the condition-3 colors must split into exactly degree/eta units; each
+    # unit takes two working edge ends, so the working degree is 2 * that
     units = [0] * (k + 1)
     for j in owner:
         units[j] += 1
@@ -494,12 +493,8 @@ def _step(state: _DetachState, y: VertexId) -> StepRecord:
         units[j] += 1
     for j in sorted(cond3):
         alpha = fan_deg[j] // eta_y
-        if working_deg[j] != 2 * alpha:
-            raise AssertionError(
-                f"color {j}: working degree {working_deg[j]} != 2*{alpha}"
-            )
         if units[j] != alpha:
-            raise AssertionError(f"color {j}: split into {units[j]} units")
+            raise AssertionError(f"color {j}: split into {units[j]} units, not {alpha}")
 
     # the pick keeps class 1; class 2 would be the rest (c = 1, no flow)
     pick = _Skeleton(len(owner), ends, mult, deg)

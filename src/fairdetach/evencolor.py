@@ -29,20 +29,22 @@ their own right; the 2-factorization also serves as a small-case oracle.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .bee import bee_coloring
 from .errors import PreconditionError
 from .flows import Network, Residual, feasible_circulation
-from .multigraph import ColoredMultigraph, Multigraph, VertexId
+from .multigraph import ColoredMultigraph, Multigraph, VertexId, _FrozenRecord
 
 
-@dataclass(frozen=True)
-class EulerCircuit:
+class EulerCircuit(_FrozenRecord):
     """Closed traversal of one component; loops appear as (v, v) steps."""
 
+    __slots__ = ("steps",)
     steps: Tuple[Tuple[VertexId, VertexId], ...]
+
+    def __init__(self, steps: Tuple[Tuple[VertexId, VertexId], ...]) -> None:
+        super().__init__(steps)
 
 
 def _walk(

@@ -13,35 +13,34 @@ graphs, kept as a small-case oracle for the engine-based route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .engine import detach_all
 from .errors import GraphError, InfeasibleError, PreconditionError
 from .evencolor import evenly_equitable_coloring
-from .multigraph import AmalgamationSpec, ColoredMultigraph, Multigraph, VertexId
+from .multigraph import AmalgamationSpec, ColoredMultigraph, Multigraph, VertexId, _FrozenRecord
 
 
-@dataclass(frozen=True)
-class GddParams:
+class GddParams(_FrozenRecord):
     """Uniform-or-not group divisible parameters: part sizes and the two
     multiplicities (lambda1 inside a part, lambda2 across parts).
 
     Sizes are stored ascending as the canonical form.
     """
 
+    __slots__ = ("sizes", "lambda1", "lambda2")
     sizes: Tuple[int, ...]
     lambda1: int
     lambda2: int
 
-    def __post_init__(self) -> None:
-        if not self.sizes:
+    def __init__(self, sizes: Tuple[int, ...], lambda1: int, lambda2: int) -> None:
+        if not sizes:
             raise PreconditionError("need at least one part")
-        if any(a < 1 for a in self.sizes):
+        if any(a < 1 for a in sizes):
             raise PreconditionError("part sizes must be positive")
-        if self.lambda1 < 0 or self.lambda2 < 0:
+        if lambda1 < 0 or lambda2 < 0:
             raise PreconditionError("multiplicities must be nonnegative")
-        object.__setattr__(self, "sizes", tuple(sorted(self.sizes)))
+        super().__init__(tuple(sorted(sizes)), lambda1, lambda2)
 
     @property
     def p(self) -> int:
@@ -75,8 +74,7 @@ class GddParams:
         return g
 
 
-@dataclass(frozen=True)
-class Feasibility:
+class Feasibility(NamedTuple):
     """Outcome of the decomposability test: either a cycle count, or the
     label and description of the violated condition."""
 
@@ -86,8 +84,7 @@ class Feasibility:
     reason: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class HamDecomposition:
+class HamDecomposition(NamedTuple):
     """Edge-disjoint spanning cycles whose multiset union is the host graph.
 
     Each cycle is a closed vertex sequence; a sequence of length two stands

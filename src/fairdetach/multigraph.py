@@ -34,7 +34,6 @@ all costs one comparison (0 < n <= present).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -397,20 +396,60 @@ class ColoredMultigraph:
         return f"ColoredMultigraph(k={self.k}, vertices={self.vertices})"
 
 
-@dataclass(frozen=True)
-class AmalgamationSpec:
+class _Record:
+    """The fields named in `__slots__`, set by `__init__` in that order;
+    equal to a record of its class with equal fields, unhashable, and
+    copied and pickled through its constructor."""
+
+    __slots__ = ()
+
+    def __init__(self, *fields: object) -> None:
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({shown})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class _FrozenRecord(_Record):
+    """A `_Record` whose fields cannot be rebound, hashed by its fields."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class AmalgamationSpec(_FrozenRecord):
     """Requested split counts: vertex w of the host graph becomes eta[w] vertices.
 
     A vertex kept whole (eta == 1) must carry no loops, because a loop has
     nowhere to go once its endpoints can no longer be separated.
     """
 
+    __slots__ = ("eta",)
     eta: Dict[VertexId, int]
 
-    def __post_init__(self) -> None:
-        for v, n in self.eta.items():
+    def __init__(self, eta: Dict[VertexId, int]) -> None:
+        for v, n in eta.items():
             if n < 1:
                 raise GraphError(f"eta({v}) = {n} must be positive")
+        super().__init__(eta)
 
     def value(self, v: VertexId) -> int:
         if v not in self.eta:
@@ -432,16 +471,23 @@ class AmalgamationSpec:
                 )
 
 
-@dataclass(frozen=True)
-class DetachmentMap:
+class DetachmentMap(_FrozenRecord):
     """Surjection psi from detached vertices onto host vertices, with its fibers.
 
     fibers[w] lists psi^-1(w) in creation order, the host vertex itself first;
     the fibers partition the detached vertex set.
     """
 
+    __slots__ = ("psi", "fibers")
     psi: Dict[VertexId, VertexId]
-    fibers: Dict[VertexId, List[VertexId]] = field(default_factory=dict)
+    fibers: Dict[VertexId, List[VertexId]]
+
+    def __init__(
+        self,
+        psi: Dict[VertexId, VertexId],
+        fibers: Optional[Dict[VertexId, List[VertexId]]] = None,
+    ) -> None:
+        super().__init__(psi, {} if fibers is None else fibers)
 
     @classmethod
     def from_fibers(cls, fibers: Dict[VertexId, List[VertexId]]) -> "DetachmentMap":

@@ -27,7 +27,6 @@ loops for each offshoot vr, then m(w, z) for host pairs w < z.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -41,6 +40,7 @@ from .multigraph import (
     DetachmentMap,
     Multigraph,
     VertexId,
+    _Record,
 )
 
 CONDITION_ORDER = (
@@ -57,11 +57,14 @@ CONDITION_ORDER = (
 )
 
 
-@dataclass
-class DetachmentReport:
+class DetachmentReport(_Record):
     """Per-condition verdicts; a verdict's witness is its first counterexample."""
 
-    verdicts: Dict[str, Tuple[bool, Optional[str]]] = field(default_factory=dict)
+    __slots__ = ("verdicts",)
+    verdicts: Dict[str, Tuple[bool, Optional[str]]]
+
+    def __init__(self, verdicts: Optional[Dict[str, Tuple[bool, Optional[str]]]] = None) -> None:
+        super().__init__({} if verdicts is None else verdicts)
 
     def record(self, name: str, ok: bool, witness: Optional[str] = None) -> None:
         self.verdicts[name] = (ok, witness)

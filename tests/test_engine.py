@@ -341,7 +341,31 @@ def test_step_rejects_a_qualifying_color_short_of_units(monkeypatch) -> None:
     state = engine._DetachState(cg.copy(), dict(eta.eta))
     with pytest.raises(AssertionError) as err:
         engine._step(state, 0)
-    assert str(err.value) == "color 2: split into 1 units"
+    assert str(err.value) == "color 2: split into 1 units, not 2"
+
+
+def test_step_catches_a_fan_coloring_two_ends_off(monkeypatch) -> None:
+    """Give condition-3 color 2 two working edge ends more than 2 * degree/eta
+    in the fan coloring: refine pairs them into one unit too many, and both
+    a bare step and a checked detachment name the color and both counts."""
+    real = engine.bee_coloring
+
+    def shifted(bg, k, *, upto=None):
+        classes = real(bg, k, upto=upto)
+        if upto == 2:  # the fan; the pick peels one class
+            first = list(classes[0])
+            first[next(i for i, (a, _) in enumerate(bg.ends) if a == 3)] += 2  # color 2
+            classes = [first, *classes[1:]]
+        return classes
+
+    monkeypatch.setattr(engine, "bee_coloring", shifted)
+    cg, eta = loops_only_instance(3, 3, 3)  # every color: degree 6, 2 units
+    state = engine._DetachState(cg.copy(), dict(eta.eta))
+    with pytest.raises(AssertionError, match=r"^color 2: split into 3 units, not 2$"):
+        engine._step(state, 0)
+    cg, eta = lambda_kn_host(7, 1)  # every color: degree 14, 2 units at eta 7
+    with pytest.raises(AssertionError, match=r"^color 2: split into 3 units, not 2$"):
+        detach_all(cg, eta, check=True)
 
 
 def test_detach_step_preserves_edge_counts_and_relations() -> None:
