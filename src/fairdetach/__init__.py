@@ -17,13 +17,10 @@ from .bee import (
 from .engine import (
     DetachmentTrace,
     MoveSet,
-    RefinedBipartite,
     StepRecord,
-    build_split_bipartite,
     condition3_colors,
     detach_all,
     detach_step,
-    refine,
 )
 from .errors import (
     DocumentError,
@@ -81,17 +78,14 @@ __all__ = [
     "MoveSet",
     "Multigraph",
     "PreconditionError",
-    "RefinedBipartite",
     "StepRecord",
     "approx",
     "assert_step_relations",
     "bee_coloring",
-    "build_split_bipartite",
     "condition3_colors",
     "detach_all",
     "detach_step",
     "euler_circuit",
-    "refine",
     "evenly_equitable_coloring",
     "gdd_feasible",
     "ham_decompose_gdd",

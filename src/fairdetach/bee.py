@@ -92,9 +92,10 @@ class _Skeleton:
     what is still uncolored.  `net` is the network of every peel, with the
     arcs 0 -> v per left vertex v, the pairs, v -> 1 per right vertex v,
     and 1 -> 0, in that order.  The degrees come from the caller, who
-    knows them without a pass over the pairs: the engine's live fan keeps
-    them, `engine.build_split_bipartite` and `engine.refine` sum them as
-    they emit the pairs, and `_skeleton_of` for tuple input."""
+    knows them without a pass over the pairs: the engine's fan, which
+    `engine.build_split_bipartite` sums as it reads y's rows and which
+    keeps them across y's steps; `engine.refine`, which sums the pick's
+    as it emits its pairs; and `_skeleton_of` for tuple input."""
 
     __slots__ = ("n_left", "ends", "mult", "deg", "total", "net")
 

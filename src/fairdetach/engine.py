@@ -21,12 +21,12 @@ through two auxiliary bipartite colorings:
 
 A step hands its data from stage to stage as integer rows in peel order
 (see `bee.bee_coloring`), so no stage builds a graph or sorts again.  The
-fan is a bee skeleton, whose left degrees also give the condition-3 check
-each color's degree at y (see below for how it is kept); the fan
+fan is peeled as the bee skeleton of y's fan (see below), whose left
+degrees also give the condition-3 check each color's degree at y; the fan
 coloring returns classes 1 and 2 as multiplicity vectors over the fan's
 pairs, and their sum is the working subgraph on the same pairs; `refine`
-reads those counts off the fan's integer pairs and emits the pick's
-skeleton pairs in node numbers, and the pick peels only class 1, which is
+reads those counts off the fan's integer pairs and builds the pick's
+skeleton in node numbers, and the pick peels only class 1, which is
 the moves.  A double unit, whose two edge ends go to one right vertex, is
 settled in `refine` and left out of the pick.  With c = 2 each of its
 windows is fixed: its pair and its source arc carry 2 and must get
@@ -41,21 +41,22 @@ heads a color's row; `refine` takes its multiplicity off that front once
 and pairs it after the vertices: its double units after theirs, its
 single after the sorted residue.
 
-The fan is read off y's sorted rows once per y (`build_split_bipartite`)
-and then kept live across y's steps (`_LiveFan`), since a step hands the
-new vertex only edge ends at y: between two steps at y the fan changes
-only at that step's moves.  A moved edge y-w lowers pair (j, w); a moved
-loop lowers j's proxy pair by 2 and adds one to pair (j, v_new), and
-v_new, the largest id, becomes the last right vertex.  A pair that drops
-to 0 keeps its place in the live fan, and each step's skeleton leaves it
-out with one `compress`, so every peel sees the pairs of a fresh build in
-its order.  Right vertices are never renumbered: one that y has lost
+The fan (`_LiveFan`) holds each color's pairs as one row, read off y's
+sorted rows once per y (`build_split_bipartite`), and every step peels
+the skeleton it emits.  It is kept live across y's steps, since a step
+hands the new vertex only edge ends at y: between two steps at y the fan
+changes only at that step's moves.  A moved edge y-w lowers pair (j, w);
+a moved loop lowers j's proxy pair by 2 and adds one to pair (j, v_new),
+and v_new, the largest id, becomes the last right vertex.  A pair that
+drops to 0 keeps its place in the live fan, and each step's skeleton
+leaves it out with one `compress`, so every peel sees the pairs of a
+fresh build in its order.  Right vertices are never renumbered: one that y has lost
 stays an isolated node, whose sink arc has window [0, 0], so it has no
 room and the node has excess 0.  The search never reaches it, and every
 other node keeps its relative order and the order of its live arcs, so
-the flows are those of a fresh build.  The live fan is seeded at the
-first step at a y with eta(y) > 2 and dropped after y's last step, so a
-vertex with eta = 2 never keeps one.
+the flows are those of a fresh build.  The fan is built at the first step
+at each y, kept only when eta(y) > 2 and dropped after y's last step, so
+a vertex with eta = 2 never keeps one.
 
 Repeating until every split count reaches 1 yields a loopless detachment
 whose degrees, per-color degrees, intra- and cross-fiber multiplicities all
@@ -111,17 +112,6 @@ from .multigraph import (
 # right-side stand-in for loops at y; sorts below all real vertex ids, so it
 # heads every row of the fan, and refine pairs its edges after the vertices'
 LOOP_PROXY: VertexId = -1
-
-
-# refine's output (owner, ends, mult, deg, settled): the pick's skeleton,
-# whose left node i + 2 is a unit (or a whole unsplit color vertex) of color
-# owner[i] and whose right node r + len(owner) + 2 is the fan's right
-# vertex r (the loop proxy at r = 0), with every node's degree; each
-# settled (color, r) is a double unit, left out of the pick, that moves one
-# edge end (a loop at r = 0).
-RefinedBipartite = Tuple[
-    List[int], List[Tuple[int, int]], List[int], List[int], List[Tuple[int, int]]
-]
 
 
 class MoveSet(NamedTuple):
@@ -188,33 +178,31 @@ def condition3_colors(cg: ColoredMultigraph, eta: AmalgamationSpec) -> Set[int]:
     return out
 
 
-def build_split_bipartite(cg: ColoredMultigraph, y: VertexId) -> Tuple[_Skeleton, List[VertexId]]:
+def build_split_bipartite(cg: ColoredMultigraph, y: VertexId) -> _LiveFan:
     """Fan graph: m(c_j, u) = per-color multiplicity to u, m(c_j, proxy) = 2*loops.
 
-    Returned as a bee skeleton and its right labels, the loop proxy (-1)
-    and then y's neighbors ascending: color j is node j + 1, the proxy node
-    k + 2.  Read straight off y's sorted rows, so the pairs come out in peel
-    order with the proxy first in each color, and the node degrees are
-    summed on the way.  The engine builds the fan once per y and keeps it
-    live across y's steps (`_LiveFan`); this builder is also the oracle
-    that `detach_all(check=True)` compares the live fan with.
+    Its right labels are the loop proxy (-1) and then y's neighbors
+    ascending: color j is node j + 1, the proxy node k + 2.  Read straight
+    off y's sorted rows, so each color's pairs come out in peel order with
+    the proxy first, and the node degrees are summed on the way.  The
+    engine builds the fan once per y and keeps it live across y's steps;
+    this builder is also the oracle that `detach_all(check=True)` compares
+    the live fan with.
     """
     rows = cg.rows_at(y)
-    k = len(rows)
-    rights = [LOOP_PROXY, *sorted({u for _, row in rows for u, _ in row})]
-    node = {w: i for i, w in enumerate(rights, k + 2)}
-    deg = [0] * (k + 2 + len(rights))
-    ends, mult = [], []
+    fan = _LiveFan(y, len(rows), [LOOP_PROXY, *sorted({u for _, row in rows for u, _ in row})])
+    node, deg = fan.node, fan.deg
     for a, (nl, row) in enumerate(rows, 2):
         if nl:
             row = [(LOOP_PROXY, 2 * nl), *row]
+        ends, mult = fan.ends[a - 1], fan.mult[a - 1]
         for u, n in row:
             b = node[u]
             ends.append((a, b))
             mult.append(n)
             deg[a] += n
             deg[b] += n
-    return _Skeleton(k, ends, mult, deg), rights
+    return fan
 
 
 def refine(
@@ -223,7 +211,7 @@ def refine(
     rights: List[VertexId],
     cond3: Set[int],
     component_map: Dict[int, Dict[VertexId, int]],
-) -> RefinedBipartite:
+) -> Tuple[List[int], _Skeleton, List[Tuple[int, int]]]:
     """Split condition-3 color vertices of the working subgraph into degree-2 units.
 
     Pairing is greedily maximal: first as many units as possible take two
@@ -231,14 +219,19 @@ def refine(
     pair within one component of their color class minus y, then whatever
     remains pairs in ascending vertex order, loop proxy last.  `working` is
     the working subgraph's multiplicity on each of the fan's pairs, and
-    `rights` the fan's right labels.  The units that pair parallel edges
-    are double units, settled without the pick (see the module docstring):
-    they come out as (color, r) in the order they are formed.  Every other
-    unit, and every color outside cond3 whole, is a left node of the pick,
-    in color order and each color's units in the order they are formed;
-    their pairs come out sorted, in node numbers, so the result is in peel
-    order, and so do the pick's node degrees.  Per condition-3 color,
+    `rights` the fan's right labels.  Per condition-3 color,
     `component_map` is a union-find whose roots (`_find`) are the labels.
+
+    Returns (owner, pick, settled).  The units that pair parallel edges
+    are double units, settled without the pick (see the module docstring):
+    `settled` lists them as (color, r), r the fan's right vertex (the loop
+    proxy at r = 0), in the order they are formed, and each moves one edge
+    end (a loop at r = 0).  Every other unit, and every color outside
+    cond3 whole, is a left node of the pick's skeleton: left node i + 2 is
+    of color owner[i], in color order and each color's units in the order
+    they are formed, and right node r + len(owner) + 2 is the fan's right
+    vertex r.  Its pairs are emitted sorted, so it is in peel order, and
+    its node degrees are summed on the way.
     """
     k = fan.n_left
     rows: List[List[Tuple[int, int]]] = [[] for _ in range(k + 1)]
@@ -309,7 +302,7 @@ def refine(
             mult += [1, 1]
     right = len(owner) + 2
     ends = [(u + 2, r + right) for u, r in ends]
-    return owner, ends, mult, [0, 0, *left_deg, *right_deg], settled
+    return owner, _Skeleton(len(owner), ends, mult, [0, 0, *left_deg, *right_deg]), settled
 
 
 def _component_map(
@@ -330,7 +323,8 @@ def _component_map(
 
 
 class _LiveFan:
-    """y's fan, kept live across y's steps (see the module docstring).
+    """y's fan, built by `build_split_bipartite` and kept live across y's
+    steps (see the module docstring).
 
     Per color j, its pairs in row order: `ends[j]` holds their nodes,
     sorted, and `mult[j]` their multiplicities; a pair whose multiplicity
@@ -341,15 +335,13 @@ class _LiveFan:
 
     __slots__ = ("y", "rights", "node", "ends", "mult", "deg")
 
-    def __init__(self, y: VertexId, fan: _Skeleton, rights: List[VertexId]) -> None:
-        """Seed from a fresh build, before a peel changes it."""
-        k = fan.n_left
-        self.y, self.rights, self.deg = y, rights, list(fan.deg)
+    def __init__(self, y: VertexId, k: int, rights: List[VertexId]) -> None:
+        """A fan of k colors without pairs, on the right labels `rights`."""
+        self.y, self.rights = y, rights
         self.node = {w: i for i, w in enumerate(rights, k + 2)}
-        # color j's pairs, at left node j + 1, are one slice of the sorted ends
-        cuts = [bisect_left(fan.ends, (a,)) for a in range(2, k + 3)]
-        self.ends = [[], *(fan.ends[lo:hi] for lo, hi in zip(cuts, cuts[1:]))]
-        self.mult = [[], *(fan.mult[lo:hi] for lo, hi in zip(cuts, cuts[1:]))]
+        self.deg = [0] * (k + 2 + len(rights))
+        self.ends = [[] for _ in range(k + 1)]
+        self.mult = [[] for _ in range(k + 1)]
 
     def skeleton(self) -> _Skeleton:
         """A fresh skeleton of the live pairs, the dead ones compacted out:
@@ -420,14 +412,13 @@ class _DetachState:
         return self.uf
 
     def fan_at(self, y: VertexId) -> Tuple[_Skeleton, List[VertexId]]:
-        """y's fan to peel and its right labels: the live fan's skeleton, or
-        a fresh build, kept live when a later step at y will use it."""
+        """The skeleton of y's fan to peel and its right labels; the fan is
+        built unless it is live, and kept when a later step at y will use it."""
         live = self.fan
-        if live is not None and live.y == y:
-            return live.skeleton(), live.rights
-        fan, rights = build_split_bipartite(self.cg, y)
-        self.fan = _LiveFan(y, fan, rights) if self.eta[y] > 2 else None
-        return fan, rights
+        if live is None or live.y != y:
+            live = build_split_bipartite(self.cg, y)
+            self.fan = live if self.eta[y] > 2 else None
+        return live.skeleton(), live.rights
 
     def apply(self, rec: StepRecord) -> None:
         """Apply one step to the working graph and bring the state up to date;
@@ -482,7 +473,7 @@ def _step(state: _DetachState, y: VertexId) -> StepRecord:
     working = list(map(add, first, second))
 
     cond3 = state.cond3
-    owner, ends, mult, deg, settled = refine(fan, working, rights, cond3, state.labels(y))
+    owner, pick, settled = refine(fan, working, rights, cond3, state.labels(y))
 
     # the condition-3 colors must split into exactly degree/eta units; each
     # unit takes two working edge ends, so the working degree is 2 * that
@@ -497,14 +488,13 @@ def _step(state: _DetachState, y: VertexId) -> StepRecord:
             raise AssertionError(f"color {j}: split into {units[j]} units, not {alpha}")
 
     # the pick keeps class 1; class 2 would be the rest (c = 1, no flow)
-    pick = _Skeleton(len(owner), ends, mult, deg)
     (picked,) = bee_coloring(pick, 2, upto=1)
 
     # a settled unit moves one edge end; a color's settled units were formed
     # before its other units, and the sort by color is stable
     right = len(owner) + 2
     moved = [(j, r, 1) for j, r in settled]
-    moved += [(owner[a - 2], b - right, n) for (a, b), n in zip(ends, picked) if n]
+    moved += [(owner[a - 2], b - right, n) for (a, b), n in zip(pick.ends, picked) if n]
     moved.sort(key=itemgetter(0))
     v_new = state.next_id
     edge_moves: Dict[int, Dict[VertexId, int]] = {}
@@ -566,18 +556,18 @@ def _check_state(state: _DetachState, y: VertexId) -> None:
                 )
     live = state.fan
     if live is not None:
-        fresh = _by_label(*build_split_bipartite(cur, live.y))
-        if _by_label(live.skeleton(), live.rights) != fresh:
+        if _by_label(live) != _by_label(build_split_bipartite(cur, live.y)):
             raise AssertionError(f"live fan of vertex {live.y} differs from a fresh build")
 
 
-def _by_label(fan: _Skeleton, rights: List[VertexId]) -> tuple:
-    """A fan's pairs as (color, right label, multiplicity) in order, its
-    color degrees and its right labels with their degrees, an isolated
-    right vertex left out unless it is the loop proxy, which a fresh build
-    always lists."""
-    k = fan.n_left
-    pairs = [(a - 1, rights[b - k - 2], n) for (a, b), n in zip(fan.ends, fan.mult)]
+def _by_label(fan: _LiveFan) -> tuple:
+    """A fan's pairs as (color, right label, multiplicity) in order, a dead
+    pair left out, its color degrees and its right labels with their
+    degrees, an isolated right vertex left out unless it is the loop proxy,
+    which a fresh build always lists."""
+    k, rights = len(fan.mult) - 1, fan.rights
+    ends, mult = chain.from_iterable(fan.ends), chain.from_iterable(fan.mult)
+    pairs = [(a - 1, rights[b - k - 2], n) for (a, b), n in zip(ends, mult) if n]
     right = [(w, d) for w, d in zip(rights, fan.deg[k + 2 :]) if d or w == LOOP_PROXY]
     return pairs, fan.deg[: k + 2], right
 

@@ -34,19 +34,20 @@ all costs one comparison (0 < n <= present).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
 
 from .errors import GraphError, PreconditionError
 
+if TYPE_CHECKING:  # importing fractions costs every CLI process milliseconds
+    from fractions import Fraction
+
 VertexId = int
 
-Rational = Union[int, Fraction]
+Rational = Union[int, "Fraction"]
 
 
 def approx(x: Rational, y: Rational) -> bool:
     """True iff floor(y) <= x <= ceil(y), evaluated in exact rational arithmetic."""
-    y = Fraction(y)
     return math.floor(y) <= x <= math.ceil(y)
 
 

@@ -1,4 +1,5 @@
-"""The package's public names, its import cost and its record types."""
+"""The package's public names, its import cost, its record types and the
+guards its public calls keep against bad input."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import pytest
 import fairdetach
 from fairdetach import (
     AmalgamationSpec,
+    ColoredMultigraph,
     DetachmentMap,
     DetachmentReport,
     DetachmentTrace,
@@ -23,7 +25,12 @@ from fairdetach import (
     Multigraph,
     MoveSet,
     StepRecord,
+    assert_step_relations,
+    detach_step,
+    evenly_equitable_coloring,
+    verify_detachment,
 )
+from helpers import outcome
 
 
 def test_every_public_name_resolves() -> None:
@@ -32,12 +39,12 @@ def test_every_public_name_resolves() -> None:
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect() -> None:
-    """Every CLI process imports the library first, and each of these two
+    """Every CLI process imports the library first, and each of these
     modules costs milliseconds a process never uses."""
     src = str(Path(fairdetach.__file__).resolve().parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import fairdetach.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal'} & set(sys.modules)))"
     )
     run = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
@@ -107,3 +114,56 @@ def test_record_defaults_are_fresh() -> None:
     assert DetachmentMap({0: 0}) == DetachmentMap({0: 0}, {})
     assert Feasibility(True) == Feasibility(True, None, None, None)
     assert GddParams((3, 2), 1, 2) == GddParams((2, 3), 1, 2)
+
+
+# (name, call, its outcome): guards on caller input that no other test
+# reaches; `outcome` gives the exception's type and message
+CM, ETA, PSI = ColoredMultigraph, AmalgamationSpec, DetachmentMap
+GUARDS = [
+    ("add_vertex", lambda: Multigraph().add_vertex(-1),
+     ("GraphError", "vertex ids must be nonnegative, got -1")),
+    ("add_edges", lambda: Multigraph([0, 1]).add_edges(0, 1, -1),
+     ("GraphError", "negative edge count -1")),
+    ("add_loops", lambda: Multigraph([0]).add_loops(0, -1),
+     ("GraphError", "negative loop count -1")),
+    ("no colors", lambda: CM(0, [0]),
+     ("GraphError", "color count must be positive, got 0")),
+    ("rows_at", lambda: CM(1, [0]).rows_at(1),
+     ("GraphError", "unknown vertex 1")),
+    ("eta value", lambda: ETA({0: 2}).value(1),
+     ("GraphError", "eta is undefined at vertex 1")),
+    ("eta domain", lambda: ETA({0: 2}).validate_against(Multigraph([0, 1])),
+     ("PreconditionError", "eta must be defined on exactly the graph's vertices")),
+    ("fiber", lambda: PSI({0: 0}, {0: [0]}).fiber(1),
+     ("GraphError", "no fiber for host vertex 1")),
+    ("fiber domain", lambda: PSI({0: 0}, {0: [0]}).validate(ETA({0: 1, 1: 1})),
+     ("GraphError", "fibers must cover exactly the host vertex set")),
+    ("fiber overlap", lambda: PSI({0: 0}, {0: [0, 0]}).validate(ETA({0: 2})),
+     ("GraphError", "fibers do not partition the detached vertex set")),
+    ("verify colors",
+     lambda: verify_detachment(CM(1, [0]), ETA({0: 1}), PSI({0: 0}, {0: [0]}), CM(2, [0])),
+     ("GraphError", "color counts differ: 1 vs 2")),
+    ("verify fibers",
+     lambda: verify_detachment(
+         CM(1, [0]), ETA({0: 2}), PSI({0: 0, 1: 0}, {0: [0, 1]}), CM(1, [0, 2])
+     ),
+     ("GraphError", "fibers do not partition the detached vertex set")),
+    ("verify onto",
+     lambda: verify_detachment(CM(1, [0]), ETA({1: 1}), PSI({0: 1}, {1: [0]}), CM(1, [0])),
+     ("GraphError", "psi is not onto the host vertex set")),
+    ("step eta 1", lambda: assert_step_relations(CM(1, [0]), CM(1, [0, 1]), 0, 1, ETA({0: 1})),
+     (False, "eta(0) was 1, below the step precondition")),
+    ("step colors", lambda: assert_step_relations(CM(1, [0]), CM(2, [0, 1]), 0, 1, ETA({0: 2})),
+     ("GraphError", "color counts differ: 1 vs 2")),
+    ("evencolor", lambda: evenly_equitable_coloring(Multigraph([0]), 0),
+     ("PreconditionError", "need at least one color, got 0")),
+    ("step at y", lambda: detach_step(CM(1, [0]), ETA({0: 1}), 1),
+     ("GraphError", "eta is undefined at vertex 1")),
+    ("step eta", lambda: detach_step(CM(1, [0, 1]), ETA({0: 2}), 0),
+     ("GraphError", "eta is undefined at vertex 1")),
+]
+
+
+@pytest.mark.parametrize("call, want", [row[1:] for row in GUARDS], ids=[row[0] for row in GUARDS])
+def test_library_guards_name_the_bad_input(call, want) -> None:
+    assert outcome(call) == want

@@ -117,8 +117,9 @@ def assert_peel_order(bipartite) -> None:
 def fan_graph(cg: ColoredMultigraph, y):
     """The fan of y as its skeleton and as a labeled (colors, rights, pairs)
     tuple."""
-    fan, rights = build_split_bipartite(cg, y)
-    return fan, skeleton_graph(fan, range(1, cg.k + 1), rights)
+    fan = build_split_bipartite(cg, y)
+    sk = fan.skeleton()
+    return sk, skeleton_graph(sk, range(1, cg.k + 1), fan.rights)
 
 
 def test_build_split_bipartite_loop_rule() -> None:
@@ -165,9 +166,9 @@ def expand_refined(refined, rights, picked):
     pair (label, w, 2) and picked 1, among the other units in the order
     they were formed: (owner, (lefts, rights, pairs)) and the pick's class
     1 on those pairs, as the engine built them before it settled units."""
-    owner, ends, mult, _, settled = refined
+    owner, pick, settled = refined
     rows = [[] for _ in owner]
-    for (a, b), n, f in zip(ends, mult, picked):
+    for (a, b), n, f in zip(pick.ends, pick.mult, picked):
         rows[a - 2].append((rights[b - len(owner) - 2], n, f))
     units = [(j, [(rights[r], 2, 1)]) for j, r in settled]
     units += zip(owner, rows)
@@ -180,14 +181,18 @@ def expand_refined(refined, rights, picked):
 def refine_rows(rows: dict, cond3, comp_map):
     """refine on a working subgraph given as rows {color: {w: n}}, read as
     the engine reads it off a fan skeleton; its output is returned with
-    the settled units put back (see expand_refined), beside the raw one."""
+    the settled units put back (see expand_refined), beside the raw one,
+    the pick's skeleton as its pairs and degrees: (owner, ends, mult, deg,
+    settled)."""
     k = max(rows)
     rights = [LOOP_PROXY, *sorted({w for row in rows.values() for w in row} - {LOOP_PROXY})]
     pairs = [(j, w, rows[j][w]) for j in sorted(rows) for w in sorted(rows[j])]
     fan = _skeleton_of((range(1, k + 1), rights, pairs))
     raw = refine(fan, fan.mult, rights, cond3, comp_map)
-    owner, graph, _ = expand_refined(raw, rights, [0] * len(raw[1]))
-    return (owner, graph), raw
+    owner, pick, settled = raw
+    assert pick.n_left == len(owner)
+    owner, graph, _ = expand_refined(raw, rights, [0] * len(pick.ends))
+    return (owner, graph), (raw[0], pick.ends, pick.mult, pick.deg, settled)
 
 
 def units_of(refined, j):
@@ -332,10 +337,10 @@ def test_step_rejects_a_qualifying_color_short_of_units(monkeypatch) -> None:
     cg, eta = loops_only_instance(3, 3, 3)  # every color: degree 6, 2 units
 
     def short_refine(*args):
-        owner, ends, mult, deg, settled = refine(*args)
+        owner, pick, settled = refine(*args)
         # every unit of this step is a double unit, settled outside the pick
         drop = max(i for i, (j, _) in enumerate(settled) if j == 2)
-        return owner, ends, mult, deg, settled[:drop] + settled[drop + 1 :]
+        return owner, pick, settled[:drop] + settled[drop + 1 :]
 
     monkeypatch.setattr(engine, "refine", short_refine)
     state = engine._DetachState(cg.copy(), dict(eta.eta))
@@ -590,7 +595,7 @@ def test_step_matches_graph_building_reference(family: str, monkeypatch) -> None
                 want = reference_step(state.cg, y, state.eta[y], cond3, comp_map)
                 del colorings[:], refines[:]
                 moves = engine._step(state, y).moves
-                [((fan, fan_given), classes), ((_, pick_given), picked)] = colorings
+                [((fan, fan_given), classes), ((pick, pick_given), picked)] = colorings
                 [((fan_refined, working, rights, _, _), refined)] = refines
                 assert fan_refined is fan
                 k = cg.k
@@ -615,9 +620,8 @@ def test_step_matches_graph_building_reference(family: str, monkeypatch) -> None
                 assert got == want
                 # the pick peels refine's skeleton, the settled units left
                 # out, with the degrees refine summed
-                _, ends, mult, deg, _ = refined
-                assert (pick_given.ends, pick_given.mult, pick_given.deg) == (ends, mult, deg)
-                assert deg == summed_degrees(pick_given)
+                assert pick is refined[1]
+                assert pick_given.deg == summed_degrees(pick_given)
                 steps += 1
     assert steps > 0
     assert isolated or family != "fuzz"
@@ -638,18 +642,10 @@ def test_live_fan_matches_a_fresh_build_on_every_step(family: str, monkeypatch) 
     """Before every step at a y that an earlier step used, the live fan's
     skeleton has the pairs of a fresh build in its order, with the same
     multiplicities and degrees, by label; a right vertex y has lost stays
-    in it with degree 0.  A fan is seeded exactly at the first step at a y
-    with eta > 2 and dropped after y's last step."""
-    seeds: list = []
-
-    class Recorded(engine._LiveFan):
-        __slots__ = ()
-
-        def __init__(self, y, fan, rights):
-            seeds.append(y)
-            super().__init__(y, fan, rights)
-
-    monkeypatch.setattr(engine, "_LiveFan", Recorded)
+    in it with degree 0.  A fan is built exactly at the first step at a y,
+    kept exactly when eta > 2 and dropped after y's last step."""
+    builds: list = []
+    recording(monkeypatch, "build_split_bipartite", builds)
     seen = dict.fromkeys(["live", "dead", "isolated", "y changes", "eta 2"], 0)
     for cg, eta in step_instances(family):
         state = engine._DetachState(cg.copy(), dict(eta.eta))
@@ -664,7 +660,8 @@ def test_live_fan_matches_a_fresh_build_on_every_step(family: str, monkeypatch) 
                 if live is not None:
                     assert live.y == y
                     sk = live.skeleton()
-                    fresh, rights = build_split_bipartite(state.cg, y)
+                    fresh_fan = build_split_bipartite(state.cg, y)
+                    fresh, rights = fresh_fan.skeleton(), fresh_fan.rights
                     got = skeleton_graph(sk, range(1, k + 1), live.rights)
                     assert got[2] == skeleton_graph(fresh, range(1, k + 1), rights)[2]
                     assert sk.deg[: k + 2] == fresh.deg[: k + 2]
@@ -677,9 +674,11 @@ def test_live_fan_matches_a_fresh_build_on_every_step(family: str, monkeypatch) 
                     seen["live"] += 1
                     seen["dead"] += len(sk.mult) < sum(map(len, live.mult))
                     seen["isolated"] += len(lost)
-                n_seeds = len(seeds)
+                del builds[:]
                 engine._step(state, y)
-                assert seeds[n_seeds:] == ([y] if first and eta.value(y) > 2 else [])
+                assert len(builds) == first
+                kept = builds[0][1] if first else live
+                assert state.fan is (kept if state.eta[y] >= 2 else None)
                 first = False
             assert state.fan is None
             fan_ys += eta.value(y) > 2
@@ -734,7 +733,7 @@ def test_pick_matches_the_full_pick_of_every_unit(family: str, monkeypatch) -> N
         nonlocal empty
         wants.append(reference_pick(*args))
         out = refine(*args)
-        empty += not out[1]
+        empty += not out[1].ends
         return out
 
     monkeypatch.setattr(engine, "refine", checked_refine)

@@ -295,6 +295,11 @@ def test_ham_checker_two_vertex_double_edge() -> None:
     assert ok, witness
 
 
+def test_ham_checker_rejects_a_one_vertex_cycle() -> None:
+    ok, witness = verify_ham_decomposition(Multigraph([0]), [[0]])
+    assert (ok, witness) == (False, "cycle 0 is shorter than 2")
+
+
 def test_is_gdd_bipartite() -> None:
     g = Multigraph(range(4))
     for u in (0, 1):
