@@ -175,7 +175,7 @@ def doc_to_graph(
             )
             fibers[w] = members
         try:
-            psi = DetachmentMap.from_fibers(fibers)
+            psi = DetachmentMap(fibers)
         except GraphError as exc:
             raise DocumentError(f"bad psi: {exc}") from exc
     return cg, eta, psi

@@ -65,10 +65,11 @@ preserved for the condition-3 colors.  Everything is deterministic: lowest
 vertex id first, lowest color first.
 
 `detach_all` (and `detach_step`, on a copy of its inputs) drives one mutable
-state: a working copy of the graph that each step's moves are applied to in
-place, the split counts, the next vertex id, the condition-3 colors, per
-condition-3 color a union-find over the color class minus y, and y's live
-fan.
+state: a working copy of the graph that each step's record is applied to in
+place through `apply_moves`, the split counts, the next vertex id, the
+condition-3 colors, per condition-3 color a union-find over the color class
+minus y, and y's live fan.  `apply_moves` is the one path from a step
+record to a graph: `DetachmentTrace.replay` takes it too, on copies.
 
 The condition-3 colors are computed once, because no fair step changes
 them.  A step changes degrees only at y and the new vertex: a moved edge y-w
@@ -143,20 +144,19 @@ class DetachmentTrace(_Record):
         super().__init__([] if steps is None else steps)
 
     def replay(self, start: ColoredMultigraph) -> List[ColoredMultigraph]:
-        """All intermediate graphs, starting graph first, final graph last."""
+        """All intermediate graphs, starting graph first, final graph last;
+        each stage is a copy of its own, and start is left as it was."""
         out = [start.copy()]
-        cur = start
         for rec in self.steps:
-            cur = apply_moves(cur, rec)
-            out.append(cur)
+            out.append(out[-1].copy())
+            apply_moves(out[-1], rec)
         return out
 
 
-def apply_moves(cg: ColoredMultigraph, rec: StepRecord) -> ColoredMultigraph:
-    """Apply one recorded step to a copy of cg and return the new graph."""
-    out = cg.copy()
-    out.split_off(rec.y, rec.v_new, rec.moves.edge_moves, rec.moves.loop_moves)
-    return out
+def apply_moves(cg: ColoredMultigraph, rec: StepRecord) -> None:
+    """Apply one recorded step to cg in place; the one path from a step
+    record to a graph, which the engine's own steps take too."""
+    cg.split_off(rec.y, rec.v_new, rec.moves.edge_moves, rec.moves.loop_moves)
 
 
 def condition3_colors(cg: ColoredMultigraph, eta: AmalgamationSpec) -> Set[int]:
@@ -424,7 +424,7 @@ class _DetachState:
         """Apply one step to the working graph and bring the state up to date;
         `labels(rec.y)` and `fan_at(rec.y)` must have been called for this y."""
         y, v_new = rec.y, rec.v_new
-        self.cg.split_off(y, v_new, rec.moves.edge_moves, rec.moves.loop_moves)
+        apply_moves(self.cg, rec)
         self.eta[y] -= 1
         self.eta[v_new] = 1
         self.next_id = v_new + 1
@@ -625,6 +625,6 @@ def detach_all(
         )
     if not all(cur.layer(j).is_loopless() for j in range(1, cur.k + 1)):
         raise AssertionError("detached graph still carries loops")
-    psi = DetachmentMap.from_fibers(fibers)
+    psi = DetachmentMap(fibers)
     psi.validate(eta)
     return cur, psi, trace

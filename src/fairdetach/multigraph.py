@@ -473,32 +473,27 @@ class AmalgamationSpec(_FrozenRecord):
 
 
 class DetachmentMap(_FrozenRecord):
-    """Surjection psi from detached vertices onto host vertices, with its fibers.
-
-    fibers[w] lists psi^-1(w) in creation order, the host vertex itself first;
-    the fibers partition the detached vertex set.
+    """Surjection psi from detached vertices onto host vertices, kept as its
+    fibers: fibers[w] lists psi^-1(w) in creation order, the host vertex
+    itself first.  The constructor copies the lists and rejects a vertex in
+    two fibers, so the fibers are disjoint; `psi` is read off them.
     """
 
-    __slots__ = ("psi", "fibers")
-    psi: Dict[VertexId, VertexId]
+    __slots__ = ("fibers",)
     fibers: Dict[VertexId, List[VertexId]]
 
-    def __init__(
-        self,
-        psi: Dict[VertexId, VertexId],
-        fibers: Optional[Dict[VertexId, List[VertexId]]] = None,
-    ) -> None:
-        super().__init__(psi, {} if fibers is None else fibers)
-
-    @classmethod
-    def from_fibers(cls, fibers: Dict[VertexId, List[VertexId]]) -> "DetachmentMap":
-        psi = {}
-        for w, fiber in fibers.items():
+    def __init__(self, fibers: Dict[VertexId, List[VertexId]]) -> None:
+        seen = set()
+        for fiber in fibers.values():
             for u in fiber:
-                if u in psi:
+                if u in seen:
                     raise GraphError(f"vertex {u} appears in two fibers")
-                psi[u] = w
-        return cls(psi=psi, fibers={w: list(f) for w, f in fibers.items()})
+                seen.add(u)
+        super().__init__({w: list(f) for w, f in fibers.items()})
+
+    @property
+    def psi(self) -> Dict[VertexId, VertexId]:
+        return {u: w for w, fiber in self.fibers.items() for u in fiber}
 
     def fiber(self, w: VertexId) -> List[VertexId]:
         if w not in self.fibers:
@@ -513,5 +508,3 @@ class DetachmentMap(_FrozenRecord):
                 raise GraphError(
                     f"fiber of {w} has size {len(fiber)}, expected eta={spec.eta[w]}"
                 )
-        if len(self.psi) != sum(len(f) for f in self.fibers.values()):
-            raise GraphError("fibers do not partition the detached vertex set")

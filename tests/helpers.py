@@ -1301,7 +1301,7 @@ def reference_verify_detachment(
 # ---------------------------------------------------------------------------
 # the step, trace and GDD checkers as they were before they became tables:
 # one hand-written check per relation, read through multiplicity() calls,
-# with the trace replayed through the copying apply_moves
+# with each step of the trace applied by apply_moves to a copy of its own
 
 
 def reference_is_gdd(
@@ -1441,8 +1441,9 @@ def reference_verify_trace(
             return False, f"step {step_no}: eta({rec.y}) was {count}, below the step precondition"
         if rec.eta_y_before != count:
             return False, f"step {step_no}: eta({rec.y}) was {count}, not {rec.eta_y_before}"
+        cur = cur.copy()
         try:
-            cur = apply_moves(cur, rec)
+            apply_moves(cur, rec)
         except GraphError as exc:
             raise GraphError(f"step {step_no}: {exc}") from None
         root = origin.get(rec.y, rec.y)

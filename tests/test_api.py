@@ -62,8 +62,7 @@ RECORDS = [
      {"y": 0, "v_new": 1, "eta_y_before": 3, "moves": MOVES}, True, False),
     (DetachmentTrace, {"steps": [StepRecord(0, 1, 2, MOVES)]}, {"steps": []}, False, False),
     (AmalgamationSpec, {"eta": {0: 2, 1: 1}}, {"eta": {0: 3, 1: 1}}, True, False),
-    (DetachmentMap, {"psi": {0: 0, 1: 0}, "fibers": {0: [0, 1]}},
-     {"psi": {0: 0, 1: 0}, "fibers": {0: [1, 0]}}, True, False),
+    (DetachmentMap, {"fibers": {0: [0, 1]}}, {"fibers": {0: [1, 0]}}, True, False),
     (GddParams, {"sizes": (2, 3), "lambda1": 1, "lambda2": 2},
      {"sizes": (2, 3), "lambda1": 1, "lambda2": 3}, True, True),
     (Feasibility, {"feasible": False, "k": None, "condition": "G2", "reason": "odd"},
@@ -111,7 +110,6 @@ def test_record_defaults_are_fresh() -> None:
     assert DetachmentTrace() == DetachmentTrace([])
     assert DetachmentTrace().steps is not DetachmentTrace().steps
     assert DetachmentReport().verdicts is not DetachmentReport().verdicts
-    assert DetachmentMap({0: 0}) == DetachmentMap({0: 0}, {})
     assert Feasibility(True) == Feasibility(True, None, None, None)
     assert GddParams((3, 2), 1, 2) == GddParams((2, 3), 1, 2)
 
@@ -134,22 +132,20 @@ GUARDS = [
      ("GraphError", "eta is undefined at vertex 1")),
     ("eta domain", lambda: ETA({0: 2}).validate_against(Multigraph([0, 1])),
      ("PreconditionError", "eta must be defined on exactly the graph's vertices")),
-    ("fiber", lambda: PSI({0: 0}, {0: [0]}).fiber(1),
+    ("fiber", lambda: PSI({0: [0]}).fiber(1),
      ("GraphError", "no fiber for host vertex 1")),
-    ("fiber domain", lambda: PSI({0: 0}, {0: [0]}).validate(ETA({0: 1, 1: 1})),
+    ("fiber domain", lambda: PSI({0: [0]}).validate(ETA({0: 1, 1: 1})),
      ("GraphError", "fibers must cover exactly the host vertex set")),
-    ("fiber overlap", lambda: PSI({0: 0}, {0: [0, 0]}).validate(ETA({0: 2})),
-     ("GraphError", "fibers do not partition the detached vertex set")),
+    ("fiber overlap", lambda: PSI({0: [0, 0]}),
+     ("GraphError", "vertex 0 appears in two fibers")),
     ("verify colors",
-     lambda: verify_detachment(CM(1, [0]), ETA({0: 1}), PSI({0: 0}, {0: [0]}), CM(2, [0])),
+     lambda: verify_detachment(CM(1, [0]), ETA({0: 1}), PSI({0: [0]}), CM(2, [0])),
      ("GraphError", "color counts differ: 1 vs 2")),
     ("verify fibers",
-     lambda: verify_detachment(
-         CM(1, [0]), ETA({0: 2}), PSI({0: 0, 1: 0}, {0: [0, 1]}), CM(1, [0, 2])
-     ),
+     lambda: verify_detachment(CM(1, [0]), ETA({0: 2}), PSI({0: [0, 1]}), CM(1, [0, 2])),
      ("GraphError", "fibers do not partition the detached vertex set")),
     ("verify onto",
-     lambda: verify_detachment(CM(1, [0]), ETA({1: 1}), PSI({0: 1}, {1: [0]}), CM(1, [0])),
+     lambda: verify_detachment(CM(1, [0]), ETA({1: 1}), PSI({1: [0]}), CM(1, [0])),
      ("GraphError", "psi is not onto the host vertex set")),
     ("step eta 1", lambda: assert_step_relations(CM(1, [0]), CM(1, [0, 1]), 0, 1, ETA({0: 1})),
      (False, "eta(0) was 1, below the step precondition")),

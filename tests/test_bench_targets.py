@@ -40,3 +40,19 @@ def test_every_tracer_target_resolves() -> None:
         if not found:
             unresolved.append(f"{module}.{attr} ({key})")
     assert not unresolved, unresolved
+
+
+def test_tracer_apply_phase_sees_every_step() -> None:
+    """Each engine step applies its record through `engine.apply_moves`, so
+    the tracer's apply-moves phase times real work on every step."""
+    importlib.import_module("fairdetach.cli")  # the tracer wraps every target module
+    from fairdetach.engine import detach_all
+    from fairdetach.multigraph import AmalgamationSpec, ColoredMultigraph
+
+    cg = ColoredMultigraph(1, [0])
+    cg.layer(1).add_loops(0, 5)
+    tracer = load_tracer()
+    with tracer.Tracer() as t:
+        detach_all(cg, AmalgamationSpec({0: 5}))
+    assert t.calls("engine.apply_moves") == t.calls("engine.step") == 4
+    assert tracer.leftover_wrappers() == []

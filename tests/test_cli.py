@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import random
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ import pytest
 from fairdetach import document
 from fairdetach.engine import detach_all
 from fairdetach.errors import DocumentError
+from fairdetach.fuzzgen import random_detach_instance
 from fairdetach.multigraph import AmalgamationSpec, ColoredMultigraph
 from fairdetach.verify import CONDITION_ORDER
 
@@ -466,15 +468,18 @@ def test_decomposition_round_trip() -> None:
 
 
 def test_psi_round_trip() -> None:
-    cg = ColoredMultigraph(1, [0])
-    cg.layer(1).add_loops(0, 3)
-    eta = AmalgamationSpec({0: 3})
-    g, psi, _ = detach_all(cg, eta)
-    doc = document.graph_to_doc(g, psi=psi)
-    _, _, psi2 = document.doc_to_graph(doc)
-    assert psi2 is not None
-    assert psi2.fibers == psi.fibers
-    assert psi2.psi == psi.psi
+    """The map the engine returns and the one read back from its document
+    have the same fibers, and psi sends each vertex of g into its fiber."""
+    instances = [random_detach_instance(random.Random(seed)) for seed in range(40)]
+    for cg, eta in instances:
+        g, psi, _ = detach_all(cg, eta)
+        doc = document.graph_to_doc(g, psi=psi)
+        _, _, psi2 = document.doc_to_graph(doc)
+        assert psi2 is not None
+        assert psi2.fibers == psi.fibers
+        for m in (psi, psi2):
+            assert sorted(m.psi) == g.vertices
+            assert all(u in m.fiber(w) for u, w in m.psi.items())
 
 
 _GRAPH_DOC = {

@@ -429,6 +429,19 @@ def test_detach_all_step_count_and_trace_replay() -> None:
     assert stages[-1] == g
 
 
+def test_trace_replay_stages_are_independent_copies() -> None:
+    cg, eta = lambda_kn_host(5, 1)
+    cg0 = cg.copy()
+    _, _, trace = detach_all(cg, eta)
+    stages = trace.replay(cg)
+    assert cg == cg0
+    assert len({id(s) for s in stages + [cg]}) == len(trace.steps) + 2
+    for i, rec in enumerate(trace.steps):
+        after = stages[i + 1].copy()
+        stages[i].layer(1).add_loops(rec.y, 1)
+        assert stages[i + 1] == after
+
+
 def test_detach_all_lambda_k5_from_loops() -> None:
     # one amalgamated vertex with 10 loops in 2 colors of 5 each detaches to
     # K_5 with both classes spanning cycles
@@ -762,6 +775,12 @@ def _reference_apply(cg: ColoredMultigraph, rec: StepRecord) -> ColoredMultigrap
     return out
 
 
+def _apply_to_copy(cg: ColoredMultigraph, rec: StepRecord) -> ColoredMultigraph:
+    out = cg.copy()
+    engine.apply_moves(out, rec)
+    return out
+
+
 def _move_mutants(cg: ColoredMultigraph, rec: StepRecord):
     """rec with one odd entry each: zero, negative and over-counts, an
     unknown w, w == y, w == v_new, an unknown color, an unknown y and a new
@@ -795,20 +814,21 @@ def _move_mutants(cg: ColoredMultigraph, rec: StepRecord):
 
 
 def test_moves_match_the_checked_reference_on_fuzz_traces() -> None:
-    """apply_moves (the one move path) against the old pair-by-pair move, on
-    every step of the fuzz traces and on mutated move sets."""
+    """apply_moves (the one move path), on a copy, against the old
+    pair-by-pair move, on every step of the fuzz traces and on mutated move
+    sets."""
     steps, errors = 0, set()
     for cg, eta in step_instances("fuzz"):
         _, _, trace = detach_all(cg, eta)
         cur = cg
         for rec in trace.steps:
             for cand in _move_mutants(cur, rec):
-                got = outcome(engine.apply_moves, cur, cand)
+                got = outcome(_apply_to_copy, cur, cand)
                 assert got == outcome(_reference_apply, cur, cand)
                 if isinstance(got, tuple):
                     assert got[0] == "GraphError"
                     errors.add(re.sub(r"-?\d+", "N", got[1]))
-            nxt = engine.apply_moves(cur, rec)
+            nxt = _apply_to_copy(cur, rec)
             assert nxt == _reference_apply(cur, rec)
             cur = nxt
             steps += 1

@@ -224,10 +224,22 @@ def test_amalgamation_spec_positive() -> None:
 
 
 def test_detachment_map_fibers() -> None:
-    m = DetachmentMap.from_fibers({0: [0, 2], 1: [1]})
+    fibers = {0: [0, 2], 1: [1]}
+    m = DetachmentMap(fibers)
+    fibers[0].append(3)
+    assert m.fibers == {0: [0, 2], 1: [1]}
     assert m.psi == {0: 0, 2: 0, 1: 1}
     m.validate(AmalgamationSpec({0: 2, 1: 1}))
     with pytest.raises(GraphError):
         m.validate(AmalgamationSpec({0: 3, 1: 1}))
-    with pytest.raises(GraphError):
-        DetachmentMap.from_fibers({0: [0, 2], 1: [2]})
+    with pytest.raises(AttributeError):
+        m.psi = {0: 1}  # type: ignore[misc]
+    with pytest.raises(GraphError, match=r"^vertex 2 appears in two fibers$"):
+        DetachmentMap({0: [0, 2], 1: [2]})
+    with pytest.raises(GraphError, match=r"^vertex 0 appears in two fibers$"):
+        DetachmentMap({0: [0], 1: [0]})
+    # a map is built from its fibers alone, so psi cannot disagree with them
+    with pytest.raises(TypeError):
+        DetachmentMap({7: 5}, {0: [0]})  # type: ignore[call-arg]
+    with pytest.raises(TypeError):
+        DetachmentMap()  # type: ignore[call-arg]

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -83,7 +84,7 @@ def test_structural_mismatch_raises_rather_than_reports() -> None:
     h, eta, psi, g, _ = triangle_pair()
     with pytest.raises(GraphError):
         verify_detachment(h, AmalgamationSpec({0: 2}), psi, g)
-    bad_map = DetachmentMap.from_fibers({0: [0, 1]})
+    bad_map = DetachmentMap({0: [0, 1]})
     with pytest.raises(GraphError):
         verify_detachment(h, eta, bad_map, g)
 
@@ -166,7 +167,7 @@ def _pinned_detachment():
     h.layer(2).add_edges(0, 1, 9)
     h.layer(2).add_loops(0, 3)
     eta = AmalgamationSpec({0: 3, 1: 3})
-    psi = DetachmentMap.from_fibers({0: [0, 2, 4], 1: [1, 3, 5]})
+    psi = DetachmentMap({0: [0, 2, 4], 1: [1, 3, 5]})
     g = ColoredMultigraph(2, range(6))
     for u, v in [(0, 2), (2, 1), (1, 3), (3, 4), (4, 5), (5, 0)]:
         g.layer(1).add_edges(u, v)
@@ -384,6 +385,42 @@ def test_trace_replay_relations() -> None:
         g, psi, trace = detach_all(cg, eta)
         ok, witness = verify_trace(cg, eta, trace)
         assert ok, witness
+
+
+def _smallest_scope():
+    """Every host on vertices {0, 1} with k = 2: multiplicity 0..2 on the
+    pair per color, 0..2 loops per vertex and color and eta 1..3 per vertex,
+    leaving out a vertex with eta 1 that carries loops and the hosts with
+    nothing to split."""
+    per_vertex = [(1, (0, 0))] + [
+        (n, loops) for n in (2, 3) for loops in product(range(3), repeat=2)
+    ]
+    for mult, (n0, loops0), (n1, loops1) in product(
+        product(range(3), repeat=2), per_vertex, per_vertex
+    ):
+        if n0 == n1 == 1:
+            continue
+        h = ColoredMultigraph(2, [0, 1])
+        for j in (1, 2):
+            h.layer(j).add_edges(0, 1, mult[j - 1])
+            h.layer(j).add_loops(0, loops0[j - 1])
+            h.layer(j).add_loops(1, loops1[j - 1])
+        yield h, AmalgamationSpec({0: n0, 1: n1})
+
+
+def test_every_host_of_the_smallest_scope_detaches_and_verifies() -> None:
+    """A stated guarantee up to a size, not a sample: every host of the
+    scope detaches under the step checks, and both checkers accept it."""
+    hosts = steps = 0
+    for h, eta in _smallest_scope():
+        g, psi, trace = detach_all(h, eta, check=True)
+        assert verify_detachment(h, eta, psi, g).ok
+        assert verify_trace(h, eta, trace) == (True, None)
+        assert sorted(psi.psi) == g.vertices
+        assert all(u in psi.fiber(w) for u, w in psi.psi.items())
+        hosts += 1
+        steps += len(trace.steps)
+    assert (hosts, steps) == (3240, 9234)
 
 
 def _mutate_step(rng: random.Random, g: ColoredMultigraph, y, v_new):
