@@ -12,7 +12,6 @@ from .bee import (
     is_balanced,
     is_equalized,
     is_equitable,
-    konig_proper_coloring,
 )
 from .engine import (
     DetachmentTrace,
@@ -29,11 +28,8 @@ from .errors import (
     PreconditionError,
 )
 from .evencolor import (
-    EulerCircuit,
-    euler_circuit,
     evenly_equitable_coloring,
     is_evenly_equitable,
-    two_factorization,
 )
 from .hamilton import (
     Feasibility,
@@ -49,7 +45,6 @@ from .multigraph import (
     ColoredMultigraph,
     DetachmentMap,
     Multigraph,
-    approx,
 )
 from .verify import (
     DetachmentReport,
@@ -69,7 +64,6 @@ __all__ = [
     "DetachmentReport",
     "DetachmentTrace",
     "DocumentError",
-    "EulerCircuit",
     "Feasibility",
     "GddParams",
     "GraphError",
@@ -79,13 +73,11 @@ __all__ = [
     "Multigraph",
     "PreconditionError",
     "StepRecord",
-    "approx",
     "assert_step_relations",
     "bee_coloring",
     "condition3_colors",
     "detach_all",
     "detach_step",
-    "euler_circuit",
     "evenly_equitable_coloring",
     "gdd_feasible",
     "ham_decompose_gdd",
@@ -95,8 +87,6 @@ __all__ = [
     "is_equitable",
     "is_evenly_equitable",
     "is_gdd",
-    "konig_proper_coloring",
-    "two_factorization",
     "verify_detachment",
     "verify_ham_decomposition",
     "verify_trace",

@@ -26,12 +26,6 @@ such as a pair that earlier classes emptied, keeps its place with
 capacity 0 both ways; the search skips it like any saturated arc, so the
 flows are those of a network built without it.  The engine hands
 `bee_coloring` skeletons it built.
-
-`konig_proper_coloring` is the proper coloring of Konig's theorem (1916):
-a bipartite multigraph of maximum degree at most k has a proper
-k-edge-coloring.  It needs no algorithm of its own, since an equitable
-k-coloring (de Werra 1971) gives each vertex of degree d <= k at most one
-edge of each color.
 """
 
 from __future__ import annotations
@@ -205,17 +199,3 @@ def bee_coloring(
         raise AssertionError("peeling left edges uncolored")
     return classes
 
-
-def konig_proper_coloring(bg: SortedBipartite, k: int) -> Classes:
-    """Proper k-edge-coloring of a bipartite multigraph with max degree <= k.
-
-    Konig (1916): such a coloring exists.  It is the equitable coloring of
-    `bee_coloring` (de Werra 1971): a vertex of degree d <= k sees each
-    color floor(d/k) or ceil(d/k) times, that is 0 or 1, so no two edges
-    at a vertex share a color.
-    """
-    sk = _skeleton_of(bg)
-    top = max(sk.deg)
-    if top > k:
-        raise PreconditionError(f"max degree {top} exceeds color count {k}")
-    return bee_coloring(sk, k)

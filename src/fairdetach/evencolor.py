@@ -10,20 +10,16 @@ and the windows compose across the peeling recursion exactly as in the
 bipartite colorings.  Loops are 2-contribution units assigned atomically
 to the currently lightest class of their vertex.
 
-One walk serves every traversal (`_walk`): Hierholzer's stack walk, loops
-first, then the smallest neighbor with an unused edge.  It spends rows read
-once (neighbor -> count, ascending) and drops a neighbor whose count runs
-out, so the smallest live neighbor is the row's first key.  `euler_circuit`,
-`_orient` and the Hamiltonian generators' cycle read-off all run it.
+The orientation (`_orient`) walks each component with Hierholzer's stack
+walk (`_walk`), always to the smallest neighbor with an unused edge.  It
+spends rows read once (neighbor -> count, ascending) and drops a neighbor
+whose count runs out, so the smallest live neighbor is the row's first key.
 
 The peel sorts the oriented arcs once into an integer skeleton: each arc's
 uncolored count (`mult`), each vertex's uncolored out-degree (`half`) and
 one `flows.Network` (the arcs, then one arc per vertex) for every class.
 Each class is subtracted in place; an emptied arc keeps its place with
 capacity 0 both ways, which the search skips like any saturated arc.
-
-Euler circuits and Petersen 2-factorizations are exposed as operations in
-their own right; the 2-factorization also serves as a small-case oracle.
 """
 
 from __future__ import annotations
@@ -31,27 +27,14 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Tuple
 
-from .bee import bee_coloring
 from .errors import PreconditionError
 from .flows import Network, Residual, feasible_circulation
-from .multigraph import ColoredMultigraph, Multigraph, VertexId, _FrozenRecord
+from .multigraph import ColoredMultigraph, Multigraph, VertexId
 
 
-class EulerCircuit(_FrozenRecord):
-    """Closed traversal of one component; loops appear as (v, v) steps."""
-
-    __slots__ = ("steps",)
-    steps: Tuple[Tuple[VertexId, VertexId], ...]
-
-    def __init__(self, steps: Tuple[Tuple[VertexId, VertexId], ...]) -> None:
-        super().__init__(steps)
-
-
-def _walk(
-    adj: Dict[VertexId, Dict[VertexId, int]], loops: Dict[VertexId, int], root: VertexId
-) -> List[VertexId]:
+def _walk(adj: Dict[VertexId, Dict[VertexId, int]], root: VertexId) -> List[VertexId]:
     """Closed walk from `root` over every edge reachable from it, as a vertex
-    sequence: loops first, then the smallest neighbor with an unused edge.
+    sequence, always to the smallest neighbor with an unused edge.
 
     Spends the counts it is given: `adj` rows must list neighbors in
     ascending order with positive counts, and walked entries are removed.
@@ -60,10 +43,6 @@ def _walk(
     trail: List[VertexId] = []
     while stack:
         v = stack[-1]
-        if loops.get(v):
-            loops[v] -= 1
-            stack.append(v)
-            continue
         row = adj[v]
         if not row:
             trail.append(stack.pop())
@@ -80,27 +59,6 @@ def _walk(
     return trail
 
 
-def euler_circuit(g: Multigraph, component_root: VertexId) -> EulerCircuit:
-    """Euler circuit of the component containing `component_root`.
-
-    Every vertex of that component must have even degree.  Deterministic:
-    the walk always takes the smallest available neighbor, loops first.
-    """
-    comp = next((c for c in g.components() if component_root in c), None)
-    if comp is None:
-        raise PreconditionError(f"unknown vertex {component_root}")
-    for v in comp:
-        if g.degree(v) % 2:
-            raise PreconditionError(f"vertex {v} has odd degree {g.degree(v)}")
-
-    adj = {v: dict(g.row(v)) for v in comp}
-    trail = _walk(adj, {v: g.loops(v) for v in comp}, component_root)
-    steps = tuple(zip(trail, trail[1:]))
-    if 2 * len(steps) != sum(g.degree(v) for v in comp):
-        raise AssertionError("euler walk did not cover the component")
-    return EulerCircuit(steps=steps)
-
-
 def _orient(g: Multigraph) -> Dict[Tuple[VertexId, VertexId], int]:
     """Euler orientation of an even graph's edges (loops are ignored):
     arc (u, v) -> count, each component walked from its smallest vertex."""
@@ -108,45 +66,12 @@ def _orient(g: Multigraph) -> Dict[Tuple[VertexId, VertexId], int]:
     arcs: Dict[Tuple[VertexId, VertexId], int] = {}
     for root in g.vertices:
         if adj[root]:  # still unwalked, so the smallest vertex of its component
-            trail = _walk(adj, {}, root)
+            trail = _walk(adj, root)
             for arc in zip(trail, trail[1:]):
                 arcs[arc] = arcs.get(arc, 0) + 1
     if any(adj.values()):
         raise AssertionError("euler walk did not cover the graph")
     return arcs
-
-
-def two_factorization(g: Multigraph) -> List[Multigraph]:
-    """Split a 2m-regular loopless multigraph into m spanning 2-regular layers.
-
-    Euler-orient each component, fold arcs into an m-regular bipartite graph
-    (out-side vs in-side), color it equitably with m colors, which is proper
-    at degree m, and read each color class back as a 2-factor.
-    """
-    if not g.is_loopless():
-        raise PreconditionError("2-factorization requires a loopless graph")
-    verts = g.vertices
-    if not verts:
-        return []
-    degs = {g.degree(v) for v in verts}
-    if len(degs) != 1:
-        raise PreconditionError(f"graph is not regular: degrees {sorted(degs)}")
-    d = degs.pop()
-    if d % 2:
-        raise PreconditionError(f"degree {d} is odd")
-    m = d // 2
-    if m == 0:
-        return []
-
-    pairs = sorted((u, v, n) for (u, v), n in _orient(g).items())
-    factors = [Multigraph(verts) for _ in range(m)]
-    for factor, flows in zip(factors, bee_coloring((verts, verts, pairs), m)):
-        for (u, v, _), n in zip(pairs, flows):
-            if n:
-                factor.add_edges(u, v, n)
-    if any(f.degree(v) != 2 for f in factors for v in verts):
-        raise AssertionError("factor is not 2-regular")
-    return factors
 
 
 def _peel_even_class(net: Network, mult: List[int], half: List[int], c: int) -> List[int]:

@@ -1,11 +1,7 @@
 """Core value types: loop-carrying multigraphs and their colored layerings.
 
 All edge bookkeeping is by exact integer multiplicity counts, never by edge
-identity.  Vertices are dense nonnegative integer ids.  The floor/ceiling
-window test `approx` is the public form of the fairness window, in exact
-rational arithmetic that never touches floating point.  The checkers test
-the same window on integers (`verify._ratio_ok`), and `approx` is the
-oracle the tests compare that window against.
+identity.  Vertices are dense nonnegative integer ids.
 
 The storage (`_adj`, `_loops`, `_layers`) is private to this module; no
 other module reads or writes it.  Besides the checked per-pair methods,
@@ -21,9 +17,9 @@ detachment engine and the cycle read-off:
     renamed vertices, so the read-off copies no layer;
   * `ColoredMultigraph.rows_at` reads a vertex's per-color loop counts and
     sorted rows in one call (the engine's fan), `Multigraph.rows` all of a
-    graph's sorted rows (the Euler walks) and `Multigraph.component_labels`
-    the components of a graph minus one vertex in one traversal (the
-    engine's union-finds).
+    graph's sorted rows (the Euler orientation) and
+    `Multigraph.component_labels` the components of a graph minus one
+    vertex in one traversal (the engine's union-finds).
 
 They keep the checked methods' guards and messages.  An unknown vertex, a
 new vertex that already exists, w == y, removing more than is present and a
@@ -33,22 +29,11 @@ all costs one comparison (0 < n <= present).
 
 from __future__ import annotations
 
-import math
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .errors import GraphError, PreconditionError
 
-if TYPE_CHECKING:  # importing fractions costs every CLI process milliseconds
-    from fractions import Fraction
-
 VertexId = int
-
-Rational = Union[int, "Fraction"]
-
-
-def approx(x: Rational, y: Rational) -> bool:
-    """True iff floor(y) <= x <= ceil(y), evaluated in exact rational arithmetic."""
-    return math.floor(y) <= x <= math.ceil(y)
 
 
 class Multigraph:
@@ -475,20 +460,23 @@ class AmalgamationSpec(_FrozenRecord):
 class DetachmentMap(_FrozenRecord):
     """Surjection psi from detached vertices onto host vertices, kept as its
     fibers: fibers[w] lists psi^-1(w) in creation order, the host vertex
-    itself first.  The constructor copies the lists and rejects a vertex in
-    two fibers, so the fibers are disjoint; `psi` is read off them.
+    itself first.  The constructor copies the lists and rejects a vertex
+    listed twice, in one fiber or in two, so the fibers are disjoint;
+    `psi` is read off them.
     """
 
     __slots__ = ("fibers",)
     fibers: Dict[VertexId, List[VertexId]]
 
     def __init__(self, fibers: Dict[VertexId, List[VertexId]]) -> None:
-        seen = set()
-        for fiber in fibers.values():
+        owner: Dict[VertexId, VertexId] = {}
+        for w, fiber in fibers.items():
             for u in fiber:
-                if u in seen:
+                if u in owner:
+                    if owner[u] == w:
+                        raise GraphError(f"vertex {u} is listed twice in the fiber of {w}")
                     raise GraphError(f"vertex {u} appears in two fibers")
-                seen.add(u)
+                owner[u] = w
         super().__init__({w: list(f) for w, f in fibers.items()})
 
     @property

@@ -6,23 +6,26 @@ own algorithms, so tests compare two routes to the same answer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from fairdetach.bee import Classes, SortedBipartite, _skeleton_of, bee_coloring
 from fairdetach.engine import MoveSet, _find
 from fairdetach.errors import GraphError, PreconditionError
-from fairdetach.evencolor import EulerCircuit, _orient, is_evenly_equitable
+from fairdetach.evencolor import _orient, is_evenly_equitable
 from fairdetach.flows import feasible_circulation
 from fairdetach.multigraph import (
     AmalgamationSpec,
     ColoredMultigraph,
     DetachmentMap,
     Multigraph,
-    Rational,
     VertexId,
 )
+
+Rational = Union[int, Fraction]
 
 
 class BipartiteMultigraph:
@@ -839,12 +842,15 @@ def reference_underlying(cg: ColoredMultigraph) -> Multigraph:
 # ---------------------------------------------------------------------------
 # the Euler walks and the even peel as they were before they shared one walk
 # and one arc skeleton: a walk per caller that re-sorts every row at each
-# step, an orientation that walks each component through `euler_circuit`,
+# step, an orientation that walks each component along a circuit from its root,
 # and a peel that re-sorts and re-indexes the arcs left for every class
 
 
-def reference_euler_circuit(g: Multigraph, component_root: VertexId) -> EulerCircuit:
-    """Euler circuit of the component containing `component_root`.
+def reference_euler_circuit(
+    g: Multigraph, component_root: VertexId
+) -> Tuple[Tuple[VertexId, VertexId], ...]:
+    """Euler circuit of the component containing `component_root`, as its
+    steps; a loop is a (v, v) step.
 
     Every vertex of that component must have even degree.  Deterministic:
     the walk always takes the smallest available neighbor, loops first.
@@ -892,7 +898,7 @@ def reference_euler_circuit(g: Multigraph, component_root: VertexId) -> EulerCir
     )
     if len(steps) != want:
         raise AssertionError("euler walk did not cover the component")
-    return EulerCircuit(steps=steps)
+    return steps
 
 
 def reference_orient(g: Multigraph) -> Dict[Tuple[VertexId, VertexId], int]:
@@ -904,50 +910,9 @@ def reference_orient(g: Multigraph) -> Dict[Tuple[VertexId, VertexId], int]:
         seen.update(comp)
         if all(g.degree(v) == 0 for v in comp):
             continue
-        for u, v in reference_euler_circuit(g, root).steps:
+        for u, v in reference_euler_circuit(g, root):
             arcs[(u, v)] = arcs.get((u, v), 0) + 1
     return arcs
-
-
-def reference_two_factorization(g: Multigraph) -> List[Multigraph]:
-    """Split a 2m-regular loopless multigraph into m spanning 2-regular layers.
-
-    Euler-orient each component, fold arcs into an m-regular bipartite graph
-    (out-side vs in-side), properly m-color it, and read each color class
-    back as a 2-factor.
-    """
-    if not g.is_loopless():
-        raise PreconditionError("2-factorization requires a loopless graph")
-    verts = g.vertices
-    if not verts:
-        return []
-    degs = {g.degree(v) for v in verts}
-    if len(degs) != 1:
-        raise PreconditionError(f"graph is not regular: degrees {sorted(degs)}")
-    d = degs.pop()
-    if d % 2:
-        raise PreconditionError(f"degree {d} is odd")
-    m = d // 2
-    if m == 0:
-        return []
-
-    arcs = reference_orient(g)
-    bip = BipartiteMultigraph([(0, v) for v in verts], [(1, v) for v in verts])
-    for (u, v), n in sorted(arcs.items()):
-        bip.add_edges((0, u), (1, v), n)
-    coloring = reference_bee_coloring(bip, m)
-
-    factors = []
-    for c in range(1, m + 1):
-        f = Multigraph(verts)
-        for ((_, u), (_, v), col, n) in coloring.items():
-            if col == c:
-                f.add_edges(u, v, n)
-        for v in verts:
-            if f.degree(v) != 2:
-                raise AssertionError("factor is not 2-regular")
-        factors.append(f)
-    return factors
 
 
 def reference_peel_even_class(
@@ -1051,6 +1016,11 @@ def reference_evenly_equitable_coloring(g: Multigraph, k: int) -> ColoredMultigr
     return cg
 
 
+def approx(x: Rational, y: Rational) -> bool:
+    """True iff floor(y) <= x <= ceil(y), evaluated in exact rational arithmetic."""
+    return math.floor(y) <= x <= math.ceil(y)
+
+
 def approx_ratio(x: Rational, num: int, den: int) -> bool:
     """approx(x, num/den) without constructing Fractions; den must be positive."""
     if den <= 0:
@@ -1078,15 +1048,6 @@ def mixed_edge_count(cycle: Tuple[VertexId, ...], partition: List[List[VertexId]
     return sum(1 for u, v in zip(cycle, cycle[1:] + cycle[:1]) if part_of[u] != part_of[v])
 
 
-def is_proper(c: BipartiteColoring) -> bool:
-    """At every vertex, each color is used at most once."""
-    per_vertex: Dict[Tuple[Hashable, int], int] = {}
-    for l, r, col, n in c.items():
-        per_vertex[(l, col)] = per_vertex.get((l, col), 0) + n
-        per_vertex[(r, col)] = per_vertex.get((r, col), 0) + n
-    return all(n <= 1 for n in per_vertex.values())
-
-
 def pair_counts(c: BipartiteColoring, l: Hashable, r: Hashable) -> List[int]:
     """Multiplicity of the pair l-r in each color 1..k."""
     return [c.count(l, r, col) for col in range(1, c.k + 1)]
@@ -1099,12 +1060,6 @@ def vertex_counts(c: BipartiteColoring, v: Hashable) -> List[int]:
         if l == v or r == v:
             out[col - 1] += n
     return out
-
-
-def check_closed(circ: EulerCircuit) -> bool:
-    """Each step of the circuit starts where the one before it ends."""
-    steps = circ.steps
-    return all(a[1] == b[0] for a, b in zip(steps, steps[1:] + steps[:1]))
 
 
 def multiplicity_sets(g: Multigraph, a: Iterable[VertexId], b: Iterable[VertexId]) -> int:

@@ -18,7 +18,6 @@ from fairdetach import (
     DetachmentMap,
     DetachmentReport,
     DetachmentTrace,
-    EulerCircuit,
     Feasibility,
     GddParams,
     HamDecomposition,
@@ -69,7 +68,6 @@ RECORDS = [
      {"feasible": False, "k": None, "condition": "G3", "reason": "odd"}, True, True),
     (HamDecomposition, {"host": Multigraph([0, 1]), "cycles": ((0, 1),)},
      {"host": Multigraph([0, 1]), "cycles": ((1, 0),)}, True, False),
-    (EulerCircuit, {"steps": ((0, 0), (0, 0))}, {"steps": ((0, 0),)}, True, True),
     (DetachmentReport, {"verdicts": {"A1": (True, None)}},
      {"verdicts": {"A1": (False, "w")}}, False, False),
 ]
@@ -137,7 +135,7 @@ GUARDS = [
     ("fiber domain", lambda: PSI({0: [0]}).validate(ETA({0: 1, 1: 1})),
      ("GraphError", "fibers must cover exactly the host vertex set")),
     ("fiber overlap", lambda: PSI({0: [0, 0]}),
-     ("GraphError", "vertex 0 appears in two fibers")),
+     ("GraphError", "vertex 0 is listed twice in the fiber of 0")),
     ("verify colors",
      lambda: verify_detachment(CM(1, [0]), ETA({0: 1}), PSI({0: [0]}), CM(2, [0])),
      ("GraphError", "color counts differ: 1 vs 2")),

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from collections import Counter
 from itertools import product
 
 import pytest
@@ -11,7 +10,6 @@ from fairdetach.bee import (
     is_balanced,
     is_equalized,
     is_equitable,
-    konig_proper_coloring,
 )
 from fairdetach.errors import GraphError, PreconditionError
 from fairdetach.fuzzgen import random_bipartite
@@ -22,7 +20,6 @@ from helpers import (
     coloring_of,
     covers_pairs,
     enumerate_unit_edges,
-    is_proper,
     pair_counts,
     reference_bee_coloring,
     vertex_counts,
@@ -31,47 +28,6 @@ from helpers import (
 
 def is_bee(bg, classes) -> bool:
     return is_balanced(bg, classes) and is_equitable(bg, classes) and is_equalized(bg, classes)
-
-
-def test_konig_perfect_matching_one_color() -> None:
-    bg = ([0, 1, 2], [10, 11, 12], [(0, 10, 1), (1, 11, 1), (2, 12, 1)])
-    c = konig_proper_coloring(bg, 1)
-    assert is_proper(coloring_of(bg, c))
-    assert c == [[1, 1, 1]]
-
-
-def test_konig_parallel_edges_get_distinct_colors() -> None:
-    bg = ([0], [1], [(0, 1, 3)])
-    c = konig_proper_coloring(bg, 3)
-    assert c == [[1], [1], [1]]
-
-
-def test_konig_random_instances_are_proper() -> None:
-    rng = random.Random(5)
-    for _ in range(150):
-        nl, nr = rng.randint(1, 6), rng.randint(1, 6)
-        lefts, rights = list(range(nl)), list(range(50, 50 + nr))
-        pairs = []
-        for l in lefts:
-            for r in rights:
-                if rng.random() < 0.4:
-                    pairs.append((l, r, rng.randint(1, 3)))
-        bg = (lefts, rights, pairs)
-        deg: Counter = Counter()
-        for l, r, n in pairs:
-            deg[l] += n
-            deg[r] += n
-        k = max([1, *deg.values()]) + rng.randint(0, 2)
-        c = konig_proper_coloring(bg, k)
-        assert is_proper(coloring_of(bg, c))
-        assert covers_pairs(bg, c)
-
-
-def test_konig_degree_overflow_rejected() -> None:
-    with pytest.raises(PreconditionError, match="need at least one color, got 0"):
-        konig_proper_coloring(([0], [1], []), 0)
-    with pytest.raises(PreconditionError, match="max degree 4 exceeds color count 3"):
-        konig_proper_coloring(([0], [1], [(0, 1, 4)]), 3)
 
 
 def test_bee_five_parallel_edges_split_three_two() -> None:
@@ -197,16 +153,17 @@ def test_bee_upto_out_of_range_rejected() -> None:
 
 
 def test_bee_bad_pair_rejected() -> None:
-    # an endpoint on neither side's list, and a multiplicity below one
+    # an endpoint on neither side's list, and a multiplicity below one; the
+    # error names the pair below one, not a pair of multiplicity one before it
     cases = [
         (([0], [1], [(0, 2, 1)]), r"unknown endpoint in \(0, 2\)"),
         (([0], [1], [(0, 1, -3)]), r"multiplicity -3 of \(0, 1\)"),
         (([0, 5], [1], [(0, 1, 2), (5, 1, 0)]), r"multiplicity 0 of \(5, 1\)"),
+        (([0, 5], [1], [(0, 1, 1), (5, 1, 0)]), r"multiplicity 0 of \(5, 1\)"),
     ]
     for bg, message in cases:
-        for color in (bee_coloring, konig_proper_coloring):
-            with pytest.raises(GraphError, match=message):
-                color(bg, 2)
+        with pytest.raises(GraphError, match=message):
+            bee_coloring(bg, 2)
 
 
 def test_bee_deterministic() -> None:

@@ -530,6 +530,7 @@ _HOST = {"vertices": [0, 1], "edges": [[0, 1, 2]], "loops": [[0, 1]]}
         ("psi", [[0, [0]], [0, [1]]], "duplicate fiber for host vertex 0"),
         ("psi", [[0, [0, 7]]], "fiber of 0 names unknown vertices"),
         ("psi", [[0, [0]], [1, [0]]], "bad psi: vertex 0 appears in two fibers"),
+        ("psi", [[0, [0, 0]]], "bad psi: vertex 0 is listed twice in the fiber of 0"),
     ],
 )
 def test_graph_document_errors_name_the_record(field, value, message) -> None:

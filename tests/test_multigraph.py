@@ -12,9 +12,8 @@ from fairdetach.multigraph import (
     ColoredMultigraph,
     DetachmentMap,
     Multigraph,
-    approx,
 )
-from helpers import approx_ratio, multiplicity_sets
+from helpers import approx, approx_ratio, multiplicity_sets
 
 
 def test_degree_isolated_vertex() -> None:

@@ -22,7 +22,6 @@ from fairdetach.multigraph import (
     ColoredMultigraph,
     DetachmentMap,
     Multigraph,
-    approx,
 )
 from fairdetach.verify import (
     CONDITION_ORDER,
@@ -34,6 +33,7 @@ from fairdetach.verify import (
     verify_trace,
 )
 from helpers import (
+    approx,
     outcome,
     reference_assert_step_relations,
     reference_is_gdd,
