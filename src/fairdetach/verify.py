@@ -18,11 +18,12 @@ The step relations read three stars (a vertex's loops, degree and
 multiplicity toward each neighbor): y's before and after the step and the
 new vertex's after it.  Rows run over all colors, then each color: loops at
 y (B1, B2), the degrees of y and the new vertex (B3, B4), m(y, v) and
-m(v_new, v) for each old neighbor v ascending (B5, B6), and m(y, v_new)
-against y's loops (B5(iii), B6(iii)).  The trace checker replays a trace in
-place on its own copy of the start graph and reads each host's star after
-every step; its rows are, by host, the degree ratio and m(w, vr) against the
-loops for each offshoot vr, then m(w, z) for host pairs w < z.
+m(v_new, v) for each v ascending that is a neighbor of y before or after the
+step or of the new vertex (B5, B6), and m(y, v_new) against y's loops
+(B5(iii), B6(iii)).  The trace checker replays a trace in place on its own
+copy of the start graph and reads each host's star after every step; its
+rows are, by host, the degree ratio and m(w, vr) against the loops for each
+offshoot vr, then m(w, z) for host pairs w < z.
 """
 
 from __future__ import annotations
@@ -369,7 +370,11 @@ def assert_step_relations(
         for j in every:
             yield deg_a[j], n1, deg_b[j], n0, "B4(i)" if j else "B3(i)", j, y
             yield deg_new[j], 1, deg_b[j], n0, "B4(ii)" if j else "B3(ii)", j, v_new
-        for v, before in sorted(row_b.items()):
+        # every v but y and v_new that a star reaches: where m0(y, v) = 0,
+        # m(y, v) and m(v_new, v) must be 0 too
+        reached = (row_b.keys() | row_a.keys() | row_new.keys()).difference((y, v_new))
+        for v in sorted(reached):
+            before = row_b.get(v, absent)
             at_y, at_new = row_a.get(v, absent), row_new.get(v, absent)
             for j in every:
                 yield at_y[j], n1, before[j], n0, "B6(i)" if j else "B5(i)", j, v

@@ -1,16 +1,28 @@
-"""Shared independent oracles for the test suite.
+"""Shared oracles for the test suite, of three sorts.
 
-Everything here is deliberately brute force and separate from the library's
-own algorithms, so tests compare two routes to the same answer.
+- Definition oracles, which find an answer from the contract itself:
+  `approx`, and at the end of the file one checker per fairness contract
+  (the detachment conditions, the step relations B1-B6, the trace's
+  cumulative relations and the GDD shape) on plain counts, sharing no code
+  with `fairdetach.verify`.
+- Brute force and independent solvers: the pairing and cycle searches and
+  the pop-time Edmonds-Karp `reference_circulation`.
+- Copies of earlier library code, each under a comment that says which
+  form it keeps: the object-form colorings, `reference_max_flow`, the bee
+  peel, the engine step and pick, the moves and read-off, and the Euler
+  walks and even peel.  These catch change, not faults: a test that
+  compares with one shows that the library still does what it did.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Dict, Hashable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union,
+)
 
 from fairdetach.bee import Classes, SortedBipartite, _skeleton_of, bee_coloring
 from fairdetach.engine import MoveSet, _find
@@ -1021,13 +1033,6 @@ def approx(x: Rational, y: Rational) -> bool:
     return math.floor(y) <= x <= math.ceil(y)
 
 
-def approx_ratio(x: Rational, num: int, den: int) -> bool:
-    """approx(x, num/den) without constructing Fractions; den must be positive."""
-    if den <= 0:
-        raise GraphError(f"nonpositive denominator {den}")
-    return (num // den) <= x <= -((-num) // den)
-
-
 # ---------------------------------------------------------------------------
 # readers that only the tests use
 
@@ -1071,362 +1076,271 @@ def multiplicity_sets(g: Multigraph, a: Iterable[VertexId], b: Iterable[VertexId
 
 
 # ---------------------------------------------------------------------------
-# the detachment checker as it was before it became a table: one loop nest
-# per condition, each keeping its first counterexample through the report's
-# keep-the-first-failure `record`
+# the fairness contracts from their definitions: each checker reads its
+# graphs once into plain counts, tests every cell its contract names against
+# approx, and returns what it found violated
 
 
-@dataclass
-class ReferenceDetachmentReport:
-    verdicts: Dict[str, Tuple[bool, Optional[str]]] = field(default_factory=dict)
+class Counts(NamedTuple):
+    """A colored multigraph as plain dicts: adj[j][v] maps each neighbor of
+    v in color j to the multiplicity of the pair, and loops[j] each vertex
+    with color-j loops to their number; no entry is 0."""
 
-    def record(self, name: str, ok: bool, witness: Optional[str] = None) -> None:
-        if name not in self.verdicts or (self.verdicts[name][0] and not ok):
-            self.verdicts[name] = (ok, witness)
+    adj: Dict[int, Dict[VertexId, Dict[VertexId, int]]]
+    loops: Dict[int, Dict[VertexId, int]]
 
 
-def reference_verify_detachment(
-    h: ColoredMultigraph,
-    eta: AmalgamationSpec,
-    psi: DetachmentMap,
-    g: ColoredMultigraph,
-) -> "ReferenceDetachmentReport":
-    """Check all seven fairness conditions of a detachment in exact arithmetic.
+def counts_of(cg: ColoredMultigraph) -> Counts:
+    vertices = cg.vertices
+    adj: Dict[int, Dict[VertexId, Dict[VertexId, int]]] = {}
+    loops: Dict[int, Dict[VertexId, int]] = {}
+    for j in range(1, cg.k + 1):
+        rows = adj[j] = {v: {} for v in vertices}
+        for u, v, m in cg.layer(j).pairs():
+            rows[u][v] = rows[v][u] = m
+        loops[j] = dict(cg.layer(j).loop_items())
+    return Counts(adj, loops)
 
-    Also checks structural consistency (fibers vs eta, partition of the
-    detached vertex set), looplessness of g, and per-color edge counts.
-    Structural problems raise GraphError; condition failures are reported.
+
+# each reader counts in color j, or in all colors when j is 0
+
+
+def _colors(c: Counts, j: int) -> Iterable[int]:
+    return (j,) if j else c.adj
+
+
+def _deg(c: Counts, v: VertexId, j: int = 0) -> int:
+    return sum(sum(c.adj[i][v].values()) + 2 * c.loops[i].get(v, 0) for i in _colors(c, j))
+
+
+def _mult(c: Counts, u: VertexId, v: VertexId, j: int = 0) -> int:
+    return sum(c.adj[i][u].get(v, 0) for i in _colors(c, j))
+
+
+def _loops(c: Counts, v: VertexId, j: int = 0) -> int:
+    return sum(c.loops[i].get(v, 0) for i in _colors(c, j))
+
+
+def _edges(c: Counts, j: int) -> int:
+    return sum(sum(row.values()) for row in c.adj[j].values()) // 2 + sum(c.loops[j].values())
+
+
+def _components(c: Counts, j: int) -> int:
+    seen: Set[VertexId] = set()
+    count = 0
+    for root in c.adj[j]:
+        if root in seen:
+            continue
+        count += 1
+        seen.add(root)
+        stack = [root]
+        while stack:
+            for u in c.adj[j][stack.pop()]:
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+    return count
+
+
+def detachment_violations(
+    h: ColoredMultigraph, eta: AmalgamationSpec, psi: DetachmentMap, g: ColoredMultigraph
+) -> Set[str]:
+    """The conditions of a fair detachment that g breaks, among "loopless"
+    (g has no loop), "conservation" (each color keeps its edge count) and
+    A1-A7.  With u, u2 distinct vertices of host w's fiber, v a vertex of
+    another host z's fiber and j all colors (A1, A3, A5) or one (A2, A4, A6):
+
+        A1, A2  d_g(u)      ~ d_h(w) / eta(w)
+        A3, A4  m_g(u, u2)  ~ l_h(w) / C(eta(w), 2)
+        A5, A6  m_g(u, v)   ~ m_h(w, z) / (eta(w) eta(z))
+        A7      a color j whose d_h(w) / eta(w) is a positive even integer
+                at every w has as many components in g as in h
+
+    psi's fibers must partition g's vertices, each of size eta.
     """
-    if h.k != g.k:
-        raise GraphError(f"color counts differ: {h.k} vs {g.k}")
-    psi.validate(eta)
-    fiber_union = sorted(u for f in psi.fibers.values() for u in f)
-    if fiber_union != g.vertices:
-        raise GraphError("fibers do not partition the detached vertex set")
-    if sorted(psi.fibers) != h.vertices:
-        raise GraphError("psi is not onto the host vertex set")
-
-    report = ReferenceDetachmentReport()
-    report.record("structure", True)
-
-    bad_loop = next((v for v in g.vertices if g.loops(v)), None)
-    report.record(
-        "loopless",
-        bad_loop is None,
-        None if bad_loop is None else f"loops remain at vertex {bad_loop}",
-    )
-
-    cons_ok, cons_wit = True, None
-    for j in range(1, h.k + 1):
-        if h.layer(j).edge_count() != g.layer(j).edge_count():
-            cons_ok = False
-            cons_wit = (
-                f"color {j}: {h.layer(j).edge_count()} edges became "
-                f"{g.layer(j).edge_count()}"
-            )
-            break
-    report.record("conservation", cons_ok, cons_wit)
-
-    hosts = h.vertices
-    for name in ("A1", "A2", "A3", "A4", "A5", "A6", "A7"):
-        report.record(name, True)
-
-    for w in hosts:
-        nw = eta.value(w)
-        fiber = psi.fiber(w)
-        for u in fiber:
-            if not report.verdicts["A1"][0]:
-                break
-            if not approx_ratio(g.degree(u), h.degree(w), nw):
-                report.record(
-                    "A1",
-                    False,
-                    f"d({u})={g.degree(u)} not within d({w})/eta = {h.degree(w)}/{nw}",
-                )
-        for j in range(1, h.k + 1):
-            if not report.verdicts["A2"][0]:
-                break
-            dw = h.layer(j).degree(w)
-            for u in fiber:
-                if not approx_ratio(g.layer(j).degree(u), dw, nw):
-                    report.record(
-                        "A2",
-                        False,
-                        f"color {j}: d({u})={g.layer(j).degree(u)} "
-                        f"not within {dw}/{nw}",
-                    )
-                    break
-        if nw >= 2:
-            pairs2 = nw * (nw - 1) // 2
-            lw = h.loops(w)
-            for a in range(len(fiber)):
-                if not report.verdicts["A3"][0]:
-                    break
-                for b in range(a + 1, len(fiber)):
-                    m = g.multiplicity(fiber[a], fiber[b])
-                    if not approx_ratio(m, lw, pairs2):
-                        report.record(
-                            "A3",
-                            False,
-                            f"m({fiber[a]},{fiber[b]})={m} not within {lw}/{pairs2}",
-                        )
-                        break
-            for j in range(1, h.k + 1):
-                if not report.verdicts["A4"][0]:
-                    break
-                lwj = h.layer(j).loops(w)
-                done = False
-                for a in range(len(fiber)):
-                    if done:
-                        break
-                    for b in range(a + 1, len(fiber)):
-                        m = g.layer(j).multiplicity(fiber[a], fiber[b])
-                        if not approx_ratio(m, lwj, pairs2):
-                            report.record(
-                                "A4",
-                                False,
-                                f"color {j}: m({fiber[a]},{fiber[b]})={m} "
-                                f"not within {lwj}/{pairs2}",
-                            )
-                            done = True
-                            break
-
-    for ia in range(len(hosts)):
-        for ib in range(ia + 1, len(hosts)):
-            w, z = hosts[ia], hosts[ib]
-            den = eta.value(w) * eta.value(z)
-            mwz = h.multiplicity(w, z)
-            if report.verdicts["A5"][0]:
-                done = False
-                for u in psi.fiber(w):
-                    if done:
-                        break
-                    for v in psi.fiber(z):
-                        if not approx_ratio(g.multiplicity(u, v), mwz, den):
-                            report.record(
-                                "A5",
-                                False,
-                                f"m({u},{v})={g.multiplicity(u, v)} "
-                                f"not within m({w},{z})/eta*eta = {mwz}/{den}",
-                            )
-                            done = True
-                            break
-            if report.verdicts["A6"][0]:
-                done = False
-                for j in range(1, h.k + 1):
-                    if done:
-                        break
-                    mj = h.layer(j).multiplicity(w, z)
-                    for u in psi.fiber(w):
-                        if done:
-                            break
-                        for v in psi.fiber(z):
-                            if not approx_ratio(
-                                g.layer(j).multiplicity(u, v), mj, den
-                            ):
-                                report.record(
-                                    "A6",
-                                    False,
-                                    f"color {j}: m({u},{v})="
-                                    f"{g.layer(j).multiplicity(u, v)} "
-                                    f"not within {mj}/{den}",
-                                )
-                                done = True
-                                break
-
-    # component preservation is promised for colors whose degree/eta ratio is
-    # a positive even integer everywhere; an isolated vertex would split into
-    # several isolated vertices, so zero ratios carry no promise
-    for j in range(1, h.k + 1):
-        layer = h.layer(j)
-        if all(
-            (d := layer.degree(w)) > 0 and d % (2 * eta.value(w)) == 0
-            for w in hosts
-        ):
-            wh = layer.component_count()
-            wg = g.layer(j).component_count()
-            if wh != wg:
-                report.record(
-                    "A7", False, f"color {j}: components {wh} became {wg}"
-                )
-                break
-    return report
+    H, G = counts_of(h), counts_of(g)
+    size, fibers = eta.eta, psi.fibers
+    bad = set()
+    if any(G.loops.values()):
+        bad.add("loopless")
+    if any(_edges(H, j) != _edges(G, j) for j in H.adj):
+        bad.add("conservation")
+    for j in (0, *H.adj):
+        deg_name, loop_name, pair_name = ("A2", "A4", "A6") if j else ("A1", "A3", "A5")
+        for w, fiber in fibers.items():
+            share = Fraction(_deg(H, w, j), size[w])
+            if not all(approx(_deg(G, u, j), share) for u in fiber):
+                bad.add(deg_name)
+            if not all(
+                approx(_mult(G, u, u2, j), Fraction(_loops(H, w, j), math.comb(size[w], 2)))
+                for u, u2 in combinations(fiber, 2)
+            ):
+                bad.add(loop_name)
+        for (w, fw), (z, fz) in combinations(fibers.items(), 2):
+            share = Fraction(_mult(H, w, z, j), size[w] * size[z])
+            if not all(approx(_mult(G, u, v, j), share) for u in fw for v in fz):
+                bad.add(pair_name)
+    for j in H.adj:
+        ratios = [Fraction(_deg(H, w, j), size[w]) for w in fibers]
+        even = all(r > 0 and r.denominator == 1 and r.numerator % 2 == 0 for r in ratios)
+        if even and _components(H, j) != _components(G, j):
+            bad.add("A7")
+    return bad
 
 
-# ---------------------------------------------------------------------------
-# the step, trace and GDD checkers as they were before they became tables:
-# one hand-written check per relation, read through multiplicity() calls,
-# with each step of the trace applied by apply_moves to a copy of its own
-
-
-def reference_is_gdd(
-    g: Multigraph,
-    params: "GddParams",
-    partition: List[List[VertexId]],
-) -> bool:
-    """True iff g is loopless with multiplicity lambda1 inside every part of
-    the partition and lambda2 across parts, with the parametrized part sizes."""
-    flat = sorted(v for part in partition for v in part)
-    if flat != g.vertices:
-        raise GraphError("partition must cover the vertex set exactly")
-    if sorted(len(p) for p in partition) != sorted(params.sizes):
-        return False
-    if any(g.loops(v) for v in g.vertices):
-        return False
-    part_of = {v: i for i, part in enumerate(partition) for v in part}
-    verts = g.vertices
-    for a in range(len(verts)):
-        for b in range(a + 1, len(verts)):
-            u, v = verts[a], verts[b]
-            want = params.lambda1 if part_of[u] == part_of[v] else params.lambda2
-            if g.multiplicity(u, v) != want:
-                return False
-    return True
-
-
-def reference_ratio_ok(a: int, n1: int, b: int, n0: int) -> bool:
-    """approx(a/n1, b/n0) in integers: n1*floor(b/n0) <= a <= n1*ceil(b/n0);
-    n1 and n0 must be positive."""
-    return n1 * (b // n0) <= a <= n1 * -(-b // n0)
-
-
-def reference_assert_step_relations(
+def step_violations(
     h_before: ColoredMultigraph,
     h_after: ColoredMultigraph,
     y: VertexId,
     v_new: VertexId,
     eta_before: AmalgamationSpec,
-) -> Tuple[bool, Optional[str]]:
-    """Check the one-step fairness relations between consecutive graphs.
+) -> Set[str]:
+    """The relations B1-B6 that the step splitting v_new off y breaks.  With
+    n = eta_before(y), which must be at least 2, v any vertex but y of
+    h_before, counts before the step marked 0 and j all colors (B1, B3, B5)
+    or one (B2, B4, B6):
 
-    The new vertex's degrees and multiplicities, and y's remaining loops,
-    degrees and multiplicities, must all sit in the floor/ceiling window of
-    their fair shares of what y carried before the step.
+        B1, B2            l(y)                   ~ l0(y) C(n - 1, 2) / C(n, 2)
+        B3(i), B4(i)      d(y) / (n - 1)         ~ d0(y) / n
+        B3(ii), B4(ii)    d(v_new)               ~ d0(y) / n
+        B5(i), B6(i)      m(y, v) / (n - 1)      ~ m0(y, v) / n
+        B5(ii), B6(ii)    m(v_new, v)            ~ m0(y, v) / n
+        B5(iii), B6(iii)  m(y, v_new) / (n - 1)  ~ l0(y) / C(n, 2)
     """
-    n0 = eta_before.value(y)
-    n1 = n0 - 1
-    if n1 < 1:
-        return False, f"eta({y}) was {n0}, below the step precondition"
-    k = h_before.k
-    pairs2 = n0 * (n0 - 1) // 2
-
-    def fail(name: str, detail: str) -> Tuple[bool, str]:
-        return False, f"{name}: {detail}"
-
-    # loops at y shrink by one fair share
-    if not approx_ratio(h_after.loops(y), h_before.loops(y) * (n1 - 1), n0):
-        return fail("B1", f"loops at {y}: {h_after.loops(y)}")
-    for j in range(1, k + 1):
-        if not approx_ratio(
-            h_after.layer(j).loops(y), h_before.layer(j).loops(y) * (n1 - 1), n0
-        ):
-            return fail("B2", f"color {j} loops at {y}")
-
-    # degrees: y keeps n1 fair shares, the new vertex receives one
-    if not reference_ratio_ok(h_after.degree(y), n1, h_before.degree(y), n0):
-        return fail("B3(i)", f"degree of {y}")
-    if not approx_ratio(h_after.degree(v_new), h_before.degree(y), n0):
-        return fail("B3(ii)", f"degree of {v_new}")
-    for j in range(1, k + 1):
-        if not reference_ratio_ok(
-            h_after.layer(j).degree(y), n1, h_before.layer(j).degree(y), n0
-        ):
-            return fail("B4(i)", f"color {j} degree of {y}")
-        if not approx_ratio(
-            h_after.layer(j).degree(v_new), h_before.layer(j).degree(y), n0
-        ):
-            return fail("B4(ii)", f"color {j} degree of {v_new}")
-
-    # multiplicities toward every old neighbor, and between y and the new vertex
-    neighbors = {u for j in range(1, k + 1) for u, _ in h_before.layer(j).row(y)}
-    for v in sorted(neighbors):
-        if not reference_ratio_ok(
-            h_after.multiplicity(y, v), n1, h_before.multiplicity(y, v), n0
-        ):
-            return fail("B5(i)", f"m({y},{v})")
-        if not approx_ratio(
-            h_after.multiplicity(v_new, v), h_before.multiplicity(y, v), n0
-        ):
-            return fail("B5(ii)", f"m({v_new},{v})")
-        for j in range(1, k + 1):
-            mj = h_before.layer(j).multiplicity(y, v)
-            if not reference_ratio_ok(h_after.layer(j).multiplicity(y, v), n1, mj, n0):
-                return fail("B6(i)", f"color {j} m({y},{v})")
-            if not approx_ratio(
-                h_after.layer(j).multiplicity(v_new, v), mj, n0
-            ):
-                return fail("B6(ii)", f"color {j} m({v_new},{v})")
-    if not reference_ratio_ok(h_after.multiplicity(y, v_new), n1, h_before.loops(y), pairs2):
-        return fail("B5(iii)", f"m({y},{v_new})")
-    for j in range(1, k + 1):
-        if not reference_ratio_ok(
-            h_after.layer(j).multiplicity(y, v_new),
-            n1,
-            h_before.layer(j).loops(y),
-            pairs2,
-        ):
-            return fail("B6(iii)", f"color {j} m({y},{v_new})")
-    return True, None
+    n = eta_before.eta[y]
+    B, A = counts_of(h_before), counts_of(h_after)
+    bad = set()
+    for j in (0, *B.adj):
+        loop_name, deg_name, mult_name = ("B2", "B4", "B6") if j else ("B1", "B3", "B5")
+        shares = [
+            (
+                loop_name,
+                _loops(A, y, j),
+                Fraction(_loops(B, y, j) * math.comb(n - 1, 2), math.comb(n, 2)),
+            ),
+            (f"{deg_name}(i)", Fraction(_deg(A, y, j), n - 1), Fraction(_deg(B, y, j), n)),
+            (f"{deg_name}(ii)", _deg(A, v_new, j), Fraction(_deg(B, y, j), n)),
+            (
+                f"{mult_name}(iii)",
+                Fraction(_mult(A, y, v_new, j), n - 1),
+                Fraction(_loops(B, y, j), math.comb(n, 2)),
+            ),
+        ]
+        for v in B.adj[1]:
+            if v != y:
+                share = Fraction(_mult(B, y, v, j), n)
+                shares.append((f"{mult_name}(i)", Fraction(_mult(A, y, v, j), n - 1), share))
+                shares.append((f"{mult_name}(ii)", _mult(A, v_new, v, j), share))
+        bad.update(name for name, x, share in shares if not approx(x, share))
+    return bad
 
 
-def reference_verify_trace(
+def _bump(rows: Dict[VertexId, Dict[VertexId, int]], u: VertexId, v: VertexId, n: int) -> None:
+    """Add n (or take -n) to the pair u-v in both of its rows."""
+    for a, b in ((u, v), (v, u)):
+        rows[a][b] = rows[a].get(b, 0) + n
+        if not rows[a][b]:
+            del rows[a][b]
+
+
+def _split(c: Counts, rec) -> None:
+    """Apply one step record's moves to c in place: per color j,
+    edge_moves[j][w] of the edges y-w become v_new-w and loop_moves[j] of y's
+    loops become edges y-v_new.  GraphError for a v_new that exists, or for
+    an unknown color, a w that is y or no vertex, or a count outside
+    0..present."""
+    y, new, moves = rec.y, rec.v_new, rec.moves
+    if new in c.adj[1]:
+        raise GraphError(f"new vertex {new} already exists")
+    unknown = set(moves.edge_moves).union(moves.loop_moves) - set(c.adj)
+    if unknown:
+        raise GraphError(f"unknown color {min(unknown)}")
+    for j, row in moves.edge_moves.items():
+        for w, n in row.items():
+            if w == y or w not in c.adj[j] or not 0 <= n <= _mult(c, y, w, j):
+                raise GraphError(f"cannot move {n} color-{j} edges {y}-{w}")
+    for j, n in moves.loop_moves.items():
+        if not 0 <= n <= _loops(c, y, j):
+            raise GraphError(f"cannot move {n} color-{j} loops at {y}")
+    for rows in c.adj.values():
+        rows[new] = {}
+    for j, row in moves.edge_moves.items():
+        for w, n in row.items():
+            _bump(c.adj[j], y, w, -n)
+            _bump(c.adj[j], new, w, n)
+    for j, n in moves.loop_moves.items():
+        left = c.loops[j].pop(y, 0) - n
+        if left:
+            c.loops[j][y] = left
+        _bump(c.adj[j], y, new, n)
+
+
+def trace_violations(
     h0: ColoredMultigraph, eta0: AmalgamationSpec, trace
-) -> Tuple[bool, Optional[str]]:
-    """Replay a detachment trace checking cumulative relations at each stage.
+) -> Tuple[Optional[Tuple[int, Set[str]]], Counts]:
+    """Replay trace on h0's counts: the first step that breaks a relation
+    with the kinds it breaks, or None; and the counts the replay reached.
 
-    A step splits one vertex off y, so y must still stand for at least 2
-    vertices of the detachment: its replayed split count (eta0 for a host
-    vertex, less one per earlier step at it; 1 for an offshoot) must be at
-    least 2, and the step must record that count.  Checks, against the
-    original graph, each intermediate's per-vertex degree ratios, the
-    multiplicity ratio between a split vertex and each of its earlier
-    offshoots, and the cross-pair multiplicity ratios.
+    Step s splits v_new off y.  y must have a split count (eta0 at a host,
+    less one per earlier step at it; 1 at an offshoot), else GraphError; it
+    breaks "split count" below 2, and "eta_y_before" when the step records
+    another.  A move that cannot be applied (see _split) raises GraphError.
+    After the step, with eta the split counts, counts before the trace
+    marked 0, every host w and z and every offshoot vr split off w:
+
+        degree  d(w) / eta(w)              ~ d0(w) / eta0(w)
+        loops   m(w, vr) / eta(w)          ~ l0(w) / C(eta0(w), 2)
+        pair    m(w, z) / (eta(w) eta(z))  ~ m0(w, z) / (eta0(w) eta0(z))
     """
-    from fairdetach.engine import apply_moves
-
-    cur = h0.copy()
-    eta = dict(eta0.eta)
+    start, cur = counts_of(h0), counts_of(h0)
+    size, eta = eta0.eta, dict(eta0.eta)
     origin: Dict[VertexId, VertexId] = {}
-    hosts = h0.vertices
-    for step_no, rec in enumerate(trace.steps):
-        count = eta.get(rec.y)
-        if count is None:
-            raise GraphError(f"step {step_no}: vertex {rec.y} has no split count")
-        if count < 2:
-            return False, f"step {step_no}: eta({rec.y}) was {count}, below the step precondition"
-        if rec.eta_y_before != count:
-            return False, f"step {step_no}: eta({rec.y}) was {count}, not {rec.eta_y_before}"
-        cur = cur.copy()
+    for s, rec in enumerate(trace.steps):
+        y = rec.y
+        if y not in eta:
+            raise GraphError(f"step {s}: vertex {y} has no split count")
+        kinds = {"split count"} if eta[y] < 2 else set()
+        if rec.eta_y_before != eta[y]:
+            kinds.add("eta_y_before")
+        if kinds:
+            return (s, kinds), cur
         try:
-            apply_moves(cur, rec)
+            _split(cur, rec)
         except GraphError as exc:
-            raise GraphError(f"step {step_no}: {exc}") from None
-        root = origin.get(rec.y, rec.y)
-        origin[rec.v_new] = root
-        eta[rec.y] -= 1
+            raise GraphError(f"step {s}: {exc}") from None
+        eta[y] -= 1
         eta[rec.v_new] = 1
+        origin[rec.v_new] = origin.get(y, y)
+        for w in size:
+            if not approx(Fraction(_deg(cur, w), eta[w]), Fraction(_deg(start, w), size[w])):
+                kinds.add("degree")
+        for vr, w in origin.items():
+            share = Fraction(_loops(start, w), math.comb(size[w], 2))
+            if not approx(Fraction(_mult(cur, w, vr), eta[w]), share):
+                kinds.add("loops")
+        for w, z in combinations(size, 2):
+            share = Fraction(_mult(start, w, z), size[w] * size[z])
+            if not approx(Fraction(_mult(cur, w, z), eta[w] * eta[z]), share):
+                kinds.add("pair")
+        if kinds:
+            return (s, kinds), cur
+    return None, cur
 
-        offshoots: Dict[VertexId, List[VertexId]] = {w: [] for w in hosts}
-        for v, w in origin.items():
-            offshoots[w].append(v)
 
-        for w in hosts:
-            if not reference_ratio_ok(cur.degree(w), eta[w], h0.degree(w), eta0.value(w)):
-                return False, f"step {step_no}: degree ratio at {w}"
-            n0 = eta0.value(w)
-            if n0 >= 2:
-                pairs2 = n0 * (n0 - 1) // 2
-                for vr in offshoots[w]:
-                    if not reference_ratio_ok(
-                        cur.multiplicity(w, vr), eta[w], h0.loops(w), pairs2
-                    ):
-                        return False, f"step {step_no}: m({w},{vr}) vs loops"
-        for w, z in combinations(hosts, 2):
-            if not reference_ratio_ok(
-                cur.multiplicity(w, z),
-                eta[w] * eta[z],
-                h0.multiplicity(w, z),
-                eta0.value(w) * eta0.value(z),
-            ):
-                return False, f"step {step_no}: m({w},{z}) ratio"
-    return True, None
+def gdd_violations(g: Multigraph, params: "GddParams", partition: List[List[VertexId]]) -> Set[str]:
+    """What keeps g from being the group divisible graph of params on the
+    partition, which must cover g's vertices: "sizes" (the part sizes
+    differ), "loops", and "lambda1" or "lambda2" (a pair inside one part, or
+    across two, that does not have that many edges)."""
+    part_of = {v: i for i, part in enumerate(partition) for v in part}
+    mult = {(u, v): n for u, v, n in g.pairs()}
+    bad = set()
+    if sorted(map(len, partition)) != sorted(params.sizes):
+        bad.add("sizes")
+    if g.loop_items():
+        bad.add("loops")
+    for u, v in combinations(g.vertices, 2):
+        same = part_of[u] == part_of[v]
+        if mult.get((u, v), 0) != (params.lambda1 if same else params.lambda2):
+            bad.add("lambda1" if same else "lambda2")
+    return bad

@@ -60,6 +60,7 @@ TESTS = {
     "bee": ("test_bee", "test_flows", "test_golden", "test_evencolor"),
     "flows": ("test_bee", "test_flows", "test_golden", "test_evencolor"),
     "evencolor": ("test_evencolor", "test_hamilton", "test_golden"),
+    "verify": ("test_verify", "test_acceptance", "test_cli"),
 }
 
 # mutants that no input can tell from the original, by (module, *key)
@@ -78,6 +79,8 @@ EQUIVALENT = {
         "a min boundary: both branches give the same value on a tie",
     ("flows", "_max_flow", "cmp:Lt", 6):
         "a min boundary: both branches give the same value on a tie",
+    ("verify", "_key", "cmp:Lt", 0):
+        "every cell is a pair of distinct vertices, so u < v and u <= v agree",
 }
 
 

@@ -13,7 +13,7 @@ from fairdetach.multigraph import (
     DetachmentMap,
     Multigraph,
 )
-from helpers import approx, approx_ratio, multiplicity_sets
+from helpers import approx, multiplicity_sets
 
 
 def test_degree_isolated_vertex() -> None:
@@ -105,7 +105,6 @@ def test_approx_matches_direct_floor_ceil_on_random_rationals() -> None:
         floor = num // den
         ceil = -((-num) // den)
         assert approx(x, y) == (floor <= x <= ceil)
-        assert approx_ratio(x, num, den) == (floor <= x <= ceil)
 
 
 def test_approx_scales_through_division() -> None:

@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+from fairdetach import engine
 from fairdetach.engine import (
     DetachmentTrace,
     MoveSet,
@@ -34,11 +35,12 @@ from fairdetach.verify import (
 )
 from helpers import (
     approx,
+    counts_of,
+    detachment_violations,
+    gdd_violations,
     outcome,
-    reference_assert_step_relations,
-    reference_is_gdd,
-    reference_verify_detachment,
-    reference_verify_trace,
+    step_violations,
+    trace_violations,
 )
 
 
@@ -141,18 +143,21 @@ def _mutate(rng: random.Random, g: ColoredMultigraph) -> ColoredMultigraph:
     return bad
 
 
-def test_table_checker_matches_loop_nest_reference() -> None:
+def _failed(report) -> set:
+    return {name for name, (ok, _) in report.verdicts.items() if not ok}
+
+
+def test_table_checker_matches_definitions_oracle() -> None:
     rng = random.Random(0)
     failed: Counter = Counter()
     for _ in range(500):
         h, eta = random_detach_instance(rng)
         g, psi, _ = detach_all(h, eta)
-        # two stacked edits put failures under several hosts and colors, so
-        # the order of the rows decides which witness comes first
+        # two stacked edits put failures under several hosts and colors
         for cand in [g] + [_mutate(rng, _mutate(rng, g)) for _ in range(6)]:
-            verdicts = verify_detachment(h, eta, psi, cand).verdicts
-            assert verdicts == reference_verify_detachment(h, eta, psi, cand).verdicts
-            failed.update(name for name, (ok, _) in verdicts.items() if not ok)
+            names = _failed(verify_detachment(h, eta, psi, cand))
+            assert names == detachment_violations(h, eta, psi, cand)
+            failed.update(names)
     assert set(failed) == set(CONDITION_ORDER) - {"structure"}, failed
 
 
@@ -237,7 +242,7 @@ def test_each_condition_reports_its_first_counterexample(edits, name, witness) -
             g.layer(j).remove_edges(u, v, -n)
     report = verify_detachment(h, eta, psi, g)
     assert report.first_failure() == (name, witness)
-    assert report.verdicts == reference_verify_detachment(h, eta, psi, g).verdicts
+    assert _failed(report) == detachment_violations(h, eta, psi, g)
 
 
 def test_integer_step_window_matches_fraction_window() -> None:
@@ -416,6 +421,8 @@ def test_every_host_of_the_smallest_scope_detaches_and_verifies() -> None:
         g, psi, trace = detach_all(h, eta, check=True)
         assert verify_detachment(h, eta, psi, g).ok
         assert verify_trace(h, eta, trace) == (True, None)
+        assert not detachment_violations(h, eta, psi, g)
+        assert trace_violations(h, eta, trace) == (None, counts_of(g))
         assert sorted(psi.psi) == g.vertices
         assert all(u in psi.fiber(w) for u, w in psi.psi.items())
         hosts += 1
@@ -466,12 +473,13 @@ def test_step_table_matches_reference() -> None:
         y = rng.choice(ys)
         out, _, v_new = detach_step(h, eta, y)
         for cand in [out] + [_mutate_step(rng, out, y, v_new) for _ in range(6)]:
-            got = outcome(assert_step_relations, h, cand, y, v_new, eta)
-            assert got == outcome(
-                reference_assert_step_relations, h, cand, y, v_new, eta
-            )
-            if got[0] is False:
-                first[got[1].split(":")[0]] += 1
+            ok, witness = assert_step_relations(h, cand, y, v_new, eta)
+            found = step_violations(h, cand, y, v_new, eta)
+            assert ok == (not found), (witness, found)
+            if not ok:
+                name = witness.split(":")[0]
+                assert name in found, (witness, found)
+                first[name] += 1
         steps += 1
     assert set(first) == {
         "B1", "B2", "B3(i)", "B3(ii)", "B4(i)", "B4(ii)",
@@ -554,16 +562,26 @@ def test_trace_table_matches_reference() -> None:
     traces = 0
     while traces < 300:
         h, eta = random_detach_instance(rng, max_vertices=4)
-        _, _, trace = detach_all(h, eta)
+        g, _, trace = detach_all(h, eta)
         if not trace.steps:
             continue
+        # the oracle's own replay of the engine's trace ends at its output
+        assert trace_violations(h, eta, trace) == (None, counts_of(g))
         vertices = h.vertices + [rec.v_new for rec in trace.steps]
         mutants = [_mutate_moves(rng, trace, h.k, vertices) for _ in range(3)]
         mutants.append(_mutate_split(rng, trace, vertices))
         for cand in [trace] + mutants:
             got = outcome(verify_trace, h, eta, cand)
-            assert got == outcome(reference_verify_trace, h, eta, cand)
-            kinds[_trace_kind(got)] += 1
+            kind = _trace_kind(got)
+            want = outcome(trace_violations, h, eta, cand)
+            if kind == "GraphError":
+                assert want[0] == "GraphError", (got, want)
+            elif kind == "True":
+                assert want[0] is None, (got, want)
+            else:
+                step, found = want[0]
+                assert got[1].startswith(f"step {step}: ") and kind in found, (got, want)
+            kinds[kind] += 1
         traces += 1
     want = {"True", "degree", "loops", "pair", "GraphError", "split count", "eta_y_before"}
     assert set(kinds) == want, kinds
@@ -598,9 +616,44 @@ def test_gdd_table_matches_reference() -> None:
             rng.shuffle(verts)
             cut = rng.randint(0, len(verts))
             parts = [p for p in (verts[:cut], verts[cut:]) if p]
-        assert outcome(is_gdd, g, params, parts) == outcome(
-            reference_is_gdd, g, params, parts
-        )
+        assert is_gdd(g, params, parts) == (not gdd_violations(g, params, parts))
+
+
+def test_trace_oracle_replays_on_counts_of_its_own(monkeypatch) -> None:
+    """A planted split_off that leaves out w's mirror entry of each moved
+    edge y-w fools verify_trace, which replays through it, but not the trace
+    oracle: its end counts differ from the corrupted output, and both
+    detachment checkers reject that output."""
+    split_off = ColoredMultigraph.split_off
+
+    def skip_mirror(cg, y, v_new, edge_moves, loop_moves):
+        split_off(cg, y, v_new, edge_moves, loop_moves)
+        for j, row in edge_moves.items():
+            adj = cg.layer(j)._adj
+            for w, n in row.items():
+                adj[w][v_new] -= n
+                if not adj[w][v_new]:
+                    del adj[w][v_new]
+
+    def refuse(*args):
+        raise AssertionError("an oracle called the library's move path")
+
+    # the lambda K_9 amalgam: 36 edges as 9 loops in each of 4 colors at 0
+    h = ColoredMultigraph(4, [0])
+    for j in range(1, 5):
+        h.layer(j).add_loops(0, 9)
+    eta = AmalgamationSpec({0: 9})
+    monkeypatch.setattr(ColoredMultigraph, "split_off", skip_mirror)
+    g, psi, trace = detach_all(h, eta)
+    assert verify_trace(h, eta, trace) == (True, None)
+    report = verify_detachment(h, eta, psi, g)
+    assert not report.ok
+    monkeypatch.setattr(ColoredMultigraph, "split_off", refuse)
+    monkeypatch.setattr(engine, "apply_moves", refuse)
+    first, end = trace_violations(h, eta, trace)
+    assert first is None
+    assert end != counts_of(g)
+    assert detachment_violations(h, eta, psi, g) == _failed(report)
 
 
 def _pinned_step():
@@ -629,8 +682,10 @@ def _pinned_step():
         ([(2, 3, 4, 1), (2, 2, 4, -1)], "B5(ii): m(4,2)"),
         ([(1, 0, 1, -1)], "B6(i): color 1 m(0,1)"),
         ([(1, 1, 4, 1)], "B6(ii): color 1 m(4,1)"),
-        ([(1, 0, 4, -1), (1, 3, 4, 1)], "B5(iii): m(0,4)"),
-        ([(1, 3, 4, 1), (1, 0, 4, -1), (2, 0, 4, 1)], "B6(iii): color 1 m(0,4)"),
+        ([(1, 0, 2, -1), (1, 0, 4, 1)], "B5(iii): m(0,4)"),
+        ([(1, 0, 4, 1), (2, 0, 4, -1), (2, 1, 4, 1)], "B6(iii): color 1 m(0,4)"),
+        # an edge to vertex 3, which y never touched, breaks B5(ii) at 3 first
+        ([(1, 0, 4, -1), (1, 3, 4, 1)], "B5(ii): m(4,3)"),
     ],
 )
 def test_each_step_relation_reports_its_witness(edits, witness) -> None:
