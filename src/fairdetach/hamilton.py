@@ -13,6 +13,7 @@ graphs, kept as a small-case oracle for the engine-based route.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .engine import detach_all
@@ -59,18 +60,13 @@ class GddParams(_FrozenRecord):
         return blocks
 
     def build_graph(self) -> Multigraph:
-        """The group divisible multigraph itself."""
-        g = Multigraph(range(self.total_vertices()))
-        part_of = {}
-        for i, block in enumerate(self.part_blocks()):
-            for v in block:
-                part_of[v] = i
-        n = self.total_vertices()
-        for u in range(n):
-            for v in range(u + 1, n):
-                lam = self.lambda1 if part_of[u] == part_of[v] else self.lambda2
-                if lam:
-                    g.add_edges(u, v, lam)
+        """The group divisible multigraph itself, on the `part_blocks` ids."""
+        part_of = [i for i, a in enumerate(self.sizes) for _ in range(a)]
+        g = Multigraph(range(len(part_of)))
+        for u, v in combinations(range(len(part_of)), 2):
+            lam = self.lambda1 if part_of[u] == part_of[v] else self.lambda2
+            if lam:
+                g.add_edges(u, v, lam)
         return g
 
 
@@ -121,11 +117,7 @@ def walecki_odd(n: int) -> HamDecomposition:
             offset = (step + 1) // 2 if step % 2 else -(step // 2)
             path.append((i + offset) % m)
         cycles.append(tuple([hub] + path))
-    host = Multigraph(range(n))
-    for u in range(n):
-        for v in range(u + 1, n):
-            host.add_edges(u, v, 1)
-    return HamDecomposition(host=host, cycles=tuple(cycles))
+    return HamDecomposition(host=GddParams((n,), 1, 0).build_graph(), cycles=tuple(cycles))
 
 
 # ---------------------------------------------------------------------------
@@ -156,14 +148,14 @@ def _relabel(cg: ColoredMultigraph, order: List[VertexId]) -> Dict[VertexId, int
     return rename
 
 
-def _read_off(cg: ColoredMultigraph, order: List[VertexId]) -> HamDecomposition:
-    """The decomposition a detachment spells: vertex order[i] becomes i and
-    each color class is read off as one spanning cycle.  The layers are
-    walked as they are, renaming only the vertices each cycle emits; the
-    host is the sum of the layers' rows, renamed as they are added."""
+def _read_off(host: Multigraph, cg: ColoredMultigraph, order: List[VertexId]) -> HamDecomposition:
+    """The decomposition of `host`, the requested graph, that a detachment
+    spells: vertex order[i] becomes i and each color class is read off as
+    one spanning cycle.  The layers are walked as they are, renaming only
+    the vertices each cycle emits."""
     rename = _relabel(cg, order)
     cycles = tuple(_extract_cycle(cg.layer(j), rename) for j in range(1, cg.k + 1))
-    return HamDecomposition(host=cg.underlying(rename), cycles=cycles)
+    return HamDecomposition(host=host, cycles=cycles)
 
 
 def ham_decompose_lambda_kn(n: int, lam: int) -> HamDecomposition:
@@ -189,7 +181,7 @@ def ham_decompose_lambda_kn(n: int, lam: int) -> HamDecomposition:
     for j in range(1, k + 1):
         cg.layer(j).add_loops(0, n)
     g, psi, _ = detach_all(cg, AmalgamationSpec({0: n}))
-    return _read_off(g, psi.fiber(0))
+    return _read_off(GddParams((n,), lam, 0).build_graph(), g, psi.fiber(0))
 
 
 def gdd_feasible(params: GddParams) -> Feasibility:
@@ -271,9 +263,7 @@ def ham_decompose_gdd(params: GddParams) -> HamDecomposition:
     l1, l2 = params.lambda1, params.lambda2
 
     if k == 0:
-        return HamDecomposition(
-            host=Multigraph(range(params.total_vertices())), cycles=()
-        )
+        return HamDecomposition(host=params.build_graph(), cycles=())
     if p == 1:
         return ham_decompose_lambda_kn(sizes[0], l1)
     if all(a == 1 for a in sizes):
@@ -306,4 +296,4 @@ def ham_decompose_gdd(params: GddParams) -> HamDecomposition:
 
     eta = AmalgamationSpec({y: a for y in range(p)})
     g, psi, _ = detach_all(cg, eta)
-    return _read_off(g, [u for y in range(p) for u in psi.fiber(y)])
+    return _read_off(params.build_graph(), g, [u for y in range(p) for u in psi.fiber(y)])

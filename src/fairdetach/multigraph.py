@@ -10,9 +10,8 @@ detachment engine and the cycle read-off:
 
   * `ColoredMultigraph.split_off` applies one detachment step's moves in
     place, one row update per (color, neighbor);
-  * `Multigraph.merge` adds a graph's rows in one pass, renaming every
-    vertex through a map if one is given, so `underlying` is one pass per
-    layer, and the read-off's renamed host is built as one graph;
+  * `Multigraph.merge` adds a graph's rows in one pass, so `underlying` is
+    one pass per layer;
   * `Multigraph.spanning_cycle` walks a 2-regular layer once, emitting
     renamed vertices, so the read-off copies no layer;
   * `ColoredMultigraph.rows_at` reads a vertex's per-color loop counts and
@@ -209,21 +208,14 @@ class Multigraph:
         g._loops = dict(self._loops)
         return g
 
-    def merge(
-        self, other: "Multigraph", rename: Optional[Dict[VertexId, VertexId]] = None
-    ) -> None:
-        """Add all of other's vertices, edges and loops into this graph, each
-        vertex v as rename[v] when `rename` is given."""
-        if rename is None:
-            rename = {v: v for v in other._adj}
+    def merge(self, other: "Multigraph") -> None:
+        """Add all of other's vertices, edges and loops into this graph."""
         adj, loops = self._adj, self._loops
         for v, row in other._adj.items():
-            mine = adj.setdefault(rename[v], {})
+            mine = adj.setdefault(v, {})
             for u, n in row.items():
-                u = rename[u]
                 mine[u] = mine.get(u, 0) + n
         for v, n in other._loops.items():
-            v = rename[v]
             loops[v] = loops.get(v, 0) + n
 
     def spanning_cycle(
@@ -359,13 +351,11 @@ class ColoredMultigraph:
                 g.remove_loops(y, n)
                 g.add_edges(y, v_new, n)
 
-    def underlying(self, rename: Optional[Dict[VertexId, VertexId]] = None) -> Multigraph:
-        """The entrywise sum of the layers, each vertex v renamed to rename[v]
-        when `rename` is given (the read-off's host), in one graph."""
-        vertices = self.vertices
-        g = Multigraph(vertices if rename is None else map(rename.__getitem__, vertices))
+    def underlying(self) -> Multigraph:
+        """The entrywise sum of the layers, in one graph."""
+        g = Multigraph(self.vertices)
         for layer in self._layers:
-            g.merge(layer, rename)
+            g.merge(layer)
         return g
 
     def copy(self) -> "ColoredMultigraph":

@@ -20,10 +20,12 @@ new vertex's after it.  Rows run over all colors, then each color: loops at
 y (B1, B2), the degrees of y and the new vertex (B3, B4), m(y, v) and
 m(v_new, v) for each v ascending that is a neighbor of y before or after the
 step or of the new vertex (B5, B6), and m(y, v_new) against y's loops
-(B5(iii), B6(iii)).  The trace checker replays a trace in place on its own
-copy of the start graph and reads each host's star after every step; its
-rows are, by host, the degree ratio and m(w, vr) against the loops for each
-offshoot vr, then m(w, z) for host pairs w < z.
+(B5(iii), B6(iii)).  Then, per color, folding the new vertex back into y
+must give the graph before the step ("amalgamation").  The trace checker
+replays a trace in place on its own copy of the start graph and reads each
+host's star after every step; its rows are, by host, the degree ratio and
+m(w, vr) against the loops for each offshoot vr, then m(w, z) for host
+pairs w < z.
 """
 
 from __future__ import annotations
@@ -299,6 +301,16 @@ def is_gdd(
     return g.is_loopless() and g.pairs() == want
 
 
+def _folded_cells(g: Multigraph, y: VertexId, v_new: VertexId) -> Dict[Tuple[int, int], int]:
+    """g's multiplicity by pair (min, max) and loops at v by (v, v), with
+    v_new read as y, so that edges y-v_new count as loops at y."""
+    cells: Dict[Tuple[int, int], int] = {}
+    for u, v, m in g.pairs() + [(v, v, n) for v, n in g.loop_items()]:
+        key = _key(y if u == v_new else u, y if v == v_new else v)
+        cells[key] = cells.get(key, 0) + m
+    return cells
+
+
 def _star(
     cg: ColoredMultigraph, x: VertexId
 ) -> Tuple[List[int], List[int], Dict[VertexId, List[int]]]:
@@ -345,7 +357,8 @@ def assert_step_relations(
 
     The new vertex's degrees and multiplicities, and y's remaining loops,
     degrees and multiplicities, must all sit in the floor/ceiling window of
-    their fair shares of what y carried before the step.
+    their fair shares of what y carried before the step, and amalgamating
+    the new vertex back into y must give the graph before the step.
     """
     n0 = eta_before.value(y)
     n1 = n0 - 1
@@ -385,11 +398,17 @@ def assert_step_relations(
             yield to_new[j], n1, loops_b[j], pairs2, name, j, v_new
 
     bad = _first_failure(rows())
-    if bad is None:
-        return True, None
-    count, _, _, _, name, j, v = bad
-    detail = _STEP_WITNESS[name].format(v=v, y=y, new=v_new, j=j, c=count)
-    return False, f"{name}: {detail}"
+    if bad is not None:
+        count, _, _, _, name, j, v = bad
+        detail = _STEP_WITNESS[name].format(v=v, y=y, new=v_new, j=j, c=count)
+        return False, f"{name}: {detail}"
+    for j in every[1:]:
+        before, after = (_folded_cells(h.layer(j), y, v_new) for h in (h_before, h_after))
+        for u, v in sorted(before.keys() | after.keys()):
+            if before.get((u, v)) != after.get((u, v)):
+                cell = f"loops at {u}" if u == v else f"m({u},{v})"
+                return False, f"amalgamation: color {j} {cell}"
+    return True, None
 
 
 def verify_trace(

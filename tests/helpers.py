@@ -17,6 +17,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -844,13 +845,6 @@ def reference_merge(g: Multigraph, other: Multigraph) -> None:
         g.add_loops(v, n)
 
 
-def reference_underlying(cg: ColoredMultigraph) -> Multigraph:
-    g = Multigraph(cg.vertices)
-    for j in range(1, cg.k + 1):
-        reference_merge(g, cg.layer(j))
-    return g
-
-
 # ---------------------------------------------------------------------------
 # the Euler walks and the even peel as they were before they shared one walk
 # and one arc skeleton: a walk per caller that re-sorts every row at each
@@ -1206,6 +1200,9 @@ def step_violations(
         B5(i), B6(i)      m(y, v) / (n - 1)      ~ m0(y, v) / n
         B5(ii), B6(ii)    m(v_new, v)            ~ m0(y, v) / n
         B5(iii), B6(iii)  m(y, v_new) / (n - 1)  ~ l0(y) / C(n, 2)
+
+    and "amalgamation" when, in some color, identifying v_new with y does
+    not give back h_before's edges and loops.
     """
     n = eta_before.eta[y]
     B, A = counts_of(h_before), counts_of(h_after)
@@ -1232,7 +1229,23 @@ def step_violations(
                 shares.append((f"{mult_name}(i)", Fraction(_mult(A, y, v, j), n - 1), share))
                 shares.append((f"{mult_name}(ii)", _mult(A, v_new, v, j), share))
         bad.update(name for name, x, share in shares if not approx(x, share))
+    if any(_identified(A, j, y, v_new) != _identified(B, j, y, v_new) for j in B.adj):
+        bad.add("amalgamation")
     return bad
+
+
+def _identified(c: Counts, j: int, y: VertexId, v: VertexId) -> Counter:
+    """The color-j edges of c as a multiset of endpoint pairs (a loop at x is
+    (x, x)), with vertex v identified with y."""
+    name = {v: y}
+    edges: Counter = Counter()
+    for u, row in c.adj[j].items():
+        for w, m in row.items():
+            if u < w:
+                edges[tuple(sorted((name.get(u, u), name.get(w, w))))] += m
+    for x, n in c.loops[j].items():
+        edges[name.get(x, x), name.get(x, x)] += n
+    return edges
 
 
 def _bump(rows: Dict[VertexId, Dict[VertexId, int]], u: VertexId, v: VertexId, n: int) -> None:

@@ -61,6 +61,8 @@ TESTS = {
     "flows": ("test_bee", "test_flows", "test_golden", "test_evencolor"),
     "evencolor": ("test_evencolor", "test_hamilton", "test_golden"),
     "verify": ("test_verify", "test_acceptance", "test_cli"),
+    "hamilton": ("test_hamilton", "test_golden", "test_acceptance"),
+    "multigraph": ("test_multigraph", "test_engine", "test_hamilton", "test_golden"),
 }
 
 # mutants that no input can tell from the original, by (module, *key)
@@ -80,7 +82,15 @@ EQUIVALENT = {
     ("flows", "_max_flow", "cmp:Lt", 6):
         "a min boundary: both branches give the same value on a tie",
     ("verify", "_key", "cmp:Lt", 0):
-        "every cell is a pair of distinct vertices, so u < v and u <= v agree",
+        "u < v and u <= v differ only at u == v, where both orders give (u, u)",
+    ("verify", "_folded_cells", "bin:Add", 1):
+        "subtracting every count negates every cell, which keeps the cells that differ",
+    ("hamilton", "ham_decompose_lambda_kn", "bin:Sub", 0):
+        "n + 1 and n - 1 have the same parity",
+    ("hamilton", "gdd_feasible.parity_case", "bin:Sub", 0):
+        "n + 1 and n - 1 have the same parity",
+    ("multigraph", "Multigraph.pairs", "cmp:Lt", 0):
+        "no row holds its own vertex, so u < v and u <= v agree",
 }
 
 

@@ -150,6 +150,9 @@ def test_zero_entries_never_stored() -> None:
     g.remove_edges(0, 1, 3)
     assert g.pairs() == []
     g.add_loops(0, 2)
+    g.remove_loops(0, 0)  # removing none is a no-op, with loops or without
+    g.remove_loops(1, 0)
+    assert g.loop_items() == [(0, 2)]
     g.remove_loops(0, 2)
     assert g.loop_items() == []
 
@@ -180,9 +183,6 @@ def test_relabeling_order_must_list_every_vertex_once() -> None:
     cg.layer(2).add_loops(1, 3)
     rename = _relabel(cg, [2, 0, 1])
     assert rename == {2: 0, 0: 1, 1: 2}
-    host = cg.underlying(rename)
-    assert host.pairs() == [(0, 1, 2)]
-    assert host.loop_items() == [(2, 3)]
     for order in ([0, 1], [0, 1, 1], [0, 1, 2, 3], [0, 1, 1, 2]):
         with pytest.raises(GraphError, match="every vertex exactly once"):
             _relabel(cg, order)

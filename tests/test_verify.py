@@ -483,7 +483,7 @@ def test_step_table_matches_reference() -> None:
         steps += 1
     assert set(first) == {
         "B1", "B2", "B3(i)", "B3(ii)", "B4(i)", "B4(ii)",
-        "B5(i)", "B5(ii)", "B5(iii)", "B6(i)", "B6(ii)", "B6(iii)",
+        "B5(i)", "B5(ii)", "B5(iii)", "B6(i)", "B6(ii)", "B6(iii)", "amalgamation",
     }, first
 
 
@@ -686,6 +686,9 @@ def _pinned_step():
         ([(1, 0, 4, 1), (2, 0, 4, -1), (2, 1, 4, 1)], "B6(iii): color 1 m(0,4)"),
         # an edge to vertex 3, which y never touched, breaks B5(ii) at 3 first
         ([(1, 0, 4, -1), (1, 3, 4, 1)], "B5(ii): m(4,3)"),
+        # edges and loops away from y's and v_new's stars break no B row
+        ([(1, 1, 3, 5), (2, 3, 3, 2)], "amalgamation: color 1 m(1,3)"),
+        ([(2, 3, 3, 2)], "amalgamation: color 2 loops at 3"),
     ],
 )
 def test_each_step_relation_reports_its_witness(edits, witness) -> None:
