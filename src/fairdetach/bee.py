@@ -13,7 +13,8 @@ construction and the guarantees compose across the recursion.
 A graph is a `SortedBipartite` (lefts, rights, pairs), already in peel
 order, and a coloring is its list of classes, each the vector of its
 multiplicities on `pairs`; the three predicates take the graph and that
-list.  Each call keeps one integer skeleton of the graph: a node index
+list, and raise GraphError unless it holds a class and each class one count
+per pair.  Each call keeps one integer skeleton of the graph: a node index
 (source, sink, left vertices, right vertices), the two nodes of every
 pair, the uncolored pair multiplicities, vertex degrees and edge total,
 and the one `flows.Network` that all its peels share.  Every class is
@@ -51,9 +52,19 @@ def _within_one(counts: Iterable[Sequence[int]]) -> bool:
     return all(max(c) - min(c) <= 1 for c in counts)
 
 
+def _fitted(bg: SortedBipartite, classes: Classes) -> Classes:
+    """classes, checked to hold at least one class, each with one count per pair."""
+    if not classes:
+        raise GraphError("a coloring needs at least one class")
+    for j, cls in enumerate(classes, start=1):
+        if len(cls) != len(bg[2]):
+            raise GraphError(f"class {j} has {len(cls)} counts for {len(bg[2])} pairs")
+    return classes
+
+
 def is_balanced(bg: SortedBipartite, classes: Classes) -> bool:
     """Per vertex pair, color counts among parallel edges differ by at most one."""
-    return _within_one(zip(*classes))
+    return _within_one(zip(*_fitted(bg, classes)))
 
 
 def is_equitable(bg: SortedBipartite, classes: Classes) -> bool:
@@ -62,7 +73,7 @@ def is_equitable(bg: SortedBipartite, classes: Classes) -> bool:
     Vertices are keyed by side, so the two sides may share labels.
     """
     per_vertex: Dict[Tuple[int, Label], List[int]] = {}
-    for (l, r, _), counts in zip(bg[2], zip(*classes)):
+    for (l, r, _), counts in zip(bg[2], zip(*_fitted(bg, classes))):
         for key in ((0, l), (1, r)):
             seen = per_vertex.setdefault(key, [0] * len(classes))
             for j, n in enumerate(counts):
@@ -72,7 +83,7 @@ def is_equitable(bg: SortedBipartite, classes: Classes) -> bool:
 
 def is_equalized(bg: SortedBipartite, classes: Classes) -> bool:
     """Global color class sizes differ by at most one."""
-    return _within_one([[sum(cls) for cls in classes]])
+    return _within_one([[sum(cls) for cls in _fitted(bg, classes)]])
 
 
 # ---------------------------------------------------------------------------

@@ -384,16 +384,13 @@ class _DetachState:
     """The working graph of a detachment, mutated in place step by step, with
     the split counts, the condition-3 colors, fixed for the whole detachment,
     their union-finds over the color class minus the current y and y's live
-    fan (see the module docstring)."""
+    fan (see the module docstring).  Both callers check eta against the graph
+    with `validate_against` first."""
 
     def __init__(self, cg: ColoredMultigraph, eta: Dict[VertexId, int]) -> None:
         self.cg = cg
         self.eta = eta
-        vertices = cg.vertices
-        for v in vertices:
-            if v not in eta:
-                raise GraphError(f"eta is undefined at vertex {v}")
-        self.next_id: VertexId = max(vertices, default=-1) + 1
+        self.next_id: VertexId = max(cg.vertices, default=-1) + 1
         self.cond3 = condition3_colors(cg, AmalgamationSpec(eta))
         self.y: Optional[VertexId] = None  # the vertex uf belongs to
         self.uf: Dict[int, Dict[VertexId, VertexId]] = {}
@@ -529,10 +526,12 @@ def detach_step(
 ) -> Tuple[ColoredMultigraph, AmalgamationSpec, VertexId]:
     """Detach one fresh vertex from y.  Inputs are not mutated.
 
-    The new vertex gets split count 1, y's drops by one, per-color edge
-    totals are conserved, and the step relations hold between input and
-    output (see verify.assert_step_relations).
+    eta must pass `validate_against(cg)`, as for `detach_all`.  The new
+    vertex gets split count 1, y's drops by one, per-color edge totals are
+    conserved, and the step relations hold between input and output (see
+    verify.assert_step_relations).
     """
+    eta.validate_against(cg)
     state = _DetachState(cg.copy(), dict(eta.eta))
     rec = _step(state, y)
     return state.cg, AmalgamationSpec(state.eta), rec.v_new

@@ -1,35 +1,34 @@
 """Shared oracles for the test suite, of three sorts.
 
 - Definition oracles, which find an answer from the contract itself:
-  `approx`, and at the end of the file one checker per fairness contract
-  (the detachment conditions, the step relations B1-B6, the trace's
-  cumulative relations and the GDD shape) on plain counts, sharing no code
-  with `fairdetach.verify`.
+  `approx`, and at the end of the file one checker per contract on plain
+  lists and counts, sharing no code with the library: the bipartite
+  colorings (balanced, equitable, equalized and the peel windows), evenly
+  equitable colorings, a color class that is one spanning cycle, the
+  detachment conditions, the step relations B1-B6, the trace's cumulative
+  relations and the GDD shape.
 - Brute force and independent solvers: the pairing and cycle searches and
   the pop-time Edmonds-Karp `reference_circulation`.
-- Copies of earlier library code, each under a comment that says which
-  form it keeps: the object-form colorings, `reference_max_flow`, the bee
-  peel, the engine step and pick, the moves and read-off, and the Euler
-  walks and even peel.  These catch change, not faults: a test that
-  compares with one shows that the library still does what it did.
+- Copies of earlier library code, kept where the contract is the form
+  itself and no definition can state it: `reference_max_flow` and the two
+  peel-window builders, whose search order and windows fix the flows every
+  peel returns, and so the output bytes; and `reference_move`, the checked
+  `Multigraph` methods whose guards and messages `split_off` keeps.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from typing import (
-    Dict, Hashable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union,
+    Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union,
 )
 
-from fairdetach.bee import Classes, SortedBipartite, _skeleton_of, bee_coloring
-from fairdetach.engine import MoveSet, _find
-from fairdetach.errors import GraphError, PreconditionError
-from fairdetach.evencolor import _orient, is_evenly_equitable
-from fairdetach.flows import feasible_circulation
+from fairdetach.bee import SortedBipartite
+from fairdetach.errors import GraphError
+from fairdetach.evencolor import _orient
 from fairdetach.multigraph import (
     AmalgamationSpec,
     ColoredMultigraph,
@@ -39,124 +38,6 @@ from fairdetach.multigraph import (
 )
 
 Rational = Union[int, Fraction]
-
-
-class BipartiteMultigraph:
-    """Bipartite multigraph with multiplicity counts keyed (left, right): the
-    object form the library's colorings took before they ran on sorted
-    tuples, kept for the oracles below.  The two sides must be disjoint."""
-
-    __slots__ = ("_left", "_right", "_mult")
-
-    def __init__(self, left: Iterable[Hashable] = (), right: Iterable[Hashable] = ()) -> None:
-        self._left = set(left)
-        self._right = set(right)
-        if self._left & self._right:
-            raise GraphError("bipartition sides must be disjoint")
-        self._mult: Dict[Tuple[Hashable, Hashable], int] = {}
-
-    @property
-    def left(self) -> List[Hashable]:
-        return sorted(self._left)
-
-    @property
-    def right(self) -> List[Hashable]:
-        return sorted(self._right)
-
-    def add_left(self, v: Hashable) -> None:
-        if v in self._right:
-            raise GraphError(f"{v!r} is already a right vertex")
-        self._left.add(v)
-
-    def add_edges(self, l: Hashable, r: Hashable, n: int = 1) -> None:
-        if l not in self._left or r not in self._right:
-            raise GraphError(f"unknown endpoint in ({l!r}, {r!r})")
-        if n < 0:
-            raise GraphError("negative edge count")
-        if n:
-            self._mult[(l, r)] = self._mult.get((l, r), 0) + n
-
-    def remove_edges(self, l: Hashable, r: Hashable, n: int = 1) -> None:
-        have = self._mult.get((l, r), 0)
-        if n > have:
-            raise GraphError(f"cannot remove {n} edges from m={have}")
-        if n == 0:
-            return
-        if have == n:
-            del self._mult[(l, r)]
-        else:
-            self._mult[(l, r)] = have - n
-
-    def pairs(self) -> List[Tuple[Hashable, Hashable, int]]:
-        return sorted((l, r, n) for (l, r), n in self._mult.items())
-
-    def edge_count(self) -> int:
-        return sum(self._mult.values())
-
-    def copy(self) -> "BipartiteMultigraph":
-        g = BipartiteMultigraph()
-        g._left = set(self._left)
-        g._right = set(self._right)
-        g._mult = dict(self._mult)
-        return g
-
-
-class BipartiteColoring:
-    """A k-edge-coloring of a BipartiteMultigraph, stored as per-color counts."""
-
-    __slots__ = ("k", "_left", "_right", "_mult")
-
-    def __init__(self, k: int, left: Iterable[Hashable], right: Iterable[Hashable]) -> None:
-        if k < 1:
-            raise GraphError("color count must be positive")
-        self.k = k
-        self._left = set(left)
-        self._right = set(right)
-        self._mult: Dict[Tuple[Hashable, Hashable, int], int] = {}
-
-    def add(self, l: Hashable, r: Hashable, color: int, n: int = 1) -> None:
-        if not 1 <= color <= self.k:
-            raise GraphError(f"color {color} out of range 1..{self.k}")
-        if n < 0:
-            raise GraphError("negative count")
-        if n:
-            key = (l, r, color)
-            self._mult[key] = self._mult.get(key, 0) + n
-
-    def count(self, l: Hashable, r: Hashable, color: int) -> int:
-        return self._mult.get((l, r, color), 0)
-
-    def items(self) -> List[Tuple[Hashable, Hashable, int, int]]:
-        return sorted((l, r, c, n) for (l, r, c), n in self._mult.items())
-
-
-def bipartite_of(bg: SortedBipartite) -> BipartiteMultigraph:
-    """The object form of a sorted (lefts, rights, pairs) tuple."""
-    lefts, rights, pairs = bg
-    g = BipartiteMultigraph(lefts, rights)
-    for l, r, n in pairs:
-        g.add_edges(l, r, n)
-    return g
-
-
-def coloring_of(bg: SortedBipartite, classes: Classes) -> BipartiteColoring:
-    """The object form of a coloring given as class vectors over bg's pairs."""
-    lefts, rights, pairs = bg
-    c = BipartiteColoring(len(classes), lefts, rights)
-    for j, cls in enumerate(classes, start=1):
-        for (l, r, _), n in zip(pairs, cls):
-            c.add(l, r, j, n)
-    return c
-
-
-def class_vectors(c: BipartiteColoring, pairs: Sequence[Tuple]) -> Classes:
-    """Each class of c as its multiplicities on pairs, in that order."""
-    return [[c.count(l, r, j) for l, r, _ in pairs] for j in range(1, c.k + 1)]
-
-
-def covers_pairs(bg: SortedBipartite, classes: Classes) -> bool:
-    """The classes share out every pair's multiplicity, no more and no less."""
-    return [sum(col) for col in zip(*classes)] == [n for _, _, n in bg[2]]
 
 
 def skeleton_graph(sk, lefts: Sequence, rights: Sequence) -> SortedBipartite:
@@ -187,24 +68,6 @@ def all_pairings(items: Sequence) -> Iterator[List[Tuple]]:
         rest = list(items[1:i]) + list(items[i + 1 :])
         for sub in all_pairings(rest):
             yield [(first, items[i])] + sub
-
-
-def coloring_from_assignment(
-    units: Sequence[Tuple], colors: Sequence[int], k: int, left, right
-) -> BipartiteColoring:
-    """Build a coloring from per-unit-edge color choices."""
-    c = BipartiteColoring(k, left, right)
-    for (l, r), col in zip(units, colors):
-        c.add(l, r, col, 1)
-    return c
-
-
-def enumerate_unit_edges(pairs: Sequence[Tuple]) -> List[Tuple]:
-    """Expand (l, r, mult) records into unit edges."""
-    out = []
-    for l, r, n in pairs:
-        out.extend([(l, r)] * n)
-    return out
 
 
 def spanning_cycles(g: Multigraph) -> Iterator[Tuple[int, ...]]:
@@ -464,346 +327,9 @@ def reference_even_peel_windows(
     return arcs
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
-
-
-def _reference_peel_class(
-    g: BipartiteMultigraph, c: int
-) -> Dict[Tuple[Hashable, Hashable], int]:
-    """One color class with floor/ceil quotas of 1/c on pairs, vertices, total."""
-    if c == 1:
-        return {(l, r): n for l, r, n in g.pairs()}
-    lefts = g.left
-    rights = g.right
-    index = {v: i + 2 for i, v in enumerate(lefts)}
-    index.update({v: len(lefts) + 2 + i for i, v in enumerate(rights)})
-    s, t = 0, 1
-    n_nodes = 2 + len(lefts) + len(rights)
-
-    deg: Dict[Hashable, int] = {v: 0 for v in lefts + rights}
-    pairs = g.pairs()
-    for l, r, n in pairs:
-        deg[l] += n
-        deg[r] += n
-
-    arcs = []
-    for v in lefts:
-        arcs.append((s, index[v], deg[v] // c, _ceil_div(deg[v], c)))
-    pair_arc_start = len(arcs)
-    for l, r, n in pairs:
-        arcs.append((index[l], index[r], n // c, _ceil_div(n, c)))
-    for v in rights:
-        arcs.append((index[v], t, deg[v] // c, _ceil_div(deg[v], c)))
-    total = g.edge_count()
-    arcs.append((t, s, total // c, _ceil_div(total, c)))
-
-    flows = reference_circulation(n_nodes, arcs)
-    if flows is None:  # impossible: the fractional 1/c point meets every window
-        raise AssertionError("class peeling was infeasible")
-    out: Dict[Tuple[Hashable, Hashable], int] = {}
-    for i, (l, r, _) in enumerate(pairs):
-        f = flows[pair_arc_start + i]
-        if f:
-            out[(l, r)] = f
-    return out
-
-
-def reference_bee_coloring(
-    bg: BipartiteMultigraph, k: int, *, upto: Optional[int] = None
-) -> BipartiteColoring:
-    """The bee coloring as it was before it kept one integer skeleton per
-    call: every class re-sorts and re-indexes a copy of the remaining graph
-    and builds its network through the pop-time reference solver."""
-    if k < 1:
-        raise PreconditionError(f"need at least one color, got {k}")
-    if upto is None:
-        upto = k
-    if not 1 <= upto <= k:
-        raise PreconditionError(f"upto must lie in 1..{k}, got {upto}")
-    remaining = bg.copy()
-    out = BipartiteColoring(k, bg.left, bg.right)
-    for j in range(1, upto + 1):
-        cls = _reference_peel_class(remaining, k - j + 1)
-        for (l, r), n in sorted(cls.items()):
-            out.add(l, r, j, n)
-            remaining.remove_edges(l, r, n)
-    if upto == k and remaining.edge_count() != 0:
-        raise AssertionError("peeling left edges uncolored")
-    return out
-
-
 # ---------------------------------------------------------------------------
-# the engine step as it was before it ran on integer rows: the fan, the
-# working subgraph and the refined graph are BipartiteMultigraphs built edge
-# by edge, and the moves are read off the pick's class-1 pair row
-
-
-LOOP_PROXY = -1
-
-
-def _w_order(w):
-    return (1, 0) if w == LOOP_PROXY else (0, w)
-
-
-@dataclass(frozen=True)
-class SplitBipartite:
-    y: int
-    k: int
-    graph: BipartiteMultigraph
-
-
-@dataclass(frozen=True)
-class RefinedBipartite:
-    y: int
-    k: int
-    graph: BipartiteMultigraph
-    groups: Dict[int, List[Tuple[int, int]]]
-
-
-def reference_build_split_bipartite(cg: ColoredMultigraph, y: int) -> SplitBipartite:
-    """Fan graph: m(c_j, u) = per-color multiplicity to u, m(c_j, proxy) = 2*loops."""
-    if not cg.layer(1).has_vertex(y):
-        raise GraphError(f"unknown vertex {y}")
-    layers = [cg.layer(j) for j in range(1, cg.k + 1)]
-    rows = [layer.row(y) for layer in layers]
-    w_side = sorted({u for row in rows for u, _ in row}) + [LOOP_PROXY]
-    bg = BipartiteMultigraph([(j, -1) for j in range(1, cg.k + 1)], w_side)
-    for j, (layer, row) in enumerate(zip(layers, rows), start=1):
-        for u, n in row:
-            bg.add_edges((j, -1), u, n)
-        nl = layer.loops(y)
-        if nl:
-            bg.add_edges((j, -1), LOOP_PROXY, 2 * nl)
-    return SplitBipartite(y=y, k=cg.k, graph=bg)
-
-
-def reference_restrict(coloring: BipartiteColoring, colors) -> BipartiteMultigraph:
-    """Subgraph induced by the given color classes."""
-    wanted = set(colors)
-    g = BipartiteMultigraph(coloring._left, coloring._right)
-    for (l, r, c), n in coloring._mult.items():
-        if c in wanted:
-            g.add_edges(l, r, n)
-    return g
-
-
-def reference_class_pair_row(coloring: BipartiteColoring, color: int):
-    return {
-        (l, r): n for (l, r, c), n in sorted(coloring._mult.items()) if c == color
-    }
-
-
-def reference_refine_bipartite(t: SplitBipartite, cond3, component_map) -> RefinedBipartite:
-    """Split qualifying color vertices of the working subgraph into degree-2 units."""
-    bg = BipartiteMultigraph([], t.graph.right)
-    groups: Dict[int, List[Tuple[int, int]]] = {}
-    rows: Dict[int, Dict[int, int]] = {}
-    for (j, _), w, n in t.graph.pairs():
-        rows.setdefault(j, {})[w] = n
-    for j in range(1, t.k + 1):
-        row = rows.get(j, {})
-        deg = sum(row.values())
-        if j not in cond3:
-            label = (j, -1)
-            bg.add_left(label)
-            groups[j] = [label]
-            for w, n in sorted(row.items(), key=lambda kv: _w_order(kv[0])):
-                bg.add_edges(label, w, n)
-            continue
-        if deg % 2:
-            raise AssertionError(
-                f"color {j} has odd working degree {deg}; the fan coloring is broken"
-            )
-        units: List[Tuple[int, int]] = []
-        singles: List[int] = []
-        for w in sorted(row, key=_w_order):
-            units.extend([(w, w)] * (row[w] // 2))
-            if row[w] % 2:
-                singles.append(w)
-        comp_of = component_map.get(j, {})
-        by_comp: Dict[Tuple[int, int], List[int]] = {}
-        for w in singles:
-            key = (1, 0) if w == LOOP_PROXY else (0, comp_of[w])
-            by_comp.setdefault(key, []).append(w)
-        residue: List[int] = []
-        for key in sorted(by_comp):
-            bucket = sorted(by_comp[key], key=_w_order)
-            while len(bucket) >= 2:
-                units.append((bucket[0], bucket[1]))
-                bucket = bucket[2:]
-            residue.extend(bucket)
-        residue.sort(key=_w_order)
-        for a, b in zip(residue[::2], residue[1::2]):
-            units.append((a, b))
-        labels = []
-        for idx, (a, b) in enumerate(units):
-            label = (j, idx)
-            bg.add_left(label)
-            if a == b:
-                bg.add_edges(label, a, 2)
-            else:
-                bg.add_edges(label, a, 1)
-                bg.add_edges(label, b, 1)
-            labels.append(label)
-        groups[j] = labels
-    return RefinedBipartite(y=t.y, k=t.k, graph=bg, groups=groups)
-
-
-def _as_rows(bg: BipartiteMultigraph, relabel):
-    """A graph as sorted (lefts, rights, pairs) with its left labels relabeled."""
-    return (
-        [relabel[l] for l in bg.left],
-        bg.right,
-        [(relabel[l], r, n) for l, r, n in bg.pairs()],
-    )
-
-
-def reference_step(cg: ColoredMultigraph, y: int, eta_y: int, cond3, component_map):
-    """One engine step from y by the graph-building pipeline: fan, fan coloring
-    restricted to classes 1 and 2, refine, pick coloring, moves.
-
-    Returns every stage as integer rows in the shapes the engine hands them
-    on: the fan and the working subgraph with colors as left labels, the fan
-    classes 1 and 2 and the pick's class 1 as vectors over their graph's
-    pairs, and the refined graph with its left labels numbered in sorted
-    order, beside the color of each.
-    """
-    fan = reference_build_split_bipartite(cg, y)
-    fan_coloring = reference_bee_coloring(fan.graph, eta_y, upto=2)
-    working = SplitBipartite(y=y, k=cg.k, graph=reference_restrict(fan_coloring, (1, 2)))
-    refined = reference_refine_bipartite(working, cond3, component_map)
-    pick = reference_bee_coloring(refined.graph, 2)
-    edge_moves: Dict[int, Dict[int, int]] = {}
-    loop_moves: Dict[int, int] = {}
-    for (label, w), n in reference_class_pair_row(pick, 1).items():
-        j = label[0]
-        if w == LOOP_PROXY:
-            loop_moves[j] = loop_moves.get(j, 0) + n
-        else:
-            per_w = edge_moves.setdefault(j, {})
-            per_w[w] = per_w.get(w, 0) + n
-
-    colors = {label: label[0] for label in fan.graph.left}
-    fan_rows = _as_rows(fan.graph, colors)
-    unit_labels = refined.graph.left
-    number = {label: i for i, label in enumerate(unit_labels)}
-    refined_rows = _as_rows(refined.graph, number)
-    return {
-        "fan": fan_rows,
-        "classes": class_vectors(fan_coloring, fan.graph.pairs())[:2],
-        "working": _as_rows(working.graph, colors),
-        "refined": ([label[0] for label in unit_labels], refined_rows),
-        "picked": class_vectors(pick, refined.graph.pairs())[0],
-        "moves": MoveSet(edge_moves=edge_moves, loop_moves=loop_moves),
-    }
-
-
-# ---------------------------------------------------------------------------
-# the pick as it was before refine settled its double units outside the flow:
-# refine takes the working subgraph as labeled (color, w, n) triples and
-# emits every unit, and the pick coloring peels all of them
-
-
-def reference_refine(
-    working: SortedBipartite,
-    cond3: Set[int],
-    component_map: Dict[int, Dict[VertexId, int]],
-) -> Tuple[List[int], SortedBipartite]:
-    """Split condition-3 color vertices of the working subgraph into degree-2 units.
-
-    Pairing is greedily maximal: first as many units as possible take two
-    parallel edges to one right vertex, then as many leftovers as possible
-    pair within one component of their color class minus y, then whatever
-    remains pairs in ascending vertex order, loop proxy last.  `working` is
-    the fan restricted to the two working classes, with the fan's left and
-    right sides.  Left labels of the result count up from 0 in color order,
-    each color's units in the order they are formed, and the pairs come out
-    sorted, so the result is in peel order.  Per condition-3 color,
-    `component_map` is a union-find whose roots (`_find`) are the labels.
-    """
-    colors, rights, pairs = working
-    rows: Dict[int, List[Tuple[VertexId, int]]] = {j: [] for j in colors}
-    for j, w, n in pairs:
-        rows[j].append((w, n))
-    owner: List[int] = []
-    out: List[Tuple[int, VertexId, int]] = []
-    for j in colors:
-        row = rows[j]
-        if j not in cond3:
-            label = len(owner)
-            owner.append(j)
-            out.extend((label, w, n) for w, n in row)
-            continue
-        deg = sum(n for _, n in row)
-        if deg % 2:
-            raise AssertionError(
-                f"color {j} has odd working degree {deg}; the fan coloring is broken"
-            )
-        # the loop proxy heads the row and pairs last: it belongs to no
-        # component of the color class minus y
-        proxy = row[0][1] if row and row[0][0] == LOOP_PROXY else 0
-        units: List[Tuple[VertexId, VertexId]] = []
-        singles: List[VertexId] = []
-        for w, n in row[1:] if proxy else row:
-            units.extend([(w, w)] * (n // 2))
-            if n % 2:
-                singles.append(w)
-        units.extend([(LOOP_PROXY, LOOP_PROXY)] * (proxy // 2))
-        # pair leftovers sharing a component of the color class minus y
-        comp_of = component_map.get(j, {})
-        by_comp: Dict[int, List[VertexId]] = {}
-        for w in singles:
-            by_comp.setdefault(_find(comp_of, w), []).append(w)
-        residue: List[VertexId] = []
-        for key in sorted(by_comp):
-            bucket = by_comp[key]
-            units.extend(zip(bucket[::2], bucket[1::2]))
-            if len(bucket) % 2:
-                residue.append(bucket[-1])
-        residue.sort()
-        if proxy % 2:
-            residue.append(LOOP_PROXY)
-        units.extend(zip(residue[::2], residue[1::2]))
-        for a, b in units:
-            label = len(owner)
-            owner.append(j)
-            if a == b:
-                out.append((label, a, 2))
-            else:  # the proxy, last in the pairing order, sorts first here
-                if a > b:
-                    a, b = b, a
-                out.append((label, a, 1))
-                out.append((label, b, 1))
-    return owner, (range(len(owner)), rights, out)
-
-
-def reference_pick(fan, working, rights, cond3, component_map) -> MoveSet:
-    """The step's moves from the fan skeleton's pairs and the working counts
-    on them: `reference_refine`, then class 1 of a full 2-coloring of every
-    unit, its double units included."""
-    k = fan.n_left
-    triples = [(a - 1, rights[b - k - 2], n) for (a, b), n in zip(fan.ends, working) if n]
-    owner, refined = reference_refine((range(1, k + 1), rights, triples), cond3, component_map)
-    _, unit_rights, unit_pairs = refined
-    (picked,) = bee_coloring(_skeleton_of((range(len(owner)), unit_rights, unit_pairs)), 2, upto=1)
-    edge_moves: Dict[int, Dict[int, int]] = {}
-    loop_moves: Dict[int, int] = {}
-    for (label, w, _), n in zip(unit_pairs, picked):
-        if not n:
-            continue
-        j = owner[label]
-        if w == LOOP_PROXY:
-            loop_moves[j] = loop_moves.get(j, 0) + n
-        else:
-            per_w = edge_moves.setdefault(j, {})
-            per_w[w] = per_w.get(w, 0) + n
-    return MoveSet(edge_moves=edge_moves, loop_moves=loop_moves)
-
-
-# ---------------------------------------------------------------------------
-# the step's moves and the read-off as they were before they ran on adjacency
-# rows: every pair and loop goes through the checked Multigraph methods
+# the step's moves as they were before they ran on adjacency rows: every
+# pair and loop goes through the checked Multigraph methods
 
 
 def reference_move(cg: ColoredMultigraph, rec) -> None:
@@ -820,206 +346,6 @@ def reference_move(cg: ColoredMultigraph, rec) -> None:
         layer = cg.layer(j)
         layer.remove_loops(rec.y, nl)
         layer.add_edges(rec.y, rec.v_new, nl)
-
-
-def reference_relabel(cg: ColoredMultigraph, order: List[VertexId]) -> ColoredMultigraph:
-    """Rename vertices so order[i] becomes i."""
-    rename = {v: i for i, v in enumerate(order)}
-    out = ColoredMultigraph(cg.k, range(len(order)))
-    for j in range(1, cg.k + 1):
-        layer = cg.layer(j)
-        for u, v, n in layer.pairs():
-            out.layer(j).add_edges(rename[u], rename[v], n)
-        for v, n in layer.loop_items():
-            out.layer(j).add_loops(rename[v], n)
-    return out
-
-
-def reference_merge(g: Multigraph, other: Multigraph) -> None:
-    """Add all of other's vertices, edges and loops into g."""
-    for v in other.vertices:
-        g.add_vertex(v)
-    for u, v, n in other.pairs():
-        g.add_edges(u, v, n)
-    for v, n in other.loop_items():
-        g.add_loops(v, n)
-
-
-# ---------------------------------------------------------------------------
-# the Euler walks and the even peel as they were before they shared one walk
-# and one arc skeleton: a walk per caller that re-sorts every row at each
-# step, an orientation that walks each component along a circuit from its root,
-# and a peel that re-sorts and re-indexes the arcs left for every class
-
-
-def reference_euler_circuit(
-    g: Multigraph, component_root: VertexId
-) -> Tuple[Tuple[VertexId, VertexId], ...]:
-    """Euler circuit of the component containing `component_root`, as its
-    steps; a loop is a (v, v) step.
-
-    Every vertex of that component must have even degree.  Deterministic:
-    the walk always takes the smallest available neighbor, loops first.
-    """
-    comp = None
-    for c in g.components():
-        if component_root in c:
-            comp = c
-            break
-    if comp is None:
-        raise PreconditionError(f"unknown vertex {component_root}")
-    for v in comp:
-        if g.degree(v) % 2:
-            raise PreconditionError(f"vertex {v} has odd degree {g.degree(v)}")
-
-    adj: Dict[VertexId, Dict[VertexId, int]] = {
-        v: {u: g.multiplicity(v, u) for u in g.neighbors(v)} for v in comp
-    }
-    loops_left = {v: g.loops(v) for v in comp}
-
-    stack = [component_root]
-    trail: List[VertexId] = []
-    while stack:
-        v = stack[-1]
-        if loops_left[v]:
-            loops_left[v] -= 1
-            stack.append(v)
-            continue
-        nxt = None
-        for u in sorted(adj[v]):
-            if adj[v][u] > 0:
-                nxt = u
-                break
-        if nxt is None:
-            trail.append(stack.pop())
-        else:
-            adj[v][nxt] -= 1
-            adj[nxt][v] -= 1
-            stack.append(nxt)
-    trail.reverse()
-
-    steps = tuple(zip(trail, trail[1:]))
-    want = sum(g.multiplicity(u, v) for u in comp for v in comp if u < v) + sum(
-        g.loops(v) for v in comp
-    )
-    if len(steps) != want:
-        raise AssertionError("euler walk did not cover the component")
-    return steps
-
-
-def reference_orient(g: Multigraph) -> Dict[Tuple[VertexId, VertexId], int]:
-    """Euler orientation of a loopless even graph: arc (u, v) -> count."""
-    arcs: Dict[Tuple[VertexId, VertexId], int] = {}
-    seen: set = set()
-    for comp in g.components():
-        root = comp[0]
-        seen.update(comp)
-        if all(g.degree(v) == 0 for v in comp):
-            continue
-        for u, v in reference_euler_circuit(g, root):
-            arcs[(u, v)] = arcs.get((u, v), 0) + 1
-    return arcs
-
-
-def reference_peel_even_class(
-    arcs: Dict[Tuple[VertexId, VertexId], int], verts: List[VertexId], c: int
-) -> Dict[Tuple[VertexId, VertexId], int]:
-    """One even class from an Euler-oriented graph: per vertex, throughput is
-    windowed to floor/ceil of (half-degree / c); conservation keeps it even."""
-    if c == 1:
-        return dict(arcs)
-    half: Dict[VertexId, int] = {v: 0 for v in verts}
-    for (u, _), n in arcs.items():
-        half[u] += n
-
-    # nodes: v_in = 2i, v_out = 2i+1
-    index = {v: i for i, v in enumerate(verts)}
-    arc_list = []
-    order = sorted(arcs)
-    for (u, v) in order:
-        arc_list.append((2 * index[u] + 1, 2 * index[v], 0, arcs[(u, v)]))
-    vertex_arc_start = len(arc_list)
-    for v in verts:
-        s = half[v]
-        arc_list.append((2 * index[v], 2 * index[v] + 1, s // c, -((-s) // c)))
-    flows = feasible_circulation(2 * len(verts), arc_list)
-    if flows is None:  # impossible: the fractional 1/c circulation is feasible
-        raise AssertionError("even class peeling was infeasible")
-    out = {}
-    for i, key in enumerate(order):
-        if flows[i]:
-            out[key] = flows[i]
-    return out
-
-
-def reference_extract_cycle(layer: Multigraph) -> Tuple[VertexId, ...]:
-    """Read the spanning cycle off a layer that is one: no loops, every
-    vertex of degree 2, and one walk through every vertex.
-
-    Walk from the smallest vertex, always taking the smallest neighbor with
-    an unused edge; 2-regularity leaves no choices after the first step, and
-    the walk closes at the start once it has used every edge it can reach.
-    """
-    verts = layer.vertices
-    rem: Dict[VertexId, Dict[VertexId, int]] = {
-        v: {u: layer.multiplicity(v, u) for u in layer.neighbors(v)} for v in verts
-    }
-    if any(layer.loops(v) or sum(rem[v].values()) != 2 for v in verts):
-        raise AssertionError("color class is not a single spanning cycle")
-    start = cur = verts[0]
-    cycle = [start]
-    while True:
-        nxt = min(u for u, n in rem[cur].items() if n)
-        rem[cur][nxt] -= 1
-        rem[nxt][cur] -= 1
-        if nxt == start:
-            break
-        cycle.append(nxt)
-        cur = nxt
-    if len(cycle) != len(verts):
-        raise AssertionError("color class is not a single spanning cycle")
-    return tuple(cycle)
-
-
-def reference_evenly_equitable_coloring(g: Multigraph, k: int) -> ColoredMultigraph:
-    """evenly_equitable_coloring as it was before its loop placement kept a
-    heap: every loop unit recomputes all k class degrees at its vertex."""
-    if k < 1:
-        raise PreconditionError(f"need at least one color, got {k}")
-    verts = g.vertices
-    for v in verts:
-        if g.degree(v) % 2:
-            raise PreconditionError(f"vertex {v} has odd degree {g.degree(v)}")
-
-    loopless = g.copy()
-    for v, n in g.loop_items():
-        loopless.remove_loops(v, n)
-    arcs = reference_orient(loopless)
-
-    cg = ColoredMultigraph(k, verts)
-    remaining = dict(arcs)
-    for j in range(1, k + 1):
-        cls = reference_peel_even_class(remaining, verts, k - j + 1)
-        for (u, v), n in sorted(cls.items()):
-            cg.layer(j).add_edges(u, v, n)
-            left = remaining[(u, v)] - n
-            if left:
-                remaining[(u, v)] = left
-            else:
-                del remaining[(u, v)]
-    if remaining:
-        raise AssertionError("peeling left arcs uncolored")
-
-    # loops: atomic 2-units, water-filled onto the lightest class at the vertex
-    for v, n in g.loop_items():
-        for _ in range(n):
-            degs = [(cg.layer(j).degree(v), j) for j in range(1, k + 1)]
-            _, j = min(degs)
-            cg.layer(j).add_loops(v, 1)
-
-    if not is_evenly_equitable(cg):
-        raise AssertionError("construction violated its contract")
-    return cg
 
 
 def approx(x: Rational, y: Rational) -> bool:
@@ -1045,20 +371,6 @@ def mixed_edge_count(cycle: Tuple[VertexId, ...], partition: List[List[VertexId]
     """Edges of the cycle joining two different parts."""
     part_of = {v: i for i, part in enumerate(partition) for v in part}
     return sum(1 for u, v in zip(cycle, cycle[1:] + cycle[:1]) if part_of[u] != part_of[v])
-
-
-def pair_counts(c: BipartiteColoring, l: Hashable, r: Hashable) -> List[int]:
-    """Multiplicity of the pair l-r in each color 1..k."""
-    return [c.count(l, r, col) for col in range(1, c.k + 1)]
-
-
-def vertex_counts(c: BipartiteColoring, v: Hashable) -> List[int]:
-    """Edges at v in each color 1..k."""
-    out = [0] * c.k
-    for l, r, col, n in c.items():
-        if l == v or r == v:
-            out[col - 1] += n
-    return out
 
 
 def multiplicity_sets(g: Multigraph, a: Iterable[VertexId], b: Iterable[VertexId]) -> int:
@@ -1356,4 +668,94 @@ def gdd_violations(g: Multigraph, params: "GddParams", partition: List[List[Vert
         same = part_of[u] == part_of[v]
         if mult.get((u, v), 0) != (params.lambda1 if same else params.lambda2):
             bad.add("lambda1" if same else "lambda2")
+    return bad
+
+
+def _cells(pairs: Sequence[Tuple], counts: Sequence[int]) -> Counter:
+    """Counts on pairs, read as cells: ("pair", i) for pair i, ("vertex",
+    side, v) for each end, left side 0 and right 1, and ("total",)."""
+    cells: Counter = Counter({("total",): 0})
+    for i, ((l, r, _), n) in enumerate(zip(pairs, counts)):
+        for key in (("pair", i), ("vertex", 0, l), ("vertex", 1, r), ("total",)):
+            cells[key] += n
+    return cells
+
+
+def coloring_violations(
+    pairs: Sequence[Tuple], classes: Sequence[Sequence[int]], k: int
+) -> Set[str]:
+    """What classes 1..len(classes) of a k-coloring of the bipartite
+    multigraph with (left, right, multiplicity) pairs break, each class
+    given as its count on every pair, among:
+
+        cover      the classes sum to each pair's multiplicity
+        balanced   at each pair, two classes differ by at most one
+        equitable  at each vertex, keyed by side, two classes differ by at most one
+        equalized  two class sizes differ by at most one
+        peel       class j is within floor..ceil of x / (k - j + 1), x what
+                   classes 1..j-1 left of every pair, every vertex and the total
+
+    A partial coloring, the first m < k classes, promises "peel" alone.
+    GraphError unless 1..k classes are given, each as long as pairs.
+    """
+    if not 1 <= len(classes) <= k or any(len(cls) != len(pairs) for cls in classes):
+        raise GraphError(f"need 1..{k} classes of {len(pairs)} counts each")
+    whole = _cells(pairs, [n for _, _, n in pairs])
+    split = [_cells(pairs, cls) for cls in classes]
+    bad = set()
+    if [sum(col) for col in zip(*classes)] != [n for _, _, n in pairs]:
+        bad.add("cover")
+    name = {"pair": "balanced", "vertex": "equitable", "total": "equalized"}
+    for key in whole:
+        seen = [cells[key] for cells in split]
+        if max(seen) - min(seen) > 1:
+            bad.add(name[key[0]])
+    left = whole
+    for c, cells in zip(range(k, 0, -1), split):
+        if not all(approx(cells[key], Fraction(x, c)) for key, x in left.items()):
+            bad.add("peel")
+        left = {key: x - cells[key] for key, x in left.items()}
+    return bad
+
+
+def evenly_equitable_violations(g: Multigraph, cg: ColoredMultigraph) -> Set[str]:
+    """What keeps cg from being an evenly equitable coloring of g, among
+    "cover" (the classes do not sum to g: its vertices, pairs and loops),
+    "odd" (a vertex has odd degree in some class) and "spread" (two class
+    degrees at one vertex differ by more than two)."""
+    c = counts_of(cg)
+    verts = sorted(c.adj[1])
+    pairs = {(u, v): m for u, v in combinations(verts, 2) if (m := _mult(c, u, v))}
+    loops = {v: n for v in verts if (n := _loops(c, v))}
+    bad = set()
+    if (verts, pairs, loops) != (
+        g.vertices,
+        {(u, v): n for u, v, n in g.pairs()},
+        dict(g.loop_items()),
+    ):
+        bad.add("cover")
+    for v in verts:
+        degs = [_deg(c, v, j) for j in c.adj]
+        if any(d % 2 for d in degs):
+            bad.add("odd")
+        if max(degs) - min(degs) > 2:
+            bad.add("spread")
+    return bad
+
+
+def cycle_violations(layer: Multigraph, cycle: Sequence[VertexId]) -> Set[str]:
+    """What keeps cycle, a closed vertex sequence, from being the one
+    spanning cycle that layer is, among "loops" (layer has one), "vertices"
+    (cycle does not list every vertex of layer exactly once) and "edges"
+    (the multiset of cycle's closing pairs, each vertex with the next and
+    the last with the first, is not layer's pairs; for two vertices it is
+    a doubled edge)."""
+    closing = Counter(tuple(sorted(e)) for e in zip(cycle, [*cycle[1:], *cycle[:1]]))
+    bad = set()
+    if layer.loop_items():
+        bad.add("loops")
+    if sorted(cycle) != layer.vertices:
+        bad.add("vertices")
+    if closing != Counter({(u, v): n for u, v, n in layer.pairs()}):
+        bad.add("edges")
     return bad

@@ -63,6 +63,7 @@ TESTS = {
     "verify": ("test_verify", "test_acceptance", "test_cli"),
     "hamilton": ("test_hamilton", "test_golden", "test_acceptance"),
     "multigraph": ("test_multigraph", "test_engine", "test_hamilton", "test_golden"),
+    "engine": ("test_engine", "test_golden"),
 }
 
 # mutants that no input can tell from the original, by (module, *key)
@@ -91,6 +92,20 @@ EQUIVALENT = {
         "n + 1 and n - 1 have the same parity",
     ("multigraph", "Multigraph.pairs", "cmp:Lt", 0):
         "no row holds its own vertex, so u < v and u <= v agree",
+    ("engine", "refine", "aug:Add", 2):
+        "the degree is read only for its parity, and deg - n has the parity of deg + n",
+    ("engine", "refine", "cmp:Gt", 0):
+        "at n == 1, n // 2 settles no unit either way",
+    ("engine", "refine", "cmp:Gt", 1):
+        "two singles pair into the same unit whether or not they share a component",
+    ("engine", "refine", "cmp:Gt", 2):
+        "the two ends of an unsettled unit differ, so a > b and a >= b agree",
+    ("engine", "_union", "cmp:Lt", 0):
+        "on a tie the root is made its own parent, which it already is",
+    ("engine", "_union", "cmp:Lt", 1):
+        "on a tie the root is made its own parent, which it already is",
+    ("engine", "_by_label", "bin:Sub", 1):
+        "both fans compared get the same color labels, shifted the same way",
 }
 
 

@@ -30,7 +30,7 @@ from fairdetach.hamilton import (
 from fairdetach.verify import is_gdd, verify_detachment, verify_ham_decomposition
 from helpers import (
     brute_force_ham_decomposable,
-    covers_pairs,
+    coloring_violations,
     mixed_edge_count,
     pure_edge_counts,
 )
@@ -171,7 +171,7 @@ def test_criterion_5_coloring_contracts() -> None:
             is_balanced(bg, c)
             and is_equitable(bg, c)
             and is_equalized(bg, c)
-            and covers_pairs(bg, c)
+            and not coloring_violations(bg[2], c, k)
         ):
             bad += 1
     for seed in range(3000, 3200):

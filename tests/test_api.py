@@ -115,6 +115,16 @@ def test_record_defaults_are_fresh() -> None:
 # (name, call, its outcome): guards on caller input that no other test
 # reaches; `outcome` gives the exception's type and message
 CM, ETA, PSI = ColoredMultigraph, AmalgamationSpec, DetachmentMap
+
+
+def looped(vertices, n: int) -> ColoredMultigraph:
+    """One color on the vertices, with n loops at each."""
+    cg = CM(1, vertices)
+    for v in vertices:
+        cg.layer(1).add_loops(v, n)
+    return cg
+
+
 GUARDS = [
     ("add_vertex", lambda: Multigraph().add_vertex(-1),
      ("GraphError", "vertex ids must be nonnegative, got -1")),
@@ -154,7 +164,11 @@ GUARDS = [
     ("step at y", lambda: detach_step(CM(1, [0]), ETA({0: 1}), 1),
      ("GraphError", "eta is undefined at vertex 1")),
     ("step eta", lambda: detach_step(CM(1, [0, 1]), ETA({0: 2}), 0),
-     ("GraphError", "eta is undefined at vertex 1")),
+     ("PreconditionError", "eta must be defined on exactly the graph's vertices")),
+    ("step eta off the graph", lambda: detach_step(looped([0], 2), ETA({0: 2, 1: 3}), 0),
+     ("PreconditionError", "eta must be defined on exactly the graph's vertices")),
+    ("step loops kept", lambda: detach_step(looped([0, 1], 2), ETA({0: 2, 1: 1}), 0),
+     ("PreconditionError", "vertex 1 keeps eta=1 but carries 2 loops")),
 ]
 
 

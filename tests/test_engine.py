@@ -3,6 +3,8 @@ from __future__ import annotations
 import itertools
 import random
 import re
+from collections import Counter
+from operator import add
 from types import SimpleNamespace
 
 import pytest
@@ -22,14 +24,14 @@ from fairdetach.engine import (
 from fairdetach.errors import PreconditionError
 from fairdetach.fuzzgen import random_detach_instance
 from fairdetach.hamilton import GddParams, ham_decompose_gdd
-from fairdetach.multigraph import AmalgamationSpec, ColoredMultigraph, Multigraph
+from fairdetach.multigraph import AmalgamationSpec, ColoredMultigraph
 from fairdetach.verify import assert_step_relations, verify_detachment
 from helpers import (
     all_pairings,
+    coloring_violations,
+    counts_of,
     outcome,
     reference_move,
-    reference_pick,
-    reference_step,
     skeleton_graph,
 )
 
@@ -178,6 +180,23 @@ def expand_refined(refined, rights, picked):
     return [j for j, _ in units], graph, [f for _, row in units for _, _, f in row]
 
 
+def moves_of(owner, pairs, picked) -> MoveSet:
+    """The moves that class 1 of a pick spells, read in the order of its
+    (unit, right label, multiplicity) pairs: each edge of a unit of color
+    j moves one color-j edge end y-w to the new vertex, or one loop at y
+    when w is the loop proxy."""
+    edge_moves: dict = {}
+    loop_moves: dict = {}
+    for (label, w, _), f in zip(pairs, picked):
+        j = owner[label]
+        if f and w == LOOP_PROXY:
+            loop_moves[j] = loop_moves.get(j, 0) + f
+        elif f:
+            row = edge_moves.setdefault(j, {})
+            row[w] = row.get(w, 0) + f
+    return MoveSet(edge_moves, loop_moves)
+
+
 def refine_rows(rows: dict, cond3, comp_map):
     """refine on a working subgraph given as rows {color: {w: n}}, read as
     the engine reads it off a fan skeleton; its output is returned with
@@ -307,6 +326,10 @@ def test_refine_pairing_is_lexicographically_maximal() -> None:
         assert got == best
 
 
+def test_moved_total_counts_every_moved_edge_end_and_loop() -> None:
+    assert MoveSet({1: {2: 3, 4: 1}, 2: {5: 2}}, {1: 2, 3: 1}).moved_total() == 9
+
+
 def test_detach_step_single_loop() -> None:
     cg, eta = loops_only_instance(1, 1, 2)
     out, new_eta, v_new = detach_step(cg, eta, 0)
@@ -417,6 +440,21 @@ def test_detach_all_rejects_loop_on_unsplit_vertex() -> None:
     cg.layer(1).add_loops(0, 1)
     with pytest.raises(PreconditionError):
         detach_all(cg, AmalgamationSpec({0: 1}))
+
+
+def test_detach_all_refuses_a_loop_left_in_any_color(monkeypatch) -> None:
+    """A step that gives its new vertex a loop, in the last color, passes
+    the step's own check on y, and detach_all still refuses the result."""
+    apply = engine.apply_moves
+
+    def loop_at_new_vertex(cg, rec):
+        apply(cg, rec)
+        cg.layer(cg.k).add_loops(rec.v_new)
+
+    monkeypatch.setattr(engine, "apply_moves", loop_at_new_vertex)
+    cg, eta = loops_only_instance(3, 2, 2)
+    with pytest.raises(AssertionError, match="^detached graph still carries loops$"):
+        detach_all(cg, eta)
 
 
 def test_detach_all_step_count_and_trace_replay() -> None:
@@ -579,13 +617,28 @@ def summed_degrees(sk):
     return deg
 
 
+def fan_from_counts(cg: ColoredMultigraph, y) -> list:
+    """y's fan read off the counts of cg: per color, the loop proxy at twice
+    y's loops, then y's neighbors ascending with their multiplicities."""
+    c = counts_of(cg)
+    pairs = []
+    for j in range(1, cg.k + 1):
+        if c.loops[j].get(y):
+            pairs.append((j, LOOP_PROXY, 2 * c.loops[j][y]))
+        pairs += [(j, w, n) for w, n in sorted(c.adj[j][y].items())]
+    return pairs
+
+
 @pytest.mark.parametrize("family", ["lambda_kn", "gdd", "fuzz"])
 def test_step_matches_graph_building_reference(family: str, monkeypatch) -> None:
-    """Every stage of every step, from the fan to the moves, equals the
-    step that built each stage as a BipartiteMultigraph.  The fan is the
-    skeleton the step peels, live or freshly built; a right vertex that y
-    has lost stays in a live fan, isolated, so the stages' right labels are
-    compared with the isolated ones dropped."""
+    """Every stage of every step meets its definition.  The fan the step
+    peels, live or freshly built, is y's rows read off the graph's counts;
+    its classes 1 and 2 meet the peel windows of an eta(y)-coloring and sum
+    to the working subgraph; refine splits each condition-3 color of that
+    subgraph into degree-2 units and keeps every other color whole; the
+    pick's class 1 meets the windows of a 2-coloring; and the moves are what
+    that class and the settled units spell.  A right vertex that y has lost
+    stays in a live fan, isolated."""
     colorings, refines = [], []
     # a peel changes its skeleton: keep what each coloring was given
     recording(
@@ -601,40 +654,40 @@ def test_step_matches_graph_building_reference(family: str, monkeypatch) -> None
     steps = isolated = 0
     for cg, eta in step_instances(family):
         state = engine._DetachState(cg.copy(), dict(eta.eta))
+        k = cg.k
         for y in [v for v in cg.vertices if eta.value(v) >= 2]:
             while state.eta[y] >= 2:
-                cond3 = condition3_colors(state.cg, AmalgamationSpec(dict(state.eta)))
-                comp_map = engine._component_map(state.cg, y, cond3)
-                want = reference_step(state.cg, y, state.eta[y], cond3, comp_map)
+                eta_y, want_fan = state.eta[y], fan_from_counts(state.cg, y)
                 del colorings[:], refines[:]
                 moves = engine._step(state, y).moves
                 [((fan, fan_given), classes), ((pick, pick_given), picked)] = colorings
-                [((fan_refined, working, rights, _, _), refined)] = refines
+                [((fan_refined, working, rights, cond3, _), refined)] = refines
                 assert fan_refined is fan
-                k = cg.k
                 assert fan_given.deg == summed_degrees(fan_given)
-                fan_rights = [
-                    w for w, d in zip(rights, fan_given.deg[k + 2 :]) if d or w == LOOP_PROXY
-                ]
-                isolated += len(rights) - len(fan_rights)
+                isolated += sum(
+                    1 for w, d in zip(rights, fan_given.deg[k + 2 :]) if not d and w != LOOP_PROXY
+                )
                 fan_pairs = skeleton_graph(fan_given, range(1, k + 1), rights)[2]
-                w_pairs = [
-                    (a - 1, rights[b - k - 2], n) for (a, b), n in zip(fan.ends, working) if n
-                ]
-                owner, unit_graph, unit_picked = expand_refined(refined, rights, picked[0])
-                got = {
-                    "fan": (list(range(1, k + 1)), fan_rights, fan_pairs),
-                    "classes": classes,
-                    "working": (list(range(1, k + 1)), fan_rights, w_pairs),
-                    "refined": (owner, (unit_graph[0], fan_rights, unit_graph[2])),
-                    "picked": unit_picked,
-                    "moves": moves,
-                }
-                assert got == want
+                assert fan_pairs == want_fan
+                assert "peel" not in coloring_violations(fan_pairs, classes, eta_y)
+                assert working == list(map(add, *classes))
+                owner, (_, _, units), unit_picked = expand_refined(refined, rights, picked[0])
+                got = Counter()
+                for label, w, n in units:
+                    got[owner[label], w] += n
+                assert got == Counter({(j, w): n for (j, w, _), n in zip(fan_pairs, working) if n})
+                degree = Counter()
+                for label, _, n in units:
+                    degree[label] += n
+                assert [j for j in owner if j not in cond3] == sorted(set(range(1, k + 1)) - cond3)
+                assert all(degree[label] == 2 for label, j in enumerate(owner) if j in cond3)
                 # the pick peels refine's skeleton, the settled units left
                 # out, with the degrees refine summed
                 assert pick is refined[1]
                 assert pick_given.deg == summed_degrees(pick_given)
+                pick_pairs = skeleton_graph(pick_given, range(len(refined[0])), rights)[2]
+                assert "peel" not in coloring_violations(pick_pairs, picked, 2)
+                assert moves == moves_of(owner, units, unit_picked)
                 steps += 1
     assert steps > 0
     assert isolated or family != "fuzz"
@@ -700,6 +753,16 @@ def test_live_fan_matches_a_fresh_build_on_every_step(family: str, monkeypatch) 
     assert {key for key, n in seen.items() if n and key != "live"} >= LIVE_FAN_COVERAGE[family]
 
 
+def test_a_fan_is_kept_only_for_a_later_step_at_its_vertex() -> None:
+    """fan_at keeps y's fan exactly when eta(y) > 2, so a vertex with eta = 2
+    holds none, not even during its one step."""
+    for n in (2, 3):
+        cg, eta = loops_only_instance(1, n, n)
+        state = engine._DetachState(cg, dict(eta.eta))
+        state.fan_at(0)
+        assert (state.fan is not None) == (n > 2)
+
+
 def test_checked_detach_catches_a_stale_live_fan(monkeypatch) -> None:
     """detach_all(check=True) compares the live fan with a fresh build
     before every step: a fan that skips the proxy decrement of its moved
@@ -733,36 +796,32 @@ def pick_instances(family: str):
 
 @pytest.mark.parametrize("family", ["lambda_kn", "gdd", "fuzz"])
 def test_pick_matches_the_full_pick_of_every_unit(family: str, monkeypatch) -> None:
-    """Every step's moves, in their insertion order, equal those of the old
-    refine followed by class 1 of a 2-coloring of all its units, double
-    units included; some steps settle every unit and still peel the empty
-    pick, so every step makes two bee colorings."""
+    """With every settled double unit put back, carrying 1, the pick's class
+    1 meets the peel windows of a 2-coloring of all the units, which is why
+    refine may settle them outside the flow; the step's moves are what that
+    class spells, in its order.  Some steps settle every unit and still
+    peel the empty pick, so every step makes two bee colorings."""
     instances = pick_instances(family)  # the GDDs run detach_all: unpatched
-    wants, empty = [], 0
-    colorings: list = []
-    recording(monkeypatch, "bee_coloring", colorings, lambda *_: None)
-
-    def checked_refine(*args):
-        nonlocal empty
-        wants.append(reference_pick(*args))
-        out = refine(*args)
-        empty += not out[1].ends
-        return out
-
-    monkeypatch.setattr(engine, "refine", checked_refine)
-    steps = 0
+    colorings, refines = [], []
+    recording(monkeypatch, "bee_coloring", colorings)
+    recording(monkeypatch, "refine", refines)
+    steps = empty = 0
     for cg, eta in instances:
         state = engine._DetachState(cg.copy(), dict(eta.eta))
         for y in [v for v in cg.vertices if eta.value(v) >= 2]:
             while state.eta[y] >= 2:
                 got = engine._step(state, y).moves
-                [want] = wants
-                del wants[:]
-                assert got == want
+                [((_, _, rights, _, _), refined)] = refines
+                picked = colorings[-1][1][0]
+                del refines[:]
+                owner, (_, _, units), unit_picked = expand_refined(refined, rights, picked)
+                assert "peel" not in coloring_violations(units, [unit_picked], 2)
+                want = moves_of(owner, units, unit_picked)
                 assert [(j, list(row.items())) for j, row in got.edge_moves.items()] == [
                     (j, list(row.items())) for j, row in want.edge_moves.items()
                 ]
                 assert list(got.loop_moves.items()) == list(want.loop_moves.items())
+                empty += not refined[1].ends
                 steps += 1
     assert steps > 30
     assert empty > 0

@@ -9,7 +9,7 @@ from fairdetach.errors import PreconditionError
 from fairdetach.evencolor import evenly_equitable_coloring, is_evenly_equitable
 from fairdetach.fuzzgen import random_even_multigraph
 from fairdetach.multigraph import ColoredMultigraph, Multigraph
-from helpers import reference_evenly_equitable_coloring
+from helpers import evenly_equitable_violations
 
 
 def complete_graph(n: int) -> Multigraph:
@@ -96,13 +96,85 @@ def test_evenly_equitable_fuzz() -> None:
 
 
 def test_evenly_equitable_matches_reference_loop_placement() -> None:
+    """Every coloring meets the definition, on graphs whose loops the heap
+    places and on graphs of more than one component with edges."""
     placed_loops = split_graphs = 0
     for seed in range(500):
         g = random_even_multigraph(random.Random(seed))
         placed_loops += sum(n for _, n in g.loop_items())
         split_graphs += sum(1 for c in g.components() if len(c) > 1) > 1
         for k in range(1, 8):
-            assert evenly_equitable_coloring(g, k) == reference_evenly_equitable_coloring(
-                g, k
-            ), (seed, k)
+            got = evenly_equitable_coloring(g, k)
+            assert evenly_equitable_violations(g, got) == set(), (seed, k)
     assert placed_loops > 0 and split_graphs > 0
+
+
+def _colored(k: int, n: int, edges=(), loops=()) -> ColoredMultigraph:
+    """A k-colored graph on range(n) from (u, v, color) edges and (v, color) loops."""
+    cg = ColoredMultigraph(k, range(n))
+    for u, v, j in edges:
+        cg.layer(j).add_edges(u, v)
+    for v, j in loops:
+        cg.layer(j).add_loops(v)
+    return cg
+
+
+def _layer_loops(n: int, loops: int) -> Multigraph:
+    """n vertices, with that many loops at vertex 0."""
+    g = Multigraph(range(n))
+    g.add_loops(0, loops)
+    return g
+
+
+# (graph, a coloring of it with one planted fault, what the definitions
+# oracle finds broken); is_evenly_equitable must reject every odd or
+# spread one, and no library predicate checks "cover"
+PLANTED = [
+    (complete_graph(3), _colored(2, 3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)], [(0, 2)]), {"cover"}),
+    (complete_graph(3), _colored(2, 3, [(0, 1, 1), (1, 2, 1), (0, 2, 2)]), {"odd"}),
+    (_layer_loops(1, 2), _colored(2, 1, loops=[(0, 1), (0, 1)]), {"spread"}),
+]
+
+
+@pytest.mark.parametrize("g, cg, names", PLANTED, ids=["cover", "odd", "spread"])
+def test_evenly_equitable_oracle_names_each_planted_fault(g, cg, names) -> None:
+    assert evenly_equitable_violations(g, cg) == names
+    assert is_evenly_equitable(cg) == (names == {"cover"})
+
+
+def moved_edge(rng: random.Random, cg: ColoredMultigraph) -> ColoredMultigraph:
+    """A copy of cg with one edge or loop moved from one color to another."""
+    out = cg.copy()
+    j, u, v = rng.choice(
+        [(j, u, v) for j in range(1, cg.k + 1) for u, v, _ in cg.layer(j).pairs()]
+        + [(j, v, v) for j in range(1, cg.k + 1) for v, _ in cg.layer(j).loop_items()]
+    )
+    i = rng.choice([i for i in range(1, cg.k + 1) if i != j])
+    if u == v:
+        out.layer(j).remove_loops(v, 1)
+        out.layer(i).add_loops(v, 1)
+    else:
+        out.layer(j).remove_edges(u, v, 1)
+        out.layer(i).add_edges(u, v, 1)
+    return out
+
+
+def test_is_evenly_equitable_agrees_with_the_definitions() -> None:
+    """The predicate accepts exactly when the definitions oracle finds no
+    odd class degree and no spread above two, on evenly equitable colorings
+    and with one edge or loop moved between two of their layers; both
+    verdicts occur, and moving keeps the cover."""
+    rng = random.Random(59)
+    verdicts = set()
+    for _ in range(200):
+        g = random_even_multigraph(rng)
+        if g.edge_count() == 0:
+            continue
+        k = rng.randint(2, 5)
+        cg = evenly_equitable_coloring(g, k)
+        for colored in (cg, moved_edge(rng, cg)):
+            bad = evenly_equitable_violations(g, colored)
+            assert "cover" not in bad
+            assert is_evenly_equitable(colored) == (not bad), (g, k)
+            verdicts.add(not bad)
+    assert verdicts == {False, True}

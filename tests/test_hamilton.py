@@ -20,12 +20,11 @@ from fairdetach.multigraph import ColoredMultigraph, Multigraph
 from fairdetach.verify import is_gdd, verify_ham_decomposition
 from helpers import (
     brute_force_ham_decomposable,
+    cycle_violations,
     mixed_edge_count,
     outcome,
     pure_edge_counts,
-    reference_extract_cycle,
-    reference_merge,
-    reference_relabel,
+    spanning_cycles,
 )
 
 
@@ -290,31 +289,34 @@ def test_a_repeated_color_class_fails_against_the_requested_host(monkeypatch) ->
     assert got == (False, "pair (0, 1): cycles use 1, host has 2")
 
 
-def relabeled_layer(layer: Multigraph, order) -> Multigraph:
-    """layer with vertex order[i] renamed to i, through the old relabel."""
-    cg = ColoredMultigraph(1, layer.vertices)
-    reference_merge(cg.layer(1), layer)
-    return reference_relabel(cg, order).layer(1)
+def assert_read_off(layer: Multigraph, order, cycle) -> None:
+    """cycle, in the ids that order renames to, is layer's one spanning
+    cycle, walked from order[0] towards its lower-renamed neighbor."""
+    assert cycle_violations(layer, [order[i] for i in cycle]) == set()
+    assert cycle[0] == 0
+    assert len(cycle) < 3 or cycle[1] < cycle[-1]
 
 
 def test_cycle_read_off_matches_reference_on_every_layer(monkeypatch) -> None:
+    """Every color class that a decomposition reads off is one spanning
+    cycle by its definition, walked from the vertex renamed 0 towards its
+    lower-renamed neighbor."""
     layers = relabels = 0
 
-    def both(layer, rename):
+    def checked(layer, rename):
         nonlocal layers
         layers += 1
         cycle = _extract_cycle(layer, rename)
-        order = sorted(rename, key=rename.__getitem__)
-        assert cycle == reference_extract_cycle(relabeled_layer(layer, order))
+        assert_read_off(layer, sorted(rename, key=rename.__getitem__), cycle)
         return cycle
 
-    def both_relabel(cg, order):
+    def counted_relabel(cg, order):
         nonlocal relabels
         relabels += 1
         return _relabel(cg, order)
 
-    monkeypatch.setattr(hamilton, "_extract_cycle", both)
-    monkeypatch.setattr(hamilton, "_relabel", both_relabel)
+    monkeypatch.setattr(hamilton, "_extract_cycle", checked)
+    monkeypatch.setattr(hamilton, "_relabel", counted_relabel)
     for n in range(2, 16):
         for lam in range(1, 4):
             if lam * (n - 1) % 2 == 0:
@@ -358,8 +360,7 @@ def _looped(g):
     ],
 )
 def test_cycle_read_off_rejects_every_other_shape(layer) -> None:
-    with pytest.raises(AssertionError, match="not a single spanning cycle"):
-        reference_extract_cycle(layer)
+    assert not any(cycle_violations(layer, c) == set() for c in spanning_cycles(layer))
     n = len(layer.vertices)
     for rename in ({v: v for v in range(n)}, {v: n - 1 - v for v in reversed(range(n))}):
         with pytest.raises(AssertionError, match="not a single spanning cycle"):
@@ -368,9 +369,29 @@ def test_cycle_read_off_rejects_every_other_shape(layer) -> None:
 
 def test_cycle_read_off_takes_a_doubled_edge_as_the_2_cycle() -> None:
     layer = _layer(2, [(0, 1), (0, 1)])
-    assert reference_extract_cycle(layer) == (0, 1)
+    assert cycle_violations(layer, (0, 1)) == set()
     assert _extract_cycle(layer, {0: 0, 1: 1}) == (0, 1)
     assert _extract_cycle(layer, {1: 0, 0: 1}) == (0, 1)
+
+
+# (layer, a closed vertex sequence, what the definitions oracle finds
+# broken); _extract_cycle rejects each layer
+PLANTED = [
+    (_looped(_layer(3, [(0, 1), (1, 2), (2, 0)])), (0, 1, 2), {"loops"}),
+    (_layer(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]), (0, 1, 2, 0, 3, 4), {"vertices"}),
+    (_layer(3, [(0, 1), (1, 2)]), (0, 1, 2), {"edges"}),
+    (_layer(2, [(0, 1)]), (0, 1), {"edges"}),
+]
+
+
+@pytest.mark.parametrize(
+    "layer, cycle, names", PLANTED, ids=["loops", "vertices", "edges", "2-cycle"]
+)
+def test_cycle_oracle_names_each_planted_fault(layer, cycle, names) -> None:
+    assert cycle_violations(layer, cycle) == names
+    n = len(layer.vertices)
+    with pytest.raises(AssertionError, match="not a single spanning cycle"):
+        _extract_cycle(layer, {v: v for v in range(n)})
 
 
 def random_layer(rng: random.Random, n: int) -> Multigraph:
@@ -398,28 +419,27 @@ def random_layer(rng: random.Random, n: int) -> Multigraph:
 
 
 def test_read_off_matches_reference_on_random_layers() -> None:
-    """The read-off of a random one-color graph in a random order raises
-    exactly when the reference does, with the same message; otherwise it
-    gives the reference's cycle.  A rejected layer is either of
-    the wrong shape (a loop, or a vertex of degree other than 2) or a
-    2-regular one that is not connected."""
+    """The read-off of a random one-color graph in a random order gives
+    the graph's spanning cycle (see assert_read_off) when the brute-force
+    search finds one that passes the definition, and raises otherwise.  A
+    rejected layer is either of the wrong shape (a loop, or a vertex of
+    degree other than 2) or a 2-regular one that is not connected."""
     rng = random.Random(67)
     seen = {"cycle": 0, "walk": 0, "shape": 0}
     for _ in range(3000):
         n = rng.randint(1, 7)
         cg = ColoredMultigraph(1, range(n))
         layer = random_layer(rng, n)
-        reference_merge(cg.layer(1), layer)
+        cg.layer(1).merge(layer)
         order = list(range(n))
         rng.shuffle(order)
-        ref = reference_relabel(cg, order)
-        want = outcome(reference_extract_cycle, ref.layer(1))
         got = outcome(_read_off, layer, cg, order)
-        if isinstance(want, tuple) and isinstance(want[0], str):
-            assert got == want
+        if any(cycle_violations(layer, c) == set() for c in spanning_cycles(layer)):
+            (cycle,) = got.cycles
+            assert_read_off(layer, order, cycle)
+            seen["cycle"] += 1
+        else:
+            assert got == ("AssertionError", "color class is not a single spanning cycle")
             shaped = layer.is_loopless() and all(layer.degree(v) == 2 for v in range(n))
             seen["walk" if shaped else "shape"] += 1
-        else:
-            assert got.cycles == (want,)
-            seen["cycle"] += 1
     assert min(seen.values()) > 200, seen
