@@ -17,7 +17,9 @@ list, and raise GraphError unless it holds a class and each class one count
 per pair.  Each call keeps one integer skeleton of the graph: a node index
 (source, sink, left vertices, right vertices), the two nodes of every
 pair, the uncolored pair multiplicities, vertex degrees and edge total,
-and the one `flows.Network` that all its peels share.  Every class is
+and the one `flows.Network` that all its peels share, built by the first
+peel that searches: a peel with c = 1 takes what is left and needs none,
+so a 1-coloring builds no network.  Every class is
 peeled from the skeleton and subtracted from it in place (but for the
 last class of a partial coloring), so later classes neither copy the
 graph nor sort, index or link it again.  Every window is
@@ -94,28 +96,35 @@ class _Skeleton:
     """Integer data of one bee coloring: node 0 is the source, 1 the sink,
     2.. the n_left left then the right vertices in peel order; `ends` holds
     each pair's two nodes and `mult`, `deg` (one entry per node), `total`
-    what is still uncolored.  `net` is the network of every peel, with the
-    arcs 0 -> v per left vertex v, the pairs, v -> 1 per right vertex v,
-    and 1 -> 0, in that order.  The degrees come from the caller, who
-    knows them without a pass over the pairs: the engine's fan, which
-    `engine.build_split_bipartite` sums as it reads y's rows and which
-    keeps them across y's steps; `engine.refine`, which sums the pick's
-    as it emits its pairs; and `_skeleton_of` for tuple input."""
+    what is still uncolored.  `net` is the network of every peel that
+    searches (c > 1), with the arcs 0 -> v per left vertex v, the pairs,
+    v -> 1 per right vertex v, and 1 -> 0, in that order; the first such
+    peel builds it, and until then it is None.  The degrees come from the
+    caller, who knows them without a pass over the pairs: the engine's
+    fan, which `engine.build_split_bipartite` sums as it reads y's rows
+    and which keeps them across y's steps; `engine.refine`, which sums the
+    pick's as it emits its pairs; and `_skeleton_of` for tuple input."""
 
     __slots__ = ("n_left", "ends", "mult", "deg", "total", "net")
 
     def __init__(
         self, n_left: int, ends: List[Tuple[int, int]], mult: List[int], deg: List[int]
     ) -> None:
-        split = 2 + n_left
-        n = len(deg)
         self.n_left, self.ends, self.mult, self.deg = n_left, ends, mult, deg
         self.total = sum(mult)
-        arcs = [(0, v) for v in range(2, split)]
-        arcs += ends
-        arcs += [(v, 1) for v in range(split, n)]
-        arcs.append((1, 0))
-        self.net = Network(n, arcs)
+        self.net: Optional[Network] = None  # built by the first peel that searches
+
+    def network(self) -> Network:
+        """The network of every peel that searches, built at the first."""
+        if self.net is None:
+            split = 2 + self.n_left
+            n = len(self.deg)
+            arcs = [(0, v) for v in range(2, split)]
+            arcs += self.ends
+            arcs += [(v, 1) for v in range(split, n)]
+            arcs.append((1, 0))
+            self.net = Network(n, arcs)
+        return self.net
 
 
 def _skeleton_of(bg: SortedBipartite) -> _Skeleton:
@@ -158,7 +167,7 @@ def _peel_class(sk: _Skeleton, c: int) -> List[int]:
     xs.append(sk.total)
     low = [x // c for x in xs]
     room = [1 if x % c else 0 for x in xs]
-    flows = feasible_circulation(len(deg), Residual(sk.net, low, room))
+    flows = feasible_circulation(len(deg), Residual(sk.network(), low, room))
     if flows is None:  # impossible: the fractional 1/c point meets every window
         raise AssertionError("class peeling was infeasible")
     return flows[n_left : n_left + len(mult)]

@@ -9,7 +9,9 @@ through two auxiliary bipartite colorings:
     equitable and equalized with eta(y) classes, of which only classes 1
     and 2 are peeled: they form the working subgraph, and since classes are
     peeled in order and class j depends only on the edges classes 1..j-1
-    left, they are exactly the first two classes of the full coloring,
+    left, they are exactly the first two classes of the full coloring; at
+    eta(y) = 2 they are the whole fan, so the step colors it with one
+    class, which a peel with c = 1 returns without a circulation,
   * colors whose per-vertex degree ratios are even integers everywhere get
     their left vertex split into degree-2 units, pairing parallel edges to
     one neighbor first and edges into one component of the color class
@@ -24,17 +26,17 @@ A step hands its data from stage to stage as integer rows in peel order
 fan is peeled as the bee skeleton of y's fan (see below), whose left
 degrees also give the condition-3 check each color's degree at y; the fan
 coloring returns classes 1 and 2 as multiplicity vectors over the fan's
-pairs, and their sum is the working subgraph on the same pairs; `refine`
-reads those counts off the fan's integer pairs and builds the pick's
-skeleton in node numbers, and the pick peels only class 1, which is
-the moves.  A double unit, whose two edge ends go to one right vertex, is
-settled in `refine` and left out of the pick.  With c = 2 each of its
-windows is fixed: its pair and its source arc carry 2 and must get
-exactly 1, so it moves exactly one edge end (or one loop), and its node is
-isolated with excess 0.  Without it, its right vertex and the total each
-lose 2, so their floors and ceilings both drop by 1 at the same parity:
-every other excess and live arc and the node order are kept, the search
-finds the same paths and the flows are the same.
+pairs, and their sum (at eta(y) = 2 the one class) is the working subgraph
+on the same pairs; `refine` reads those counts off the fan's integer pairs
+and builds the pick's skeleton in node numbers, and the pick peels only
+class 1, which is the moves.  A double unit, whose two edge ends go to one
+right vertex, is settled in `refine` and left out of the pick.  With c = 2
+each of its windows is fixed: its pair and its source arc carry 2 and must
+get exactly 1, so it moves exactly one edge end (or one loop), and its
+node is isolated with excess 0.  Without it, its right vertex and the
+total each lose 2, so their floors and ceilings both drop by 1 at the same
+parity: every other excess and live arc and the node order are kept, the
+search finds the same paths and the flows are the same.
 The loop proxy (-1, the fan's right vertex 0) sorts below every vertex
 id, so it is the first right vertex of every graph the peel reads and
 heads a color's row; `refine` takes its multiplicity off that front once
@@ -105,7 +107,6 @@ from .multigraph import (
     AmalgamationSpec,
     ColoredMultigraph,
     DetachmentMap,
-    Multigraph,
     VertexId,
     _Record,
 )
@@ -466,8 +467,11 @@ def _step(state: _DetachState, y: VertexId) -> StepRecord:
     fan, rights = state.fan_at(y)
     k = cg.k
     fan_deg = fan.deg[1 : k + 2]  # color j's degree at y, read before the peel
-    first, second = bee_coloring(fan, eta_y, upto=2)
-    working = list(map(add, first, second))
+    if eta_y == 2:  # classes 1 and 2 are the whole fan: one c = 1 peel, no flow
+        (working,) = bee_coloring(fan, 1)
+    else:
+        first, second = bee_coloring(fan, eta_y, upto=2)
+        working = list(map(add, first, second))
 
     cond3 = state.cond3
     owner, pick, settled = refine(fan, working, rights, cond3, state.labels(y))

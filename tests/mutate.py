@@ -12,7 +12,9 @@ into a temporary copy of `src/`, never into the checkout, and runs the
 module's mapped test files against that copy with `pytest -x`, in a new
 process session.  A failing run kills the mutant; so does a run that
 outlives the timeout, whose whole process group is then killed.  Mutants
-run one at a time, after one run of the unmutated module that must pass.
+run one at a time, after one run of the unmutated module that must pass;
+the timeout is TIMEOUT_FACTOR times that run's time, and at least
+TIMEOUT_FLOOR_S, so a mutant that loops costs a few unmutated runs.
 
     python tests/mutate.py [MODULE ...]    run every mutant of the modules
     python tests/mutate.py --list          print every key, run nothing
@@ -34,12 +36,14 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 PACKAGE = SRC / "fairdetach"
-TIMEOUT_S = 120
+# a mutant's timeout, from the time of the module's unmutated run
+TIMEOUT_FACTOR = 5
+TIMEOUT_FLOOR_S = 10.0
 
 # (function, operator, index) within one module; EQUIVALENT prefixes the module
 Key = Tuple[str, str, int]
@@ -168,9 +172,10 @@ def mutant(source: str, key: Key) -> str:
     return ast.unparse(tree)
 
 
-def _run_tests(module: str, source: str) -> str:
+def _run_tests(module: str, source: str, timeout: Optional[float] = None) -> str:
     """'passed', 'failed' or 'timeout' for the module's tests with `source`
-    standing in for the module, in a temporary copy of src/."""
+    standing in for the module, in a temporary copy of src/; with no
+    `timeout`, the run may take as long as it takes."""
     with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
@@ -187,7 +192,7 @@ def _run_tests(module: str, source: str) -> str:
             start_new_session=True,
         )
         try:
-            code = proc.wait(timeout=TIMEOUT_S)
+            code = proc.wait(timeout=timeout)
         except subprocess.TimeoutExpired:
             code = None
         finally:  # after a timeout or an interrupt, end the run's process group
@@ -203,14 +208,18 @@ def run(modules: List[str]) -> int:
     unexplained = 0
     for module in modules:
         source = (PACKAGE / f"{module}.py").read_text()
+        start = time.monotonic()
         if _run_tests(module, ast.unparse(ast.parse(source))) != "passed":
             print(f"{module}.py: the unmutated module fails its tests")
             return 1
+        took = time.monotonic() - start
+        timeout = max(TIMEOUT_FLOOR_S, TIMEOUT_FACTOR * took)
+        print(f"{module}.py: unmutated run {took:.1f} s, mutant timeout {timeout:.1f} s")
         keys = sites(source)
         killed = timeouts = 0
         for key in keys:
             start = time.monotonic()
-            outcome = _run_tests(module, mutant(source, key))
+            outcome = _run_tests(module, mutant(source, key), timeout)
             note = ""
             if outcome == "passed":
                 note = EQUIVALENT.get((module, *key), "NOT KNOWN EQUIVALENT")

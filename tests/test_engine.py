@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from fairdetach import engine, hamilton
-from fairdetach.bee import _skeleton_of
+from fairdetach.bee import _Skeleton, _skeleton_of, bee_coloring
 from fairdetach.engine import (
     LOOP_PROXY,
     MoveSet,
@@ -634,8 +634,9 @@ def test_step_matches_graph_building_reference(family: str, monkeypatch) -> None
     """Every stage of every step meets its definition.  The fan the step
     peels, live or freshly built, is y's rows read off the graph's counts;
     its classes 1 and 2 meet the peel windows of an eta(y)-coloring and sum
-    to the working subgraph; refine splits each condition-3 color of that
-    subgraph into degree-2 units and keeps every other color whole; the
+    to the working subgraph (at eta(y) = 2 the step takes that sum as the
+    one class of a 1-coloring: the whole fan); refine splits each
+    condition-3 color of that subgraph into degree-2 units and keeps every other color whole; the
     pick's class 1 meets the windows of a 2-coloring; and the moves are what
     that class and the settled units spell.  A right vertex that y has lost
     stays in a live fan, isolated."""
@@ -651,7 +652,7 @@ def test_step_matches_graph_building_reference(family: str, monkeypatch) -> None
         ),
     )
     recording(monkeypatch, "refine", refines)
-    steps = isolated = 0
+    steps = isolated = eta_two = 0
     for cg, eta in step_instances(family):
         state = engine._DetachState(cg.copy(), dict(eta.eta))
         k = cg.k
@@ -669,6 +670,11 @@ def test_step_matches_graph_building_reference(family: str, monkeypatch) -> None
                 )
                 fan_pairs = skeleton_graph(fan_given, range(1, k + 1), rights)[2]
                 assert fan_pairs == want_fan
+                if eta_y == 2:
+                    assert classes == [working] == [[n for _, _, n in want_fan]]
+                    given = (list(fan_given.ends), list(fan_given.mult), list(fan_given.deg))
+                    classes = bee_coloring(_Skeleton(fan.n_left, *given), 2)
+                    eta_two += 1
                 assert "peel" not in coloring_violations(fan_pairs, classes, eta_y)
                 assert working == list(map(add, *classes))
                 owner, (_, _, units), unit_picked = expand_refined(refined, rights, picked[0])
@@ -689,7 +695,7 @@ def test_step_matches_graph_building_reference(family: str, monkeypatch) -> None
                 assert "peel" not in coloring_violations(pick_pairs, picked, 2)
                 assert moves == moves_of(owner, units, unit_picked)
                 steps += 1
-    assert steps > 0
+    assert steps > eta_two > 0
     assert isolated or family != "fuzz"
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from types import SimpleNamespace
+from typing import Optional
 
 import pytest
 
@@ -135,23 +136,29 @@ def checked_max_flow(monkeypatch, calls: list) -> None:
     monkeypatch.setattr("fairdetach.flows._max_flow", run)
 
 
-def capture_peels(monkeypatch, peels: list) -> None:
+def capture_peels(monkeypatch, peels: list, unit_peels: Optional[list] = None) -> None:
     """Record (skeleton copy, c) for every `bee._peel_class` call with c > 1;
-    the copy shares the skeleton's network, which no peel changes."""
+    the copy shares the network the peel solved on, which no peel changes.
+    With `unit_peels`, record the skeleton's network before and after every
+    c = 1 peel there."""
     peel = bee._peel_class
 
     def keep(sk, c):
+        before = sk.net
+        copy = SimpleNamespace(
+            n_left=sk.n_left,
+            ends=list(sk.ends),
+            mult=list(sk.mult),
+            deg=list(sk.deg),
+            total=sk.total,
+        )
+        flows = peel(sk, c)
         if c > 1:
-            copy = SimpleNamespace(
-                n_left=sk.n_left,
-                ends=list(sk.ends),
-                mult=list(sk.mult),
-                deg=list(sk.deg),
-                total=sk.total,
-                net=sk.net,
-            )
+            copy.net = sk.net
             peels.append((copy, c))
-        return peel(sk, c)
+        elif unit_peels is not None:
+            unit_peels.append((before, sk.net))
+        return flows
 
     monkeypatch.setattr(bee, "_peel_class", keep)
 
@@ -280,9 +287,12 @@ def test_peel_network_keeps_the_generic_numbering(monkeypatch) -> None:
     """Every peel, bee-shaped, of lambda K_n and of a GDD, solves on its
     skeleton's fixed topology: the adjacency and heads are those of the
     generic build from the peel's windows, arcs without room included, and
-    so are its capacities, lower bounds, supply and demand."""
+    so are its capacities, lower bounds, supply and demand.  A c = 1 peel
+    searches nothing and builds no network, so the one peel of an eta = 2
+    fan leaves its skeleton without one."""
     peels: list = []
-    capture_peels(monkeypatch, peels)
+    unit_peels: list = []
+    capture_peels(monkeypatch, peels, unit_peels)
     nets: list = []
 
     def solve(n, net):
@@ -304,6 +314,9 @@ def test_peel_network_keeps_the_generic_numbering(monkeypatch) -> None:
         assert net == (generic.cap, generic.low, generic.supply, generic.demand)
         no_room += generic.cap[::2].count(0)
     assert no_room
+    assert all(after is before for before, after in unit_peels)
+    assert any(before is None for before, _ in unit_peels)
+    assert any(before is not None for before, _ in unit_peels)
 
 
 def test_even_peel_network_keeps_the_generic_numbering(monkeypatch) -> None:
