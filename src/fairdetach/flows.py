@@ -11,9 +11,9 @@ This module alone knows the residual format.  A `Network` is the topology
 of a problem's arcs, built once from their (tail, head) ends; a `Residual`
 is one problem on it, from each arc's lower bound and room (upper - lower),
 with each node's excess of lower-bound inflow over outflow held as
-`supply` (positive) or `demand` (negative).  `feasible_circulation` builds
-both from (tail, head, lower, upper) tuples; `bee` and `evencolor` build
-one `Network` per coloring and a `Residual` per class.
+`supply` (positive) or `demand` (negative).  `bee` and `evencolor` build
+one `Network` per coloring and a `Residual` per class, and a `Residual` is
+the one input `feasible_circulation` takes.
 
 Each augmenting path is the one a plain BFS finds in the network with a
 super source s and a super sink t made explicit: an arc s -> v of capacity
@@ -69,9 +69,7 @@ from __future__ import annotations
 
 from itertools import compress
 from operator import add
-from typing import List, Optional, Sequence, Tuple, Union
-
-Arc = Tuple[int, int, int, int]  # (tail, head, lower, upper)
+from typing import List, Optional, Sequence, Tuple
 
 
 class Network:
@@ -214,22 +212,14 @@ def _max_flow(
         total += push
 
 
-def _residual(n: int, arcs: Sequence[Arc]) -> Residual:
-    for _, _, low, high in arcs:
-        if low < 0 or low > high:
-            raise ValueError(f"bad arc bounds [{low}, {high}]")
-    net = Network(n, [(a, b) for a, b, _, _ in arcs])
-    return Residual(net, [arc[2] for arc in arcs], [high - low for _, _, low, high in arcs])
-
-
-def feasible_circulation(n: int, arcs: Union[Sequence[Arc], Residual]) -> Optional[List[int]]:
+def feasible_circulation(n: int, net: Residual) -> Optional[List[int]]:
     """Integral circulation respecting every arc's [lower, upper] window.
 
-    Nodes are 0..n-1, and `arcs` is a sequence of (tail, head, lower,
-    upper) tuples or a `Residual` built for them.  Returns one flow value
-    per arc (in input order), or None when no feasible circulation exists.
+    `net` is the problem on nodes 0..n-1, so n is len(net.adj); the search
+    spends its capacities, supply and demand.  Returns one flow value per
+    arc, in the order of the network's `ends`, or None when no feasible
+    circulation exists.
     """
-    net = arcs if isinstance(arcs, Residual) else _residual(n, arcs)
     need = sum(net.supply)
     if _max_flow(net.adj, net.to, net.cap, net.supply, net.demand) != need:
         return None

@@ -6,13 +6,11 @@
   colorings (balanced, equitable, equalized and the peel windows), evenly
   equitable colorings, a color class that is one spanning cycle, the
   detachment conditions, the step relations B1-B6, the trace's cumulative
-  relations and the GDD shape.
-- Brute force and independent solvers: the pairing and cycle searches and
-  the pop-time Edmonds-Karp `reference_circulation`.
-- Copies of earlier library code, kept where the contract is the form
-  itself and no definition can state it: `reference_max_flow` and the two
-  peel-window builders, whose search order and windows fix the flows every
-  peel returns, and so the output bytes; and `reference_move`, the checked
+  relations, the GDD shape, and a circulation's windows and conservation
+  with the Hoffman cut that proves no circulation exists.
+- Brute force: the pairing and cycle searches.
+- A copy of earlier library code, kept where the contract is the form
+  itself and no definition can state it: `reference_move`, the checked
   `Multigraph` methods whose guards and messages `split_off` keeps.
 """
 
@@ -28,7 +26,6 @@ from typing import (
 
 from fairdetach.bee import SortedBipartite
 from fairdetach.errors import GraphError
-from fairdetach.evencolor import _orient
 from fairdetach.multigraph import (
     AmalgamationSpec,
     ColoredMultigraph,
@@ -122,209 +119,6 @@ def brute_force_ham_decomposable(g: Multigraph) -> bool:
         return False
 
     return search(g.copy())
-
-
-class _PopTimeResidual:
-    """Edmonds-Karp residual network that tests the sink when a node is
-    popped and queues the source's whole first BFS level."""
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.adj: List[List[int]] = [[] for _ in range(n)]
-        self.to: List[int] = []
-        self.cap: List[int] = []
-
-    def add(self, a: int, b: int, cap: int) -> int:
-        idx = len(self.to)
-        self.adj[a].append(idx)
-        self.to.append(b)
-        self.cap.append(cap)
-        self.adj[b].append(idx + 1)
-        self.to.append(a)
-        self.cap.append(0)
-        return idx
-
-    def max_flow(self, s: int, t: int) -> int:
-        adj, to, cap = self.adj, self.to, self.cap
-        total = 0
-        while True:
-            parent = [-1] * self.n
-            parent[s] = -2
-            queue = [s]
-            qi = 0
-            while qi < len(queue) and parent[t] == -1:
-                v = queue[qi]
-                qi += 1
-                for idx in adj[v]:
-                    if cap[idx] > 0:
-                        w = to[idx]
-                        if parent[w] == -1:
-                            parent[w] = idx
-                            if w == t:
-                                break
-                            queue.append(w)
-            if parent[t] == -1:
-                return total
-            # bottleneck along the BFS path
-            push = cap[parent[t]]
-            v = t
-            while v != s:
-                idx = parent[v]
-                if cap[idx] < push:
-                    push = cap[idx]
-                v = to[idx ^ 1]
-            v = t
-            while v != s:
-                idx = parent[v]
-                cap[idx] -= push
-                cap[idx ^ 1] += push
-                v = to[idx ^ 1]
-            total += push
-
-
-def reference_circulation(
-    n: int, arcs: Sequence[Tuple[int, int, int, int]]
-) -> Optional[List[int]]:
-    """The circulation solver as it was before its search was narrowed:
-    the same Edmonds-Karp augmentation order, with a plain BFS per path."""
-    net = _PopTimeResidual(n + 2)
-    src, snk = n, n + 1
-    excess = [0] * n
-    base = []
-    for a, b, low, high in arcs:
-        if not (0 <= low <= high):
-            raise ValueError(f"bad arc bounds [{low}, {high}]")
-        base.append(net.add(a, b, high - low))
-        excess[b] += low
-        excess[a] -= low
-    need = 0
-    for v in range(n):
-        if excess[v] > 0:
-            net.add(src, v, excess[v])
-            need += excess[v]
-        elif excess[v] < 0:
-            net.add(v, snk, -excess[v])
-    if net.max_flow(src, snk) != need:
-        return None
-    # flow on an arc = lower bound + units pushed onto its residual reverse
-    return [arcs[i][2] + net.cap[base[i] + 1] for i in range(len(arcs))]
-
-
-# ---------------------------------------------------------------------------
-# the circulation max-flow as it was while every search walked all of the
-# source's arcs from the first, stepping over the full ones
-
-
-def reference_max_flow(
-    adj: List[List[int]],
-    to: List[int],
-    cap: List[int],
-    s: int,
-    t: int,
-    hops: Optional[List[int]] = None,
-) -> int:
-    """Push a maximum flow from s to t through a residual network; return its value.
-
-    Arc idx runs to to[idx] with residual capacity cap[idx], which is
-    updated in place; its reverse is idx ^ 1, and adj[v] lists the arcs
-    leaving v in insertion order.  The network must satisfy four
-    invariants, which every network with its `supply` and `demand` made
-    explicit arcs does (see `test_flows.checked_max_flow`): every node has
-    at most one arc from s and at most one arc into t, no node has both,
-    and s has no arc straight into t.  With `hops`, the number of arcs
-    between s and t on each augmenting path is appended to it, path by path.
-    """
-    n = len(adj)
-    source_arcs = adj[s]
-    n_source = len(source_arcs)
-    from_s = [-1] * n  # from_s[v]: index of the arc s -> v
-    for idx in source_arcs:
-        from_s[to[idx]] = idx
-    into_t = [-1] * n  # into_t[v]: index of the arc v -> t
-    for idx in adj[t]:
-        into_t[to[idx]] = idx ^ 1
-    total = 0
-    while True:
-        parent = [-1] * n
-        parent[s] = -2
-        queue: List[int] = []
-        qi = si = 0
-        last = -1  # node whose live arc into t ends the path
-        while last < 0:
-            if si < n_source:  # level 1, one live source arc at a time
-                idx = source_arcs[si]
-                si += 1
-                if cap[idx] <= 0:
-                    continue
-                v = to[idx]
-                parent[v] = idx
-            elif qi < len(queue):
-                v = queue[qi]
-                qi += 1
-            else:
-                return total
-            for idx in adj[v]:
-                if cap[idx] > 0:
-                    w = to[idx]
-                    if parent[w] == -1:
-                        e = from_s[w]
-                        if e >= 0 and cap[e] > 0:
-                            continue  # level-1 node, expanded in turn
-                        parent[w] = idx
-                        e = into_t[w]
-                        if e >= 0 and cap[e] > 0:
-                            last = w
-                            break
-                        queue.append(w)
-        # bottleneck along the BFS path
-        e = into_t[last]
-        push = cap[e]
-        v = last
-        while v != s:
-            idx = parent[v]
-            if cap[idx] < push:
-                push = cap[idx]
-            v = to[idx ^ 1]
-        cap[e] -= push
-        cap[e ^ 1] += push
-        v = last
-        n_hops = -1  # the arc from s is not counted
-        while v != s:
-            idx = parent[v]
-            cap[idx] -= push
-            cap[idx ^ 1] += push
-            v = to[idx ^ 1]
-            n_hops += 1
-        if hops is not None:
-            hops.append(n_hops)
-        total += push
-
-
-def reference_peel_windows(sk, c: int) -> List[Tuple[int, int, int, int]]:
-    """The circulation of one bee peel as (tail, head, lower, upper) tuples,
-    as `bee._peel_class` built them for the generic network build: from
-    its skeleton `sk` (n_left, ends, mult, deg, total) and c colors."""
-    deg = sk.deg
-    split = 2 + sk.n_left
-    arcs = [(0, v, d // c, -(-d // c)) for v, d in enumerate(deg[2:split], start=2)]
-    arcs += [(a, b, n // c, -(-n // c)) for (a, b), n in zip(sk.ends, sk.mult)]
-    arcs += [(v, 1, d // c, -(-d // c)) for v, d in enumerate(deg[split:], start=split)]
-    arcs.append((1, 0, sk.total // c, -(-sk.total // c)))
-    return arcs
-
-
-def reference_even_peel_windows(
-    g: Multigraph, mult: List[int], half: List[int], c: int
-) -> List[Tuple[int, int, int, int]]:
-    """The circulation of one `evenly_equitable_coloring` class peel as
-    (tail, head, lower, upper) tuples, as `_peel_even_class` built them for
-    the generic network build: vertex i of g is the nodes 2i (in) and
-    2i + 1 (out); the Euler-oriented arcs of g, in sorted order, carry
-    [0, mult[p]], then 2i -> 2i + 1 carries the window of half[i] / c."""
-    node = {v: 2 * i for i, v in enumerate(g.vertices)}
-    arcs = [(node[u] + 1, node[v], 0, n) for (u, v), n in zip(sorted(_orient(g)), mult)]
-    arcs += [(2 * i, 2 * i + 1, s // c, -(-s // c)) for i, s in enumerate(half)]
-    return arcs
 
 
 # ---------------------------------------------------------------------------
@@ -759,3 +553,34 @@ def cycle_violations(layer: Multigraph, cycle: Sequence[VertexId]) -> Set[str]:
     if closing != Counter({(u, v): n for u, v, n in layer.pairs()}):
         bad.add("edges")
     return bad
+
+
+def circulation_violations(
+    n: int, arcs: Sequence[Tuple[int, int, int, int]], flows: Sequence[int]
+) -> Set[str]:
+    """What one flow value per (tail, head, lower, upper) arc on nodes
+    0..n-1 breaks, among "window" (a flow outside its [lower, upper]) and
+    "conservation" (a node whose inflow is not its outflow).  GraphError
+    unless there is one flow per arc."""
+    if len(flows) != len(arcs):
+        raise GraphError(f"need {len(arcs)} flows, got {len(flows)}")
+    bad = set()
+    balance = [0] * n
+    for (a, b, low, high), f in zip(arcs, flows):
+        if not low <= f <= high:
+            bad.add("window")
+        balance[a] -= f
+        balance[b] += f
+    if any(balance):
+        bad.add("conservation")
+    return bad
+
+
+def is_hoffman_cut(arcs: Sequence[Tuple[int, int, int, int]], s: Set[int]) -> bool:
+    """True when the lower bounds on the (tail, head, lower, upper) arcs
+    into node set s exceed the upper bounds on the arcs out of it.  Every
+    circulation carries as much into s as out of it, so then none meets
+    every window; when none does, such an s exists (Hoffman 1960)."""
+    into = sum(low for a, b, low, _ in arcs if a not in s and b in s)
+    out = sum(high for a, b, _, high in arcs if a in s and b not in s)
+    return into > out

@@ -430,6 +430,39 @@ def test_every_host_of_the_smallest_scope_detaches_and_verifies() -> None:
     assert (hosts, steps) == (3240, 9234)
 
 
+def _relabeled(cg: ColoredMultigraph, name: dict) -> ColoredMultigraph:
+    """cg with every vertex v renamed name[v]."""
+    out = ColoredMultigraph(cg.k, [name[v] for v in cg.vertices])
+    for j in range(1, cg.k + 1):
+        for u, v, n in cg.layer(j).pairs():
+            out.layer(j).add_edges(name[u], name[v], n)
+        for v, n in cg.layer(j).loop_items():
+            out.layer(j).add_loops(name[v], n)
+    return out
+
+
+def test_an_order_preserving_relabeling_commutes_with_detachment() -> None:
+    """The engine decides by lowest id first, so renaming the host's
+    vertices v -> 7v + 1000 gives the same detachment up to the
+    order-preserving map of all vertices, new ones included, which on the
+    host is that renaming: the same detached graph and the same fibers."""
+    rng = random.Random(11)
+    steps = 0
+    for _ in range(400):
+        h, eta = random_detach_instance(rng)
+        g, psi, trace = detach_all(h, eta)
+        name = {v: 7 * v + 1000 for v in h.vertices}
+        h2 = _relabeled(h, name)
+        g2, psi2, _ = detach_all(h2, AmalgamationSpec({name[v]: n for v, n in eta.eta.items()}))
+        assert len(g.vertices) == len(g2.vertices)
+        order = dict(zip(g.vertices, g2.vertices))
+        assert all(order[v] == name[v] for v in h.vertices)
+        assert _relabeled(g, order) == g2
+        assert psi2.fibers == {order[w]: [order[u] for u in f] for w, f in psi.fibers.items()}
+        steps += len(trace.steps)
+    assert steps == 2191
+
+
 def _mutate_step(rng: random.Random, g: ColoredMultigraph, y, v_new):
     """A copy of g with one or two unit edits at y or v_new, each in one
     random color: a loop at y added or removed, an edge from y or v_new
