@@ -84,10 +84,10 @@ def cmd_ham(args: argparse.Namespace) -> int:
     use_gdd = any(v is not None for v in gdd_flags)
     use_kn = args.n is not None or args.lam is not None
     if use_gdd == use_kn:
-        raise DocumentError("give either --n/--lambda or --parts/--size(s)/--l1/--l2")
+        raise PreconditionError("give either --n/--lambda or --parts/--size(s)/--l1/--l2")
     if use_kn:
         if args.n is None or args.lam is None:
-            raise DocumentError("--n and --lambda are both required")
+            raise PreconditionError("--n and --lambda are both required")
         dec = ham_decompose_lambda_kn(args.n, args.lam)
     else:
         # --sizes gives the part count itself, so --parts is needed only
@@ -97,21 +97,21 @@ def cmd_ham(args: argparse.Namespace) -> int:
             required.insert(0, ("--parts", args.parts))
         missing = [flag for flag, value in required if value is None]
         if len(missing) == 1:
-            raise DocumentError(f"{missing[0]} is required")
+            raise PreconditionError(f"{missing[0]} is required")
         if missing:
             names = ", ".join(missing[:-1]) + " and " + missing[-1]
-            raise DocumentError(f"{names} are required")
+            raise PreconditionError(f"{names} are required")
         if (args.size is None) == (args.sizes is None):
-            raise DocumentError("give exactly one of --size or --sizes")
+            raise PreconditionError("give exactly one of --size or --sizes")
         if args.size is not None:
             sizes = [args.size] * args.parts
         else:
             try:
                 sizes = [int(s) for s in args.sizes.split(",")]
             except ValueError:
-                raise DocumentError(f"bad --sizes {args.sizes!r}") from None
+                raise PreconditionError(f"bad --sizes {args.sizes!r}") from None
             if args.parts is not None and len(sizes) != args.parts:
-                raise DocumentError(
+                raise PreconditionError(
                     f"--sizes lists {len(sizes)} parts, --parts says {args.parts}"
                 )
         dec = ham_decompose_gdd(GddParams(tuple(sizes), args.l1, args.l2))
@@ -121,7 +121,7 @@ def cmd_ham(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if len(args.documents) > 2:
-        raise DocumentError("verify takes one or two documents")
+        raise PreconditionError("verify takes one or two documents")
     first = document.loads(_read(args.documents[0]))
     if len(args.documents) == 1:
         if first.get("kind") != "decomposition":

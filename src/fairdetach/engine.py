@@ -71,7 +71,7 @@ state: a working copy of the graph that each step's record is applied to in
 place through `apply_moves`, the split counts, the next vertex id, the
 condition-3 colors, per condition-3 color a union-find over the color class
 minus y, and y's live fan.  `apply_moves` is the one path from a step
-record to a graph: `DetachmentTrace.replay` takes it too, on copies.
+record to a graph; a trace replays as its records applied in order.
 
 The condition-3 colors are computed once, because no fair step changes
 them.  A step changes degrees only at y and the new vertex: a moved edge y-w
@@ -143,15 +143,6 @@ class DetachmentTrace(_Record):
 
     def __init__(self, steps: Optional[List[StepRecord]] = None) -> None:
         super().__init__([] if steps is None else steps)
-
-    def replay(self, start: ColoredMultigraph) -> List[ColoredMultigraph]:
-        """All intermediate graphs, starting graph first, final graph last;
-        each stage is a copy of its own, and start is left as it was."""
-        out = [start.copy()]
-        for rec in self.steps:
-            out.append(out[-1].copy())
-            apply_moves(out[-1], rec)
-        return out
 
 
 def apply_moves(cg: ColoredMultigraph, rec: StepRecord) -> None:

@@ -26,4 +26,4 @@ class InfeasibleError(Exception):
 
 class DocumentError(Exception):
     """Malformed input: a serialized document that is malformed or has an
-    unsupported version, or command-line flags that do not go together."""
+    unsupported version."""

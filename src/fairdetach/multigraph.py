@@ -19,11 +19,6 @@ detachment engine and the cycle read-off:
     graph's sorted rows (the Euler orientation) and
     `Multigraph.component_labels` the components of a graph minus one
     vertex in one traversal (the engine's union-finds).
-
-They keep the checked methods' guards and messages.  An unknown vertex, a
-new vertex that already exists, w == y, removing more than is present and a
-negative count each raise the same GraphError, and a move that passes them
-all costs one comparison (0 < n <= present).
 """
 
 from __future__ import annotations
@@ -57,9 +52,6 @@ class Multigraph:
     def vertices(self) -> List[VertexId]:
         """Vertex ids in ascending order."""
         return sorted(self._adj)
-
-    def has_vertex(self, v: VertexId) -> bool:
-        return v in self._adj
 
     def add_vertex(self, v: VertexId) -> None:
         if v < 0:
@@ -310,46 +302,45 @@ class ColoredMultigraph:
         edge_moves[j][w] edges y-w become v_new-w, then loop_moves[j] loops at
         y become edges y-v_new.
 
-        A move of 0 < n <= present is one comparison and a direct row update.
-        Any other entry goes through remove_edges/remove_loops and add_edges,
-        so a zero count only checks its vertices, and a negative count, an
-        over-count, an unknown vertex, w == y or w == v_new raises their
-        GraphError.  On an error the moves before it stay applied.
+        Each move is checked by the one comparison that applies it: its
+        count must lie in 1..present, the edges y-w or the loops at y that it
+        takes.  A v_new that exists or is negative, an unknown y, an unknown
+        color and a count outside that range each raise GraphError; the range
+        also covers an unknown w, w == y and w == v_new, where no edge is
+        present.  On an error the moves before it stay applied.
         """
-        if v_new in self._layers[0]._adj:
+        known = self._layers[0]._adj
+        if v_new in known:
             raise GraphError(f"new vertex {v_new} already exists")
+        if y not in known:
+            raise GraphError(f"unknown vertex {y}")
         self.add_vertex(v_new)
         for j, moves in edge_moves.items():
-            g = self.layer(j)
-            adj = g._adj
-            at_y, at_new = adj.get(y, {}), adj[v_new]
+            adj = self.layer(j)._adj
+            at_y, at_new = adj[y], adj[v_new]
             for w, n in moves.items():
                 have = at_y.get(w, 0)
-                if 0 < n <= have:  # so w is a neighbor of y: known, not y, not v_new
-                    at_w = adj[w]
-                    if n == have:
-                        del at_y[w], at_w[y]
-                    else:
-                        at_y[w] = at_w[y] = have - n
-                    at_new[w] = at_new.get(w, 0) + n
-                    at_w[v_new] = at_w.get(v_new, 0) + n
+                if not 0 < n <= have:
+                    raise GraphError(f"cannot remove {n} edges from m({y},{w})={have}")
+                at_w = adj[w]
+                if n == have:
+                    del at_y[w], at_w[y]
                 else:
-                    g.remove_edges(y, w, n)
-                    g.add_edges(v_new, w, n)
+                    at_y[w] = at_w[y] = have - n
+                at_new[w] = at_new.get(w, 0) + n
+                at_w[v_new] = at_w.get(v_new, 0) + n
         for j, n in loop_moves.items():
             g = self.layer(j)
             have = g._loops.get(y, 0)
-            if 0 < n <= have:  # so y is known and is not v_new
-                if n == have:
-                    del g._loops[y]
-                else:
-                    g._loops[y] = have - n
-                at_y = g._adj[y]
-                at_y[v_new] = at_y.get(v_new, 0) + n
-                g._adj[v_new][y] = at_y[v_new]
+            if not 0 < n <= have:
+                raise GraphError(f"cannot remove {n} loops from l({y})={have}")
+            if n == have:
+                del g._loops[y]
             else:
-                g.remove_loops(y, n)
-                g.add_edges(y, v_new, n)
+                g._loops[y] = have - n
+            at_y = g._adj[y]
+            at_y[v_new] = at_y.get(v_new, 0) + n
+            g._adj[v_new][y] = at_y[v_new]
 
     def underlying(self) -> Multigraph:
         """The entrywise sum of the layers, in one graph."""

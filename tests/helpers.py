@@ -1,17 +1,15 @@
-"""Shared oracles for the test suite, of three sorts.
+"""Shared oracles for the test suite, of two sorts.
 
 - Definition oracles, which find an answer from the contract itself:
   `approx`, and at the end of the file one checker per contract on plain
   lists and counts, sharing no code with the library: the bipartite
   colorings (balanced, equitable, equalized and the peel windows), evenly
-  equitable colorings, a color class that is one spanning cycle, the
-  detachment conditions, the step relations B1-B6, the trace's cumulative
-  relations, the GDD shape, and a circulation's windows and conservation
-  with the Hoffman cut that proves no circulation exists.
+  equitable colorings, a color class that is one spanning cycle, a
+  detachment step's moves, the detachment conditions, the step relations
+  B1-B6, the trace's cumulative relations, the GDD shape, and a
+  circulation's windows and conservation with the Hoffman cut that proves
+  no circulation exists.
 - Brute force: the pairing and cycle searches.
-- A copy of earlier library code, kept where the contract is the form
-  itself and no definition can state it: `reference_move`, the checked
-  `Multigraph` methods whose guards and messages `split_off` keeps.
 """
 
 from __future__ import annotations
@@ -119,27 +117,6 @@ def brute_force_ham_decomposable(g: Multigraph) -> bool:
         return False
 
     return search(g.copy())
-
-
-# ---------------------------------------------------------------------------
-# the step's moves as they were before they ran on adjacency rows: every
-# pair and loop goes through the checked Multigraph methods
-
-
-def reference_move(cg: ColoredMultigraph, rec) -> None:
-    """Apply one recorded step to cg in place."""
-    if cg.layer(1).has_vertex(rec.v_new):
-        raise GraphError(f"new vertex {rec.v_new} already exists")
-    cg.add_vertex(rec.v_new)
-    for j, row in rec.moves.edge_moves.items():
-        layer = cg.layer(j)
-        for w, n in row.items():
-            layer.remove_edges(rec.y, w, n)
-            layer.add_edges(rec.v_new, w, n)
-    for j, nl in rec.moves.loop_moves.items():
-        layer = cg.layer(j)
-        layer.remove_loops(rec.y, nl)
-        layer.add_edges(rec.y, rec.v_new, nl)
 
 
 def approx(x: Rational, y: Rational) -> bool:
@@ -365,21 +342,23 @@ def _bump(rows: Dict[VertexId, Dict[VertexId, int]], u: VertexId, v: VertexId, n
 def _split(c: Counts, rec) -> None:
     """Apply one step record's moves to c in place: per color j,
     edge_moves[j][w] of the edges y-w become v_new-w and loop_moves[j] of y's
-    loops become edges y-v_new.  GraphError for a v_new that exists, or for
-    an unknown color, a w that is y or no vertex, or a count outside
-    0..present."""
+    loops become edges y-v_new.  GraphError for a v_new that exists or a y
+    that does not, or for an unknown color, a w that is y or no vertex, or a
+    count outside 1..present."""
     y, new, moves = rec.y, rec.v_new, rec.moves
     if new in c.adj[1]:
         raise GraphError(f"new vertex {new} already exists")
+    if y not in c.adj[1]:
+        raise GraphError(f"no vertex {y} to split")
     unknown = set(moves.edge_moves).union(moves.loop_moves) - set(c.adj)
     if unknown:
         raise GraphError(f"unknown color {min(unknown)}")
     for j, row in moves.edge_moves.items():
         for w, n in row.items():
-            if w == y or w not in c.adj[j] or not 0 <= n <= _mult(c, y, w, j):
+            if w == y or w not in c.adj[j] or not 1 <= n <= _mult(c, y, w, j):
                 raise GraphError(f"cannot move {n} color-{j} edges {y}-{w}")
     for j, n in moves.loop_moves.items():
-        if not 0 <= n <= _loops(c, y, j):
+        if not 1 <= n <= _loops(c, y, j):
             raise GraphError(f"cannot move {n} color-{j} loops at {y}")
     for rows in c.adj.values():
         rows[new] = {}

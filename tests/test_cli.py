@@ -187,9 +187,12 @@ def test_ham_sizes_imply_part_count(capsys) -> None:
         (["--size", "3"], "error: --parts, --l1 and --l2 are required"),
         (["--parts", "3", "--l1", "1", "--l2", "2"],
          "error: give exactly one of --size or --sizes"),
+        (["--sizes", "3,x", "--l1", "1", "--l2", "2"], "error: bad --sizes '3,x'"),
+        (["--n", "5", "--l1", "1"], "error: give either --n/--lambda or"),
+        (["--n", "5"], "error: --n and --lambda are both required"),
     ]
     for argv, message in cases:
-        assert main(["ham", *argv]) == 4, argv
+        assert main(["ham", *argv]) == 2, argv
         assert capsys.readouterr().err.startswith(message), argv
 
 
@@ -582,9 +585,9 @@ def test_exit_codes_are_mapped_in_main(tmp_path, capsys) -> None:
          "error: part sizes must be positive"),
         (["ham", "--n", "1", "--lambda", "1"], 2, "error: need n >= 2"),
         (["verify", str(host), str(mismatched)], 4, "error: fiber of 0 has size 2"),
-        (["verify", str(host), str(host), str(host)], 4,
+        (["verify", str(host), str(host), str(host)], 2,
          "error: verify takes one or two documents"),
-        (["verify", missing, str(host), str(host)], 4,
+        (["verify", missing, str(host), str(host)], 2,
          "error: verify takes one or two documents"),
         (["verify", str(host)], 4, "error: single-document verify expects"),
         (["detach", missing], 4, "error: "),

@@ -114,7 +114,7 @@ def max_flows(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("block", range(4))
-def test_circulation_matches_pop_time_reference(block: int, max_flows) -> None:
+def test_random_circulations_meet_the_contract(block: int, max_flows) -> None:
     """Random problems meet the contract, and both outcomes occur."""
     infeasible = set()
     for seed in range(block * 100, block * 100 + 100):

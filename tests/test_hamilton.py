@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
@@ -265,6 +266,26 @@ def test_every_route_decomposes_the_graph_that_was_asked_for() -> None:
     ]:
         params = GddParams(sizes, l1, l2)
         assert ham_decompose_gdd(params).host == params.build_graph()
+
+
+def test_every_small_main_route_gdd_decomposes() -> None:
+    """Every feasible GDD of p <= 7 parts of 2 <= a <= 5, lambda1 <= 3,
+    1 <= lambda2 <= 3 and lambda1 != lambda2, which the amalgamation route
+    builds, gives gdd_feasible's k cycles of the requested graph."""
+    count = 0
+    for p, a, l1, l2 in product(range(2, 8), range(2, 6), range(4), range(1, 4)):
+        params = GddParams((a,) * p, l1, l2)
+        feas = gdd_feasible(params)
+        if l1 == l2 or not feas.feasible:
+            continue
+        dec = ham_decompose_gdd(params)
+        assert dec.cycle_count == feas.k, params
+        assert verify_ham_decomposition(params.build_graph(), list(dec.cycles)) == (
+            True,
+            None,
+        ), params
+        count += 1
+    assert count == 132
 
 
 def test_a_repeated_color_class_fails_against_the_requested_host(monkeypatch) -> None:

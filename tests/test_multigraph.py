@@ -147,13 +147,18 @@ def test_handshake_on_random_graphs() -> None:
 def test_zero_entries_never_stored() -> None:
     g = Multigraph([0, 1])
     g.add_edges(0, 1, 3)
-    g.remove_edges(0, 1, 3)
+    g.remove_edges(0, 1, 0)  # removing none is a no-op
+    g.remove_edges(0, 1, 1)
+    assert g.row(0) == [(1, 2)] and g.row(1) == [(0, 2)]
+    g.remove_edges(0, 1, 2)
     assert g.pairs() == []
     g.add_loops(0, 2)
-    g.remove_loops(0, 0)  # removing none is a no-op, with loops or without
+    g.remove_loops(0, 0)  # with loops or without
     g.remove_loops(1, 0)
     assert g.loop_items() == [(0, 2)]
-    g.remove_loops(0, 2)
+    g.remove_loops(0, 1)
+    assert g.loop_items() == [(0, 1)]
+    g.remove_loops(0, 1)
     assert g.loop_items() == []
 
 

@@ -797,4 +797,4 @@ def test_trace_step_onto_an_existing_vertex_raises() -> None:
     with pytest.raises(GraphError, match=r"^step 0: new vertex 1 already exists$"):
         verify_trace(h, AmalgamationSpec({0: 2, 1: 1}), trace)
     with pytest.raises(GraphError, match=r"^new vertex 1 already exists$"):
-        trace.replay(h)
+        engine.apply_moves(h.copy(), trace.steps[0])
