@@ -57,8 +57,8 @@ stays an isolated node, whose sink arc has window [0, 0], so it has no
 room and the node has excess 0.  The search never reaches it, and every
 other node keeps its relative order and the order of its live arcs, so
 the flows are those of a fresh build.  The fan is built at the first step
-at each y, kept only when eta(y) > 2 and dropped after y's last step, so
-a vertex with eta = 2 never keeps one.
+at each y and kept until y's last step, which drops it, so after its one
+step a vertex with eta = 2 holds none.
 
 Repeating until every split count reaches 1 yields a loopless detachment
 whose degrees, per-color degrees, intra- and cross-fiber multiplicities all
@@ -90,8 +90,8 @@ union-find (roots are smallest members, the labels `refine` needs) is built
 once per y and color and then takes one union per moved edge (Tarjan,
 "Efficiency of a good but not linear set union algorithm", JACM 1975).
 `condition3_colors`, `_component_map` and `build_split_bipartite` recompute
-the same facts from scratch; they are the oracles that
-`detach_all(check=True)` compares the state with on every step.
+the same facts from scratch; they are the oracles of
+`detach_all(check=True)`, which reads each of them once per step.
 """
 
 from __future__ import annotations
@@ -255,8 +255,7 @@ def refine(
         singles: List[int] = []
         for r, n in row[1:] if proxy else row:
             deg += n
-            if n > 1:
-                settled += [(j, r)] * (n // 2)
+            settled += [(j, r)] * (n // 2)
             if n % 2:
                 singles.append(r)
                 right_deg[r] += 1
@@ -360,7 +359,7 @@ class _LiveFan:
         if moves.loop_moves:
             proxy = len(mult) + 1  # k + 2
             b = node[v_new] = len(deg)
-            self.rights = [*self.rights, v_new]  # steps already handed on keep theirs
+            self.rights.append(v_new)  # in place: a step reads its labels before it applies
             deg.append(0)
             for j, nl in moves.loop_moves.items():
                 mult_j = mult[j]
@@ -386,7 +385,7 @@ class _DetachState:
         self.cond3 = condition3_colors(cg, AmalgamationSpec(eta))
         self.y: Optional[VertexId] = None  # the vertex uf belongs to
         self.uf: Dict[int, Dict[VertexId, VertexId]] = {}
-        self.fan: Optional[_LiveFan] = None  # kept while a step at its y follows
+        self.fan: Optional[_LiveFan] = None  # kept until its y's last step
 
     def labels(self, y: VertexId) -> Dict[int, Dict[VertexId, VertexId]]:
         """Per condition-3 color, the union-find of the color class minus y:
@@ -401,12 +400,11 @@ class _DetachState:
         return self.uf
 
     def fan_at(self, y: VertexId) -> Tuple[_Skeleton, List[VertexId]]:
-        """The skeleton of y's fan to peel and its right labels; the fan is
-        built unless it is live, and kept when a later step at y will use it."""
+        """The skeleton of y's fan to peel and its right labels; a fan is built
+        unless live, and kept until `apply` drops it after y's last step."""
         live = self.fan
         if live is None or live.y != y:
-            live = build_split_bipartite(self.cg, y)
-            self.fan = live if self.eta[y] > 2 else None
+            live = self.fan = build_split_bipartite(self.cg, y)
         return live.skeleton(), live.rights
 
     def apply(self, rec: StepRecord) -> None:
@@ -533,14 +531,9 @@ def detach_step(
 
 
 def _check_state(state: _DetachState, y: VertexId) -> None:
-    """Assert the state agrees with the from-scratch oracles."""
+    """Assert the labels at y and the live fan agree with their oracles."""
     cur = state.cg
-    cond3 = condition3_colors(cur, AmalgamationSpec(state.eta))
-    if state.cond3 != cond3:
-        raise AssertionError(
-            f"condition-3 colors {sorted(state.cond3)} != {sorted(cond3)}"
-        )
-    oracle = _component_map(cur, y, cond3)
+    oracle = _component_map(cur, y, state.cond3)
     for j, parent in state.labels(y).items():
         for w in cur.layer(j).neighbors(y):
             label = _find(parent, w)
@@ -575,18 +568,20 @@ def detach_all(
 
     Returns the loopless detached graph, the vertex map onto the input
     graph, and the step trace.  Inputs are not mutated.  With check=True
-    every step additionally asserts that the incremental state agrees with
-    condition3_colors, _component_map and, for y's live fan, a fresh
-    build_split_bipartite, the step relations and, for
-    condition-3 colors, preservation of evenness ratios and component counts
-    (slower; meant for tests).
+    (slower; meant for tests) each condition-3 color's components are
+    counted once, before the first step, and every step additionally
+    asserts: before it, that the union-find labels at y and the live fan
+    agree with _component_map and a fresh build_split_bipartite; after it,
+    the step relations, that condition3_colors still gives the colors the
+    state fixed, and that each of them kept its component count.
     """
     eta.validate_against(cg)
+    state = _DetachState(cg.copy(), dict(eta.eta))
+    cur = state.cg
     if check:
         from .verify import assert_step_relations
 
-    state = _DetachState(cg.copy(), dict(eta.eta))
-    cur = state.cg
+        omega = {j: cur.layer(j).component_count() for j in state.cond3}
     fibers = {w: [w] for w in cg.vertices}
     trace = DetachmentTrace()
     expected_steps = eta.total_splits()
@@ -598,17 +593,18 @@ def detach_all(
             if check:
                 before, before_eta = cur.copy(), AmalgamationSpec(dict(state.eta))
                 _check_state(state, y)
-                omega_before = {j: cur.layer(j).component_count() for j in state.cond3}
             rec = _step(state, y)
             if check:
                 ok, witness = assert_step_relations(before, cur, y, rec.v_new, before_eta)
                 if not ok:
                     raise AssertionError(f"step relation violated: {witness}")
-                still = condition3_colors(cur, AmalgamationSpec(state.eta))
-                for j in sorted(state.cond3):
-                    if j not in still:
-                        raise AssertionError(f"color {j} lost its evenness ratios")
-                    if cur.layer(j).component_count() != omega_before[j]:
+                cond3 = condition3_colors(cur, AmalgamationSpec(state.eta))
+                if cond3 != state.cond3:
+                    raise AssertionError(
+                        f"condition-3 colors {sorted(state.cond3)} != {sorted(cond3)}"
+                    )
+                for j in sorted(cond3):
+                    if cur.layer(j).component_count() != omega[j]:
                         raise AssertionError(f"color {j} changed component count")
             fibers[y].append(rec.v_new)
             trace.steps.append(rec)

@@ -47,7 +47,6 @@ from .multigraph import (
 )
 
 CONDITION_ORDER = (
-    "structure",
     "loopless",
     "conservation",
     "A1",
@@ -157,7 +156,6 @@ def verify_detachment(
     every, each = (0,), range(1, h.k + 1)
 
     report = DetachmentReport()
-    report.record("structure", True)
     bad_loop = min(gloops[0], default=None)
     report.record(
         "loopless",

@@ -144,14 +144,6 @@ def mixed_edge_count(cycle: Tuple[VertexId, ...], partition: List[List[VertexId]
     return sum(1 for u, v in zip(cycle, cycle[1:] + cycle[:1]) if part_of[u] != part_of[v])
 
 
-def multiplicity_sets(g: Multigraph, a: Iterable[VertexId], b: Iterable[VertexId]) -> int:
-    """Total number of edges joining a vertex of A to a vertex of B (A, B disjoint)."""
-    sa, sb = set(a), set(b)
-    if sa & sb:
-        raise GraphError("multiplicity_sets requires disjoint vertex sets")
-    return sum(g.multiplicity(u, v) for u in sa for v in sb)
-
-
 # ---------------------------------------------------------------------------
 # the fairness contracts from their definitions: each checker reads its
 # graphs once into plain counts, tests every cell its contract names against

@@ -460,14 +460,19 @@ def test_document_round_trip() -> None:
 
 
 def test_decomposition_round_trip() -> None:
-    from fairdetach.hamilton import walecki_odd
+    """A decomposition document reads back as the host and cycles written,
+    also when the host carries a loop of multiplicity 1."""
+    from fairdetach.hamilton import HamDecomposition, walecki_odd
 
     dec = walecki_odd(5)
-    doc = document.decomposition_to_doc(dec)
-    assert document.loads(document.dumps(doc)) == doc
-    back = document.doc_to_decomposition(doc)
-    assert back.host == dec.host
-    assert back.cycles == dec.cycles
+    looped = dec.host.copy()
+    looped.add_loops(0, 1)
+    for want in (dec, HamDecomposition(looped, dec.cycles)):
+        doc = document.decomposition_to_doc(want)
+        assert document.loads(document.dumps(doc)) == doc
+        back = document.doc_to_decomposition(doc)
+        assert back.host == want.host
+        assert back.cycles == want.cycles
 
 
 def test_psi_round_trip() -> None:

@@ -547,8 +547,8 @@ def step_instances(family: str):
     if family == "lambda_kn":
         return [
             lambda_kn_host(n, lam)
-            for lam in (1, 2)
-            for n in range(3, 16)
+            for lam in (1, 2, 3)
+            for n in range(2, 16)
             if lam * (n - 1) % 2 == 0
         ]
     if family == "gdd":
@@ -557,30 +557,7 @@ def step_instances(family: str):
             for sizes, l1, l2 in GDD_PARAMS
             for inputs in gdd_engine_inputs(GddParams(sizes, l1, l2))
         ]
-    return [random_detach_instance(random.Random(seed)) for seed in range(120)]
-
-
-@pytest.mark.parametrize("family", ["lambda_kn", "gdd", "fuzz"])
-def test_incremental_state_matches_oracles_on_every_step(family: str) -> None:
-    steps = 0
-    for cg, eta in step_instances(family):
-        state = engine._DetachState(cg.copy(), dict(eta.eta))
-        for y in [v for v in cg.vertices if eta.value(v) >= 2]:
-            while state.eta[y] >= 2:
-                cond3 = condition3_colors(state.cg, AmalgamationSpec(dict(state.eta)))
-                assert state.cond3 == cond3
-                oracle = engine._component_map(state.cg, y, cond3)
-                labels = state.labels(y)
-                assert sorted(labels) == sorted(cond3)
-                for j in cond3:
-                    # the labels are the state's union-find, exact everywhere
-                    parent = labels[j]
-                    assert parent is state.uf[j]
-                    assert {v: engine._find(parent, v) for v in oracle[j]} == oracle[j]
-                engine._step(state, y)
-                steps += 1
-        assert all(n == 1 for n in state.eta.values())
-    assert steps > 0
+    return [random_detach_instance(random.Random(seed)) for seed in range(300)]
 
 
 def recording(monkeypatch, name: str, calls: list, snap=None) -> None:
@@ -618,6 +595,14 @@ def fan_from_counts(cg: ColoredMultigraph, y) -> list:
     return pairs
 
 
+def ordered(moves: MoveSet):
+    """A move set as lists, so that comparing two also compares their order."""
+    return (
+        [(j, list(row.items())) for j, row in moves.edge_moves.items()],
+        list(moves.loop_moves.items()),
+    )
+
+
 @pytest.mark.parametrize("family", ["lambda_kn", "gdd", "fuzz"])
 def test_step_matches_graph_building_reference(family: str, monkeypatch) -> None:
     """Every stage of every step meets its definition.  The fan the step
@@ -625,10 +610,14 @@ def test_step_matches_graph_building_reference(family: str, monkeypatch) -> None
     its classes 1 and 2 meet the peel windows of an eta(y)-coloring and sum
     to the working subgraph (at eta(y) = 2 the step takes that sum as the
     one class of a 1-coloring: the whole fan); refine splits each
-    condition-3 color of that subgraph into degree-2 units and keeps every other color whole; the
-    pick's class 1 meets the windows of a 2-coloring; and the moves are what
-    that class and the settled units spell.  A right vertex that y has lost
-    stays in a live fan, isolated."""
+    condition-3 color of that subgraph into degree-2 units and keeps every
+    other color whole; the pick's class 1 meets the windows of a
+    2-coloring, and with every settled double unit put back, carrying 1,
+    those of a 2-coloring of all the units, which is why refine may settle
+    them outside the flow; and the moves are what that class spells, in its
+    order.  Some steps settle every unit and still peel the empty pick.  A
+    right vertex that y has lost stays in a live fan, isolated."""
+    instances = step_instances(family)  # the GDDs run detach_all: unpatched
     colorings, refines = [], []
     # a peel changes its skeleton: keep what each coloring was given
     recording(
@@ -640,9 +629,10 @@ def test_step_matches_graph_building_reference(family: str, monkeypatch) -> None
             SimpleNamespace(ends=list(sk.ends), mult=list(sk.mult), deg=list(sk.deg)),
         ),
     )
-    recording(monkeypatch, "refine", refines)
-    steps = isolated = eta_two = 0
-    for cg, eta in step_instances(family):
+    # a live fan appends to its right labels after the step
+    recording(monkeypatch, "refine", refines, lambda *a: (*a[:2], list(a[2]), *a[3:]))
+    steps = isolated = eta_two = empty = 0
+    for cg, eta in instances:
         state = engine._DetachState(cg.copy(), dict(eta.eta))
         k = cg.k
         for y in [v for v in cg.vertices if eta.value(v) >= 2]:
@@ -682,15 +672,19 @@ def test_step_matches_graph_building_reference(family: str, monkeypatch) -> None
                 assert pick_given.deg == summed_degrees(pick_given)
                 pick_pairs = skeleton_graph(pick_given, range(len(refined[0])), rights)[2]
                 assert "peel" not in coloring_violations(pick_pairs, picked, 2)
-                assert moves == moves_of(owner, units, unit_picked)
+                assert "peel" not in coloring_violations(units, [unit_picked], 2)
+                assert ordered(moves) == ordered(moves_of(owner, units, unit_picked))
+                empty += not pick.ends
                 steps += 1
-    assert steps > eta_two > 0
+    assert steps > 30 and steps > eta_two > 0
+    assert empty > 0
     assert isolated or family != "fuzz"
 
 
 # what each family's steps must include: live fans with dead pairs always,
 # right vertices that y lost (isolated in its live fan), a live fan at more
-# than one y of a detachment, and vertices with eta = 2, which never get one
+# than one y of a detachment, and vertices with eta = 2, whose one step
+# drops the fan it built
 LIVE_FAN_COVERAGE = {
     "lambda_kn": {"dead"},
     "gdd": {"dead", "y changes", "eta 2"},
@@ -699,16 +693,20 @@ LIVE_FAN_COVERAGE = {
 
 
 @pytest.mark.parametrize("family", ["lambda_kn", "gdd", "fuzz"])
-def test_live_fan_matches_a_fresh_build_on_every_step(family: str, monkeypatch) -> None:
-    """Before every step at a y that an earlier step used, the live fan's
-    skeleton has the pairs of a fresh build in its order, with the same
-    multiplicities and degrees, by label; a right vertex y has lost stays
-    in it with degree 0.  A fan is built exactly at the first step at a y,
-    kept exactly when eta > 2 and dropped after y's last step."""
+def test_incremental_state_matches_fresh_builds_on_every_step(family: str, monkeypatch) -> None:
+    """Before every step the state agrees with fresh builds.  Its
+    condition-3 colors are condition3_colors of the working graph, and per
+    color its union-find gives every vertex of the color class minus y its
+    label in _component_map.  At a y that an earlier step used, the live
+    fan's skeleton has the pairs of a fresh build in its order, with the
+    same multiplicities and degrees, by label; a right vertex y has lost
+    stays in it with degree 0.  A fan is built exactly at the first step at
+    a y, kept while eta(y) >= 2 and dropped after y's last step."""
+    instances = step_instances(family)  # the GDDs run detach_all: unpatched
     builds: list = []
     recording(monkeypatch, "build_split_bipartite", builds)
     seen = dict.fromkeys(["live", "dead", "isolated", "y changes", "eta 2"], 0)
-    for cg, eta in step_instances(family):
+    for cg, eta in instances:
         state = engine._DetachState(cg.copy(), dict(eta.eta))
         k = cg.k
         fan_ys = 0
@@ -716,6 +714,16 @@ def test_live_fan_matches_a_fresh_build_on_every_step(family: str, monkeypatch) 
             seen["eta 2"] += eta.value(y) == 2
             first = True
             while state.eta[y] >= 2:
+                cond3 = condition3_colors(state.cg, AmalgamationSpec(dict(state.eta)))
+                assert state.cond3 == cond3
+                oracle = engine._component_map(state.cg, y, cond3)
+                labels = state.labels(y)
+                assert sorted(labels) == sorted(cond3)
+                for j in cond3:
+                    # the labels are the state's union-find, exact everywhere
+                    parent = labels[j]
+                    assert parent is state.uf[j]
+                    assert {v: engine._find(parent, v) for v in oracle[j]} == oracle[j]
                 live = state.fan
                 assert (live is not None) == (not first)
                 if live is not None:
@@ -743,19 +751,10 @@ def test_live_fan_matches_a_fresh_build_on_every_step(family: str, monkeypatch) 
                 first = False
             assert state.fan is None
             fan_ys += eta.value(y) > 2
+        assert all(n == 1 for n in state.eta.values())
         seen["y changes"] += fan_ys > 1
     assert seen["live"] > 0
     assert {key for key, n in seen.items() if n and key != "live"} >= LIVE_FAN_COVERAGE[family]
-
-
-def test_a_fan_is_kept_only_for_a_later_step_at_its_vertex() -> None:
-    """fan_at keeps y's fan exactly when eta(y) > 2, so a vertex with eta = 2
-    holds none, not even during its one step."""
-    for n in (2, 3):
-        cg, eta = loops_only_instance(1, n, n)
-        state = engine._DetachState(cg, dict(eta.eta))
-        state.fan_at(0)
-        assert (state.fan is not None) == (n > 2)
 
 
 def test_checked_detach_catches_a_stale_live_fan(monkeypatch) -> None:
@@ -776,51 +775,42 @@ def test_checked_detach_catches_a_stale_live_fan(monkeypatch) -> None:
         detach_all(cg, eta, check=True)
 
 
-def pick_instances(family: str):
-    if family == "lambda_kn":
-        return [
-            lambda_kn_host(n, lam)
-            for lam in (1, 2, 3)
-            for n in range(2, 16)
-            if lam * (n - 1) % 2 == 0
-        ]
-    if family == "fuzz":
-        return [random_detach_instance(random.Random(seed)) for seed in range(300)]
-    return step_instances(family)
+def test_checked_detach_catches_a_changed_component_count(monkeypatch) -> None:
+    """detach_all(check=True) counts each condition-3 color's components
+    once, before the first step, and compares every step's graph with that
+    count: refine given a component map in which every vertex is its own
+    component pairs leftovers across components, and the check names the
+    first color that splits.  Unchecked, the same detachment runs through."""
+    # the amalgam of the group divisible graph, after the inner lambda K_3
+    _, (cg, eta) = gdd_engine_inputs(GddParams((3, 3, 3), 1, 2))
+    assert (cg.k, eta.eta) == (7, {0: 3, 1: 3, 2: 3})
+    real = engine.refine
+
+    def no_components(fan, working, rights, cond3, component_map):
+        alone = {j: {v: v for v in parent} for j, parent in component_map.items()}
+        return real(fan, working, rights, cond3, alone)
+
+    monkeypatch.setattr(engine, "refine", no_components)
+    with pytest.raises(AssertionError, match=r"^color 5 changed component count$"):
+        detach_all(cg, eta, check=True)
+    g, _, _ = detach_all(cg, eta)
+    assert g.layer(5).component_count() > cg.layer(5).component_count()
 
 
-@pytest.mark.parametrize("family", ["lambda_kn", "gdd", "fuzz"])
-def test_pick_matches_the_full_pick_of_every_unit(family: str, monkeypatch) -> None:
-    """With every settled double unit put back, carrying 1, the pick's class
-    1 meets the peel windows of a 2-coloring of all the units, which is why
-    refine may settle them outside the flow; the step's moves are what that
-    class spells, in its order.  Some steps settle every unit and still
-    peel the empty pick, so every step makes two bee colorings."""
-    instances = pick_instances(family)  # the GDDs run detach_all: unpatched
-    colorings, refines = [], []
-    recording(monkeypatch, "bee_coloring", colorings)
-    recording(monkeypatch, "refine", refines)
-    steps = empty = 0
-    for cg, eta in instances:
-        state = engine._DetachState(cg.copy(), dict(eta.eta))
-        for y in [v for v in cg.vertices if eta.value(v) >= 2]:
-            while state.eta[y] >= 2:
-                got = engine._step(state, y).moves
-                [((_, _, rights, _, _), refined)] = refines
-                picked = colorings[-1][1][0]
-                del refines[:]
-                owner, (_, _, units), unit_picked = expand_refined(refined, rights, picked)
-                assert "peel" not in coloring_violations(units, [unit_picked], 2)
-                want = moves_of(owner, units, unit_picked)
-                assert [(j, list(row.items())) for j, row in got.edge_moves.items()] == [
-                    (j, list(row.items())) for j, row in want.edge_moves.items()
-                ]
-                assert list(got.loop_moves.items()) == list(want.loop_moves.items())
-                empty += not refined[1].ends
-                steps += 1
-    assert steps > 30
-    assert empty > 0
-    assert len(colorings) == 2 * steps
+def test_checked_detach_catches_a_lost_condition3_color(monkeypatch) -> None:
+    """detach_all(check=True) compares the state's condition-3 colors with
+    condition3_colors after every step: a state that drops its largest one
+    is caught after the first step."""
+    init = engine._DetachState.__init__
+
+    def drop_largest(self, cg, eta):
+        init(self, cg, eta)
+        self.cond3.discard(max(self.cond3))
+
+    monkeypatch.setattr(engine._DetachState, "__init__", drop_largest)
+    cg, eta = loops_only_instance(2, 3, 3)  # both colors: degree 6, 2 units
+    with pytest.raises(AssertionError, match=r"^condition-3 colors \[1\] != \[1, 2\]$"):
+        detach_all(cg, eta, check=True)
 
 
 def _split_counts(cg: ColoredMultigraph, rec: StepRecord) -> Counts:

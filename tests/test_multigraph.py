@@ -13,7 +13,7 @@ from fairdetach.multigraph import (
     DetachmentMap,
     Multigraph,
 )
-from helpers import approx, multiplicity_sets
+from helpers import approx
 
 
 def test_degree_isolated_vertex() -> None:
@@ -38,32 +38,6 @@ def test_degree_unknown_vertex() -> None:
     g = Multigraph([0])
     with pytest.raises(GraphError):
         g.degree(7)
-
-
-def test_multiplicity_sets_singletons() -> None:
-    g = Multigraph([0, 1])
-    g.add_edges(0, 1, 7)
-    assert multiplicity_sets(g, {0}, {1}) == 7
-
-
-def test_multiplicity_sets_no_crossing() -> None:
-    g = Multigraph([0, 1, 2, 3])
-    g.add_edges(0, 1, 2)
-    g.add_edges(2, 3, 4)
-    assert multiplicity_sets(g, {0, 1}, {2, 3}) == 0
-
-
-def test_multiplicity_sets_additive() -> None:
-    g = Multigraph([0, 1, 2])
-    g.add_edges(0, 2, 2)
-    g.add_edges(1, 2, 3)
-    assert multiplicity_sets(g, {0, 1}, {2}) == 5
-
-
-def test_multiplicity_sets_overlap_rejected() -> None:
-    g = Multigraph([0, 1])
-    with pytest.raises(GraphError):
-        multiplicity_sets(g, {0, 1}, {1})
 
 
 def test_component_count_empty_graph() -> None:

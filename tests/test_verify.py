@@ -158,7 +158,7 @@ def test_table_checker_matches_definitions_oracle() -> None:
             names = _failed(verify_detachment(h, eta, psi, cand))
             assert names == detachment_violations(h, eta, psi, cand)
             failed.update(names)
-    assert set(failed) == set(CONDITION_ORDER) - {"structure"}, failed
+    assert set(failed) == set(CONDITION_ORDER), failed
 
 
 def _pinned_detachment():
