@@ -611,12 +611,10 @@ def test_step_matches_graph_building_reference(family: str, monkeypatch) -> None
     to the working subgraph (at eta(y) = 2 the step takes that sum as the
     one class of a 1-coloring: the whole fan); refine splits each
     condition-3 color of that subgraph into degree-2 units and keeps every
-    other color whole; the pick's class 1 meets the windows of a
-    2-coloring, and with every settled double unit put back, carrying 1,
-    those of a 2-coloring of all the units, which is why refine may settle
-    them outside the flow; and the moves are what that class spells, in its
-    order.  Some steps settle every unit and still peel the empty pick.  A
-    right vertex that y has lost stays in a live fan, isolated."""
+    other color whole; and the pick's class 1 meets the windows of a
+    2-coloring (test_pick_matches_the_full_pick_of_every_unit checks it
+    against every unit, and the moves it spells).  A right vertex that y
+    has lost stays in a live fan, isolated."""
     instances = step_instances(family)  # the GDDs run detach_all: unpatched
     colorings, refines = [], []
     # a peel changes its skeleton: keep what each coloring was given
@@ -631,7 +629,7 @@ def test_step_matches_graph_building_reference(family: str, monkeypatch) -> None
     )
     # a live fan appends to its right labels after the step
     recording(monkeypatch, "refine", refines, lambda *a: (*a[:2], list(a[2]), *a[3:]))
-    steps = isolated = eta_two = empty = 0
+    steps = isolated = eta_two = 0
     for cg, eta in instances:
         state = engine._DetachState(cg.copy(), dict(eta.eta))
         k = cg.k
@@ -639,7 +637,7 @@ def test_step_matches_graph_building_reference(family: str, monkeypatch) -> None
             while state.eta[y] >= 2:
                 eta_y, want_fan = state.eta[y], fan_from_counts(state.cg, y)
                 del colorings[:], refines[:]
-                moves = engine._step(state, y).moves
+                engine._step(state, y)
                 [((fan, fan_given), classes), ((pick, pick_given), picked)] = colorings
                 [((fan_refined, working, rights, cond3, _), refined)] = refines
                 assert fan_refined is fan
@@ -672,13 +670,40 @@ def test_step_matches_graph_building_reference(family: str, monkeypatch) -> None
                 assert pick_given.deg == summed_degrees(pick_given)
                 pick_pairs = skeleton_graph(pick_given, range(len(refined[0])), rights)[2]
                 assert "peel" not in coloring_violations(pick_pairs, picked, 2)
-                assert "peel" not in coloring_violations(units, [unit_picked], 2)
-                assert ordered(moves) == ordered(moves_of(owner, units, unit_picked))
-                empty += not pick.ends
                 steps += 1
-    assert steps > 30 and steps > eta_two > 0
-    assert empty > 0
+    assert steps > eta_two > 0
     assert isolated or family != "fuzz"
+
+
+@pytest.mark.parametrize("family", ["lambda_kn", "gdd", "fuzz"])
+def test_pick_matches_the_full_pick_of_every_unit(family: str, monkeypatch) -> None:
+    """With every settled double unit put back, carrying 1, the pick's class
+    1 meets the peel windows of a 2-coloring of all the units, which is why
+    refine may settle them outside the flow; the step's moves are what that
+    class spells, in its order.  Some steps settle every unit and still
+    peel the empty pick, so every step makes two bee colorings."""
+    instances = step_instances(family)  # the GDDs run detach_all: unpatched
+    colorings, refines = [], []
+    recording(monkeypatch, "bee_coloring", colorings)
+    # a live fan appends to its right labels after the step
+    recording(monkeypatch, "refine", refines, lambda *a: (*a[:2], list(a[2]), *a[3:]))
+    steps = empty = 0
+    for cg, eta in instances:
+        state = engine._DetachState(cg.copy(), dict(eta.eta))
+        for y in [v for v in cg.vertices if eta.value(v) >= 2]:
+            while state.eta[y] >= 2:
+                got = engine._step(state, y).moves
+                [((_, _, rights, _, _), refined)] = refines
+                picked = colorings[-1][1][0]
+                del refines[:]
+                owner, (_, _, units), unit_picked = expand_refined(refined, rights, picked)
+                assert "peel" not in coloring_violations(units, [unit_picked], 2)
+                assert ordered(got) == ordered(moves_of(owner, units, unit_picked))
+                empty += not refined[1].ends
+                steps += 1
+    assert steps > 30
+    assert empty > 0
+    assert len(colorings) == 2 * steps
 
 
 # what each family's steps must include: live fans with dead pairs always,
@@ -693,15 +718,38 @@ LIVE_FAN_COVERAGE = {
 
 
 @pytest.mark.parametrize("family", ["lambda_kn", "gdd", "fuzz"])
-def test_incremental_state_matches_fresh_builds_on_every_step(family: str, monkeypatch) -> None:
-    """Before every step the state agrees with fresh builds.  Its
-    condition-3 colors are condition3_colors of the working graph, and per
-    color its union-find gives every vertex of the color class minus y its
-    label in _component_map.  At a y that an earlier step used, the live
-    fan's skeleton has the pairs of a fresh build in its order, with the
-    same multiplicities and degrees, by label; a right vertex y has lost
-    stays in it with degree 0.  A fan is built exactly at the first step at
-    a y, kept while eta(y) >= 2 and dropped after y's last step."""
+def test_incremental_state_matches_oracles_on_every_step(family: str) -> None:
+    """Before every step the state's condition-3 colors are condition3_colors
+    of the working graph, and per color its union-find gives every vertex
+    of the color class minus y its label in _component_map."""
+    steps = 0
+    for cg, eta in step_instances(family):
+        state = engine._DetachState(cg.copy(), dict(eta.eta))
+        for y in [v for v in cg.vertices if eta.value(v) >= 2]:
+            while state.eta[y] >= 2:
+                cond3 = condition3_colors(state.cg, AmalgamationSpec(dict(state.eta)))
+                assert state.cond3 == cond3
+                oracle = engine._component_map(state.cg, y, cond3)
+                labels = state.labels(y)
+                assert sorted(labels) == sorted(cond3)
+                for j in cond3:
+                    # the labels are the state's union-find, exact everywhere
+                    parent = labels[j]
+                    assert parent is state.uf[j]
+                    assert {v: engine._find(parent, v) for v in oracle[j]} == oracle[j]
+                engine._step(state, y)
+                steps += 1
+        assert all(n == 1 for n in state.eta.values())
+    assert steps > 0
+
+
+@pytest.mark.parametrize("family", ["lambda_kn", "gdd", "fuzz"])
+def test_live_fan_matches_a_fresh_build_on_every_step(family: str, monkeypatch) -> None:
+    """Before every step at a y that an earlier step used, the live fan's
+    skeleton has the pairs of a fresh build in its order, with the same
+    multiplicities and degrees, by label; a right vertex y has lost stays
+    in it with degree 0.  A fan is built exactly at the first step at a y,
+    kept while eta(y) >= 2 and dropped after y's last step."""
     instances = step_instances(family)  # the GDDs run detach_all: unpatched
     builds: list = []
     recording(monkeypatch, "build_split_bipartite", builds)
@@ -714,16 +762,6 @@ def test_incremental_state_matches_fresh_builds_on_every_step(family: str, monke
             seen["eta 2"] += eta.value(y) == 2
             first = True
             while state.eta[y] >= 2:
-                cond3 = condition3_colors(state.cg, AmalgamationSpec(dict(state.eta)))
-                assert state.cond3 == cond3
-                oracle = engine._component_map(state.cg, y, cond3)
-                labels = state.labels(y)
-                assert sorted(labels) == sorted(cond3)
-                for j in cond3:
-                    # the labels are the state's union-find, exact everywhere
-                    parent = labels[j]
-                    assert parent is state.uf[j]
-                    assert {v: engine._find(parent, v) for v in oracle[j]} == oracle[j]
                 live = state.fan
                 assert (live is not None) == (not first)
                 if live is not None:
@@ -751,7 +789,6 @@ def test_incremental_state_matches_fresh_builds_on_every_step(family: str, monke
                 first = False
             assert state.fan is None
             fan_ys += eta.value(y) > 2
-        assert all(n == 1 for n in state.eta.values())
         seen["y changes"] += fan_ys > 1
     assert seen["live"] > 0
     assert {key for key, n in seen.items() if n and key != "live"} >= LIVE_FAN_COVERAGE[family]
