@@ -60,8 +60,7 @@ def cmd_detach(args: argparse.Namespace) -> int:
     if eta is None:
         raise DocumentError("document carries no eta map")
     g, psi, trace = detach_all(cg, eta)
-    out = document.graph_to_doc(g, psi=psi)
-    _write(args.output, document.dumps(out))
+    _write(args.output, document.dumps(document.graph_to_doc(g, psi=psi)))
     if args.trace:  # one JSON line per step; each dumps ends with a newline
         records = (
             {
@@ -74,8 +73,6 @@ def cmd_detach(args: argparse.Namespace) -> int:
             for i, rec in enumerate(trace.steps)
         )
         _write(args.trace, "".join(document.dumps(record) for record in records))
-    if args.dot:
-        _write(args.dot, document.to_dot(out))
     return EXIT_OK
 
 
@@ -242,7 +239,6 @@ def _detach_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", help="graph document with an eta map ('-' for stdin)")
     p.add_argument("-o", "--output", default="-", help="detached graph document")
     p.add_argument("--trace", help="write step trace (JSON lines) to this path")
-    p.add_argument("--dot", help="also write a DOT rendering to this path")
 
 
 def _ham_args(p: argparse.ArgumentParser) -> None:

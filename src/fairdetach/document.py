@@ -245,17 +245,19 @@ def doc_to_decomposition(doc: Dict[str, Any]) -> HamDecomposition:
 
 
 def to_dot(doc: Dict[str, Any]) -> str:
-    """Graphviz rendering of a document; display only, not a contract."""
+    """Graphviz rendering of a document; display only, not a contract.
+
+    A graph's edge or loop record is drawn once, its multiplicity n > 1
+    in its label, so the text grows with the document, not with n.
+    """
     lines = ["graph G {"]
     if doc.get("kind") == "graph":
         for v in doc["vertices"]:
             lines.append(f"  {v};")
-        for u, v, j, n in doc.get("edges", []):
-            for _ in range(n):
-                lines.append(f'  {u} -- {v} [label="c{j}", colorindex={j}];')
-        for v, j, n in doc.get("loops", []):
-            for _ in range(n):
-                lines.append(f'  {v} -- {v} [label="c{j}", colorindex={j}];')
+        records = doc.get("edges", []) + [[v, v, j, n] for v, j, n in doc.get("loops", [])]
+        for u, v, j, n in records:
+            label = f"c{j} x{n}" if n > 1 else f"c{j}"
+            lines.append(f'  {u} -- {v} [label="{label}", colorindex={j}];')
     else:
         host = doc["host"]
         for v in host["vertices"]:

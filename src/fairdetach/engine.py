@@ -496,11 +496,6 @@ def _step(state: _DetachState, y: VertexId) -> StepRecord:
             per_w = edge_moves.setdefault(j, {})
             w = rights[r]
             per_w[w] = per_w.get(w, 0) + n
-    for j, nl in sorted(loop_moves.items()):
-        if nl > cg.layer(j).loops(y):
-            raise AssertionError(
-                f"color {j}: would move {nl} loops but only {cg.layer(j).loops(y)} exist"
-            )
 
     rec = StepRecord(
         y=y,

@@ -394,12 +394,19 @@ def test_fuzz_zero_count_runs_nothing() -> None:
 
 
 def test_export_dot(tmp_path) -> None:
+    """Each edge or loop record is drawn once, its multiplicity above 1 in its label."""
     src = tmp_path / "h.json"
-    write_three_loop_doc(src)
+    doc = {"version": "v1", "kind": "graph", "k": 2, "vertices": [0, 1],
+           "edges": [[0, 1, 1, 3], [0, 1, 2, 1]], "loops": [[0, 2, 2]]}
+    src.write_text(json.dumps(doc))
     res = run_cli("export", str(src))
-    assert res.returncode == 0
+    assert res.returncode == 0, res.stderr
     assert res.stdout.startswith("graph G {")
-    assert "0 -- 0" in res.stdout
+    assert [line for line in res.stdout.splitlines() if " -- " in line] == [
+        '  0 -- 1 [label="c1 x3", colorindex=1];',
+        '  0 -- 1 [label="c2", colorindex=2];',
+        '  0 -- 0 [label="c2 x2", colorindex=2];',
+    ]
 
 
 def test_export_non_list_cycles_is_malformed(tmp_path) -> None:
@@ -677,9 +684,7 @@ def test_one_process_runs_commands_like_separate_processes(tmp_path, capsys) -> 
 
 
 TOP_USAGE = "usage: fairdetach [-h] {detach,ham,verify,fuzz,export} ...\n"
-DETACH_USAGE = (
-    "usage: fairdetach detach [-h] [-o OUTPUT] [--trace TRACE] [--dot DOT] input\n"
-)
+DETACH_USAGE = "usage: fairdetach detach [-h] [-o OUTPUT] [--trace TRACE] input\n"
 HAM_USAGE = (
     "usage: fairdetach ham [-h] [--n N] [--lambda LAM] [--parts PARTS]\n"
     "                      [--size SIZE] [--sizes SIZES] [--l1 L1] [--l2 L2]\n"
@@ -719,7 +724,6 @@ options:
   -o OUTPUT, --output OUTPUT
                         detached graph document
   --trace TRACE         write step trace (JSON lines) to this path
-  --dot DOT             also write a DOT rendering to this path
 """, ""),
     (["ham", "-h"], 0, HAM_USAGE + """
 options:
@@ -781,6 +785,8 @@ options:
     (["fuzz", "--kind", "nope"], 2, "", FUZZ_USAGE
      + "fairdetach fuzz: error: argument --kind: invalid choice: 'nope' "
      "(choose from 'detach', 'bee', 'evencolor', 'all')\n"),
+    (["detach", "--dot", "x"], 2, "", TOP_USAGE
+     + "fairdetach: error: unrecognized arguments: --dot\n"),
     (["detach", "a", "b"], 2, "", TOP_USAGE
      + "fairdetach: error: unrecognized arguments: b\n"),
     (["ham", "--n", "5", "--lambda", "1", "--zzz"], 2, "", TOP_USAGE
@@ -807,7 +813,7 @@ def test_help_and_usage_errors_print_pinned_texts(
 @pytest.mark.parametrize(
     "argv",
     [
-        ["detach", "h.json", "-o", "g.json", "--trace", "t.jsonl", "--dot", "g.dot"],
+        ["detach", "h.json", "-o", "g.json", "--trace", "t.jsonl"],
         ["ham", "--sizes", "3,3", "--l1", "1", "--l2", "2"],
         ["verify", "--json", "h.json", "g.json"],
         ["fuzz", "--kind", "all", "--jobs", "2"],
