@@ -90,8 +90,8 @@ union-find (roots are smallest members, the labels `refine` needs) is built
 once per y and color and then takes one union per moved edge (Tarjan,
 "Efficiency of a good but not linear set union algorithm", JACM 1975).
 `condition3_colors`, `_component_map` and `build_split_bipartite` recompute
-the same facts from scratch; they are the oracles of
-`detach_all(check=True)`, which reads each of them once per step.
+the same facts from scratch; the per-step tests compare the state with them
+before every step.
 """
 
 from __future__ import annotations
@@ -178,8 +178,7 @@ def build_split_bipartite(cg: ColoredMultigraph, y: VertexId) -> _LiveFan:
     off y's sorted rows, so each color's pairs come out in peel order with
     the proxy first, and the node degrees are summed on the way.  The
     engine builds the fan once per y and keeps it live across y's steps;
-    this builder is also the oracle that `detach_all(check=True)` compares
-    the live fan with.
+    this builder is also the per-step tests' oracle for the live fan.
     """
     rows = cg.rows_at(y)
     fan = _LiveFan(y, len(rows), [LOOP_PROXY, *sorted({u for _, row in rows for u, _ in row})])
@@ -300,7 +299,8 @@ def _component_map(
     cg: ColoredMultigraph, y: VertexId, colors: Set[int]
 ) -> Dict[int, Dict[VertexId, int]]:
     """For each color: component label (smallest member) of each vertex != y
-    in that color class with y removed."""
+    in that color class with y removed.  The per-step tests' oracle for the
+    state's union-finds; the engine itself never calls it."""
     out: Dict[int, Dict[VertexId, int]] = {}
     for j in sorted(colors):
         layer = cg.layer(j)
@@ -525,58 +525,18 @@ def detach_step(
     return state.cg, AmalgamationSpec(state.eta), rec.v_new
 
 
-def _check_state(state: _DetachState, y: VertexId) -> None:
-    """Assert the labels at y and the live fan agree with their oracles."""
-    cur = state.cg
-    oracle = _component_map(cur, y, state.cond3)
-    for j, parent in state.labels(y).items():
-        for w in cur.layer(j).neighbors(y):
-            label = _find(parent, w)
-            if oracle[j][w] != label:
-                raise AssertionError(
-                    f"color {j}: component label of {w} is {label}, not {oracle[j][w]}"
-                )
-    live = state.fan
-    if live is not None:
-        if _by_label(live) != _by_label(build_split_bipartite(cur, live.y)):
-            raise AssertionError(f"live fan of vertex {live.y} differs from a fresh build")
-
-
-def _by_label(fan: _LiveFan) -> tuple:
-    """A fan's pairs as (color, right label, multiplicity) in order, a dead
-    pair left out, its color degrees and its right labels with their
-    degrees, an isolated right vertex left out unless it is the loop proxy,
-    which a fresh build always lists."""
-    k, rights = len(fan.mult) - 1, fan.rights
-    ends, mult = chain.from_iterable(fan.ends), chain.from_iterable(fan.mult)
-    pairs = [(a - 1, rights[b - k - 2], n) for (a, b), n in zip(ends, mult) if n]
-    right = [(w, d) for w, d in zip(rights, fan.deg[k + 2 :]) if d or w == LOOP_PROXY]
-    return pairs, fan.deg[: k + 2], right
-
-
 def detach_all(
     cg: ColoredMultigraph,
     eta: AmalgamationSpec,
-    check: bool = False,
 ) -> Tuple[ColoredMultigraph, DetachmentMap, DetachmentTrace]:
     """Fully detach: split every vertex w into eta(w) vertices.
 
     Returns the loopless detached graph, the vertex map onto the input
-    graph, and the step trace.  Inputs are not mutated.  With check=True
-    (slower; meant for tests) each condition-3 color's components are
-    counted once, before the first step, and every step additionally
-    asserts: before it, that the union-find labels at y and the live fan
-    agree with _component_map and a fresh build_split_bipartite; after it,
-    the step relations, that condition3_colors still gives the colors the
-    state fixed, and that each of them kept its component count.
+    graph, and the step trace.  Inputs are not mutated.
     """
     eta.validate_against(cg)
     state = _DetachState(cg.copy(), dict(eta.eta))
     cur = state.cg
-    if check:
-        from .verify import assert_step_relations
-
-        omega = {j: cur.layer(j).component_count() for j in state.cond3}
     fibers = {w: [w] for w in cg.vertices}
     trace = DetachmentTrace()
     expected_steps = eta.total_splits()
@@ -585,22 +545,7 @@ def detach_all(
     # the next host vertex starts
     for y in [v for v in cg.vertices if eta.value(v) >= 2]:
         while state.eta[y] >= 2:
-            if check:
-                before, before_eta = cur.copy(), AmalgamationSpec(dict(state.eta))
-                _check_state(state, y)
             rec = _step(state, y)
-            if check:
-                ok, witness = assert_step_relations(before, cur, y, rec.v_new, before_eta)
-                if not ok:
-                    raise AssertionError(f"step relation violated: {witness}")
-                cond3 = condition3_colors(cur, AmalgamationSpec(state.eta))
-                if cond3 != state.cond3:
-                    raise AssertionError(
-                        f"condition-3 colors {sorted(state.cond3)} != {sorted(cond3)}"
-                    )
-                for j in sorted(cond3):
-                    if cur.layer(j).component_count() != omega[j]:
-                        raise AssertionError(f"color {j} changed component count")
             fibers[y].append(rec.v_new)
             trace.steps.append(rec)
 

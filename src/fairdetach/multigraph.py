@@ -21,9 +21,9 @@ detachment engine and the cycle read-off:
     vertex in one traversal (the engine's union-finds).
 
 `remove_edges` and `remove_loops`, which no construction calls, stay as the
-inverses of `add_edges` and `add_loops` on a public type: the check=True
-oracle `engine._component_map` uses `remove_edges`, and tests plant faults
-through both.
+inverses of `add_edges` and `add_loops` on a public type: the per-step
+tests' oracle `engine._component_map` uses `remove_edges`, and tests plant
+faults through both.
 """
 
 from __future__ import annotations

@@ -6,14 +6,16 @@
   colorings (balanced, equitable, equalized and the peel windows), evenly
   equitable colorings, a color class that is one spanning cycle, a
   detachment step's moves, the detachment conditions, the step relations
-  B1-B6, the trace's cumulative relations, the GDD shape, and a
-  circulation's windows and conservation with the Hoffman cut that proves
-  no circulation exists.
+  B1-B6, every step of a trace against B1-B6 and the component counts
+  of condition A7 (`steps_violations`), the trace's cumulative relations,
+  the GDD shape, and a circulation's windows and conservation with the
+  Hoffman cut that proves no circulation exists.
 - Brute force: the pairing and cycle searches.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from collections import Counter
 from fractions import Fraction
@@ -249,12 +251,20 @@ def detachment_violations(
             share = Fraction(_mult(H, w, z, j), size[w] * size[z])
             if not all(approx(_mult(G, u, v, j), share) for u in fw for v in fz):
                 bad.add(pair_name)
-    for j in H.adj:
-        ratios = [Fraction(_deg(H, w, j), size[w]) for w in fibers]
-        even = all(r > 0 and r.denominator == 1 and r.numerator % 2 == 0 for r in ratios)
-        if even and _components(H, j) != _components(G, j):
-            bad.add("A7")
+    if any(_components(H, j) != _components(G, j) for j in _even_colors(H, size)):
+        bad.add("A7")
     return bad
+
+
+def _even_colors(c: Counts, size: Dict[VertexId, int]) -> List[int]:
+    """The colors j whose d(w) / size[w] is a positive even integer at every
+    vertex w of c."""
+    out = []
+    for j in c.adj:
+        ratios = [Fraction(_deg(c, w, j), size[w]) for w in c.adj[j]]
+        if all(r > 0 and r.denominator == 1 and r.numerator % 2 == 0 for r in ratios):
+            out.append(j)
+    return out
 
 
 def step_violations(
@@ -279,8 +289,12 @@ def step_violations(
     and "amalgamation" when, in some color, identifying v_new with y does
     not give back h_before's edges and loops.
     """
-    n = eta_before.eta[y]
-    B, A = counts_of(h_before), counts_of(h_after)
+    return _relations(counts_of(h_before), counts_of(h_after), y, v_new, eta_before.eta[y])
+
+
+def _relations(B: Counts, A: Counts, y: VertexId, v_new: VertexId, n: int) -> Set[str]:
+    """step_violations on counts: B before the step, A after it and n the
+    split count of y before it."""
     bad = set()
     for j in (0, *B.adj):
         loop_name, deg_name, mult_name = ("B2", "B4", "B6") if j else ("B1", "B3", "B5")
@@ -415,6 +429,40 @@ def trace_violations(
         if kinds:
             return (s, kinds), cur
     return None, cur
+
+
+def steps_violations(
+    h0: ColoredMultigraph, eta0: AmalgamationSpec, trace
+) -> Optional[Tuple[int, Set[str]]]:
+    """Replay trace on h0's counts and check every step: the first step that
+    breaks something with the kinds it breaks, or None.
+
+    Step s splits v_new off y, whose split count n (eta0 at a host, less one
+    per earlier step at it; 1 at an offshoot) must be at least 2, else
+    "split count".  A move that cannot be applied raises GraphError (see
+    _split).  The step must meet the relations B1-B6 and "amalgamation" of
+    step_violations between the counts before and after it, and every color
+    whose d0(w) / eta0(w) is a positive even integer at every vertex w of h0
+    must have as many components after it as in h0 ("components").
+    """
+    cur = counts_of(h0)
+    eta = dict(eta0.eta)
+    even = {j: _components(cur, j) for j in _even_colors(cur, eta)}
+    for s, rec in enumerate(trace.steps):
+        y, v_new = rec.y, rec.v_new
+        n = eta.get(y, 0)
+        if n < 2:
+            return s, {"split count"}
+        before = copy.deepcopy(cur)
+        _split(cur, rec)
+        eta[y] = n - 1
+        eta[v_new] = 1
+        kinds = _relations(before, cur, y, v_new, n)
+        if any(_components(cur, j) != omega for j, omega in even.items()):
+            kinds.add("components")
+        if kinds:
+            return s, kinds
+    return None
 
 
 def gdd_violations(g: Multigraph, params: "GddParams", partition: List[List[VertexId]]) -> Set[str]:

@@ -108,8 +108,6 @@ EQUIVALENT = {
         "on a tie the root is made its own parent, which it already is",
     ("engine", "_union", "cmp:Lt", 1):
         "on a tie the root is made its own parent, which it already is",
-    ("engine", "_by_label", "bin:Sub", 1):
-        "both fans compared get the same color labels, shifted the same way",
     ("fuzzgen", "random_detach_instance", "cmp:Lt", 0):
         "rng.random() is never exactly 0.4 on a pinned seed, so < and <= draw alike",
     ("fuzzgen", "random_detach_instance", "cmp:Lt", 1):

@@ -13,6 +13,7 @@ from fairdetach import engine, hamilton
 from fairdetach.bee import _Skeleton, _skeleton_of, bee_coloring
 from fairdetach.engine import (
     LOOP_PROXY,
+    DetachmentTrace,
     MoveSet,
     StepRecord,
     build_split_bipartite,
@@ -34,6 +35,7 @@ from helpers import (
     counts_of,
     outcome,
     skeleton_graph,
+    steps_violations,
 )
 
 
@@ -376,7 +378,7 @@ def test_step_rejects_a_qualifying_color_short_of_units(monkeypatch) -> None:
 def test_step_catches_a_fan_coloring_two_ends_off(monkeypatch) -> None:
     """Give condition-3 color 2 two working edge ends more than 2 * degree/eta
     in the fan coloring: refine pairs them into one unit too many, and both
-    a bare step and a checked detachment name the color and both counts."""
+    a bare step and a detachment name the color and both counts."""
     real = engine.bee_coloring
 
     def shifted(bg, k, *, upto=None):
@@ -394,7 +396,7 @@ def test_step_catches_a_fan_coloring_two_ends_off(monkeypatch) -> None:
         engine._step(state, 0)
     cg, eta = lambda_kn_host(7, 1)  # every color: degree 14, 2 units at eta 7
     with pytest.raises(AssertionError, match=r"^color 2: split into 3 units, not 2$"):
-        detach_all(cg, eta, check=True)
+        detach_all(cg, eta)
 
 
 def test_detach_step_preserves_edge_counts_and_relations() -> None:
@@ -426,7 +428,8 @@ def test_detach_all_four_parallel_edges_to_c4() -> None:
     cg = ColoredMultigraph(1, [0, 1])
     cg.layer(1).add_edges(0, 1, 4)
     eta = AmalgamationSpec({0: 2, 1: 2})
-    g, psi, trace = detach_all(cg, eta, check=True)
+    g, psi, trace = detach_all(cg, eta)
+    assert steps_violations(cg, eta, trace) is None
     under = g.underlying()
     assert len(under.vertices) == 4
     for v in under.vertices:
@@ -476,7 +479,8 @@ def test_detach_all_lambda_k5_from_loops() -> None:
     cg.layer(1).add_loops(0, 5)
     cg.layer(2).add_loops(0, 5)
     eta = AmalgamationSpec({0: 5})
-    g, psi, trace = detach_all(cg, eta, check=True)
+    g, psi, trace = detach_all(cg, eta)
+    assert steps_violations(cg, eta, trace) is None
     under = g.underlying()
     assert len(under.vertices) == 5
     assert all(n == 1 for _, _, n in under.pairs())
@@ -502,7 +506,8 @@ def lambda_kn_host(n: int, lam: int):
 )
 def test_detach_all_lambda_kn_checked(n: int, lam: int) -> None:
     cg, eta = lambda_kn_host(n, lam)
-    g, psi, _ = detach_all(cg, eta, check=True)
+    g, psi, trace = detach_all(cg, eta)
+    assert steps_violations(cg, eta, trace) is None
     for j in range(1, cg.k + 1):
         assert g.layer(j).component_count() == 1
         assert all(g.layer(j).degree(v) == 2 for v in g.vertices)
@@ -521,9 +526,9 @@ def gdd_engine_inputs(params: GddParams):
     """Every (graph, eta) that ham_decompose_gdd hands to detach_all."""
     seen = []
 
-    def recording(cg, eta, check=False):
+    def recording(cg, eta):
         seen.append((cg.copy(), AmalgamationSpec(dict(eta.eta))))
-        return detach_all(cg, eta, check)
+        return detach_all(cg, eta)
 
     original = hamilton.detach_all
     hamilton.detach_all = recording
@@ -719,9 +724,10 @@ LIVE_FAN_COVERAGE = {
 
 @pytest.mark.parametrize("family", ["lambda_kn", "gdd", "fuzz"])
 def test_incremental_state_matches_oracles_on_every_step(family: str) -> None:
-    """Before every step the state's condition-3 colors are condition3_colors
-    of the working graph, and per color its union-find gives every vertex
-    of the color class minus y its label in _component_map."""
+    """Before every step, and after the last, the state's condition-3 colors
+    are condition3_colors of the working graph, and before every step per
+    color its union-find gives every vertex of the color class minus y its
+    label in _component_map."""
     steps = 0
     for cg, eta in step_instances(family):
         state = engine._DetachState(cg.copy(), dict(eta.eta))
@@ -740,6 +746,7 @@ def test_incremental_state_matches_oracles_on_every_step(family: str) -> None:
                 engine._step(state, y)
                 steps += 1
         assert all(n == 1 for n in state.eta.values())
+        assert condition3_colors(state.cg, AmalgamationSpec(state.eta)) == state.cond3
     assert steps > 0
 
 
@@ -794,30 +801,11 @@ def test_live_fan_matches_a_fresh_build_on_every_step(family: str, monkeypatch) 
     assert {key for key, n in seen.items() if n and key != "live"} >= LIVE_FAN_COVERAGE[family]
 
 
-def test_checked_detach_catches_a_stale_live_fan(monkeypatch) -> None:
-    """detach_all(check=True) compares the live fan with a fresh build
-    before every step: a fan that skips the proxy decrement of its moved
-    loops is caught before the step that would peel it."""
-    apply = engine._LiveFan.apply
-
-    def skip_proxy_decrement(self, rec):
-        apply(self, rec)
-        for j, nl in rec.moves.loop_moves.items():
-            self.mult[j][0] += 2 * nl  # the proxy heads the row
-
-    cg, eta = lambda_kn_host(7, 1)
-    detach_all(cg, eta, check=True)
-    monkeypatch.setattr(engine._LiveFan, "apply", skip_proxy_decrement)
-    with pytest.raises(AssertionError, match=r"^live fan of vertex 0 differs from a fresh build$"):
-        detach_all(cg, eta, check=True)
-
-
 def test_checked_detach_catches_a_changed_component_count(monkeypatch) -> None:
-    """detach_all(check=True) counts each condition-3 color's components
-    once, before the first step, and compares every step's graph with that
-    count: refine given a component map in which every vertex is its own
-    component pairs leftovers across components, and the check names the
-    first color that splits.  Unchecked, the same detachment runs through."""
+    """refine given a component map in which every vertex is its own
+    component pairs leftovers across components: the detachment runs
+    through, steps_violations names the first step that splits a
+    condition-3 color, and verify_detachment fails A7."""
     # the amalgam of the group divisible graph, after the inner lambda K_3
     _, (cg, eta) = gdd_engine_inputs(GddParams((3, 3, 3), 1, 2))
     assert (cg.k, eta.eta) == (7, {0: 3, 1: 3, 2: 3})
@@ -828,26 +816,27 @@ def test_checked_detach_catches_a_changed_component_count(monkeypatch) -> None:
         return real(fan, working, rights, cond3, alone)
 
     monkeypatch.setattr(engine, "refine", no_components)
-    with pytest.raises(AssertionError, match=r"^color 5 changed component count$"):
-        detach_all(cg, eta, check=True)
-    g, _, _ = detach_all(cg, eta)
+    g, psi, trace = detach_all(cg, eta)
     assert g.layer(5).component_count() > cg.layer(5).component_count()
+    assert steps_violations(cg, eta, trace) == (4, {"components"})
+    assert verify_detachment(cg, eta, psi, g).verdicts["A7"][0] is False
 
 
-def test_checked_detach_catches_a_lost_condition3_color(monkeypatch) -> None:
-    """detach_all(check=True) compares the state's condition-3 colors with
-    condition3_colors after every step: a state that drops its largest one
-    is caught after the first step."""
-    init = engine._DetachState.__init__
-
-    def drop_largest(self, cg, eta):
-        init(self, cg, eta)
-        self.cond3.discard(max(self.cond3))
-
-    monkeypatch.setattr(engine._DetachState, "__init__", drop_largest)
-    cg, eta = loops_only_instance(2, 3, 3)  # both colors: degree 6, 2 units
-    with pytest.raises(AssertionError, match=r"^condition-3 colors \[1\] != \[1, 2\]$"):
-        detach_all(cg, eta, check=True)
+def test_steps_oracle_catches_a_planted_loop_move() -> None:
+    """On the lambda K_7 trace (three colors), step 1 made to move 3, 2 and
+    1 loops of colors 1, 2 and 3 breaks the step relations there, and
+    steps_violations names step 1 and those relations; a step repeated
+    after the last, at split count 1, is named too."""
+    cg, eta = lambda_kn_host(7, 1)
+    _, _, trace = detach_all(cg, eta)
+    assert cg.k == 3 and steps_violations(cg, eta, trace) is None
+    again = DetachmentTrace([*trace.steps, trace.steps[-1]])
+    assert steps_violations(cg, eta, again) == (6, {"split count"})
+    rec = trace.steps[1]
+    trace.steps[1] = rec._replace(moves=MoveSet(rec.moves.edge_moves, {1: 3, 2: 2, 3: 1}))
+    s, kinds = steps_violations(cg, eta, trace)
+    assert s == 1
+    assert {"B1", "B2", "B3(i)", "B4(i)"} <= kinds
 
 
 def _split_counts(cg: ColoredMultigraph, rec: StepRecord) -> Counts:
@@ -930,8 +919,6 @@ def test_detach_all_and_detach_step_leave_inputs_unmodified() -> None:
     for cg, eta in instances:
         cg0, eta0 = cg.copy(), AmalgamationSpec(dict(eta.eta))
         detach_all(cg, eta)
-        assert cg == cg0 and eta == eta0
-        detach_all(cg, eta, check=True)
         assert cg == cg0 and eta == eta0
         for y in cg.vertices:
             if eta.value(y) >= 2:

@@ -40,6 +40,7 @@ from helpers import (
     gdd_violations,
     outcome,
     step_violations,
+    steps_violations,
     trace_violations,
 )
 
@@ -415,10 +416,12 @@ def _smallest_scope():
 
 def test_every_host_of_the_smallest_scope_detaches_and_verifies() -> None:
     """A stated guarantee up to a size, not a sample: every host of the
-    scope detaches under the step checks, and both checkers accept it."""
+    scope detaches, every step passes the step checks of steps_violations,
+    and both checkers accept it."""
     hosts = steps = 0
     for h, eta in _smallest_scope():
-        g, psi, trace = detach_all(h, eta, check=True)
+        g, psi, trace = detach_all(h, eta)
+        assert steps_violations(h, eta, trace) is None
         assert verify_detachment(h, eta, psi, g).ok
         assert verify_trace(h, eta, trace) == (True, None)
         assert not detachment_violations(h, eta, psi, g)
