@@ -19,7 +19,6 @@ from .engine import (
     StepRecord,
     condition3_colors,
     detach_all,
-    detach_step,
 )
 from .errors import (
     DocumentError,
@@ -77,7 +76,6 @@ __all__ = [
     "bee_coloring",
     "condition3_colors",
     "detach_all",
-    "detach_step",
     "evenly_equitable_coloring",
     "gdd_feasible",
     "ham_decompose_gdd",

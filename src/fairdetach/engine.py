@@ -66,12 +66,12 @@ sit in the floor/ceiling window of their fair shares, with component counts
 preserved for the condition-3 colors.  Everything is deterministic: lowest
 vertex id first, lowest color first.
 
-`detach_all` (and `detach_step`, on a copy of its inputs) drives one mutable
-state: a working copy of the graph that each step's record is applied to in
-place through `apply_moves`, the split counts, the next vertex id, the
-condition-3 colors, per condition-3 color a union-find over the color class
-minus y, and y's live fan.  `apply_moves` is the one path from a step
-record to a graph; a trace replays as its records applied in order.
+`detach_all` drives one mutable state: a working copy of the graph that
+each step's record is applied to in place through `apply_moves`, the split
+counts, the next vertex id, the condition-3 colors, per condition-3 color a
+union-find over the color class minus y, and y's live fan.  `apply_moves`
+is the one path from a step record to a graph; a trace replays as its
+records applied in order.
 
 The condition-3 colors are computed once, because no fair step changes
 them.  A step changes degrees only at y and the new vertex: a moved edge y-w
@@ -102,7 +102,6 @@ from operator import add, itemgetter
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .bee import _Skeleton, bee_coloring
-from .errors import GraphError, PreconditionError
 from .multigraph import (
     AmalgamationSpec,
     ColoredMultigraph,
@@ -375,8 +374,8 @@ class _DetachState:
     """The working graph of a detachment, mutated in place step by step, with
     the split counts, the condition-3 colors, fixed for the whole detachment,
     their union-finds over the color class minus the current y and y's live
-    fan (see the module docstring).  Both callers check eta against the graph
-    with `validate_against` first."""
+    fan (see the module docstring).  `detach_all` checks eta against the
+    graph with `validate_against` first."""
 
     def __init__(self, cg: ColoredMultigraph, eta: Dict[VertexId, int]) -> None:
         self.cg = cg
@@ -445,13 +444,10 @@ def _union(parent: Dict[VertexId, VertexId], u: VertexId, v: VertexId) -> None:
 
 
 def _step(state: _DetachState, y: VertexId) -> StepRecord:
-    """Detach one fresh vertex from y in the state's working graph."""
+    """Detach one fresh vertex from y, whose split count is at least 2, in
+    the state's working graph."""
     cg = state.cg
-    if y not in state.eta:
-        raise GraphError(f"eta is undefined at vertex {y}")
     eta_y = state.eta[y]
-    if eta_y < 2:
-        raise PreconditionError(f"vertex {y} has eta={eta_y}, nothing to detach")
 
     fan, rights = state.fan_at(y)
     k = cg.k
@@ -507,22 +503,6 @@ def _step(state: _DetachState, y: VertexId) -> StepRecord:
     if state.eta[y] == 1 and cg.loops(y) != 0:
         raise AssertionError(f"vertex {y} reached eta=1 with {cg.loops(y)} loops")
     return rec
-
-
-def detach_step(
-    cg: ColoredMultigraph, eta: AmalgamationSpec, y: VertexId
-) -> Tuple[ColoredMultigraph, AmalgamationSpec, VertexId]:
-    """Detach one fresh vertex from y.  Inputs are not mutated.
-
-    eta must pass `validate_against(cg)`, as for `detach_all`.  The new
-    vertex gets split count 1, y's drops by one, per-color edge totals are
-    conserved, and the step relations hold between input and output (see
-    verify.assert_step_relations).
-    """
-    eta.validate_against(cg)
-    state = _DetachState(cg.copy(), dict(eta.eta))
-    rec = _step(state, y)
-    return state.cg, AmalgamationSpec(state.eta), rec.v_new
 
 
 def detach_all(

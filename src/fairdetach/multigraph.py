@@ -18,7 +18,8 @@ detachment engine and the cycle read-off:
     sorted rows in one call (the engine's fan), `Multigraph.rows` all of a
     graph's sorted rows (the Euler orientation) and
     `Multigraph.component_labels` the components of a graph minus one
-    vertex in one traversal (the engine's union-finds).
+    vertex in one traversal (the engine's union-finds and
+    `component_count`).
 
 `remove_edges` and `remove_loops`, which no construction calls, stay as the
 inverses of `add_edges` and `add_loops` on a public type: the per-step
@@ -135,11 +136,6 @@ class Multigraph:
         self._require(v)
         return sum(self._adj[v].values()) + 2 * self._loops.get(v, 0)
 
-    def neighbors(self, v: VertexId) -> List[VertexId]:
-        """Distinct adjacent vertices (loops excluded), ascending."""
-        self._require(v)
-        return sorted(self._adj[v])
-
     def row(self, v: VertexId) -> List[Tuple[VertexId, int]]:
         """(neighbor, multiplicity) for every neighbor of v (loops excluded), ascending."""
         self._require(v)
@@ -172,14 +168,7 @@ class Multigraph:
 
     def component_count(self) -> int:
         """Number of connected components, counting isolated vertices."""
-        return len(self.components())
-
-    def components(self) -> List[List[VertexId]]:
-        """Connected components as sorted vertex lists, ordered by smallest member."""
-        comps: Dict[VertexId, List[VertexId]] = {}
-        for v, root in self.component_labels().items():
-            comps.setdefault(root, []).append(v)
-        return [sorted(comp) for comp in comps.values()]
+        return len(set(self.component_labels().values()))
 
     def component_labels(self, skip: Optional[VertexId] = None) -> Dict[VertexId, VertexId]:
         """The smallest vertex of each vertex's component in the graph minus
@@ -281,14 +270,8 @@ class ColoredMultigraph:
         for g in self._layers:
             g.add_vertex(v)
 
-    def degree(self, v: VertexId) -> int:
-        return sum(g.degree(v) for g in self._layers)
-
     def loops(self, v: VertexId) -> int:
         return sum(g.loops(v) for g in self._layers)
-
-    def multiplicity(self, u: VertexId, v: VertexId) -> int:
-        return sum(g.multiplicity(u, v) for g in self._layers)
 
     def rows_at(self, y: VertexId) -> List[Tuple[int, List[Tuple[VertexId, int]]]]:
         """Per color 1..k: y's loop count and its row, neighbors ascending."""

@@ -174,14 +174,15 @@ def verify_detachment(
     fibers = {w: psi.fiber(w) for w in hosts}
     # pair cells in list order, each block with the host cell it shares: the
     # fiber pairs a < b by position over the loops at w, and the pairs across
-    # the fibers of hosts w < z over m(w, z)
+    # the fibers of hosts w < z over m(w, z); a block keeps its fibers and
+    # makes its cells as its rows are read, so no list grows with eta squared
     inner = [
-        (w, size[w] * (size[w] - 1) // 2, list(combinations(fibers[w], 2)))
+        (w, size[w] * (size[w] - 1) // 2, combinations, (fibers[w], 2))
         for w in hosts
         if size[w] >= 2
     ]
     cross = [
-        ((w, z), size[w] * size[z], list(product(fibers[w], fibers[z])))
+        ((w, z), size[w] * size[z], product, (fibers[w], fibers[z]))
         for w, z in combinations(hosts, 2)
     ]
 
@@ -196,9 +197,9 @@ def verify_detachment(
     def pair_rows(blocks, host, colors):
         return (
             (gmult[j].get(_key(u, v), 0), 1, host[j].get(at, 0), den, j, u, v, at)
-            for at, den, cells in blocks
+            for at, den, cells, args in blocks
             for j in colors
-            for u, v in cells
+            for u, v in cells(*args)
         )
 
     for name, rows, template in (

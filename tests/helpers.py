@@ -11,6 +11,8 @@
   the GDD shape, and a circulation's windows and conservation with the
   Hoffman cut that proves no circulation exists.
 - Brute force: the pairing and cycle searches.
+
+`step_once` is no oracle: it drives one engine step on a copy of its inputs.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from typing import (
 )
 
 from fairdetach.bee import SortedBipartite
+from fairdetach.engine import _DetachState, _step
 from fairdetach.errors import GraphError
 from fairdetach.multigraph import (
     AmalgamationSpec,
@@ -53,6 +56,16 @@ def outcome(check, *args):
         return check(*args)
     except Exception as exc:  # the reference must raise the same
         return type(exc).__name__, str(exc)
+
+
+def step_once(
+    cg: ColoredMultigraph, eta: AmalgamationSpec, y: VertexId
+) -> Tuple[ColoredMultigraph, AmalgamationSpec, VertexId]:
+    """One engine step at y, whose split count must be at least 2, on copies
+    of cg and eta: the stepped graph, its split counts and the new vertex."""
+    state = _DetachState(cg.copy(), dict(eta.eta))
+    v_new = _step(state, y).v_new
+    return state.cg, AmalgamationSpec(state.eta), v_new
 
 
 def all_pairings(items: Sequence) -> Iterator[List[Tuple]]:

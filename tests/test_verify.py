@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -13,7 +14,6 @@ from fairdetach.engine import (
     MoveSet,
     StepRecord,
     detach_all,
-    detach_step,
 )
 from fairdetach.errors import GraphError
 from fairdetach.fuzzgen import random_detach_instance
@@ -39,6 +39,7 @@ from helpers import (
     detachment_violations,
     gdd_violations,
     outcome,
+    step_once,
     step_violations,
     steps_violations,
     trace_violations,
@@ -339,7 +340,7 @@ def test_step_relations_three_loop_step() -> None:
     h = ColoredMultigraph(1, [0])
     h.layer(1).add_loops(0, 3)
     eta = AmalgamationSpec({0: 3})
-    out, _, v_new = detach_step(h, eta, 0)
+    out, _, v_new = step_once(h, eta, 0)
     ok, witness = assert_step_relations(h, out, 0, v_new, eta)
     assert ok, witness
     # the loop share is exact here: 3*(2-1)/3 = 1 loop must remain
@@ -350,18 +351,18 @@ def test_step_relations_four_parallel_edges() -> None:
     h = ColoredMultigraph(1, [0, 1])
     h.layer(1).add_edges(0, 1, 4)
     eta = AmalgamationSpec({0: 2, 1: 2})
-    out, _, v_new = detach_step(h, eta, 0)
+    out, _, v_new = step_once(h, eta, 0)
     ok, witness = assert_step_relations(h, out, 0, v_new, eta)
     assert ok, witness
     # m(v_new, 1) is within 4/2 = 2 exactly
-    assert out.multiplicity(v_new, 1) == 2
+    assert out.layer(1).multiplicity(v_new, 1) == 2
 
 
 def test_step_relations_catch_tampering() -> None:
     h = ColoredMultigraph(1, [0, 1])
     h.layer(1).add_edges(0, 1, 4)
     eta = AmalgamationSpec({0: 2, 1: 2})
-    out, _, v_new = detach_step(h, eta, 0)
+    out, _, v_new = step_once(h, eta, 0)
     bad = out.copy()
     bad.layer(1).remove_edges(v_new, 1, 1)
     bad.layer(1).add_edges(0, 1, 1)
@@ -378,7 +379,7 @@ def test_step_relations_fuzz() -> None:
         ys = [v for v in cg.vertices if eta.value(v) >= 2]
         if not ys:
             continue
-        out, _, v_new = detach_step(cg, eta, ys[0])
+        out, _, v_new = step_once(cg, eta, ys[0])
         ok, witness = assert_step_relations(cg, out, ys[0], v_new, eta)
         assert ok, witness
         checked += 1
@@ -507,7 +508,7 @@ def test_step_table_matches_reference() -> None:
         if not ys:
             continue
         y = rng.choice(ys)
-        out, _, v_new = detach_step(h, eta, y)
+        out, _, v_new = step_once(h, eta, y)
         for cand in [out] + [_mutate_step(rng, out, y, v_new) for _ in range(6)]:
             ok, witness = assert_step_relations(h, cand, y, v_new, eta)
             found = step_violations(h, cand, y, v_new, eta)
@@ -731,7 +732,7 @@ def test_each_step_relation_reports_its_witness(edits, witness) -> None:
     # each edit (j, u, v, n) adds n color-j edges u-v, removes -n, or adds or
     # removes loops when u == v
     h, eta = _pinned_step()
-    out, _, v_new = detach_step(h, eta, 0)
+    out, _, v_new = step_once(h, eta, 0)
     assert v_new == 4
     assert assert_step_relations(h, out, 0, 4, eta) == (True, None)
     for j, u, v, n in edits:
@@ -801,3 +802,22 @@ def test_trace_step_onto_an_existing_vertex_raises() -> None:
         verify_trace(h, AmalgamationSpec({0: 2, 1: 1}), trace)
     with pytest.raises(GraphError, match=r"^new vertex 1 already exists$"):
         engine.apply_moves(h.copy(), trace.steps[0])
+
+
+def test_verify_memory_does_not_grow_with_eta_squared() -> None:
+    """The fiber-pair cells are made as their rows are read: at eta(0) = 400
+    a list of the 79,800 cells of fiber pairs at vertex 0 would peak near
+    5 MiB, and verification peaks far below that."""
+    h = ColoredMultigraph(1, [0, 1])
+    h.layer(1).add_edges(0, 1, 2)
+    h.layer(1).add_loops(0, 1)
+    eta = AmalgamationSpec({0: 400, 1: 1})
+    g, psi, _ = detach_all(h, eta)
+    tracemalloc.start()
+    try:
+        report = verify_detachment(h, eta, psi, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 1 << 20
